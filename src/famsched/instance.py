@@ -11,6 +11,7 @@ in all JSON files and CLI output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -154,6 +155,8 @@ _TOP_FIELDS = {"classes", "st", "sc"}
 def _require_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}: expected a finite number, got {value}")
     return float(value)
 
 

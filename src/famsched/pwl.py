@@ -3,7 +3,17 @@
 A Pwl is a continuous function on a closed interval [0, H], stored as a
 strictly increasing breakpoint list with one ordinate per breakpoint and
 linear interpolation in between.  All operations are exact up to float
-arithmetic: results are built from segment geometry, never from sampling.
+arithmetic and ``TOL``: results come from segment geometry, not sampling.
+
+One relative tolerance, ``TOL``, decides what counts as equal: abscissae
+within ``TOL * max(1, H)`` of each other are the same point, and ordinates
+within ``TOL * max(1, |y|)`` are the same value.  Every constructor keeps
+the first of abscissae that are the same point, then merges: an interior
+breakpoint is dropped only while a single segment from the last kept
+breakpoint passes within the ordinate tolerance of every breakpoint dropped
+since.  At every remaining input point the stored function is therefore
+within ``TOL * max(1, |y|)`` of the input value, and float noise cannot pile
+up into spurious breakpoints from one operation to the next.
 
 These functions are the currency of the compression optimizer and of the
 solver's cost-to-go tables: tardiness terms are hinges, compression terms
@@ -14,11 +24,10 @@ sliding-window minimum.
 from __future__ import annotations
 
 from bisect import bisect_right
+from math import inf, isfinite
 from typing import Sequence
 
-MERGE_TOL = 1e-9    # absolute slope difference below which segments merge
-X_TOL = 1e-12       # breakpoints closer than this collapse into one
-DOMAIN_SLACK = 1e-9  # tolerance when checking arguments against the domain
+TOL = 1e-9  # relative tolerance for abscissae and ordinates (module docstring)
 
 
 class DomainError(ValueError):
@@ -26,27 +35,35 @@ class DomainError(ValueError):
 
 
 def _clean(points: list[tuple[float, float]]) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Sort, deduplicate, and collinear-merge a point list."""
+    """Sort, collapse near-equal abscissae, and merge within tolerance."""
     points.sort(key=lambda p: p[0])
+    xtol = TOL * max(1.0, points[-1][0])
     xs: list[float] = []
     ys: list[float] = []
     for x, y in points:
-        if xs and x - xs[-1] <= X_TOL:
+        if xs and x - xs[-1] <= xtol:
             continue
         xs.append(x)
         ys.append(y)
-    if len(xs) < 2:
+    if len(xs) < 3:
         return tuple(xs), tuple(ys)
-    # drop interior breakpoints whose removal leaves the function unchanged
+    # [lo, hi]: slopes of the segments from the last kept point (x0, y0)
+    # that pass within tolerance of every point dropped since
     out_x = [xs[0]]
     out_y = [ys[0]]
-    for i in range(1, len(xs) - 1):
-        s_in = (ys[i] - out_y[-1]) / (xs[i] - out_x[-1])
-        s_out = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-        if abs(s_in - s_out) <= MERGE_TOL:
-            continue
-        out_x.append(xs[i])
-        out_y.append(ys[i])
+    x0, y0 = xs[0], ys[0]
+    lo, hi = -inf, inf
+    for i in range(1, len(xs)):
+        x, y = xs[i], ys[i]
+        if not lo <= (y - y0) / (x - x0) <= hi:
+            x0, y0 = xs[i - 1], ys[i - 1]
+            out_x.append(x0)
+            out_y.append(y0)
+            lo, hi = -inf, inf
+        # TOL * max(1, |y|), spelled out because this loop is hot
+        e = TOL * y if y > 1.0 else -TOL * y if y < -1.0 else TOL
+        lo = max(lo, (y - e - y0) / (x - x0))
+        hi = min(hi, (y + e - y0) / (x - x0))
     out_x.append(xs[-1])
     out_y.append(ys[-1])
     return tuple(out_x), tuple(out_y)
@@ -60,15 +77,13 @@ class Pwl:
     def __init__(self, xs: Sequence[float], ys: Sequence[float]):
         if len(xs) != len(ys) or not xs:
             raise ValueError("breakpoints and values must be non-empty and aligned")
-        cx, cy = _clean([(0.0 if abs(x) <= DOMAIN_SLACK else float(x), float(y)) for x, y in zip(xs, ys)])
-        if abs(cx[0]) > DOMAIN_SLACK:
+        if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
+            raise ValueError("breakpoints and values must be finite")
+        cx, cy = _clean([(float(x), float(y)) for x, y in zip(xs, ys)])
+        if abs(cx[0]) > TOL * max(1.0, cx[-1]):
             raise ValueError(f"domain must start at 0, got {cx[0]}")
-        for i in range(1, len(cx)):
-            if cx[i] <= cx[i - 1]:
-                raise ValueError("breakpoints must be strictly increasing")
-        for y in cy:
-            if y != y or y in (float("inf"), float("-inf")):
-                raise ValueError("values must be finite")
+        if cx[0] != 0.0:
+            cx = (0.0,) + cx[1:]
         object.__setattr__(self, "xs", cx)
         object.__setattr__(self, "ys", cy)
 
@@ -92,16 +107,13 @@ class Pwl:
     def __eq__(self, other) -> bool:
         return isinstance(other, Pwl) and self.xs == other.xs and self.ys == other.ys
 
-    def __hash__(self) -> int:
-        return hash((self.xs, self.ys))
-
     def slopes(self) -> tuple[float, ...]:
         return tuple(
             (self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i])
             for i in range(len(self.xs) - 1)
         )
 
-    def is_convex(self, tol: float = MERGE_TOL) -> bool:
+    def is_convex(self, tol: float = TOL) -> bool:
         s = self.slopes()
         return all(s[i + 1] >= s[i] - tol for i in range(len(s) - 1))
 
@@ -114,7 +126,7 @@ class Pwl:
     @classmethod
     def constant(cls, value: float, high: float) -> "Pwl":
         if high <= 0:
-            return cls._point(0.0, value)
+            return cls((0.0,), (value,))
         return cls((0.0, high), (value, value))
 
     @classmethod
@@ -134,47 +146,27 @@ class Pwl:
             return cls((0.0, high), (0.0, alpha * high))
         return cls((0.0, dd, high), (0.0, 0.0, alpha * (high - dd)))
 
-    @classmethod
-    def _point(cls, x: float, y: float) -> "Pwl":
-        # degenerate single-point domain; only reachable via window_min(w == H)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "xs", (x,))
-        object.__setattr__(obj, "ys", (y,))
-        return obj
-
     # -- evaluation ----------------------------------------------------
 
-    def __call__(self, t: float) -> float:
-        return self.value_at(t)
-
     def value_at(self, t: float) -> float:
-        """Linear interpolation; exact at breakpoints.
-
-        Arguments within a few ulps of a breakpoint snap to it: interpolating
-        on a near-vertical segment at that distance would amplify rounding
-        noise of the argument into the value.
-        """
-        if t < -DOMAIN_SLACK or t > self.high + DOMAIN_SLACK:
-            raise DomainError(f"argument {t} outside domain [0, {self.high}]")
-        t = min(max(t, 0.0), self.high)
-        if len(self.xs) == 1:
-            return self.ys[0]
+        """Linear interpolation; exact at breakpoints."""
+        high = self.xs[-1]
+        if not 0.0 <= t <= high:
+            slack = TOL * max(1.0, high)
+            if t < -slack or t > high + slack:
+                raise DomainError(f"argument {t} outside domain [0, {high}]")
+            t = min(max(t, 0.0), high)
         i = bisect_right(self.xs, t) - 1
         if i >= len(self.xs) - 1:
             return self.ys[-1]
         x0, x1 = self.xs[i], self.xs[i + 1]
-        snap = min(1e-13 * max(abs(t), 1.0), 0.4 * X_TOL)
-        if t - x0 <= snap:
-            return self.ys[i]
-        if x1 - t <= snap:
-            return self.ys[i + 1]
         y0, y1 = self.ys[i], self.ys[i + 1]
         return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
 
     # -- arithmetic ----------------------------------------------------
 
     def _check_same_domain(self, other: "Pwl") -> None:
-        if abs(self.high - other.high) > DOMAIN_SLACK:
+        if abs(self.high - other.high) > TOL * max(1.0, self.high, other.high):
             raise DomainError(f"domain mismatch: [0, {self.high}] vs [0, {other.high}]")
 
     def add(self, other: "Pwl") -> "Pwl":
@@ -182,9 +174,6 @@ class Pwl:
         grid = sorted(set(self.xs) | set(other.xs))
         pts = [(x, self.value_at(x) + other.value_at(x)) for x in grid]
         return Pwl([p[0] for p in pts], [p[1] for p in pts])
-
-    def __add__(self, other: "Pwl") -> "Pwl":
-        return self.add(other)
 
     def add_affine(self, slope: float, intercept: float) -> "Pwl":
         """Pointwise f(t) + slope*t + intercept."""
@@ -212,6 +201,7 @@ class Pwl:
         """Pointwise minimum, with crossing points inserted as breakpoints."""
         self._check_same_domain(other)
         grid = sorted(set(self.xs) | set(other.xs))
+        xtol = TOL * max(1.0, self.high)
         pts: list[tuple[float, float]] = []
         prev_x = None
         prev_d = None
@@ -221,7 +211,7 @@ class Pwl:
             d = fv - gv
             if prev_x is not None and ((prev_d > 0 > d) or (prev_d < 0 < d)):
                 cx = prev_x + (x - prev_x) * prev_d / (prev_d - d)
-                if prev_x + X_TOL < cx < x - X_TOL:
+                if prev_x + xtol < cx < x - xtol:
                     pts.append((cx, self.value_at(cx)))
             pts.append((x, min(fv, gv)))
             prev_x, prev_d = x, d
@@ -236,16 +226,16 @@ class Pwl:
         window minimum is the lower envelope of the two window-edge values
         and the best interior breakpoint, all affine in x.
         """
-        if w < -DOMAIN_SLACK:
+        xtol = TOL * max(1.0, self.high)
+        if w < -xtol:
             raise DomainError("window width must be non-negative")
-        w = max(w, 0.0)
-        if w > self.high + DOMAIN_SLACK:
+        if w > self.high + xtol:
             raise DomainError(f"window width {w} exceeds domain end {self.high}")
-        if w <= X_TOL:
-            return Pwl(self.xs, self.ys)
+        if w <= xtol:
+            return self
         out_high = self.high - w
-        if out_high <= X_TOL:
-            return Pwl._point(0.0, min(self.ys))
+        if out_high <= xtol:
+            return Pwl((0.0,), (min(self.ys),))
         events = {0.0, out_high}
         for b in self.xs:
             for e in (b, b - w):
@@ -254,10 +244,10 @@ class Pwl:
         grid = sorted(events)
         pts: list[tuple[float, float]] = []
         for e1, e2 in zip(grid, grid[1:]):
-            pts.extend(self._window_piece(e1, e2, w))
+            pts.extend(self._window_piece(e1, e2, w, xtol))
         return Pwl([p[0] for p in pts], [p[1] for p in pts])
 
-    def _window_piece(self, e1: float, e2: float, w: float) -> list[tuple[float, float]]:
+    def _window_piece(self, e1: float, e2: float, w: float, xtol: float) -> list[tuple[float, float]]:
         """Lower envelope of the window minimum on one event-free interval.
 
         Lines are anchored at e1 (slope, value there): steep segments on tiny
@@ -273,7 +263,7 @@ class Pwl:
         ):
             lines.append(((y2 - y1) / width, y1))
         # best breakpoint strictly covered by every window in the interval
-        inner = [y for x, y in zip(self.xs, self.ys) if e2 - X_TOL <= x <= e1 + w + X_TOL]
+        inner = [y for x, y in zip(self.xs, self.ys) if e2 - xtol <= x <= e1 + w + xtol]
         if inner:
             lines.append((0.0, min(inner)))
         offsets = {0.0, width}
@@ -281,9 +271,9 @@ class Pwl:
             for j in range(i + 1, len(lines)):
                 a1, b1 = lines[i]
                 a2, b2 = lines[j]
-                if abs(a1 - a2) > MERGE_TOL:
+                if a1 != a2:
                     dx = (b2 - b1) / (a1 - a2)
-                    if X_TOL < dx < width - X_TOL:
+                    if xtol < dx < width - xtol:
                         offsets.add(dx)
         return [(e1 + dx, min(a * dx + b for a, b in lines)) for dx in sorted(offsets)]
 
@@ -291,11 +281,6 @@ class Pwl:
         """Exact minimum of f over the closed interval [lo, hi]."""
         val, _, _ = self._interval_argmin(lo, hi)
         return val
-
-    def argmin_in_window(self, x: float, w: float) -> float:
-        """Smallest minimizer of f over [x, x + w]."""
-        _, lowest, _ = self._interval_argmin(x, x + w)
-        return lowest
 
     def argmin_over(self, lo: float, hi: float, prefer: str = "lowest") -> float:
         """Minimizer of f over [lo, hi]; ``prefer`` picks among exact ties."""
@@ -307,12 +292,13 @@ class Pwl:
         raise ValueError(f"unknown preference {prefer!r}")
 
     def _interval_argmin(self, lo: float, hi: float) -> tuple[float, float, float]:
-        if lo < -DOMAIN_SLACK or hi > self.high + DOMAIN_SLACK or hi < lo - DOMAIN_SLACK:
+        xtol = TOL * max(1.0, self.high)
+        if lo < -xtol or hi > self.high + xtol or hi < lo - xtol:
             raise DomainError(f"window [{lo}, {hi}] not inside [0, {self.high}]")
         lo = min(max(lo, 0.0), self.high)
         hi = min(max(hi, lo), self.high)
         cand = [lo] + [x for x in self.xs if lo < x < hi] + ([hi] if hi > lo else [])
         vals = [self.value_at(c) for c in cand]
         best = min(vals)
-        ties = [c for c, v in zip(cand, vals) if v <= best + MERGE_TOL]
+        ties = [c for c, v in zip(cand, vals) if v <= best + TOL * max(1.0, abs(best))]
         return best, ties[0], ties[-1]

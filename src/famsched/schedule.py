@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .instance import Instance, horizon_upper_bound
-from .pwl import MERGE_TOL, Pwl
+from .pwl import Pwl
 
 
 class SequenceError(ValueError):
@@ -240,8 +240,7 @@ def select_completion(objective: Pwl, lo: float, hi: float) -> float:
     work is deferred and jobs finish just in time.  This selection is what
     the reported optimal tableaus use.
     """
-    best = objective.min_over(lo, hi)
-    if objective.value_at(lo) <= best + MERGE_TOL:
+    if objective.argmin_over(lo, hi, prefer="lowest") == lo:
         return lo
     return objective.argmin_over(lo, hi, prefer="highest")
 

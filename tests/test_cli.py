@@ -43,6 +43,17 @@ def test_validate_finds_violations(tmp_path, capsys):
     assert json.loads(out)["violations"]
 
 
+def test_validate_rejects_nan_and_inf(tmp_path, capsys):
+    doc = json.loads(open(EX1).read())
+    doc["classes"][0]["pt_nom"] = float("nan")
+    doc["st"][0][1] = float("inf")
+    bad = tmp_path / "nonfinite.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert "pt_nom" in err
+
+
 def test_solve_dp_report(tmp_path, capsys):
     sched_file = tmp_path / "sched.json"
     values_file = tmp_path / "values.csv"

@@ -115,6 +115,14 @@ def test_zero_cost_instance():
     assert vt.optimal_cost() == pytest.approx(0.0, abs=1e-12)
 
 
+def test_breakpoints_stay_bounded_on_blowup_instance():
+    # float noise once grew this instance's cost-to-go functions to 7,091
+    # breakpoints; merging within tolerance keeps them near the real kinks
+    vt = backward_induction(generate(GenParams(jobs=(4, 4, 4), seed=14)))
+    assert max(len(vt[s]) for s in vt.states()) <= 100
+    assert vt.optimal_cost() == pytest.approx(148.8887961063331, rel=1e-9)
+
+
 def test_dp_equals_enumeration_on_random_instances():
     for seed in range(12):
         inst = generate(GenParams(jobs=(2, 2), seed=seed))

@@ -1,6 +1,7 @@
 """Instance model: validation, horizon bound, JSON round-trips."""
 
 import json
+import math
 
 import pytest
 
@@ -135,10 +136,11 @@ def test_extra_field_rejected(ex1_dict):
 
 
 def test_non_numeric_rejected(ex1_dict):
-    doc = json.loads(json.dumps(ex1_dict))
-    doc["classes"][1]["beta"] = "fast"
-    with pytest.raises(SchemaError, match="beta"):
-        instance_from_dict(doc)
+    for bad in ("fast", math.nan, math.inf, -math.inf):
+        doc = json.loads(json.dumps(ex1_dict))
+        doc["classes"][1]["beta"] = bad
+        with pytest.raises(SchemaError, match="beta"):
+            instance_from_dict(doc)
 
 
 def test_generated_instances_always_valid():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from famsched.pwl import DomainError, Pwl
+from famsched.pwl import TOL, DomainError, Pwl
 
 
 def random_pwl(rng: random.Random, high: float, segments: int) -> Pwl:
@@ -220,17 +220,17 @@ def test_affine_ops_preserve_convexity():
 
 def test_argmin_flat_right_valley():
     f = Pwl((0.0, 5.0, 10.0), (5.0, 0.0, 5.0))
-    assert f.argmin_in_window(3.0, 2.0) == pytest.approx(5.0)
+    assert f.argmin_over(3.0, 5.0) == pytest.approx(5.0)
 
 
 def test_argmin_constant_prefers_window_start():
     f = Pwl.constant(2.0, 10.0)
-    assert f.argmin_in_window(3.5, 4.0) == pytest.approx(3.5)
+    assert f.argmin_over(3.5, 7.5) == pytest.approx(3.5)
 
 
 def test_argmin_interior_minimum():
     f = Pwl((0.0, 5.0, 10.0), (5.0, 0.0, 5.0))
-    assert f.argmin_in_window(4.0, 4.0) == pytest.approx(5.0)
+    assert f.argmin_over(4.0, 8.0) == pytest.approx(5.0)
 
 
 def test_argmin_consistent_with_window_min():
@@ -240,14 +240,14 @@ def test_argmin_consistent_with_window_min():
         w = rng.uniform(0.5, 5.0)
         g = f.window_min(w)
         x = rng.uniform(0.0, 20.0 - w)
-        s = f.argmin_in_window(x, w)
+        s = f.argmin_over(x, x + w)
         assert x - 1e-9 <= s <= x + w + 1e-9
         assert f.value_at(s) == pytest.approx(g.value_at(x), abs=1e-9)
 
 
 def test_argmin_window_outside_domain():
     with pytest.raises(DomainError):
-        Pwl.zero(5.0).argmin_in_window(3.0, 4.0)
+        Pwl.zero(5.0).argmin_over(3.0, 7.0)
 
 
 # -- representation invariants -------------------------------------------
@@ -255,6 +255,28 @@ def test_argmin_window_outside_domain():
 def test_collinear_segments_merge():
     f = Pwl((0.0, 5.0, 10.0), (0.0, 5.0, 10.0))
     assert f.xs == (0.0, 10.0)
+
+
+def test_jittered_line_collapses():
+    rng = random.Random(10)
+    xs = [50.0 * i / 9999 for i in range(10000)]
+    ys = [(3.0 * x + 7.0) * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0)) for x in xs]
+    f = Pwl(xs, ys)
+    assert len(f) == 2
+    assert f.value_at(25.0) == pytest.approx(82.0, rel=1e-12)
+
+
+def test_merge_error_bounded_on_fine_parabola():
+    xs = [i * 1e-5 for i in range(100001)]
+    ys = [x * x for x in xs]
+    f = Pwl(xs, ys)
+    assert len(f) < len(xs)
+    assert max(abs(f.value_at(x) - y) / max(1.0, abs(y)) for x, y in zip(xs, ys)) <= TOL
+
+
+def test_small_real_kink_survives():
+    f = Pwl((0.0, 5.0, 10.0), (0.0, 5.0, 5.0 + 5.0 * (1.0 + 1e-6)))
+    assert f.xs == (0.0, 5.0, 10.0)
 
 
 def test_breakpoints_strictly_increasing_after_build():
