@@ -74,6 +74,7 @@ def _solve(inst: Instance, method: str, cap: int) -> tuple[Schedule, dict]:
         vt = dp.backward_induction(inst)
         sched = dp.extract_open_loop(inst, vt)
         extra["state_nodes"] = vt.graph.node_count
+        extra["max_breakpoints"] = max(len(vt[s]) for s in vt.states())
         extra["value_table"] = vt
     elif method == "enum":
         sched = bench.brute_force_solve(inst, cap=cap)
@@ -131,6 +132,7 @@ def cmd_solve(args) -> int:
     }
     if "state_nodes" in extra:
         report["state_nodes"] = extra["state_nodes"]
+        report["max_breakpoints"] = extra["max_breakpoints"]
     if args.output:
         _write(args.output, json.dumps(schedule_to_dict(inst, sched), indent=2))
     if args.dump_values and "value_table" in extra:
@@ -236,9 +238,11 @@ def cmd_bench(args) -> int:
         methods = ("dp", "enum") if args.method == "both" else (args.method,)
         for method in methods:
             t0 = time.perf_counter()
-            sched, _ = _solve(inst, method, args.cap)
+            sched, extra = _solve(inst, method, args.cap)
             row[f"{method}_cost"] = sched.timeline.total_cost
             row[f"{method}_time_s"] = time.perf_counter() - t0
+            if "max_breakpoints" in extra:
+                row[f"{method}_max_breakpoints"] = extra["max_breakpoints"]
         rows.append(row)
     if args.csv:
         buf = io.StringIO()

@@ -166,13 +166,17 @@ class ValueTable:
         return "\n".join(lines)
 
 
-def _edge_objective(inst: Instance, values: dict[DiscreteState, Pwl],
-                    state: DiscreteState, k: int) -> Pwl:
-    """Stage objective F(s) for serving class k (0-based) from state."""
+def _child_objective(inst: Instance, values: dict[DiscreteState, Pwl],
+                     child: DiscreteState) -> Pwl:
+    """Stage objective F(s) of the job whose service leads into child.
+
+    That job is the last-served class's latest one, so F depends on the
+    child alone, not on the state it was served from.
+    """
+    k = child.last - 1
     cp = inst.classes[k]
-    i = state.counts[k]
-    child = values[_child(state, k)]
-    return stage_objective(child, cp.alpha[i], cp.dd[i], cp.beta)
+    i = child.counts[k] - 1
+    return stage_objective(values[child], cp.alpha[i], cp.dd[i], cp.beta)
 
 
 def _edge_setup(inst: Instance, state: DiscreteState, k: int) -> tuple[float, float]:
@@ -184,7 +188,12 @@ def backward_induction(inst: Instance) -> ValueTable:
     """Compute every state's cost-to-go; terminal states map to zero.
 
     States within one stage are independent given the next stage, so the
-    loop is a stage barrier; the table is immutable afterwards.
+    loop is a stage barrier; the table is immutable afterwards.  The window
+    minimum of a stage objective depends only on the child state (its served
+    job and that job's cost-to-go), while the setup depends on the edge, that
+    is on the parent's last class.  So each state of the next stage is
+    windowed once, and every edge into it only shifts and offsets the result;
+    windowing per edge would repeat the costliest op once per parent.
     """
     graph = build_state_graph(inst)
     high = _padded_horizon(inst)
@@ -192,14 +201,18 @@ def backward_induction(inst: Instance) -> ValueTable:
     zero = Pwl.zero(high)
     for state in graph.stages[-1]:
         values[state] = zero
-    for stage in reversed(graph.stages[:-1]):
-        for state in stage:
+    for j in range(len(graph.stages) - 2, -1, -1):
+        windowed: dict[DiscreteState, Pwl] = {}
+        for child in graph.stages[j + 1]:
+            cp = inst.classes[child.last - 1]
+            windowed[child] = _child_objective(inst, values, child).window_min(cp.pt_nom - cp.pt_low)
+        for state in graph.stages[j]:
             best: Pwl | None = None
             for k in admissible_classes(inst, state):
                 cp = inst.classes[k]
                 st, sc = _edge_setup(inst, state, k)
-                obj = _edge_objective(inst, values, state, k)
-                w = stage_value(obj, cp.beta, cp.pt_low, cp.pt_nom, st, sc, high)
+                w = stage_value(windowed[_child(state, k)], cp.beta, cp.pt_low, cp.pt_nom,
+                                st, sc, high)
                 best = w if best is None else best.pointwise_min(w)
             values[state] = best if best is not None else zero
     return ValueTable(inst, graph, values)
@@ -226,7 +239,7 @@ def _decide(inst: Instance, vt: ValueTable, state: DiscreteState, t: float) -> P
     for k in admissible_classes(inst, state):
         cp = inst.classes[k]
         st, sc = _edge_setup(inst, state, k)
-        obj = _edge_objective(inst, vt._values, state, k)
+        obj = _child_objective(inst, vt._values, _child(state, k))
         lo = t + st + cp.pt_low
         hi = t + st + cp.pt_nom
         val = sc + cp.beta * (cp.pt_nom + st) + cp.beta * t + obj.min_over(lo, hi)

@@ -23,7 +23,8 @@ sliding-window minimum.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import deque
 from math import inf, isfinite
 from typing import Sequence
 
@@ -163,6 +164,33 @@ class Pwl:
         y0, y1 = self.ys[i], self.ys[i + 1]
         return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
 
+    def _values_at(self, ts: Sequence[float]) -> list[float]:
+        """``value_at`` at each point of a non-decreasing grid, in one walk.
+
+        A pointer advances along the breakpoints instead of one bisect per
+        point, with ``value_at``'s domain check, end clamp and interpolation
+        formula, so every value is bit-identical to it.
+        """
+        xs, ys = self.xs, self.ys
+        last = len(xs) - 1
+        high = xs[last]
+        slack = TOL * max(1.0, high)
+        out = []
+        i = 0
+        for t in ts:
+            if not 0.0 <= t <= high:
+                if t < -slack or t > high + slack:
+                    raise DomainError(f"argument {t} outside domain [0, {high}]")
+                t = min(max(t, 0.0), high)
+            while i < last and xs[i + 1] <= t:
+                i += 1
+            if i == last:
+                out.append(ys[last])
+            else:
+                x0, y0 = xs[i], ys[i]
+                out.append(y0 + (ys[i + 1] - y0) * (t - x0) / (xs[i + 1] - x0))
+        return out
+
     # -- arithmetic ----------------------------------------------------
 
     def _check_same_domain(self, other: "Pwl") -> None:
@@ -172,8 +200,8 @@ class Pwl:
     def add(self, other: "Pwl") -> "Pwl":
         self._check_same_domain(other)
         grid = sorted(set(self.xs) | set(other.xs))
-        pts = [(x, self.value_at(x) + other.value_at(x)) for x in grid]
-        return Pwl([p[0] for p in pts], [p[1] for p in pts])
+        ys = [a + b for a, b in zip(self._values_at(grid), other._values_at(grid))]
+        return Pwl(grid, ys)
 
     def add_affine(self, slope: float, intercept: float) -> "Pwl":
         """Pointwise f(t) + slope*t + intercept."""
@@ -194,20 +222,19 @@ class Pwl:
             if 0.0 < t < out_high:
                 cand.add(t)
         grid = sorted(cand)
-        pts = [(t, self.value_at(min(max(t + delta, 0.0), self.high))) for t in grid]
-        return Pwl([p[0] for p in pts], [p[1] for p in pts])
+        return Pwl(grid, self._values_at([min(max(t + delta, 0.0), self.high) for t in grid]))
 
     def pointwise_min(self, other: "Pwl") -> "Pwl":
         """Pointwise minimum, with crossing points inserted as breakpoints."""
         self._check_same_domain(other)
         grid = sorted(set(self.xs) | set(other.xs))
         xtol = TOL * max(1.0, self.high)
+        fvs = self._values_at(grid)
+        gvs = other._values_at([min(x, other.high) for x in grid])
         pts: list[tuple[float, float]] = []
         prev_x = None
         prev_d = None
-        for x in grid:
-            fv = self.value_at(x)
-            gv = other.value_at(min(x, other.high))
+        for x, fv, gv in zip(grid, fvs, gvs):
             d = fv - gv
             if prev_x is not None and ((prev_d > 0 > d) or (prev_d < 0 < d)):
                 cx = prev_x + (x - prev_x) * prev_d / (prev_d - d)
@@ -222,10 +249,20 @@ class Pwl:
     def window_min(self, w: float) -> "Pwl":
         """g(x) = min of f over [x, x + w], on the domain [0, H - w].
 
-        Computed exactly from segments: between consecutive sweep events the
-        window minimum is the lower envelope of the two window-edge values
-        and the best interior breakpoint, all affine in x.
+        Computed exactly from segments in one sweep over the events (the
+        breakpoints b and b - w inside the output domain): between
+        consecutive events e1 < e2 the window minimum is the lower envelope
+        of the two window-edge values f(x) and f(x + w) and of the best
+        breakpoint in [e2, e1 + w], all affine in x.  Edge values come from
+        one forward walk each over the events and the events shifted by w;
+        the best breakpoint from a monotone deque (Lemire's sliding-window
+        minimum), as both ends of [e2, e1 + w] only move right.
+
+        Lines are anchored at e1 (slope, value there): steep segments on tiny
+        intervals far from the origin would lose precision in slope-intercept
+        form.
         """
+        xs, ys = self.xs, self.ys
         xtol = TOL * max(1.0, self.high)
         if w < -xtol:
             raise DomainError("window width must be non-negative")
@@ -235,47 +272,48 @@ class Pwl:
             return self
         out_high = self.high - w
         if out_high <= xtol:
-            return Pwl((0.0,), (min(self.ys),))
+            return Pwl((0.0,), (min(ys),))
         events = {0.0, out_high}
-        for b in self.xs:
+        for b in xs:
             for e in (b, b - w):
                 if 0.0 < e < out_high:
                     events.add(e)
         grid = sorted(events)
-        pts: list[tuple[float, float]] = []
-        for e1, e2 in zip(grid, grid[1:]):
-            pts.extend(self._window_piece(e1, e2, w, xtol))
-        return Pwl([p[0] for p in pts], [p[1] for p in pts])
-
-    def _window_piece(self, e1: float, e2: float, w: float, xtol: float) -> list[tuple[float, float]]:
-        """Lower envelope of the window minimum on one event-free interval.
-
-        Lines are anchored at e1 (slope, value there): steep segments on tiny
-        intervals far from the origin would lose precision in slope-intercept
-        form.
-        """
-        width = e2 - e1
-        # affine pieces: left edge f(x), right edge f(x+w)
-        lines = []
-        for y1, y2 in (
-            (self.value_at(e1), self.value_at(e2)),
-            (self.value_at(e1 + w), self.value_at(e2 + w)),
-        ):
-            lines.append(((y2 - y1) / width, y1))
-        # best breakpoint strictly covered by every window in the interval
-        inner = [y for x, y in zip(self.xs, self.ys) if e2 - xtol <= x <= e1 + w + xtol]
-        if inner:
-            lines.append((0.0, min(inner)))
-        offsets = {0.0, width}
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                a1, b1 = lines[i]
-                a2, b2 = lines[j]
-                if a1 != a2:
-                    dx = (b2 - b1) / (a1 - a2)
-                    if xtol < dx < width - xtol:
-                        offsets.add(dx)
-        return [(e1 + dx, min(a * dx + b for a, b in lines)) for dx in sorted(offsets)]
+        left = self._values_at(grid)
+        right = self._values_at([e + w for e in grid])
+        window: deque[int] = deque()  # breakpoint indices, ordinates increasing
+        n = len(xs)
+        r = 0
+        px: list[float] = []
+        py: list[float] = []
+        for j in range(len(grid) - 1):
+            e1, e2 = grid[j], grid[j + 1]
+            width = e2 - e1
+            lines = [((left[j + 1] - left[j]) / width, left[j]),
+                     ((right[j + 1] - right[j]) / width, right[j])]
+            reach = e1 + w + xtol
+            while r < n and xs[r] <= reach:
+                while window and ys[window[-1]] > ys[r]:
+                    window.pop()
+                window.append(r)
+                r += 1
+            while window and xs[window[0]] < e2 - xtol:
+                window.popleft()
+            if window:
+                lines.append((0.0, ys[window[0]]))
+            offsets = {0.0, width}
+            for p in range(len(lines)):
+                for q in range(p + 1, len(lines)):
+                    a1, b1 = lines[p]
+                    a2, b2 = lines[q]
+                    if a1 != a2:
+                        dx = (b2 - b1) / (a1 - a2)
+                        if xtol < dx < width - xtol:
+                            offsets.add(dx)
+            for dx in sorted(offsets):
+                px.append(e1 + dx)
+                py.append(min([a * dx + b for a, b in lines]))
+        return Pwl(px, py)
 
     def min_over(self, lo: float, hi: float) -> float:
         """Exact minimum of f over the closed interval [lo, hi]."""
@@ -297,8 +335,9 @@ class Pwl:
             raise DomainError(f"window [{lo}, {hi}] not inside [0, {self.high}]")
         lo = min(max(lo, 0.0), self.high)
         hi = min(max(hi, lo), self.high)
-        cand = [lo] + [x for x in self.xs if lo < x < hi] + ([hi] if hi > lo else [])
-        vals = [self.value_at(c) for c in cand]
+        xs = self.xs
+        cand = [lo, *xs[bisect_right(xs, lo):bisect_left(xs, hi)]] + ([hi] if hi > lo else [])
+        vals = self._values_at(cand)
         best = min(vals)
         ties = [c for c, v in zip(cand, vals) if v <= best + TOL * max(1.0, abs(best))]
         return best, ties[0], ties[-1]

@@ -211,14 +211,16 @@ def stage_objective(child_value: Pwl, alpha: float, dd: float, beta: float) -> P
     return child_value.add(Pwl.hinge(alpha, dd, high)).add_affine(-beta, 0.0)
 
 
-def stage_value(objective: Pwl, beta: float, pt_low: float, pt_nom: float,
+def stage_value(windowed: Pwl, beta: float, pt_low: float, pt_nom: float,
                 st: float, sc: float, high: float) -> Pwl:
     """Cost-to-go before the stage, as a function of the stage's start time t.
 
-    Equals sc + beta*(pt_nom + st) + beta*t + min of the stage objective over
-    completions s in [t + st + pt_low, t + st + pt_nom].
+    ``windowed`` is the stage objective's window minimum,
+    ``objective.window_min(pt_nom - pt_low)``; it does not depend on the setup,
+    so callers that reach one job's objective after different predecessors
+    window it once.  The result equals sc + beta*(pt_nom + st) + beta*t + min
+    of the stage objective over completions s in [t + st + pt_low, t + st + pt_nom].
     """
-    windowed = objective.window_min(pt_nom - pt_low)
     shifted = windowed.shift(st + pt_low, high=high)
     return shifted.add_affine(beta, sc + beta * (pt_nom + st))
 
@@ -259,7 +261,8 @@ def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPla
         cp = inst.classes[job.cls]
         obj = stage_objective(value, cp.alpha[job.idx], cp.dd[job.idx], cp.beta)
         objectives[job.stage] = obj
-        value = stage_value(obj, cp.beta, cp.pt_low, cp.pt_nom, job.st, job.sc, high)
+        windowed = obj.window_min(cp.pt_nom - cp.pt_low)
+        value = stage_value(windowed, cp.beta, cp.pt_low, cp.pt_nom, job.st, job.sc, high)
     total = value.value_at(0.0)
 
     u = [[0.0] * cp.n_jobs for cp in inst.classes]

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from famsched.bench import GenParams, generate
 from famsched.cli import main
+from famsched.dp import backward_induction
 from tests.conftest import DATA, EX1_COST
 
 EX1 = str(DATA / "ex1.json")
@@ -68,6 +70,20 @@ def test_solve_dp_report(tmp_path, capsys):
     assert report["sequences"] == 35
     assert json.loads(sched_file.read_text())["timeline"]["total_cost"] == pytest.approx(EX1_COST)
     assert values_file.read_text().startswith("counts;last;breakpoint;value")
+
+
+def test_max_breakpoints_reported(ex1, capsys):
+    vt = backward_induction(ex1)
+    want = max(len(vt[s]) for s in vt.states())
+    code, out, _ = run(capsys, "solve", "--method", "dp", EX1)
+    assert code == 0
+    assert json.loads(out)["max_breakpoints"] == want
+    code, out, _ = run(capsys, "solve", "--method", "enum", EX1)
+    assert "max_breakpoints" not in json.loads(out)
+    code, out, _ = run(capsys, "bench", "--jobs", "2,2", "--count", "1", "--seed", "5")
+    assert code == 0
+    vt = backward_induction(generate(GenParams(jobs=(2, 2), seed=5)))
+    assert json.loads(out)[0]["dp_max_breakpoints"] == max(len(vt[s]) for s in vt.states())
 
 
 def test_solve_methods_agree(tmp_path, capsys):

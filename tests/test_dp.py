@@ -17,7 +17,14 @@ from famsched.dp import (
     query_policy,
 )
 from famsched.instance import ClassParams, Instance
-from famsched.schedule import CompressionPlan, Sequence, build_timeline
+from famsched.pwl import Pwl
+from famsched.schedule import (
+    CompressionPlan,
+    Sequence,
+    build_timeline,
+    stage_objective,
+    stage_value,
+)
 from tests.conftest import EX1_COST, EX1_ORDER_1BASED, EX1_U
 
 
@@ -121,6 +128,40 @@ def test_breakpoints_stay_bounded_on_blowup_instance():
     vt = backward_induction(generate(GenParams(jobs=(4, 4, 4), seed=14)))
     assert max(len(vt[s]) for s in vt.states()) <= 100
     assert vt.optimal_cost() == pytest.approx(148.8887961063331, rel=1e-9)
+
+
+def per_edge_values(inst: Instance, high: float) -> dict[DiscreteState, Pwl]:
+    """Cost-to-go tables built edge by edge: every (state, class) pair forms
+    its own stage objective and window minimum, then the edges of a state
+    are folded with ``pointwise_min`` in class order."""
+    stages = build_state_graph(inst).stages
+    values = {s: Pwl.zero(high) for s in stages[-1]}
+    for stage in reversed(stages[:-1]):
+        for state in stage:
+            best = None
+            for k, cp in enumerate(inst.classes):
+                i = state.counts[k]
+                if i == cp.n_jobs:
+                    continue
+                child = DiscreteState(state.counts[:k] + (i + 1,) + state.counts[k + 1:], k + 1)
+                prev = None if state.last == 0 else state.last - 1
+                obj = stage_objective(values[child], cp.alpha[i], cp.dd[i], cp.beta)
+                w = stage_value(obj.window_min(cp.pt_nom - cp.pt_low), cp.beta, cp.pt_low,
+                                cp.pt_nom, inst.setup_time(prev, k), inst.setup_cost(prev, k), high)
+                best = w if best is None else best.pointwise_min(w)
+            values[state] = best
+    return values
+
+
+@pytest.mark.parametrize("jobs,seed", [(None, None), ((2, 2, 2, 2), 1), ((4, 4, 3), 14)],
+                         ids=["ex1", "2,2,2,2/1", "4,4,3/14"])
+def test_per_child_windowing_matches_per_edge_tables(ex1, jobs, seed):
+    inst = ex1 if jobs is None else generate(GenParams(jobs=jobs, seed=seed))
+    vt = backward_induction(inst)
+    ref = per_edge_values(inst, vt[initial_state(inst)].high)
+    assert len(ref) == len(vt)
+    for state, f in ref.items():
+        assert vt[state] == f, state
 
 
 def test_dp_equals_enumeration_on_random_instances():

@@ -216,6 +216,145 @@ def test_affine_ops_preserve_convexity():
         assert inside.is_convex()
 
 
+# -- window_min against the quadratic algorithm ----------------------------
+
+def window_min_reference(f: Pwl, w: float) -> Pwl:
+    """The window minimum by the direct algorithm: for each pair of
+    consecutive events, evaluate both window edges with ``value_at`` and
+    rescan every breakpoint for the best one covered by the whole interval."""
+    xtol = TOL * max(1.0, f.high)
+    if w <= xtol:
+        return f
+    out_high = f.high - w
+    if out_high <= xtol:
+        return Pwl((0.0,), (min(f.ys),))
+    events = {0.0, out_high}
+    for b in f.xs:
+        for e in (b, b - w):
+            if 0.0 < e < out_high:
+                events.add(e)
+    grid = sorted(events)
+    pts = []
+    for e1, e2 in zip(grid, grid[1:]):
+        pts.extend(window_piece_reference(f, e1, e2, w, xtol))
+    return Pwl([p[0] for p in pts], [p[1] for p in pts])
+
+
+def window_piece_reference(f: Pwl, e1: float, e2: float, w: float, xtol: float):
+    width = e2 - e1
+    lines = []
+    for y1, y2 in ((f.value_at(e1), f.value_at(e2)), (f.value_at(e1 + w), f.value_at(e2 + w))):
+        lines.append(((y2 - y1) / width, y1))
+    inner = [y for x, y in zip(f.xs, f.ys) if e2 - xtol <= x <= e1 + w + xtol]
+    if inner:
+        lines.append((0.0, min(inner)))
+    offsets = {0.0, width}
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            a1, b1 = lines[i]
+            a2, b2 = lines[j]
+            if a1 != a2:
+                dx = (b2 - b1) / (a1 - a2)
+                if xtol < dx < width - xtol:
+                    offsets.add(dx)
+    return [(e1 + dx, min(a * dx + b for a, b in lines)) for dx in sorted(offsets)]
+
+
+def reference_cases(seed: int):
+    """(function, width) pairs: random and convex functions over domains from
+    1 to 500 with 2 to 40 segments; ordinates drawn from {-0.0, 0.0, 1.0}
+    (ties, and zeros of both signs); and breakpoints placed within a few
+    abscissa tolerances of other breakpoints shifted by the width."""
+    rng = random.Random(seed)
+    for n in range(300):
+        high = rng.choice((1.0, 7.5, 30.0, 500.0))
+        xtol = TOL * max(1.0, high)
+        segments = rng.randint(2, 40)
+        widths = [0.0, xtol, high / 3, rng.uniform(0.0, high), high * (1.0 - 1e-12), high]
+        kind = n % 4
+        if kind == 0:
+            f = random_convex_pwl(rng, high, segments)
+        elif kind == 1:
+            f = random_pwl(rng, high, segments)
+        elif kind == 2:
+            f = random_pwl(rng, high, segments)
+            f = Pwl(f.xs, [rng.choice((-0.0, 0.0, 1.0)) for _ in f.xs])
+        else:
+            w = widths[2]
+            base = sorted(rng.uniform(0.0, high - w) for _ in range(segments // 2))
+            near = [b + w + rng.choice((-2.0, -0.5, 0.5, 2.0)) * xtol for b in base]
+            xs = sorted({0.0, high, *base, *near})
+            f = Pwl(xs, [rng.uniform(-10.0, 10.0) for _ in xs])
+        for w in widths:
+            yield f, w
+
+
+def test_window_min_matches_reference_bit_for_bit():
+    for f, w in reference_cases(11):
+        g = f.window_min(w)
+        ref = window_min_reference(f, w)
+        assert g.xs == ref.xs and g.ys == ref.ys
+        assert g.dump_csv() == ref.dump_csv()  # repr-level: tells -0.0 from 0.0
+
+
+def reference_pointwise_min(f: Pwl, g: Pwl) -> Pwl:
+    grid = sorted(set(f.xs) | set(g.xs))
+    xtol = TOL * max(1.0, f.high)
+    pts = []
+    prev_x = prev_d = None
+    for x in grid:
+        fv = f.value_at(x)
+        gv = g.value_at(min(x, g.high))
+        d = fv - gv
+        if prev_x is not None and ((prev_d > 0 > d) or (prev_d < 0 < d)):
+            cx = prev_x + (x - prev_x) * prev_d / (prev_d - d)
+            if prev_x + xtol < cx < x - xtol:
+                pts.append((cx, f.value_at(cx)))
+        pts.append((x, min(fv, gv)))
+        prev_x, prev_d = x, d
+    return Pwl([p[0] for p in pts], [p[1] for p in pts])
+
+
+def test_walk_ops_match_value_at_within_slack_past_end():
+    rng = random.Random(12)
+    for _ in range(100):
+        high = rng.choice((1.0, 30.0, 500.0))
+        f = random_pwl(rng, high, rng.randint(2, 12))
+        g0 = random_pwl(rng, high, rng.randint(2, 12))
+        past = high + 0.5 * TOL * high  # the same end, within the slack
+        g = Pwl(g0.xs[:-1] + (past,), g0.ys)
+        assert g.high == past
+        for a, b in ((f, g), (g, f)):
+            grid = sorted(set(a.xs) | set(b.xs))
+            s = a.add(b)
+            ref = Pwl(grid, [a.value_at(x) + b.value_at(x) for x in grid])
+            assert s.xs == ref.xs and s.ys == ref.ys
+            m = a.pointwise_min(b)
+            ref = reference_pointwise_min(a, b)
+            assert m.xs == ref.xs and m.ys == ref.ys
+        delta = rng.uniform(-high, high)
+        sh = f.shift(delta)
+        ref = Pwl(sh.xs, [f.value_at(min(max(t + delta, 0.0), high)) for t in sh.xs])
+        assert sh.xs == ref.xs and sh.ys == ref.ys
+        lo = rng.uniform(0.0, high)
+        cand = [lo] + [x for x in f.xs if lo < x < high] + [high]
+        vals = [f.value_at(c) for c in cand]
+        assert f.min_over(lo, past) == min(vals)
+        best = min(vals)
+        ties = [c for c, v in zip(cand, vals) if v <= best + TOL * max(1.0, abs(best))]
+        assert f.argmin_over(lo, past, prefer="lowest") == ties[0]
+        assert f.argmin_over(lo, past, prefer="highest") == ties[-1]
+        beyond = high + 2.0 * TOL * high
+        h = Pwl(g0.xs[:-1] + (beyond,), g0.ys)
+        for a, b in ((f, h), (h, f)):
+            with pytest.raises(DomainError):
+                a.add(b)
+            with pytest.raises(DomainError):
+                a.pointwise_min(b)
+        with pytest.raises(DomainError):
+            f.min_over(lo, beyond)
+
+
 # -- argmin -------------------------------------------------------------
 
 def test_argmin_flat_right_valley():
