@@ -118,6 +118,9 @@ def validate_instance(inst: Instance) -> list[Violation]:
         for i, a in enumerate(cp.alpha):
             if a < 0:
                 out.append(Violation(f"{loc}.alpha[{i}]", "alpha must be non-negative"))
+        for i, d in enumerate(cp.dd):
+            if d < 0:
+                out.append(Violation(f"{loc}.dd[{i}]", "dd must be non-negative"))
         for i in range(1, len(cp.dd)):
             if cp.dd[i] < cp.dd[i - 1]:
                 out.append(Violation(f"{loc}.dd[{i}]", "dd non-decreasing order violated"))

@@ -35,39 +35,51 @@ class DomainError(ValueError):
     """An argument or operand lies outside a function's domain."""
 
 
-def _clean(points: list[tuple[float, float]]) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Sort, collapse near-equal abscissae, and merge within tolerance."""
-    points.sort(key=lambda p: p[0])
-    xtol = TOL * max(1.0, points[-1][0])
-    xs: list[float] = []
-    ys: list[float] = []
-    for x, y in points:
-        if xs and x - xs[-1] <= xtol:
-            continue
-        xs.append(x)
-        ys.append(y)
-    if len(xs) < 3:
-        return tuple(xs), tuple(ys)
-    # [lo, hi]: slopes of the segments from the last kept point (x0, y0)
-    # that pass within tolerance of every point dropped since
-    out_x = [xs[0]]
-    out_y = [ys[0]]
-    x0, y0 = xs[0], ys[0]
+def _clean(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
+    """Collapse near-equal abscissae and merge within tolerance, in one pass.
+
+    ``xs`` and ``ys`` are parallel lists.  Every op but ``window_min`` hands
+    over a sorted grid; any other input is first stably sorted by x, so the
+    first of equal abscissae stays first.  Of abscissae within the tolerance
+    of the last one taken, the first is kept; the bounded-error merge then
+    runs over the points taken.
+    """
+    if xs != sorted(xs):
+        order = sorted(range(len(xs)), key=xs.__getitem__)
+        xs = [xs[i] for i in order]
+        ys = [ys[i] for i in order]
+    xtol = TOL * max(1.0, xs[-1])
+    # (px, py): last point taken; (x0, y0): last point kept; [lo, hi]: slopes
+    # of the segments from (x0, y0) that pass within tolerance of every point
+    # taken and dropped since
+    x0 = px = xs[0]
+    y0 = py = ys[0]
+    out_x = [x0]
+    out_y = [y0]
     lo, hi = -inf, inf
-    for i in range(1, len(xs)):
-        x, y = xs[i], ys[i]
-        if not lo <= (y - y0) / (x - x0) <= hi:
-            x0, y0 = xs[i - 1], ys[i - 1]
+    for x, y in zip(xs, ys):
+        if x - px <= xtol:
+            continue
+        dx = x - x0
+        if not lo <= (y - y0) / dx <= hi:
+            x0, y0 = px, py
             out_x.append(x0)
             out_y.append(y0)
             lo, hi = -inf, inf
+            dx = x - x0
         # TOL * max(1, |y|), spelled out because this loop is hot
         e = TOL * y if y > 1.0 else -TOL * y if y < -1.0 else TOL
-        lo = max(lo, (y - e - y0) / (x - x0))
-        hi = min(hi, (y + e - y0) / (x - x0))
-    out_x.append(xs[-1])
-    out_y.append(ys[-1])
-    return tuple(out_x), tuple(out_y)
+        v = (y - e - y0) / dx
+        if v > lo:
+            lo = v
+        v = (y + e - y0) / dx
+        if v < hi:
+            hi = v
+        px, py = x, y
+    if px > out_x[0]:
+        out_x.append(px)
+        out_y.append(py)
+    return out_x, out_y
 
 
 class Pwl:
@@ -80,13 +92,13 @@ class Pwl:
             raise ValueError("breakpoints and values must be non-empty and aligned")
         if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
             raise ValueError("breakpoints and values must be finite")
-        cx, cy = _clean([(float(x), float(y)) for x, y in zip(xs, ys)])
+        cx, cy = _clean(list(map(float, xs)), list(map(float, ys)))
         if abs(cx[0]) > TOL * max(1.0, cx[-1]):
             raise ValueError(f"domain must start at 0, got {cx[0]}")
         if cx[0] != 0.0:
-            cx = (0.0,) + cx[1:]
-        object.__setattr__(self, "xs", cx)
-        object.__setattr__(self, "ys", cy)
+            cx[0] = 0.0
+        object.__setattr__(self, "xs", tuple(cx))
+        object.__setattr__(self, "ys", tuple(cy))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Pwl is immutable")
@@ -197,20 +209,34 @@ class Pwl:
         if abs(self.high - other.high) > TOL * max(1.0, self.high, other.high):
             raise DomainError(f"domain mismatch: [0, {self.high}] vs [0, {other.high}]")
 
-    def add(self, other: "Pwl") -> "Pwl":
+    def add(self, other: "Pwl", slope: float = 0.0, intercept: float = 0.0) -> "Pwl":
+        """Pointwise f(t) + g(t) + slope*t + intercept, built once.
+
+        The affine term uses ``add_affine``'s arithmetic, so the result is
+        bit-identical to ``add(other).add_affine(slope, intercept)`` whenever
+        the merge keeps the same breakpoints in one pass as in two.
+        """
         self._check_same_domain(other)
         grid = sorted(set(self.xs) | set(other.xs))
-        ys = [a + b for a, b in zip(self._values_at(grid), other._values_at(grid))]
+        ys = [a + b + slope * x + intercept
+              for x, a, b in zip(grid, self._values_at(grid), other._values_at(grid))]
         return Pwl(grid, ys)
 
     def add_affine(self, slope: float, intercept: float) -> "Pwl":
-        """Pointwise f(t) + slope*t + intercept."""
+        """Pointwise f(t) + slope*t + intercept.
+
+        The solver adds its affine terms inside ``add`` and ``shift``; this
+        stays because ``perfbench/tracer.py`` wraps it by name.
+        """
         return Pwl(self.xs, tuple(y + slope * x + intercept for x, y in zip(self.xs, self.ys)))
 
-    def shift(self, delta: float, high: float | None = None) -> "Pwl":
-        """g(t) = f(t + delta), clamped to the nearest endpoint value outside [0, H].
+    def shift(self, delta: float, high: float | None = None,
+              slope: float = 0.0, intercept: float = 0.0) -> "Pwl":
+        """g(t) = f(t + delta) + slope*t + intercept, with f clamped to its
+        nearest endpoint value outside [0, H].
 
         ``high`` overrides the output domain end (defaults to this function's).
+        The affine term is added as in ``add``.
         """
         out_high = self.high if high is None else high
         cand = {0.0, out_high}
@@ -222,7 +248,8 @@ class Pwl:
             if 0.0 < t < out_high:
                 cand.add(t)
         grid = sorted(cand)
-        return Pwl(grid, self._values_at([min(max(t + delta, 0.0), self.high) for t in grid]))
+        vals = self._values_at([min(max(t + delta, 0.0), self.high) for t in grid])
+        return Pwl(grid, [v + slope * t + intercept for t, v in zip(grid, vals)])
 
     def pointwise_min(self, other: "Pwl") -> "Pwl":
         """Pointwise minimum, with crossing points inserted as breakpoints."""
@@ -289,8 +316,10 @@ class Pwl:
         for j in range(len(grid) - 1):
             e1, e2 = grid[j], grid[j + 1]
             width = e2 - e1
-            lines = [((left[j + 1] - left[j]) / width, left[j]),
-                     ((right[j + 1] - right[j]) / width, right[j])]
+            b1 = left[j]
+            a1 = (left[j + 1] - b1) / width
+            b2 = right[j]
+            a2 = (right[j + 1] - b2) / width
             reach = e1 + w + xtol
             while r < n and xs[r] <= reach:
                 while window and ys[window[-1]] > ys[r]:
@@ -299,20 +328,38 @@ class Pwl:
                 r += 1
             while window and xs[window[0]] < e2 - xtol:
                 window.popleft()
+            # crossings of the lines, in the order (left, right), (left, best),
+            # (right, best); the best breakpoint's line is flat
+            offsets = [0.0, width]
+            inner = width - xtol
+            if a1 != a2:
+                dx = (b2 - b1) / (a1 - a2)
+                if xtol < dx < inner:
+                    offsets.append(dx)
             if window:
-                lines.append((0.0, ys[window[0]]))
-            offsets = {0.0, width}
-            for p in range(len(lines)):
-                for q in range(p + 1, len(lines)):
-                    a1, b1 = lines[p]
-                    a2, b2 = lines[q]
-                    if a1 != a2:
-                        dx = (b2 - b1) / (a1 - a2)
-                        if xtol < dx < width - xtol:
-                            offsets.add(dx)
-            for dx in sorted(offsets):
+                b3 = ys[window[0]]
+                if a1 != 0.0:
+                    dx = (b3 - b1) / a1
+                    if xtol < dx < inner:
+                        offsets.append(dx)
+                if a2 != 0.0:
+                    dx = (b3 - b2) / a2
+                    if xtol < dx < inner:
+                        offsets.append(dx)
+                flat = 0.0 + b3  # the flat line's value, 0.0 * dx + b3
+            else:
+                flat = inf
+            if len(offsets) > 2:
+                offsets = sorted(set(offsets))
+            for dx in offsets:
                 px.append(e1 + dx)
-                py.append(min([a * dx + b for a, b in lines]))
+                v = a1 * dx + b1  # the first of equal minima wins, as in min()
+                u = a2 * dx + b2
+                if u < v:
+                    v = u
+                if flat < v:
+                    v = flat
+                py.append(v)
         return Pwl(px, py)
 
     def min_over(self, lo: float, hi: float) -> float:

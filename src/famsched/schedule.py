@@ -208,7 +208,7 @@ def stage_objective(child_value: Pwl, alpha: float, dd: float, beta: float) -> P
     decision window's position only.
     """
     high = child_value.high
-    return child_value.add(Pwl.hinge(alpha, dd, high)).add_affine(-beta, 0.0)
+    return child_value.add(Pwl.hinge(alpha, dd, high), -beta, 0.0)
 
 
 def stage_value(windowed: Pwl, beta: float, pt_low: float, pt_nom: float,
@@ -219,10 +219,11 @@ def stage_value(windowed: Pwl, beta: float, pt_low: float, pt_nom: float,
     ``objective.window_min(pt_nom - pt_low)``; it does not depend on the setup,
     so callers that reach one job's objective after different predecessors
     window it once.  The result equals sc + beta*(pt_nom + st) + beta*t + min
-    of the stage objective over completions s in [t + st + pt_low, t + st + pt_nom].
+    of the stage objective over completions s in [t + st + pt_low, t + st + pt_nom]:
+    one ``shift`` that moves the window minimum by st + pt_low and adds the
+    affine term in the same construction.
     """
-    shifted = windowed.shift(st + pt_low, high=high)
-    return shifted.add_affine(beta, sc + beta * (pt_nom + st))
+    return windowed.shift(st + pt_low, high, beta, sc + beta * (pt_nom + st))
 
 
 def snap_u(u: float, u_max: float, tol: float = 1e-9) -> float:

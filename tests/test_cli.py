@@ -45,6 +45,22 @@ def test_validate_finds_violations(tmp_path, capsys):
     assert json.loads(out)["violations"]
 
 
+def test_negative_due_date_rejected_before_solving(tmp_path, capsys):
+    doc = json.loads(open(EX1).read())
+    doc["classes"][0]["dd"][0] = -1
+    bad = tmp_path / "negdd.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(bad))
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["violations"] == [{"path": "classes[0].dd[0]", "message": "dd must be non-negative"}]
+    for method in ("dp", "enum"):
+        code, _, err = run(capsys, "solve", "--method", method, str(bad))
+        assert code == 1
+        assert "dd must be non-negative" in err
+
+
 def test_validate_rejects_nan_and_inf(tmp_path, capsys):
     doc = json.loads(open(EX1).read())
     doc["classes"][0]["pt_nom"] = float("nan")

@@ -54,6 +54,15 @@ def test_negative_entries_flagged(ex1_dict):
     assert "sc[1][0]" in paths
 
 
+def test_negative_due_date_flagged(ex1_dict):
+    doc = json.loads(json.dumps(ex1_dict))
+    doc["classes"][0]["dd"][0] = -1
+    violations = validate_instance(instance_from_dict(doc))
+    assert [(v.path, v.message) for v in violations] == [
+        ("classes[0].dd[0]", "dd must be non-negative")
+    ]
+
+
 def test_horizon_ex1(ex1):
     assert horizon_upper_bound(ex1) == pytest.approx(EX1_HORIZON)
 

@@ -1,10 +1,14 @@
 """Piecewise-linear algebra: frozen examples plus grid-oracle properties."""
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from famsched import schedule
 from famsched.pwl import TOL, DomainError, Pwl
 
 
@@ -83,6 +87,18 @@ def test_add_affine():
     assert f.value_at(4.0) == pytest.approx(11.0)
 
 
+def test_affine_term_matches_add_affine():
+    rng = random.Random(16)
+    for _ in range(100):
+        f = random_pwl(rng, 20.0, rng.randint(2, 12))
+        g = random_pwl(rng, 20.0, rng.randint(2, 12))
+        slope, intercept, delta = rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+        for fused, two_step in ((f.add(g, slope, intercept), f.add(g).add_affine(slope, intercept)),
+                                (f.shift(delta, 25.0, slope, intercept),
+                                 f.shift(delta, 25.0).add_affine(slope, intercept))):
+            assert fused.xs == two_step.xs and fused.ys == two_step.ys
+
+
 def test_shift_translates_and_clamps():
     f = Pwl.hinge(1.0, 5.0, 10.0)
     g = f.shift(2.0)
@@ -145,10 +161,11 @@ def test_pointwise_min_grid_oracle():
 # -- window_min -------------------------------------------------------------
 
 def window_min_oracle(f: Pwl, x: float, w: float) -> float:
-    """Brute-force window minimum: window edges, interior breakpoints, grid."""
+    """Brute-force window minimum: window edges, interior breakpoints, grid,
+    evaluated by numpy's interpolation rather than ``Pwl``'s own."""
     cand = [x, x + w] + [b for b in f.xs if x < b < x + w]
     cand += [x + w * i / 200 for i in range(201)]
-    return min(f.value_at(min(c, f.high)) for c in cand)
+    return float(np.interp(np.minimum(cand, f.high), f.xs, f.ys).min())
 
 
 def test_window_min_zero_width_is_identity():
@@ -418,6 +435,28 @@ def test_small_real_kink_survives():
     assert f.xs == (0.0, 5.0, 10.0)
 
 
+def test_unsorted_input_sorted_before_cleaning():
+    rng = random.Random(14)
+    for _ in range(200):
+        high = rng.choice((1.0, 30.0, 500.0))
+        xs = sorted({0.0, high, *(rng.uniform(0.0, high) for _ in range(rng.randint(1, 30)))})
+        xs += [x + 0.5 * TOL * high for x in rng.sample(xs[1:-1], min(3, len(xs) - 2))]
+        xs.sort()
+        ys = [rng.uniform(-10.0, 10.0) for _ in xs]
+        pairs = list(zip(xs, ys))
+        rng.shuffle(pairs)
+        shuffled = Pwl([p[0] for p in pairs], [p[1] for p in pairs])
+        ordered = Pwl(xs, ys)
+        assert shuffled.xs == ordered.xs and shuffled.ys == ordered.ys
+        assert shuffled.dump_csv() == ordered.dump_csv()
+
+
+def test_unsorted_equal_abscissae_keep_input_order():
+    f = Pwl((5.0, 0.0, 5.0, 10.0), (1.0, 0.0, 2.0, 3.0))
+    assert f.xs == (0.0, 5.0, 10.0)
+    assert f.ys == (0.0, 1.0, 3.0)
+
+
 def test_breakpoints_strictly_increasing_after_build():
     f = Pwl((0.0, 5.0, 5.0, 10.0), (0.0, 1.0, 1.0, 3.0))
     assert all(b > a for a, b in zip(f.xs, f.xs[1:]))
@@ -433,3 +472,16 @@ def test_dump_csv_lines():
     lines = f.dump_csv().splitlines()
     assert len(lines) == 3
     assert lines[0] == "0.0,1.0"
+
+
+# -- names the perfbench tracer wraps --------------------------------------
+
+def test_traced_names_exist():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for op in tracer.PWL_OPS:
+        assert callable(getattr(Pwl, "__init__" if op == "init" else op)), op
+    for fn in tracer.SCHEDULE_FNS:
+        assert callable(getattr(schedule, fn)), fn

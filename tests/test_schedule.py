@@ -7,6 +7,7 @@ import pytest
 
 from famsched.bench import GenParams, generate
 from famsched.instance import ClassParams, Instance
+from famsched.pwl import Pwl
 from famsched.schedule import (
     CompressionPlan,
     PlanBoundsError,
@@ -17,6 +18,8 @@ from famsched.schedule import (
     schedule_from_dict,
     schedule_to_dict,
     solve_sequence,
+    stage_objective,
+    stage_value,
     u_from_tau,
 )
 from tests.conftest import (
@@ -29,6 +32,7 @@ from tests.conftest import (
     EX1_T,
     EX1_U,
 )
+from tests.test_pwl import random_convex_pwl, random_pwl
 
 EX1_SEQ = Sequence.from_1based(EX1_ORDER_1BASED)
 
@@ -224,3 +228,44 @@ def test_schedule_json_round_trip(ex1):
     again = schedule_from_dict(ex1, {"order": doc["order"], "u": doc["u"]})
     assert again.plan == sched.plan
     assert again.timeline.total_cost == pytest.approx(sched.timeline.total_cost)
+
+
+def random_stage_function(rng: random.Random, n: int, high: float) -> Pwl:
+    """Convex, random, or {-0.0, 0.0, 1.0}-valued function on [0, high]."""
+    segments = rng.randint(2, 30)
+    if n % 3 == 0:
+        return random_convex_pwl(rng, high, segments)
+    f = random_pwl(rng, high, segments)
+    if n % 3 == 1:
+        return f
+    return Pwl(f.xs, [rng.choice((-0.0, 0.0, 1.0)) for _ in f.xs])
+
+
+def assert_same_bits(got: Pwl, want: Pwl):
+    assert got.xs == want.xs and got.ys == want.ys
+    assert got.dump_csv() == want.dump_csv()  # repr-level: tells -0.0 from 0.0
+
+
+def test_fused_stage_transforms_match_two_step():
+    """One construction per transform gives the breakpoints and values of
+    building the sum first and adding the affine term second."""
+    rng = random.Random(15)
+    for n in range(300):
+        high = rng.choice((7.5, 30.0, 500.0))
+        beta = 0.0 if n % 4 == 0 else rng.uniform(0.5, 2.5)
+        f = random_stage_function(rng, n, high)
+        alpha = rng.choice((0.0, rng.uniform(0.5, 2.5)))
+        dd = rng.uniform(0.0, 1.2 * high)
+        hinge = Pwl.hinge(alpha, dd, high)
+        grid = sorted(set(f.xs) | set(hinge.xs))
+        summed = Pwl(grid, [f.value_at(x) + hinge.value_at(x) for x in grid])
+        assert_same_bits(stage_objective(f, alpha, dd, beta), summed.add_affine(-beta, 0.0))
+
+        pt_low = rng.uniform(0.5, 3.0)
+        pt_nom = pt_low + rng.uniform(0.0, 3.0)
+        st = rng.choice((0.0, rng.uniform(0.5, 3.0)))
+        sc = rng.choice((0.0, rng.uniform(0.5, 3.0)))
+        windowed = random_stage_function(rng, n, high - (pt_nom - pt_low))
+        shifted = windowed.shift(st + pt_low, high=high)
+        want = shifted.add_affine(beta, sc + beta * (pt_nom + st))
+        assert_same_bits(stage_value(windowed, beta, pt_low, pt_nom, st, sc, high), want)
