@@ -21,6 +21,7 @@ Variable naming (1-based class/job ids, 0-based stage ids):
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -57,9 +58,6 @@ class MilpModel:
     objective: list[tuple[float, str]] = field(default_factory=list)
     objective_constant: float = 0.0
 
-    def variable_names(self) -> set[str]:
-        return {v.name for v in self.variables}
-
     def binaries(self) -> list[Variable]:
         return [v for v in self.variables if v.kind == "binary"]
 
@@ -74,10 +72,11 @@ class MilpModel:
         if len(cnames) != len(set(cnames)):
             raise ValueError("duplicate constraint names")
         declared = set(names)
-        for c in self.constraints:
-            for _, var in c.terms:
-                if var not in declared:
-                    raise ValueError(f"constraint {c.name} references unknown variable {var}")
+        if not declared.issuperset({var for c in self.constraints for _, var in c.terms}):
+            for c in self.constraints:  # name the first offending row
+                for _, var in c.terms:
+                    if var not in declared:
+                        raise ValueError(f"constraint {c.name} references unknown variable {var}")
         for coef, var in self.objective:
             if var not in declared:
                 raise ValueError(f"objective references unknown variable {var}")
@@ -103,12 +102,17 @@ class _Builder:
     def __init__(self, name: str):
         self.model = MilpModel(name=name)
 
-    def var(self, name: str, kind: str, lb: float = 0.0, ub: float | None = None) -> str:
-        self.model.variables.append(Variable(name, kind, lb, ub))
-        return name
+    def declare(self, prefix: str, suffixes: list[str], kind: str) -> list[str]:
+        """Declare ``{prefix}_{suffix}`` for each suffix, binaries within
+        [0, 1]; the names, in suffix order."""
+        ub = 1.0 if kind == "binary" else None
+        names = [f"{prefix}_{s}" for s in suffixes]
+        self.model.variables += [Variable(name, kind, 0.0, ub) for name in names]
+        return names
 
     def con(self, name: str, terms, sense: str, rhs: float) -> None:
-        kept = tuple((float(c), v) for c, v in terms if c != 0.0)
+        """Append a row; coefficients become floats and zero ones are dropped."""
+        kept = tuple([(float(c), v) for c, v in terms if c != 0.0])
         self.model.constraints.append(Constraint(name, kept, sense, float(rhs)))
 
     def done(self) -> MilpModel:
@@ -121,80 +125,74 @@ def _jobs(inst: Instance) -> list[tuple[int, int]]:
     return [(k + 1, i + 1) for k in range(inst.n_classes) for i in range(inst.classes[k].n_jobs)]
 
 
+def _ids(jobs) -> list[str]:
+    """``k_i`` name suffix of each job, by job position."""
+    return [f"{k}_{i}" for k, i in jobs]
+
+
+def _pairs(ids: list[str]) -> list[list[str]]:
+    """``h_j_k_i`` name suffix of each ordered job pair, by (position, position)."""
+    return [[f"{a}_{b}" for b in ids] for a in ids]
+
+
+def _class_starts(inst: Instance) -> list[int]:
+    """Position of each class's first job in ``_jobs`` order."""
+    starts, pos = [], 0
+    for cp in inst.classes:
+        starts.append(pos)
+        pos += cp.n_jobs
+    return starts
+
+
 def _check_big_m(inst: Instance, big_m: float | None) -> float:
     h = horizon_upper_bound(inst)
     if big_m is None:
         return h
+    if not math.isfinite(big_m):
+        raise ValueError(f"big-M must be finite, got {big_m}")
     if big_m < h:
         raise ValueError(f"big-M {big_m} is below the completion-time bound {h}")
     return float(big_m)
 
 
-def _add_job_continuous(b: _Builder, jobs, names) -> None:
-    for prefix in names:
-        for k, i in jobs:
-            b.var(f"{prefix}_{k}_{i}", "continuous")
+def _add_common_delta_rows(b: _Builder, inst: Instance, jobs, ids, d, v) -> None:
+    """Successor-variable rows shared by models 1 and 2.
 
-
-def _add_common_delta_rows(b: _Builder, inst: Instance, jobs) -> None:
-    """Successor-variable rows shared by models 1 and 2."""
+    ``d`` is the successor-binary name table and ``v`` the per-job continuous
+    name lists, both indexed by job position.
+    """
     n = len(jobs)
-    for k, i in jobs:
-        sc_terms = [(1.0, f"Om_{k}_{i}")]
-        st_terms = [(1.0, f"La_{k}_{i}")]
-        for h, j in jobs:
-            sc_terms.append((-inst.sc[h - 1][k - 1], f"d_{h}_{j}_{k}_{i}"))
-            st_terms.append((-inst.st[h - 1][k - 1], f"d_{h}_{j}_{k}_{i}"))
-        b.con(f"scost_{k}_{i}", sc_terms, "=", 0.0)
-        b.con(f"stime_{k}_{i}", st_terms, "=", 0.0)
-    b.con(
-        "all_jobs",
-        [(1.0, f"d_{h}_{j}_{k}_{i}") for h, j in jobs for k, i in jobs],
-        "=",
-        n - 1,
+    cls = [k - 1 for k, _ in jobs]
+    om, la, u, pt = v["Om"], v["La"], v["u"], v["pt"]
+    for q in range(n):
+        k = cls[q]
+        col = [row[q] for row in d]
+        b.con(f"scost_{ids[q]}", [(1.0, om[q])] + [(-inst.sc[cls[p]][k], col[p]) for p in range(n)], "=", 0.0)
+        b.con(f"stime_{ids[q]}", [(1.0, la[q])] + [(-inst.st[cls[p]][k], col[p]) for p in range(n)], "=", 0.0)
+    b.con("all_jobs", [(1.0, name) for row in d for name in row], "=", n - 1)
+    for q in range(n):
+        b.con(f"pred_{ids[q]}", [(1.0, row[q]) for row in d], "<=", 1.0)
+    for p in range(n):
+        b.con(f"succ_{ids[p]}", [(1.0, name) for name in d[p]], "<=", 1.0)
+    for k, s in enumerate(_class_starts(inst)):
+        nk = inst.classes[k].n_jobs
+        for i in range(nk):
+            b.con(f"gdd_lo_{k + 1}_{i + 1}", [(1.0, d[s + i][s + j]) for j in range(i + 1)], "=", 0.0)
+        for i in range(nk - 2):
+            b.con(f"gdd_hi_{k + 1}_{i + 1}", [(1.0, d[s + i][s + j]) for j in range(i + 2, nk)], "=", 0.0)
+    for p in range(n):
+        cp = inst.classes[cls[p]]
+        b.con(f"ubound_{ids[p]}", [(1.0, u[p])], "<=", cp.u_max)
+        b.con(f"ptdef_{ids[p]}", [(1.0, pt[p]), (cp.gamma, u[p])], "=", cp.pt_nom)
+
+
+def _tardiness_objective(inst: Instance, jobs, v) -> list[tuple[float, str]]:
+    classes = [inst.classes[k - 1] for k, _ in jobs]
+    return (
+        [(cp.alpha[i - 1], name) for cp, (_, i), name in zip(classes, jobs, v["T"])]
+        + [(cp.beta * cp.gamma, name) for cp, name in zip(classes, v["u"])]
+        + [(1.0, name) for name in v["Om"]]
     )
-    for k, i in jobs:
-        b.con(f"pred_{k}_{i}", [(1.0, f"d_{h}_{j}_{k}_{i}") for h, j in jobs], "<=", 1.0)
-    for h, j in jobs:
-        b.con(f"succ_{h}_{j}", [(1.0, f"d_{h}_{j}_{k}_{i}") for k, i in jobs], "<=", 1.0)
-    for k in range(1, inst.n_classes + 1):
-        nk = inst.classes[k - 1].n_jobs
-        for i in range(1, nk + 1):
-            b.con(
-                f"gdd_lo_{k}_{i}",
-                [(1.0, f"d_{k}_{i}_{k}_{j}") for j in range(1, i + 1)],
-                "=",
-                0.0,
-            )
-        for i in range(1, nk - 1):
-            b.con(
-                f"gdd_hi_{k}_{i}",
-                [(1.0, f"d_{k}_{i}_{k}_{j}") for j in range(i + 2, nk + 1)],
-                "=",
-                0.0,
-            )
-    for k, i in jobs:
-        cp = inst.classes[k - 1]
-        b.con(f"ubound_{k}_{i}", [(1.0, f"u_{k}_{i}")], "<=", cp.u_max)
-        b.con(
-            f"ptdef_{k}_{i}",
-            [(1.0, f"pt_{k}_{i}"), (cp.gamma, f"u_{k}_{i}")],
-            "=",
-            cp.pt_nom,
-        )
-
-
-def _tardiness_objective(inst: Instance, jobs) -> list[tuple[float, str]]:
-    obj = []
-    for k, i in jobs:
-        cp = inst.classes[k - 1]
-        obj.append((cp.alpha[i - 1], f"T_{k}_{i}"))
-    for k, i in jobs:
-        cp = inst.classes[k - 1]
-        obj.append((cp.beta * cp.gamma, f"u_{k}_{i}"))
-    for k, i in jobs:
-        obj.append((1.0, f"Om_{k}_{i}"))
-    return obj
 
 
 def build_model1(inst: Instance, big_m: float | None = None, simple_link: bool = False) -> MilpModel:
@@ -202,106 +200,76 @@ def build_model1(inst: Instance, big_m: float | None = None, simple_link: bool =
 
     ``simple_link`` swaps the big-M link row x >= 1 - M(1 - delta) for the
     equivalent x >= delta.
+
+    Variable and row names come from name tables formatted once per build.
+    The N^3 ``cyc3`` rows, whose coefficients are the constant 1.0, are
+    appended as ``Constraint`` objects directly and skip ``_Builder.con``'s
+    float conversion and zero filter.
     """
     m = _check_big_m(inst, big_m)
     jobs = _jobs(inst)
+    n = len(jobs)
+    ids = _ids(jobs)
+    pairs = _pairs(ids)
     b = _Builder("model1")
-    for h, j in jobs:
-        for k, i in jobs:
-            b.var(f"x_{h}_{j}_{k}_{i}", "binary", 0.0, 1.0)
-    for h, j in jobs:
-        for k, i in jobs:
-            b.var(f"d_{h}_{j}_{k}_{i}", "binary", 0.0, 1.0)
-    _add_job_continuous(b, jobs, ("u", "S", "pt", "T", "Om", "La"))
-    b.model.objective = _tardiness_objective(inst, jobs)
+    x = [b.declare("x", row, "binary") for row in pairs]
+    d = [b.declare("d", row, "binary") for row in pairs]
+    v = {prefix: b.declare(prefix, ids, "continuous") for prefix in ("u", "S", "pt", "T", "Om", "La")}
+    b.model.objective = _tardiness_objective(inst, jobs, v)
+    s, pt, la = v["S"], v["pt"], v["La"]
 
-    for k, i in jobs:
-        cp = inst.classes[k - 1]
+    for p, (k, i) in enumerate(jobs):
         b.con(
-            f"tard_{k}_{i}",
-            [(1.0, f"T_{k}_{i}"), (-1.0, f"S_{k}_{i}"), (-1.0, f"La_{k}_{i}"), (-1.0, f"pt_{k}_{i}")],
+            f"tard_{ids[p]}",
+            [(1.0, v["T"][p]), (-1.0, s[p]), (-1.0, la[p]), (-1.0, pt[p])],
             ">=",
-            -cp.dd[i - 1],
+            -inst.classes[k - 1].dd[i - 1],
         )
-    _add_common_delta_rows(b, inst, jobs)
-    for h, j in jobs:
-        for k, i in jobs:
-            if (h, j) == (k, i):
+    _add_common_delta_rows(b, inst, jobs, ids, d, v)
+    for p in range(n):
+        for q in range(n):
+            if p == q:
                 continue
             b.con(
-                f"after_{h}_{j}_{k}_{i}",
-                [
-                    (1.0, f"S_{k}_{i}"),
-                    (-1.0, f"S_{h}_{j}"),
-                    (-1.0, f"La_{h}_{j}"),
-                    (-1.0, f"pt_{h}_{j}"),
-                    (-m, f"x_{h}_{j}_{k}_{i}"),
-                ],
+                f"after_{pairs[p][q]}",
+                [(1.0, s[q]), (-1.0, s[p]), (-1.0, la[p]), (-1.0, pt[p]), (-m, x[p][q])],
                 ">=",
                 -m,
             )
             b.con(
-                f"before_{h}_{j}_{k}_{i}",
-                [
-                    (1.0, f"S_{h}_{j}"),
-                    (-1.0, f"S_{k}_{i}"),
-                    (-1.0, f"La_{k}_{i}"),
-                    (-1.0, f"pt_{k}_{i}"),
-                    (m, f"x_{h}_{j}_{k}_{i}"),
-                ],
+                f"before_{pairs[p][q]}",
+                [(1.0, s[p]), (-1.0, s[q]), (-1.0, la[q]), (-1.0, pt[q]), (m, x[p][q])],
                 ">=",
                 0.0,
             )
-    for k in range(1, inst.n_classes + 1):
-        nk = inst.classes[k - 1].n_jobs
-        for i in range(1, nk + 1):
-            for j in range(1, i):
-                b.con(f"gx_one_{k}_{i}_{j}", [(1.0, f"x_{k}_{j}_{k}_{i}")], "=", 1.0)
-            for j in range(i, nk + 1):
-                b.con(f"gx_zero_{k}_{i}_{j}", [(1.0, f"x_{k}_{j}_{k}_{i}")], "=", 0.0)
-    for h, j in jobs:
-        for k, i in jobs:
-            if (h, j) == (k, i):
+    for k, start in enumerate(_class_starts(inst)):
+        nk = inst.classes[k].n_jobs
+        for i in range(nk):
+            for j in range(i):
+                b.con(f"gx_one_{k + 1}_{i + 1}_{j + 1}", [(1.0, x[start + j][start + i])], "=", 1.0)
+            for j in range(i, nk):
+                b.con(f"gx_zero_{k + 1}_{i + 1}_{j + 1}", [(1.0, x[start + j][start + i])], "=", 0.0)
+    for p in range(n):
+        for q in range(n):
+            if p != q:
+                b.con(f"cyc2_{pairs[p][q]}", [(1.0, x[p][q]), (1.0, x[q][p])], "=", 1.0)
+    rows = b.model.constraints
+    one = [[(1.0, name) for name in row] for row in x]
+    for p in range(n):
+        for q in range(n):
+            if p == q:
                 continue
-            b.con(
-                f"cyc2_{h}_{j}_{k}_{i}",
-                [(1.0, f"x_{h}_{j}_{k}_{i}"), (1.0, f"x_{k}_{i}_{h}_{j}")],
-                "=",
-                1.0,
-            )
-    for h, j in jobs:
-        for k, i in jobs:
-            if (h, j) == (k, i):
-                continue
-            for l, mm in jobs:
-                if (l, mm) in ((h, j), (k, i)):
-                    continue
-                b.con(
-                    f"cyc3_{h}_{j}_{k}_{i}_{l}_{mm}",
-                    [
-                        (1.0, f"x_{h}_{j}_{k}_{i}"),
-                        (1.0, f"x_{k}_{i}_{l}_{mm}"),
-                        (1.0, f"x_{l}_{mm}_{h}_{j}"),
-                    ],
-                    "<=",
-                    2.0,
-                )
-    for h, j in jobs:
-        for k, i in jobs:
+            head = f"cyc3_{pairs[p][q]}_"
+            pq, oq = one[p][q], one[q]
+            for r in range(n):
+                if r != p and r != q:
+                    rows.append(Constraint(head + ids[r], (pq, oq[r], one[r][p]), "<=", 2.0))
+    for p in range(n):
+        for q in range(n):
             if simple_link:
-                b.con(
-                    f"link_{h}_{j}_{k}_{i}",
-                    [(1.0, f"x_{h}_{j}_{k}_{i}"), (-1.0, f"d_{h}_{j}_{k}_{i}")],
-                    ">=",
-                    0.0,
-                )
+                b.con(f"link_{pairs[p][q]}", [(1.0, x[p][q]), (-1.0, d[p][q])], ">=", 0.0)
             else:
-                b.con(
-                    f"link_{h}_{j}_{k}_{i}",
-                    [(1.0, f"x_{h}_{j}_{k}_{i}"), (-m, f"d_{h}_{j}_{k}_{i}")],
-                    ">=",
-                    1.0 - m,
-                )
+                b.con(f"link_{pairs[p][q]}", [(1.0, x[p][q]), (-m, d[p][q])], ">=", 1.0 - m)
     return b.done()
 
 
@@ -309,37 +277,25 @@ def build_model2(inst: Instance, big_m: float | None = None) -> MilpModel:
     """Successor-binaries-only formulation with explicit completion times."""
     m = _check_big_m(inst, big_m)
     jobs = _jobs(inst)
+    n = len(jobs)
+    ids = _ids(jobs)
+    pairs = _pairs(ids)
     b = _Builder("model2")
-    for h, j in jobs:
-        for k, i in jobs:
-            b.var(f"d_{h}_{j}_{k}_{i}", "binary", 0.0, 1.0)
-    _add_job_continuous(b, jobs, ("u", "S", "pt", "T", "Om", "La", "C"))
-    b.model.objective = _tardiness_objective(inst, jobs)
+    d = [b.declare("d", row, "binary") for row in pairs]
+    v = {prefix: b.declare(prefix, ids, "continuous") for prefix in ("u", "S", "pt", "T", "Om", "La", "C")}
+    b.model.objective = _tardiness_objective(inst, jobs, v)
+    s, pt, la, c = v["S"], v["pt"], v["La"], v["C"]
 
-    for k, i in jobs:
-        cp = inst.classes[k - 1]
-        b.con(
-            f"comp_{k}_{i}",
-            [(1.0, f"C_{k}_{i}"), (-1.0, f"S_{k}_{i}"), (-1.0, f"La_{k}_{i}"), (-1.0, f"pt_{k}_{i}")],
-            "=",
-            0.0,
-        )
-        b.con(f"tard_{k}_{i}", [(1.0, f"T_{k}_{i}"), (-1.0, f"C_{k}_{i}")], ">=", -cp.dd[i - 1])
-    _add_common_delta_rows(b, inst, jobs)
-    for h, j in jobs:
-        for k, i in jobs:
-            if (h, j) == (k, i):
-                continue
-            b.con(
-                f"after_{h}_{j}_{k}_{i}",
-                [(1.0, f"S_{k}_{i}"), (-1.0, f"C_{h}_{j}"), (-m, f"d_{h}_{j}_{k}_{i}")],
-                ">=",
-                -m,
-            )
-    for k, i in jobs:
-        terms = [(1.0, f"C_{k}_{i}"), (-1.0, f"pt_{k}_{i}")]
-        terms += [(m, f"d_{h}_{j}_{k}_{i}") for h, j in jobs]
-        b.con(f"first_{k}_{i}", terms, ">=", 0.0)
+    for p, (k, i) in enumerate(jobs):
+        b.con(f"comp_{ids[p]}", [(1.0, c[p]), (-1.0, s[p]), (-1.0, la[p]), (-1.0, pt[p])], "=", 0.0)
+        b.con(f"tard_{ids[p]}", [(1.0, v["T"][p]), (-1.0, c[p])], ">=", -inst.classes[k - 1].dd[i - 1])
+    _add_common_delta_rows(b, inst, jobs, ids, d, v)
+    for p in range(n):
+        for q in range(n):
+            if p != q:
+                b.con(f"after_{pairs[p][q]}", [(1.0, s[q]), (-1.0, c[p]), (-m, d[p][q])], ">=", -m)
+    for q in range(n):
+        b.con(f"first_{ids[q]}", [(1.0, c[q]), (-1.0, pt[q])] + [(m, row[q]) for row in d], ">=", 0.0)
     return b.done()
 
 
@@ -348,104 +304,69 @@ def build_model3(inst: Instance, big_m: float | None = None) -> MilpModel:
     m = _check_big_m(inst, big_m)
     jobs = _jobs(inst)
     n = len(jobs)
+    ids = _ids(jobs)
     stages = range(n)
     b = _Builder("model3")
-    for k, i in jobs:
-        for j in stages:
-            b.var(f"xs_{k}_{i}_{j}", "binary", 0.0, 1.0)
-    _add_job_continuous(b, jobs, ("S", "C", "pt", "T"))
-    for prefix in ("tau", "Omt", "Lat", "St", "Ct"):
-        for j in stages:
-            b.var(f"{prefix}_{j}", "continuous")
+    stage_ids = [str(j) for j in stages]
+    xs = [b.declare(f"xs_{a}", stage_ids, "binary") for a in ids]
+    v = {prefix: b.declare(prefix, ids, "continuous") for prefix in ("S", "C", "pt", "T")}
+    w = {prefix: b.declare(prefix, stage_ids, "continuous") for prefix in ("tau", "Omt", "Lat", "St", "Ct")}
+    s, c, pt, t = v["S"], v["C"], v["pt"], v["T"]
+    tau, omt, lat, st_, ct = w["tau"], w["Omt"], w["Lat"], w["St"], w["Ct"]
     obj: list[tuple[float, str]] = []
     const = 0.0
-    for k, i in jobs:
+    for (k, i), name in zip(jobs, t):
+        obj.append((inst.classes[k - 1].alpha[i - 1], name))
+    for (k, _), name in zip(jobs, pt):
         cp = inst.classes[k - 1]
-        obj.append((cp.alpha[i - 1], f"T_{k}_{i}"))
-    for k, i in jobs:
-        cp = inst.classes[k - 1]
-        obj.append((-cp.beta, f"pt_{k}_{i}"))
+        obj.append((-cp.beta, name))
         const += cp.beta * cp.pt_nom
-    for j in stages:
-        obj.append((1.0, f"Omt_{j}"))
+    obj += [(1.0, name) for name in omt]
     b.model.objective = obj
     b.model.objective_constant = const
 
-    for k, i in jobs:
+    for p, (k, i) in enumerate(jobs):
         cp = inst.classes[k - 1]
-        b.con(f"tard_{k}_{i}", [(1.0, f"T_{k}_{i}"), (-1.0, f"C_{k}_{i}")], ">=", -cp.dd[i - 1])
-        b.con(f"pt_lo_{k}_{i}", [(1.0, f"pt_{k}_{i}")], ">=", cp.pt_low)
-        b.con(f"pt_hi_{k}_{i}", [(1.0, f"pt_{k}_{i}")], "<=", cp.pt_nom)
+        b.con(f"tard_{ids[p]}", [(1.0, t[p]), (-1.0, c[p])], ">=", -cp.dd[i - 1])
+        b.con(f"pt_lo_{ids[p]}", [(1.0, pt[p])], ">=", cp.pt_low)
+        b.con(f"pt_hi_{ids[p]}", [(1.0, pt[p])], "<=", cp.pt_nom)
+    # xs names of each class's jobs at each stage
+    starts = _class_starts(inst)
+    by_class = [
+        [[xs[p][j] for p in range(start, start + cp.n_jobs)] for j in stages]
+        for start, cp in zip(starts, inst.classes)
+    ]
     for j in range(1, n):
-        for h in range(1, inst.n_classes + 1):
-            for k in range(1, inst.n_classes + 1):
-                sc = inst.sc[h - 1][k - 1]
-                st = inst.st[h - 1][k - 1]
-                prev_terms = [f"xs_{h}_{i}_{j - 1}" for i in range(1, inst.classes[h - 1].n_jobs + 1)]
-                cur_terms = [f"xs_{k}_{i}_{j}" for i in range(1, inst.classes[k - 1].n_jobs + 1)]
-                b.con(
-                    f"scost_{j}_{h}_{k}",
-                    [(1.0, f"Omt_{j}")]
-                    + [(-sc, v) for v in prev_terms]
-                    + [(-sc, v) for v in cur_terms],
-                    ">=",
-                    -sc,
-                )
-                b.con(
-                    f"stime_{j}_{h}_{k}",
-                    [(1.0, f"Lat_{j}")]
-                    + [(-st, v) for v in prev_terms]
-                    + [(-st, v) for v in cur_terms],
-                    ">=",
-                    -st,
-                )
+        for h in range(inst.n_classes):
+            for k in range(inst.n_classes):
+                both = by_class[h][j - 1] + by_class[k][j]
+                sc = inst.sc[h][k]
+                st = inst.st[h][k]
+                b.con(f"scost_{j}_{h + 1}_{k + 1}", [(1.0, omt[j])] + [(-sc, name) for name in both], ">=", -sc)
+                b.con(f"stime_{j}_{h + 1}_{k + 1}", [(1.0, lat[j])] + [(-st, name) for name in both], ">=", -st)
     b.con("scost_0", [(1.0, "Omt_0")], "=", 0.0)
     b.con("stime_0", [(1.0, "Lat_0")], "=", 0.0)
     for j in range(1, n):
-        b.con(f"chain_{j}", [(1.0, f"St_{j}"), (-1.0, f"Ct_{j - 1}")], "=", 0.0)
+        b.con(f"chain_{j}", [(1.0, st_[j]), (-1.0, ct[j - 1])], "=", 0.0)
     b.con("chain_0", [(1.0, "St_0")], "=", 0.0)
     for j in stages:
-        b.con(
-            f"scomp_{j}",
-            [(1.0, f"Ct_{j}"), (-1.0, f"St_{j}"), (-1.0, f"Lat_{j}"), (-1.0, f"tau_{j}")],
-            "=",
-            0.0,
-        )
+        b.con(f"scomp_{j}", [(1.0, ct[j]), (-1.0, st_[j]), (-1.0, lat[j]), (-1.0, tau[j])], "=", 0.0)
     for j in stages:
-        for k, i in jobs:
-            b.con(
-                f"ptlink_{j}_{k}_{i}",
-                [(1.0, f"tau_{j}"), (-1.0, f"pt_{k}_{i}"), (-m, f"xs_{k}_{i}_{j}")],
-                ">=",
-                -m,
-            )
-            b.con(
-                f"slink_{j}_{k}_{i}",
-                [(1.0, f"S_{k}_{i}"), (-1.0, f"St_{j}"), (-m, f"xs_{k}_{i}_{j}")],
-                ">=",
-                -m,
-            )
-            b.con(
-                f"clink_{j}_{k}_{i}",
-                [(1.0, f"C_{k}_{i}"), (-1.0, f"Ct_{j}"), (-m, f"xs_{k}_{i}_{j}")],
-                ">=",
-                -m,
-            )
-    for k in range(1, inst.n_classes + 1):
-        for i in range(2, inst.classes[k - 1].n_jobs + 1):
-            b.con(f"gdd_{k}_{i}", [(1.0, f"S_{k}_{i}"), (-1.0, f"C_{k}_{i - 1}")], ">=", 0.0)
+        for p in range(n):
+            b.con(f"ptlink_{j}_{ids[p]}", [(1.0, tau[j]), (-1.0, pt[p]), (-m, xs[p][j])], ">=", -m)
+            b.con(f"slink_{j}_{ids[p]}", [(1.0, s[p]), (-1.0, st_[j]), (-m, xs[p][j])], ">=", -m)
+            b.con(f"clink_{j}_{ids[p]}", [(1.0, c[p]), (-1.0, ct[j]), (-m, xs[p][j])], ">=", -m)
+    for k, start in enumerate(starts):
+        for p in range(start + 1, start + inst.classes[k].n_jobs):
+            b.con(f"gdd_{ids[p]}", [(1.0, s[p]), (-1.0, c[p - 1])], ">=", 0.0)
     for j in stages:
-        b.con(f"stage_one_{j}", [(1.0, f"xs_{k}_{i}_{j}") for k, i in jobs], "=", 1.0)
-    for k in range(1, inst.n_classes + 1):
-        nk = inst.classes[k - 1].n_jobs
-        b.con(
-            f"class_total_{k}",
-            [(1.0, f"xs_{k}_{i}_{j}") for i in range(1, nk + 1) for j in stages],
-            "=",
-            float(nk),
-        )
-    for k, i in jobs:
-        b.con(f"once_{k}_{i}", [(1.0, f"xs_{k}_{i}_{j}") for j in stages], "=", 1.0)
+        b.con(f"stage_one_{j}", [(1.0, row[j]) for row in xs], "=", 1.0)
+    for k, start in enumerate(starts):
+        nk = inst.classes[k].n_jobs
+        terms = [(1.0, name) for row in xs[start:start + nk] for name in row]
+        b.con(f"class_total_{k + 1}", terms, "=", float(nk))
+    for p in range(n):
+        b.con(f"once_{ids[p]}", [(1.0, name) for name in xs[p]], "=", 1.0)
     return b.done()
 
 
@@ -548,7 +469,7 @@ def check_assignment(model: MilpModel, assignment: dict[str, float], tol: float 
         if v.kind == "binary" and abs(val - round(val)) > tol:
             out.append(CheckViolation("integrality", v.name, abs(val - round(val)), f"{v.name}={val} not integral"))
     for c in model.constraints:
-        lhs = sum(coef * assignment[var] for coef, var in c.terms)
+        lhs = sum([coef * assignment[var] for coef, var in c.terms])
         gap = 0.0
         if c.sense == "<=":
             gap = lhs - c.rhs
@@ -558,7 +479,7 @@ def check_assignment(model: MilpModel, assignment: dict[str, float], tol: float 
             gap = abs(lhs - c.rhs)
         if gap > tol:
             out.append(CheckViolation("constraint", c.name, gap, f"{c.name}: lhs={lhs} {c.sense} rhs={c.rhs}"))
-    objective = model.objective_constant + sum(coef * assignment[var] for coef, var in model.objective)
+    objective = model.objective_constant + sum([coef * assignment[var] for coef, var in model.objective])
     return CheckReport(tuple(out), objective)
 
 
@@ -571,11 +492,21 @@ def _fmt(v: float) -> str:
     return repr(v)
 
 
-def _terms_text(terms) -> str:
-    parts = []
-    for coef, var in terms:
-        sign = "-" if coef < 0 else "+"
-        parts.append(f"{sign} {_fmt(abs(coef))} {var}")
+class _Memo(dict):
+    """A dict that computes a missing value as ``fn(key)`` and keeps it."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _terms_text(terms, prefix: _Memo) -> str:
+    """``prefix`` maps a coefficient to its ``"<sign> <digits> "`` text."""
+    parts = [prefix[coef] + var for coef, var in terms]
     if not parts:
         return "0 " + "__zero__"
     text = " ".join(parts)
@@ -584,16 +515,18 @@ def _terms_text(terms) -> str:
 
 def emit_lp(model: MilpModel) -> str:
     """Standard LP text: objective, rows, bounds, binary section."""
+    # A model has few distinct coefficients and right-hand sides, so each is
+    # formatted once per call (0.0 and -0.0 share a key and both print "+ 0").
+    prefix = _Memo(lambda c: f"{'-' if c < 0 else '+'} {_fmt(abs(c))} ")
+    rhs = _Memo(_fmt)
     lines = [f"\\ Problem: {model.name}"]
     if model.objective_constant:
         lines.append(f"\\ objective_constant: {model.objective_constant!r}")
     lines.append("Minimize")
-    obj = _terms_text(model.objective)
-    lines.append(f" obj: {obj}")
+    lines.append(f" obj: {_terms_text(model.objective, prefix)}")
     lines.append("Subject To")
     for c in model.constraints:
-        sense = "=" if c.sense == "=" else c.sense
-        lines.append(f" {c.name}: {_terms_text(c.terms)} {sense} {_fmt(c.rhs)}")
+        lines.append(f" {c.name}: {_terms_text(c.terms, prefix)} {c.sense} {rhs[c.rhs]}")
     lines.append("Bounds")
     for v in model.continuous():
         if v.ub is None:

@@ -248,7 +248,16 @@ class Pwl:
             if 0.0 < t < out_high:
                 cand.add(t)
         grid = sorted(cand)
-        vals = self._values_at([min(max(t + delta, 0.0), self.high) for t in grid])
+        high = self.high
+        clamped = []
+        for t in grid:
+            v = t + delta
+            if 0.0 > v:  # max(v, 0.0): keeps v on a tie, so -0.0 survives
+                v = 0.0
+            if high < v:  # min(v, high)
+                v = high
+            clamped.append(v)
+        vals = self._values_at(clamped)
         return Pwl(grid, [v + slope * t + intercept for t, v in zip(grid, vals)])
 
     def pointwise_min(self, other: "Pwl") -> "Pwl":
@@ -257,8 +266,10 @@ class Pwl:
         grid = sorted(set(self.xs) | set(other.xs))
         xtol = TOL * max(1.0, self.high)
         fvs = self._values_at(grid)
-        gvs = other._values_at([min(x, other.high) for x in grid])
-        pts: list[tuple[float, float]] = []
+        g_high = other.high
+        gvs = other._values_at([g_high if g_high < x else x for x in grid])  # min(x, g_high)
+        out_x: list[float] = []
+        out_y: list[float] = []
         prev_x = None
         prev_d = None
         for x, fv, gv in zip(grid, fvs, gvs):
@@ -266,10 +277,12 @@ class Pwl:
             if prev_x is not None and ((prev_d > 0 > d) or (prev_d < 0 < d)):
                 cx = prev_x + (x - prev_x) * prev_d / (prev_d - d)
                 if prev_x + xtol < cx < x - xtol:
-                    pts.append((cx, self.value_at(cx)))
-            pts.append((x, min(fv, gv)))
+                    out_x.append(cx)
+                    out_y.append(self.value_at(cx))
+            out_x.append(x)
+            out_y.append(gv if gv < fv else fv)  # min(fv, gv): the first wins a tie
             prev_x, prev_d = x, d
-        return Pwl([p[0] for p in pts], [p[1] for p in pts])
+        return Pwl(out_x, out_y)
 
     # -- window minimization -------------------------------------------
 

@@ -135,6 +135,19 @@ def test_certify_solved_schedule(tmp_path, capsys):
         assert report["objective"] == pytest.approx(EX1_COST, abs=1e-6)
 
 
+@pytest.mark.parametrize("big_m", ["nan", "inf"])
+def test_non_finite_big_m_rejected(tmp_path, capsys, big_m):
+    sched_file = tmp_path / "sched.json"
+    run(capsys, "solve", "--method", "dp", EX1, "-o", str(sched_file))
+    code, _, err = run(capsys, "emit", "--model", "1", "--big-m", big_m, EX1, "-o", str(tmp_path / "m.lp"))
+    assert code == 2
+    assert f"big-M must be finite, got {big_m}" in err
+    code, out, err = run(capsys, "certify", "--model", "2", "--big-m", big_m, "--schedule", str(sched_file), EX1)
+    assert code == 2
+    assert out == ""
+    assert f"big-M must be finite, got {big_m}" in err
+
+
 def test_bench_csv(tmp_path, capsys):
     out_file = tmp_path / "bench.csv"
     code, _, _ = run(

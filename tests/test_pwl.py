@@ -372,6 +372,41 @@ def test_walk_ops_match_value_at_within_slack_past_end():
             f.min_over(lo, beyond)
 
 
+def reference_shift(f: Pwl, delta: float, high: float | None = None) -> Pwl:
+    out_high = f.high if high is None else high
+    cand = {0.0, out_high}
+    for t in [x - delta for x in f.xs] + [-delta, f.high - delta]:
+        if 0.0 < t < out_high:
+            cand.add(t)
+    grid = sorted(cand)
+    # plus shift's affine term at slope 0 and intercept 0, which turns -0.0 into 0.0
+    return Pwl(grid, [f.value_at(min(max(t + delta, 0.0), f.high)) + 0.0 * t + 0.0 for t in grid])
+
+
+def test_shift_and_pointwise_min_match_min_max_reference():
+    """The ordered comparisons in ``shift``'s clamp and ``pointwise_min`` keep
+    builtin min/max's first-wins rule: same xs, ys and signs of zero."""
+    rng = random.Random(13)
+    for n in range(200):
+        high = rng.choice((1.0, 7.5, 500.0))
+        f = random_pwl(rng, high, rng.randint(2, 12))
+        g = random_pwl(rng, high, rng.randint(2, 12))
+        if n % 2:  # ties, and zeros of both signs
+            f = Pwl(f.xs, [rng.choice((-0.0, 0.0, 1.0)) for _ in f.xs])
+            g = Pwl(g.xs, [rng.choice((-0.0, 0.0, 1.0)) for _ in g.xs])
+        if n % 3 == 0:  # g ends within the slack before f, so min(x, g.high) clamps
+            g = Pwl(g.xs[:-1] + (high * (1.0 - 0.5 * TOL),), g.ys)
+        for a, b in ((f, g), (g, f), (f, f)):
+            got, ref = a.pointwise_min(b), reference_pointwise_min(a, b)
+            assert got.xs == ref.xs and got.ys == ref.ys and got.dump_csv() == ref.dump_csv()
+        x = rng.choice(f.xs)
+        # deltas that land grid points exactly on the clamp edges 0 and H
+        for delta in (0.0, -0.0, x, -x, high - x, x - high, high, -high, rng.uniform(-high, high)):
+            for out_high in (None, high / 2, high):
+                got, ref = f.shift(delta, out_high), reference_shift(f, delta, out_high)
+                assert got.xs == ref.xs and got.ys == ref.ys and got.dump_csv() == ref.dump_csv()
+
+
 # -- argmin -------------------------------------------------------------
 
 def test_argmin_flat_right_valley():
