@@ -9,9 +9,11 @@ model object:
 * model 3 - stage-assignment binaries from the state-space view (N^2).
 
 Models are emitted as standard LP text and checked against assignments; no
-solver is embedded.  Size reports count structural constraint rows only:
-variable-domain declarations become bounds, and the objective is counted as
-one auxiliary among the "other" (non-binary) variables.
+solver is embedded.  Every variable is non-negative and a binary is at most
+1, so a variable is its name and kind.  Size reports count structural
+constraint rows only: variable-domain declarations become bounds, and the
+objective is counted as one auxiliary among the "other" (non-binary)
+variables.
 
 Variable naming (1-based class/job ids, 0-based stage ids):
 ``x_h_j_k_i``, ``d_h_j_k_i``, ``u_k_i``, ``S_k_i``, ``pt_k_i``, ``T_k_i``,
@@ -22,8 +24,8 @@ Variable naming (1-based class/job ids, 0-based stage ids):
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .instance import Instance, horizon_upper_bound
 from .schedule import Schedule
@@ -34,16 +36,12 @@ SIZE_CONVENTION = (
 )
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
-    kind: str  # "binary" | "continuous"
-    lb: float = 0.0
-    ub: float | None = None
+    kind: str  # "binary" (in [0, 1]) | "continuous" (>= 0)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     terms: tuple[tuple[float, str], ...]
     sense: str  # "<=", "=", ">="
@@ -103,11 +101,9 @@ class _Builder:
         self.model = MilpModel(name=name)
 
     def declare(self, prefix: str, suffixes: list[str], kind: str) -> list[str]:
-        """Declare ``{prefix}_{suffix}`` for each suffix, binaries within
-        [0, 1]; the names, in suffix order."""
-        ub = 1.0 if kind == "binary" else None
+        """Declare ``{prefix}_{suffix}`` for each suffix; the names, in suffix order."""
         names = [f"{prefix}_{s}" for s in suffixes]
-        self.model.variables += [Variable(name, kind, 0.0, ub) for name in names]
+        self.model.variables += [Variable(name, kind) for name in names]
         return names
 
     def con(self, name: str, terms, sense: str, rhs: float) -> None:
@@ -195,11 +191,8 @@ def _tardiness_objective(inst: Instance, jobs, v) -> list[tuple[float, str]]:
     )
 
 
-def build_model1(inst: Instance, big_m: float | None = None, simple_link: bool = False) -> MilpModel:
+def build_model1(inst: Instance, big_m: float | None = None) -> MilpModel:
     """Formulation with relative-position and successor binaries.
-
-    ``simple_link`` swaps the big-M link row x >= 1 - M(1 - delta) for the
-    equivalent x >= delta.
 
     Variable and row names come from name tables formatted once per build.
     The N^3 ``cyc3`` rows, whose coefficients are the constant 1.0, are
@@ -266,10 +259,7 @@ def build_model1(inst: Instance, big_m: float | None = None, simple_link: bool =
                     rows.append(Constraint(head + ids[r], (pq, oq[r], one[r][p]), "<=", 2.0))
     for p in range(n):
         for q in range(n):
-            if simple_link:
-                b.con(f"link_{pairs[p][q]}", [(1.0, x[p][q]), (-1.0, d[p][q])], ">=", 0.0)
-            else:
-                b.con(f"link_{pairs[p][q]}", [(1.0, x[p][q]), (-m, d[p][q])], ">=", 1.0 - m)
+            b.con(f"link_{pairs[p][q]}", [(1.0, x[p][q]), (-m, d[p][q])], ">=", 1.0 - m)
     return b.done()
 
 
@@ -455,30 +445,33 @@ class CheckReport:
 
 
 def check_assignment(model: MilpModel, assignment: dict[str, float], tol: float = 1e-6) -> CheckReport:
-    """Feasibility certificate: every row and bound checked against tol."""
-    for v in model.variables:
-        if v.name not in assignment:
-            raise ValueError(f"assignment missing variable {v.name}")
+    """Feasibility certificate: every row and bound checked against tol.
+
+    A NaN value fails its lower bound and a NaN row gap its row.
+    """
+    for name, _ in model.variables:
+        if name not in assignment:
+            raise ValueError(f"assignment missing variable {name}")
     out: list[CheckViolation] = []
-    for v in model.variables:
-        val = assignment[v.name]
-        if val < v.lb - tol:
-            out.append(CheckViolation("bound", v.name, v.lb - val, f"{v.name}={val} < lb {v.lb}"))
-        if v.ub is not None and val > v.ub + tol:
-            out.append(CheckViolation("bound", v.name, val - v.ub, f"{v.name}={val} > ub {v.ub}"))
-        if v.kind == "binary" and abs(val - round(val)) > tol:
-            out.append(CheckViolation("integrality", v.name, abs(val - round(val)), f"{v.name}={val} not integral"))
-    for c in model.constraints:
-        lhs = sum([coef * assignment[var] for coef, var in c.terms])
-        gap = 0.0
-        if c.sense == "<=":
-            gap = lhs - c.rhs
-        elif c.sense == ">=":
-            gap = c.rhs - lhs
+    for name, kind in model.variables:
+        val = assignment[name]
+        if not val >= -tol:
+            out.append(CheckViolation("bound", name, -val, f"{name}={val} < lb 0.0"))
+        if kind == "binary":
+            if val > 1.0 + tol:
+                out.append(CheckViolation("bound", name, val - 1.0, f"{name}={val} > ub 1.0"))
+            if math.isfinite(val) and abs(val - round(val)) > tol:
+                out.append(CheckViolation("integrality", name, abs(val - round(val)), f"{name}={val} not integral"))
+    for name, terms, sense, rhs in model.constraints:
+        lhs = sum([coef * assignment[var] for coef, var in terms])
+        if sense == "<=":
+            gap = lhs - rhs
+        elif sense == ">=":
+            gap = rhs - lhs
         else:
-            gap = abs(lhs - c.rhs)
-        if gap > tol:
-            out.append(CheckViolation("constraint", c.name, gap, f"{c.name}: lhs={lhs} {c.sense} rhs={c.rhs}"))
+            gap = abs(lhs - rhs)
+        if not gap <= tol:
+            out.append(CheckViolation("constraint", name, gap, f"{name}: lhs={lhs} {sense} rhs={rhs}"))
     objective = model.objective_constant + sum([coef * assignment[var] for coef, var in model.objective])
     return CheckReport(tuple(out), objective)
 
@@ -525,14 +518,11 @@ def emit_lp(model: MilpModel) -> str:
     lines.append("Minimize")
     lines.append(f" obj: {_terms_text(model.objective, prefix)}")
     lines.append("Subject To")
-    for c in model.constraints:
-        lines.append(f" {c.name}: {_terms_text(c.terms, prefix)} {c.sense} {rhs[c.rhs]}")
+    for name, terms, sense, value in model.constraints:
+        lines.append(f" {name}: {_terms_text(terms, prefix)} {sense} {rhs[value]}")
     lines.append("Bounds")
     for v in model.continuous():
-        if v.ub is None:
-            lines.append(f" {v.name} >= {_fmt(v.lb)}")
-        else:
-            lines.append(f" {_fmt(v.lb)} <= {v.name} <= {_fmt(v.ub)}")
+        lines.append(f" {v.name} >= 0")
     lines.append("Binaries")
     for v in model.binaries():
         lines.append(f" {v.name}")
@@ -540,106 +530,72 @@ def emit_lp(model: MilpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TOKEN = re.compile(r"(<=|>=|=|\+|-|[A-Za-z_][A-Za-z0-9_.]*|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)")
-_SECTION = re.compile(
-    r"^\s*(minimize|maximize|subject\s+to|st|s\.t\.|bounds|binaries|binary|bin|generals|general|gen|end)\s*$",
-    re.IGNORECASE,
-)
+_SECTIONS = ("Minimize", "Subject To", "Bounds", "Binaries", "End")
 
 
-def _parse_terms(tokens: list[str]) -> list[tuple[float, str]]:
-    terms: list[tuple[float, str]] = []
-    sign = 1.0
-    coef: float | None = None
-    for tok in tokens:
-        if tok == "+":
-            sign, coef = 1.0, None
-        elif tok == "-":
-            sign, coef = -1.0, None
-        elif re.fullmatch(r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?", tok):
-            coef = float(tok)
-        else:
-            if tok != "__zero__":
-                terms.append((sign * (1.0 if coef is None else coef), tok))
-            sign, coef = 1.0, None
-    return terms
+def _number(token: str) -> float:
+    """A finite number; ``emit_lp`` writes no other."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
+
+
+def _read_terms(tokens: list[str]) -> tuple[tuple[float, str], ...]:
+    """Invert ``_terms_text``: ``0 __zero__`` or ``[-] c x (+|-) c x ...``."""
+    if tokens == ["0", "__zero__"]:
+        return ()
+    if tokens[0] != "-":
+        tokens = ["+", *tokens]
+    if len(tokens) % 3:
+        raise ValueError
+    terms = []
+    for sign, coef, var in zip(tokens[0::3], tokens[1::3], tokens[2::3]):
+        c = _number(coef)
+        if sign not in ("+", "-") or c < 0.0:  # emit_lp writes |c|
+            raise ValueError
+        terms.append((c if sign == "+" else -c, var))
+    return tuple(terms)
 
 
 def parse_lp(text: str) -> MilpModel:
-    """Minimal LP reader for files produced by emit_lp."""
+    """Read back the LP text that ``emit_lp`` writes.
+
+    Only that grammar is read: ``\\`` comments (of which only
+    ``objective_constant:`` is used), the five section headers in order,
+    `` obj: <terms>``, `` <name>: <terms> <sense> <rhs>``, `` <name> >= 0`` and
+    bare binary names.  Any other line raises ``ValueError`` naming it, and
+    the result is validated.
+    """
     model = MilpModel(name="parsed")
-    section = None
-    obj_tokens: list[str] = []
-    con_lines: list[str] = []
-    binaries: list[str] = []
-    bound_lines: list[str] = []
-    for raw in text.splitlines():
-        if raw.lstrip().startswith("\\"):
-            msg = raw.lstrip()[1:].strip()
-            if msg.startswith("objective_constant:"):
-                model.objective_constant = float(msg.split(":", 1)[1])
-            continue
-        if _SECTION.match(raw):
-            section = _SECTION.match(raw).group(1).lower()
-            continue
-        line = raw.strip()
-        if not line:
-            continue
-        if section in ("minimize", "maximize"):
-            obj_tokens.append(line)
-        elif section in ("subject to", "st", "s.t."):
-            if re.match(r"^[A-Za-z_][\w.]*\s*:", line):
-                con_lines.append(line)
-            elif con_lines:
-                con_lines[-1] += " " + line
-        elif section == "bounds":
-            bound_lines.append(line)
-        elif section in ("binaries", "binary", "bin"):
-            binaries.extend(line.split())
-    obj_text = " ".join(obj_tokens)
-    if ":" in obj_text:
-        obj_text = obj_text.split(":", 1)[1]
-    model.objective = _parse_terms(_TOKEN.findall(obj_text))
-    for line in con_lines:
-        name, rest = line.split(":", 1)
-        tokens = _TOKEN.findall(rest)
-        sense_idx = next(i for i, t in enumerate(tokens) if t in ("<=", ">=", "="))
-        terms = _parse_terms(tokens[:sense_idx])
-        rhs_tokens = tokens[sense_idx + 1:]
-        rhs_sign = -1.0 if "-" in rhs_tokens else 1.0
-        rhs = rhs_sign * float(rhs_tokens[-1])
-        model.constraints.append(Constraint(name.strip(), tuple(terms), tokens[sense_idx], rhs))
-    seen: set[str] = set()
-    for name in binaries:
-        model.variables.append(Variable(name, "binary", 0.0, 1.0))
-        seen.add(name)
-    for line in bound_lines:
-        tokens = _TOKEN.findall(line)
-        names = [t for t in tokens if re.match(r"^[A-Za-z_]", t) and t not in ("free",)]
-        if not names:
-            continue
-        name = names[0]
-        nums = [float(t) for t in tokens if re.fullmatch(r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?", t)]
-        signs = [i for i, t in enumerate(tokens) if t == "-"]
-        lb = 0.0
-        ub: float | None = None
-        if "free" in line:
-            lb = float("-inf")
-        elif line.find(name) == 0 or tokens[0] == name:
-            # "name >= lb" or "name <= ub"
-            val = nums[0] if nums else 0.0
-            if signs:
-                val = -val
-            if ">=" in tokens:
-                lb = val
+    binaries: list[Variable] = []
+    continuous: list[Variable] = []
+    section = -1  # index into _SECTIONS
+    for number, line in enumerate(text.splitlines(), 1):
+        tokens = line.split()
+        try:
+            if line.startswith("\\"):
+                if tokens[1:2] == ["objective_constant:"]:
+                    model.objective_constant = _number(tokens[2])
+            elif section + 1 < len(_SECTIONS) and line == _SECTIONS[section + 1]:
+                section += 1
+            elif not line.startswith(" "):
+                raise ValueError
+            elif section == 0 and tokens[0] == "obj:":
+                model.objective = list(_read_terms(tokens[1:]))
+            elif section == 1 and tokens[0].endswith(":") and tokens[-2] in ("<=", ">=", "="):
+                terms = _read_terms(tokens[1:-2])
+                model.constraints.append(Constraint(tokens[0][:-1], terms, tokens[-2], _number(tokens[-1])))
+            elif section == 2 and len(tokens) == 3 and tokens[1:] == [">=", "0"]:
+                continuous.append(Variable(tokens[0], "continuous"))
+            elif section == 3 and len(tokens) == 1:
+                binaries.append(Variable(tokens[0], "binary"))
             else:
-                ub = val
-        else:
-            # "lb <= name <= ub" or "lb <= name"
-            lb = nums[0] if nums else 0.0
-            if len(nums) > 1:
-                ub = nums[1]
-        if name not in seen:
-            model.variables.append(Variable(name, "continuous", lb, ub))
-            seen.add(name)
+                raise ValueError
+        except (IndexError, ValueError):
+            raise ValueError(f"line {number} is not emit_lp syntax: {line!r}") from None
+    if section != len(_SECTIONS) - 1:
+        raise ValueError("LP text ends before its End line")
+    model.variables = binaries + continuous
+    model.validate()
     return model

@@ -120,20 +120,6 @@ class Pwl:
     def __eq__(self, other) -> bool:
         return isinstance(other, Pwl) and self.xs == other.xs and self.ys == other.ys
 
-    def slopes(self) -> tuple[float, ...]:
-        return tuple(
-            (self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i])
-            for i in range(len(self.xs) - 1)
-        )
-
-    def is_convex(self, tol: float = TOL) -> bool:
-        s = self.slopes()
-        return all(s[i + 1] >= s[i] - tol for i in range(len(s) - 1))
-
-    def dump_csv(self) -> str:
-        """Debug dump as one ``breakpoint,value`` line per breakpoint."""
-        return "\n".join(f"{x!r},{y!r}" for x, y in zip(self.xs, self.ys))
-
     # -- constructors --------------------------------------------------
 
     @classmethod

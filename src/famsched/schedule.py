@@ -67,7 +67,6 @@ class Sequence:
                     stage=pos,
                     cls=k,
                     idx=seen[k],
-                    prev_cls=prev,
                     st=inst.setup_time(prev, k),
                     sc=inst.setup_cost(prev, k),
                 )
@@ -84,7 +83,6 @@ class StageJob:
     stage: int
     cls: int
     idx: int
-    prev_cls: int | None
     st: float
     sc: float
 
@@ -106,7 +104,7 @@ class CompressionPlan:
             raise PlanBoundsError("plan shape does not match the instance")
         for k, (row, cp) in enumerate(zip(self.u, inst.classes)):
             for i, v in enumerate(row):
-                if v < -tol or v > cp.u_max + tol:
+                if not -tol <= v <= cp.u_max + tol:
                     raise PlanBoundsError(
                         f"u[{k + 1}][{i + 1}] = {v} outside [0, {cp.u_max}]"
                     )

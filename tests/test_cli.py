@@ -135,6 +135,19 @@ def test_certify_solved_schedule(tmp_path, capsys):
         assert report["objective"] == pytest.approx(EX1_COST, abs=1e-6)
 
 
+def test_certify_rejects_nan_compression(tmp_path, capsys):
+    sched_file = tmp_path / "sched.json"
+    run(capsys, "solve", "--method", "dp", EX1, "-o", str(sched_file))
+    doc = json.loads(sched_file.read_text())
+    doc["u"]["1"][0] = float("nan")
+    sched_file.write_text(json.dumps(doc))  # json writes NaN as a bare token
+    for which in ("1", "2", "3"):
+        code, out, err = run(capsys, "certify", "--model", which, "--schedule", str(sched_file), EX1)
+        assert code == 2
+        assert out == ""
+        assert "u[1][1] = nan outside [0, 4.0]" in err
+
+
 @pytest.mark.parametrize("big_m", ["nan", "inf"])
 def test_non_finite_big_m_rejected(tmp_path, capsys, big_m):
     sched_file = tmp_path / "sched.json"

@@ -125,7 +125,7 @@ def test_non_finite_big_m_rejected(ex1, big_m):
             build_model(ex1, which, big_m)
 
 
-_X = Variable("x", "binary", 0.0, 1.0)
+_X = Variable("x", "binary")
 _ROW = Constraint("r", ((1.0, "x"),), "<=", 1.0)
 
 
@@ -284,11 +284,18 @@ def test_uncompressed_schedule_certifies(ex1):
         assert report.objective == pytest.approx(28.125, abs=1e-6)
 
 
-def test_simple_link_variant(ex1, ex1_opt):
-    model = build_model1(ex1, simple_link=True)
-    assert size_report(model) == size_report(build_model1(ex1))
-    report = check_assignment(model, encode_schedule(ex1, ex1_opt, 1))
-    assert report.ok
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_nan_values_reported(ex1, ex1_opt, which):
+    model = build_model(ex1, which)
+    binary = model.binaries()[0].name
+    a = encode_schedule(ex1, ex1_opt, which)
+    a[binary] = a["pt_1_1"] = float("nan")
+    report = check_assignment(model, a)
+    assert {v.name for v in report.violations if v.kind == "bound"} == {binary, "pt_1_1"}
+    assert {v.name for v in report.violations if v.kind == "constraint"} == {
+        c.name for c in model.constraints if any(var in (binary, "pt_1_1") for _, var in c.terms)
+    }
+    assert all(v.kind != "integrality" for v in report.violations)
 
 
 # -- LP text ------------------------------------------------------------
@@ -302,9 +309,50 @@ def test_emit_smallest_model():
 
 @pytest.mark.parametrize("which", [1, 2, 3])
 def test_lp_round_trip_counts(ex1, which):
-    model = build_model(ex1, which)
-    parsed = parse_lp(emit_lp(model))
-    assert size_report(parsed) == size_report(model)
+    # parse_lp restores every row, the objective, its constant and the variables exactly
+    cases = [(ex1, None)] + [
+        (generate(GenParams(jobs=jobs, seed=seed)), big_m)
+        for jobs, seed, w, big_m in LP_SHA256
+        if w == which
+    ]
+    for inst, big_m in cases:
+        model = build_model(inst, which, big_m)
+        parsed = parse_lp(emit_lp(model))
+        assert size_report(parsed) == size_report(model)
+        assert parsed.constraints == model.constraints
+        assert parsed.objective == model.objective
+        assert parsed.objective_constant == model.objective_constant
+        assert parsed.variables == model.variables
+
+
+_SMALL_LP = emit_lp(
+    MilpModel(
+        "m",
+        [_X, Variable("y", "continuous")],
+        [Constraint("r", ((1.0, "x"), (-2.0, "y")), "<=", 1.0)],
+        [(1.0, "y")],
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("Minimize", "Maximize", "line 2 .*Maximize"),
+        ("Binaries", "Generals", "line 8 .*Generals"),
+        (" y >= 0", " -5 <= y <= 3", "line 7 .*-5 <= y <= 3"),
+        (" r: 1 x - 2 y <= 1", " r: 1 x + -2 y <= 1", "line 5 .*x \\+ -2 y"),
+        (" y <= 1", " y <= nan", "line 5 .*y <= nan"),
+        (" r: 1 x - 2 y <= 1", " r: 1 x - 2 z <= 1", "^constraint r references unknown variable z$"),
+        ("End\n", "", "^LP text ends before its End line$"),
+    ],
+    ids=["maximize", "generals", "two-sided-bound", "signed-coefficient", "nan-rhs", "undeclared-variable", "no-end"],
+)
+def test_parse_lp_rejects_foreign_syntax(old, new, message):
+    assert parse_lp(_SMALL_LP).constraints[0].terms == ((1.0, "x"), (-2.0, "y"))
+    assert old in _SMALL_LP
+    with pytest.raises(ValueError, match=message):
+        parse_lp(_SMALL_LP.replace(old, new))
 
 
 def test_lp_round_trip_checks_assignment(ex1, ex1_opt):
@@ -317,8 +365,7 @@ def test_lp_round_trip_checks_assignment(ex1, ex1_opt):
 
 
 # sha256 of emit_lp's text, recorded before the row builders and emit_lp were
-# rewritten for speed: (jobs, seed, model, big-M) -> digest; model "1s" is
-# build_model1(..., simple_link=True).
+# rewritten for speed: (jobs, seed, model, big-M) -> digest.
 LP_SHA256 = {
     ((5, 5), 0, 1, None): "e0b1b12acfeb04beff3ff3d773909745e7e85a322f359dbc9c95f233b1c6b5a4",
     ((5, 5), 0, 1, 1e6): "9cb41a5693c8b9bd0aad8a804ef67e32278064ce97222c309f98563e89c4eb91",
@@ -326,38 +373,31 @@ LP_SHA256 = {
     ((5, 5), 0, 2, 1e6): "b2f54a2262edcb4beb2173274e06ac2233447add9a5a25be8aaeea6e851812ee",
     ((5, 5), 0, 3, None): "b3df86fa1e5ea29bfd2b424caac11805c35455f56061b13d9e3666ffd50e3020",
     ((5, 5), 0, 3, 1e6): "83d66f162491539f4f563b0b20567710a2b99ab88458b2ea54abdd7000a00fe7",
-    ((5, 5), 0, "1s", None): "8737f9488416626203d9d340b45f054207eb8d180c04ac877946707dcd86d046",
     ((3, 3, 2), 1, 1, None): "ca759c588c42c54a0bbfda08853724f0de49b7927fa659955b28d09163fb4b7d",
     ((3, 3, 2), 1, 1, 1e6): "360799401b2690bf64cb0b536d1c10fefc42b81cf7842e4bf31df555b4fb1767",
     ((3, 3, 2), 1, 2, None): "39be2350186f3fa19c54c759b9ea39b0e657f0a2778705b6bfd56c460e677f39",
     ((3, 3, 2), 1, 2, 1e6): "60d9be3f12b4a1a38d09b7af17203da256e7691f4a382278a44c33ad45bccc2e",
     ((3, 3, 2), 1, 3, None): "bd7c452609863fa63ba5974059f14d73138673dcc7138bd330697d8c5526b2ad",
     ((3, 3, 2), 1, 3, 1e6): "7e3f039eae541732f4e9f07acc533bdefb66d0a8473d3bb93d1788951b277f9c",
-    ((3, 3, 2), 1, "1s", None): "39fc0d6f2efd70b87c49670a77961824b0adccb384ae936e2d43697d0ef7bbed",
     ((2, 2, 2, 2), 0, 1, None): "586a32b04b7c7ab3a49c3bd0f3d9603651d2b3d096ad86aa161e5fd987ff1137",
     ((2, 2, 2, 2), 0, 1, 1e6): "60108f2a52dd6262b9be55c1ea6d29fc6e23de5040c5bc043c2f36fe790d0053",
     ((2, 2, 2, 2), 0, 2, None): "2c4df5059d0fa740fdc6ddb6607cda8789d0e2510f91fe0026d9287137337a3f",
     ((2, 2, 2, 2), 0, 2, 1e6): "e8e8cf441d1c78f02d75be9e25c682446a39f0137c482b92b3d3b008a380f76c",
     ((2, 2, 2, 2), 0, 3, None): "5286de4058669525a0b10c6d2e88f455ab1c82c642417f0b66a30f8f07240980",
     ((2, 2, 2, 2), 0, 3, 1e6): "20cf2bfd45761df95f04f9c22e01de7202939c2e5066db0aaae0af3a1dbb59c8",
-    ((2, 2, 2, 2), 0, "1s", None): "5c8b19fca8b0bdf02f3e97439ae59163c628eb1e7ae078d6b51ee5f46b840156",
     ((2, 1, 3), 2, 1, None): "edd0b37c151beda87f673c6fb9e987600add5ddaa66a4da3ddbe0242f0355e9a",
     ((2, 1, 3), 2, 1, 1e6): "1f6d01001b3f13ab4956cb109775348409a75a4ab95493aa230f250f75c83d66",
     ((2, 1, 3), 2, 2, None): "6308dd3e2734c301b2ffcb7660d039fad2ed017cb5d6422097a0739620367c09",
     ((2, 1, 3), 2, 2, 1e6): "1678a303d529397d4a2fff0181915d0b3e29789abc37a8ec59d15d2f0d8eeb06",
     ((2, 1, 3), 2, 3, None): "6eac3ce72b2d8ea931a4eb66c4d1732743f941625b599bb29c17a1b545a6deff",
     ((2, 1, 3), 2, 3, 1e6): "180a14d3e182f449bf04e354701a822f8b757c09a295c97bdc777e5665429bf9",
-    ((2, 1, 3), 2, "1s", None): "fa7e39648737ceb2a719f2b9b3411f43f3cb9c5e90f8b32c35cf9fe184043a79",
 }
 
 
 @pytest.mark.parametrize("jobs,seed,which,big_m", sorted(LP_SHA256, key=repr), ids=repr)
 def test_lp_text_unchanged(jobs, seed, which, big_m):
     inst = generate(GenParams(jobs=jobs, seed=seed))
-    if which == "1s":
-        model = build_model1(inst, big_m, simple_link=True)
-    else:
-        model = build_model(inst, which, big_m)
+    model = build_model(inst, which, big_m)
     digest = hashlib.sha256(emit_lp(model).encode()).hexdigest()
     assert digest == LP_SHA256[(jobs, seed, which, big_m)]
 

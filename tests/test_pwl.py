@@ -10,6 +10,7 @@ import pytest
 
 from famsched import schedule
 from famsched.pwl import TOL, DomainError, Pwl
+from tests.pwl_helpers import dump_csv, is_convex
 
 
 def random_pwl(rng: random.Random, high: float, segments: int) -> Pwl:
@@ -70,7 +71,7 @@ def test_hinge_beyond_horizon_is_zero():
 
 def test_hinge_convex_nonnegative():
     f = Pwl.hinge(0.5, 41.0, 56.0)
-    assert f.is_convex()
+    assert is_convex(f)
     assert all(y >= 0 for y in f.ys)
     assert f.value_at(10.0) == 0.0
 
@@ -214,7 +215,7 @@ def test_window_min_convexity_preserved():
     rng = random.Random(7)
     for _ in range(40):
         f = random_convex_pwl(rng, 25.0, 6)
-        assert f.window_min(3.0).is_convex()
+        assert is_convex(f.window_min(3.0))
 
 
 def test_affine_ops_preserve_convexity():
@@ -222,15 +223,15 @@ def test_affine_ops_preserve_convexity():
     for _ in range(20):
         f = random_convex_pwl(rng, 25.0, 6)
         g = random_convex_pwl(rng, 25.0, 5)
-        assert f.add(g).is_convex()
-        assert f.add_affine(-2.0, 7.0).is_convex()
+        assert is_convex(f.add(g))
+        assert is_convex(f.add_affine(-2.0, 7.0))
         # translation preserves convexity away from the clamped tail
         shifted = f.shift(3.0)
         inside = Pwl(
             [x for x in shifted.xs if x <= 22.0] + [22.0],
             [y for x, y in zip(shifted.xs, shifted.ys) if x <= 22.0] + [shifted.value_at(22.0)],
         )
-        assert inside.is_convex()
+        assert is_convex(inside)
 
 
 # -- window_min against the quadratic algorithm ----------------------------
@@ -311,7 +312,7 @@ def test_window_min_matches_reference_bit_for_bit():
         g = f.window_min(w)
         ref = window_min_reference(f, w)
         assert g.xs == ref.xs and g.ys == ref.ys
-        assert g.dump_csv() == ref.dump_csv()  # repr-level: tells -0.0 from 0.0
+        assert dump_csv(g) == dump_csv(ref)  # repr-level: tells -0.0 from 0.0
 
 
 def reference_pointwise_min(f: Pwl, g: Pwl) -> Pwl:
@@ -398,13 +399,13 @@ def test_shift_and_pointwise_min_match_min_max_reference():
             g = Pwl(g.xs[:-1] + (high * (1.0 - 0.5 * TOL),), g.ys)
         for a, b in ((f, g), (g, f), (f, f)):
             got, ref = a.pointwise_min(b), reference_pointwise_min(a, b)
-            assert got.xs == ref.xs and got.ys == ref.ys and got.dump_csv() == ref.dump_csv()
+            assert got.xs == ref.xs and got.ys == ref.ys and dump_csv(got) == dump_csv(ref)
         x = rng.choice(f.xs)
         # deltas that land grid points exactly on the clamp edges 0 and H
         for delta in (0.0, -0.0, x, -x, high - x, x - high, high, -high, rng.uniform(-high, high)):
             for out_high in (None, high / 2, high):
                 got, ref = f.shift(delta, out_high), reference_shift(f, delta, out_high)
-                assert got.xs == ref.xs and got.ys == ref.ys and got.dump_csv() == ref.dump_csv()
+                assert got.xs == ref.xs and got.ys == ref.ys and dump_csv(got) == dump_csv(ref)
 
 
 # -- argmin -------------------------------------------------------------
@@ -483,7 +484,7 @@ def test_unsorted_input_sorted_before_cleaning():
         shuffled = Pwl([p[0] for p in pairs], [p[1] for p in pairs])
         ordered = Pwl(xs, ys)
         assert shuffled.xs == ordered.xs and shuffled.ys == ordered.ys
-        assert shuffled.dump_csv() == ordered.dump_csv()
+        assert dump_csv(shuffled) == dump_csv(ordered)
 
 
 def test_unsorted_equal_abscissae_keep_input_order():
@@ -504,7 +505,7 @@ def test_values_must_be_finite():
 
 def test_dump_csv_lines():
     f = Pwl((0.0, 5.0, 10.0), (1.0, 0.0, 5.0))
-    lines = f.dump_csv().splitlines()
+    lines = dump_csv(f).splitlines()
     assert len(lines) == 3
     assert lines[0] == "0.0,1.0"
 

@@ -32,6 +32,7 @@ from tests.conftest import (
     EX1_T,
     EX1_U,
 )
+from tests.pwl_helpers import dump_csv
 from tests.test_pwl import random_convex_pwl, random_pwl
 
 EX1_SEQ = Sequence.from_1based(EX1_ORDER_1BASED)
@@ -243,7 +244,7 @@ def random_stage_function(rng: random.Random, n: int, high: float) -> Pwl:
 
 def assert_same_bits(got: Pwl, want: Pwl):
     assert got.xs == want.xs and got.ys == want.ys
-    assert got.dump_csv() == want.dump_csv()  # repr-level: tells -0.0 from 0.0
+    assert dump_csv(got) == dump_csv(want)  # repr-level: tells -0.0 from 0.0
 
 
 def test_fused_stage_transforms_match_two_step():
