@@ -37,6 +37,7 @@ from .dp import (
     extract_open_loop,
     initial_state,
     query_policy,
+    start_window,
 )
 from .milp import (
     CheckReport,
@@ -68,7 +69,7 @@ __all__ = [
     "Timeline", "build_timeline", "optimize_compressions", "solve_sequence", "u_from_tau",
     "DiscreteState", "PolicyDecision", "StateGraph", "ValueTable",
     "backward_induction", "build_state_graph", "count_states", "extract_open_loop",
-    "initial_state", "query_policy",
+    "initial_state", "query_policy", "start_window",
     "CheckReport", "MilpModel", "SizeReport", "build_model", "build_model1",
     "build_model2", "build_model3", "check_assignment", "emit_lp", "encode_schedule",
     "parse_lp", "size_report",

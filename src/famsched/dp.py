@@ -13,11 +13,12 @@ library is 0-based.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import prod
 
 from .instance import Instance, horizon_upper_bound
-from .pwl import Pwl
+from .pwl import TOL, Pwl
 from .schedule import (
     CompressionPlan,
     Schedule,
@@ -62,13 +63,44 @@ def initial_state(inst: Instance) -> DiscreteState:
 def _padded_horizon(inst: Instance) -> float:
     """Domain end for stored cost-to-go functions.
 
-    Padding by one worst-case setup plus one nominal processing time keeps
-    every decision window [t + st + pt_low, t + st + pt_nom] with t <= H
-    inside the stored domain, so policy queries never read clamped values.
+    Every state's start window (``start_window``) ends at or before the
+    horizon bound H, so no value a solve reads lies in the padding.  Padding
+    by one worst-case setup plus one nominal processing time keeps every
+    decision window [t + st + pt_low, t + st + pt_nom] with t <= H inside the
+    stored domain; the domain end also sets the merge tolerance
+    ``TOL * max(1, H)`` of every stored function.
     """
     max_st = max((v for row in inst.st for v in row), default=0.0)
     max_pt = max(cp.pt_nom for cp in inst.classes)
     return horizon_upper_bound(inst) + max_st + max_pt
+
+
+def start_window(inst: Instance, state: DiscreteState) -> tuple[float, float]:
+    """Times [lo, hi] at which the next job can start from ``state``.
+
+    From t = 0, after n >= 1 completions with counts c, the next start lies
+    in [sum c_k pt_low_k, sum c_k pt_nom_k + (n - 1) max st]: the first job
+    has no setup and every later one at most the largest.  The initial
+    state's window is [0, 0].  For every t in a state's window, the decision
+    window [t + st + pt_low, t + st + pt_nom] of each move lies inside the
+    child's window.
+    """
+    n = state.stage
+    if n == 0:
+        return 0.0, 0.0
+    lo = hi = 0.0
+    for c, cp in zip(state.counts, inst.classes):
+        lo += c * cp.pt_low
+        hi += c * cp.pt_nom
+    return lo, hi + (n - 1) * max(map(max, inst.st))
+
+
+def _clamp(f: Pwl, lo: float, hi: float) -> Pwl:
+    """f restricted to [lo, hi] and extended flat to its domain [0, H]."""
+    xs = f.xs
+    inner = slice(bisect_right(xs, lo), bisect_left(xs, hi))
+    f_lo, f_hi = f.value_at(lo), f.value_at(hi)
+    return Pwl((0.0, lo, *xs[inner], hi, f.high), (f_lo, f_lo, *f.ys[inner], f_hi, f_hi))
 
 
 def _child(state: DiscreteState, k: int) -> DiscreteState:
@@ -127,7 +159,12 @@ def count_states(inst: Instance) -> int:
 
 
 class ValueTable:
-    """Cost-to-go per discrete state, each a Pwl over start times [0, H]."""
+    """Cost-to-go per discrete state, as a function of the next start time.
+
+    Each function is stored on [0, H'] (H' the padded horizon) but is the
+    true cost-to-go only on its state's ``start_window``; outside it, it
+    holds the window's end values, extended flat.
+    """
 
     def __init__(self, inst: Instance, graph: StateGraph, values: dict[DiscreteState, Pwl]):
         self._inst = inst
@@ -194,6 +231,11 @@ def backward_induction(inst: Instance) -> ValueTable:
     is on the parent's last class.  So each state of the next stage is
     windowed once, and every edge into it only shifts and offsets the result;
     windowing per edge would repeat the costliest op once per parent.
+
+    Each state's function is clamped to its ``start_window`` once built: the
+    solve reads a child only inside the child's window, so every value read
+    stays exact, while the breakpoints outside, which no start time reaches,
+    are dropped before they feed the parents' ops.
     """
     graph = build_state_graph(inst)
     high = _padded_horizon(inst)
@@ -214,7 +256,7 @@ def backward_induction(inst: Instance) -> ValueTable:
                 w = stage_value(windowed[_child(state, k)], cp.beta, cp.pt_low, cp.pt_nom,
                                 st, sc, high)
                 best = w if best is None else best.pointwise_min(w)
-            values[state] = best if best is not None else zero
+            values[state] = _clamp(best, *start_window(inst, state)) if best is not None else zero
     return ValueTable(inst, graph, values)
 
 
@@ -261,11 +303,17 @@ def _decide(inst: Instance, vt: ValueTable, state: DiscreteState, t: float) -> P
 
 def query_policy(inst: Instance, vt: ValueTable, state: DiscreteState, t: float) -> PolicyDecision:
     """Optimal decision at (state, t); ties go to the smallest class index,
-    then to select_completion's processing-time choice."""
+    then to select_completion's processing-time choice.
+
+    t must lie in the state's ``start_window``, within ``TOL * max(1, H)``:
+    the stored cost-to-go is exact only there.
+    """
     if state not in vt:
         raise KeyError(f"state {state} not in the graph")
-    if t < -1e-9 or t > vt.horizon + 1e-9:
-        raise ValueError(f"time {t} outside [0, {vt.horizon}]")
+    lo, hi = start_window(inst, state)
+    slack = TOL * max(1.0, vt.horizon)
+    if not lo - slack <= t <= hi + slack:
+        raise ValueError(f"time {t} outside the start window [{lo}, {hi}] of state {state}")
     return _decide(inst, vt, state, t)
 
 

@@ -102,6 +102,19 @@ def test_max_breakpoints_reported(ex1, capsys):
     assert json.loads(out)[0]["dp_max_breakpoints"] == max(len(vt[s]) for s in vt.states())
 
 
+def test_ladder_solve_keeps_cost_with_few_breakpoints(tmp_path, capsys):
+    # (20,20)/1 stored up to 147 breakpoints per function over the whole
+    # domain; on the start windows it needs 25, at the same cost
+    target = tmp_path / "inst.json"
+    code, _, _ = run(capsys, "generate", "--jobs", "20,20", "--seed", "1", "-o", str(target))
+    assert code == 0
+    code, out, _ = run(capsys, "solve", "--method", "dp", str(target))
+    assert code == 0
+    report = json.loads(out)
+    assert report["cost"] == 1876.1112807088675
+    assert report["max_breakpoints"] <= 50
+
+
 def test_solve_methods_agree(tmp_path, capsys):
     code, out_dp, _ = run(capsys, "solve", "--method", "dp", EX1)
     code2, out_enum, _ = run(capsys, "solve", "--method", "enum", EX1)

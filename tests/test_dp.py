@@ -9,15 +9,17 @@ import pytest
 from famsched.bench import GenParams, brute_force_solve, generate
 from famsched.dp import (
     DiscreteState,
+    ValueTable,
     backward_induction,
     build_state_graph,
     count_states,
     extract_open_loop,
     initial_state,
     query_policy,
+    start_window,
 )
 from famsched.instance import ClassParams, Instance
-from famsched.pwl import Pwl
+from famsched.pwl import TOL, Pwl
 from famsched.schedule import (
     CompressionPlan,
     Sequence,
@@ -130,10 +132,20 @@ def test_breakpoints_stay_bounded_on_blowup_instance():
     assert vt.optimal_cost() == pytest.approx(148.8887961063331, rel=1e-9)
 
 
+def clamp_to_window(inst: Instance, state: DiscreteState, f: Pwl) -> Pwl:
+    """f on the state's start window, extended flat to [0, H]."""
+    lo, hi = start_window(inst, state)
+    inner = [i for i, x in enumerate(f.xs) if lo < x < hi]
+    return Pwl((0.0, lo, *(f.xs[i] for i in inner), hi, f.high),
+               (f.value_at(lo), f.value_at(lo), *(f.ys[i] for i in inner),
+                f.value_at(hi), f.value_at(hi)))
+
+
 def per_edge_values(inst: Instance, high: float) -> dict[DiscreteState, Pwl]:
     """Cost-to-go tables built edge by edge: every (state, class) pair forms
     its own stage objective and window minimum, then the edges of a state
-    are folded with ``pointwise_min`` in class order."""
+    are folded with ``pointwise_min`` in class order and clamped to the
+    state's start window."""
     stages = build_state_graph(inst).stages
     values = {s: Pwl.zero(high) for s in stages[-1]}
     for stage in reversed(stages[:-1]):
@@ -149,7 +161,7 @@ def per_edge_values(inst: Instance, high: float) -> dict[DiscreteState, Pwl]:
                 w = stage_value(obj.window_min(cp.pt_nom - cp.pt_low), cp.beta, cp.pt_low,
                                 cp.pt_nom, inst.setup_time(prev, k), inst.setup_cost(prev, k), high)
                 best = w if best is None else best.pointwise_min(w)
-            values[state] = best
+            values[state] = clamp_to_window(inst, state, best)
     return values
 
 
@@ -162,6 +174,56 @@ def test_per_child_windowing_matches_per_edge_tables(ex1, jobs, seed):
     assert len(ref) == len(vt)
     for state, f in ref.items():
         assert vt[state] == f, state
+
+
+def full_domain_table(inst: Instance, high: float) -> ValueTable:
+    """Backward induction without start windows: every cost-to-go is built
+    and kept over the whole domain [0, high], as the solver once did."""
+    graph = build_state_graph(inst)
+    values = {s: Pwl.zero(high) for s in graph.stages[-1]}
+    for j in range(len(graph.stages) - 2, -1, -1):
+        windowed = {}
+        for child in graph.stages[j + 1]:
+            cp = inst.classes[child.last - 1]
+            i = child.counts[child.last - 1] - 1
+            obj = stage_objective(values[child], cp.alpha[i], cp.dd[i], cp.beta)
+            windowed[child] = obj.window_min(cp.pt_nom - cp.pt_low)
+        for state in graph.stages[j]:
+            best = None
+            for k, cp in enumerate(inst.classes):
+                i = state.counts[k]
+                if i == cp.n_jobs:
+                    continue
+                child = DiscreteState(state.counts[:k] + (i + 1,) + state.counts[k + 1:], k + 1)
+                prev = None if state.last == 0 else state.last - 1
+                w = stage_value(windowed[child], cp.beta, cp.pt_low, cp.pt_nom,
+                                inst.setup_time(prev, k), inst.setup_cost(prev, k), high)
+                best = w if best is None else best.pointwise_min(w)
+            values[state] = best
+    return ValueTable(inst, graph, values)
+
+
+WINDOW_CASES = [((5, 5), 1), ((8, 8), 1), ((10, 10), 1), ((3, 3, 2), 1), ((2, 2, 2, 2), 1),
+                ((4, 4, 3), 14)]
+
+
+@pytest.mark.parametrize("jobs,seed", WINDOW_CASES,
+                         ids=[",".join(map(str, jobs)) + f"/{seed}" for jobs, seed in WINDOW_CASES])
+def test_windowed_tables_match_full_domain_reference(jobs, seed):
+    inst = generate(GenParams(jobs=jobs, seed=seed))
+    vt = backward_induction(inst)
+    ref = full_domain_table(inst, vt[initial_state(inst)].high)
+    got, want = extract_open_loop(inst, vt), extract_open_loop(inst, ref)
+    assert repr(got.cost) == repr(want.cost)
+    assert got.sequence == want.sequence
+    assert repr(got.plan.u) == repr(want.plan.u)
+    assert vt.optimal_cost() == pytest.approx(ref.optimal_cost(), rel=1e-12)
+    for state in ref.states():
+        lo, hi = start_window(inst, state)
+        f, g = vt[state], ref[state]
+        for x, y in zip(g.xs, g.ys):
+            if lo <= x <= hi:
+                assert abs(f.value_at(x) - y) <= TOL * max(1.0, abs(y)), (state, x)
 
 
 def test_dp_equals_enumeration_on_random_instances():
@@ -254,6 +316,17 @@ def test_query_policy_published_state(ex1):
     assert dec.next_class == 1
     assert dec.tau == pytest.approx(8.0, abs=1e-9)
     assert dec.u == pytest.approx(0.0, abs=1e-9)
+
+
+def test_query_policy_rejects_time_outside_start_window(ex1):
+    vt = backward_induction(ex1)
+    state = DiscreteState((4, 2), 1)
+    assert start_window(ex1, state) == (24.0, 49.0)
+    for t in (24.0, 49.0):
+        assert query_policy(ex1, vt, state, t).next_class == 2
+    for t in (24.0 - 1e-6, 49.0 + 1e-6):
+        with pytest.raises(ValueError, match="start window"):
+            query_policy(ex1, vt, state, t)
 
 
 def test_query_policy_rejects_unknown_state(ex1):
