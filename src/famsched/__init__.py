@@ -24,7 +24,6 @@ from .schedule import (
     build_timeline,
     optimize_compressions,
     solve_sequence,
-    u_from_tau,
 )
 from .dp import (
     DiscreteState,
@@ -66,7 +65,7 @@ __all__ = [
     "horizon_upper_bound", "load_instance", "save_instance", "validate_instance",
     "DomainError", "Pwl",
     "CompressionPlan", "PlanBoundsError", "Schedule", "Sequence", "SequenceError",
-    "Timeline", "build_timeline", "optimize_compressions", "solve_sequence", "u_from_tau",
+    "Timeline", "build_timeline", "optimize_compressions", "solve_sequence",
     "DiscreteState", "PolicyDecision", "StateGraph", "ValueTable",
     "backward_induction", "build_state_graph", "count_states", "extract_open_loop",
     "initial_state", "query_policy", "start_window",

@@ -22,35 +22,30 @@ from .schedule import Schedule, Sequence, solve_sequence
 RNG_NAME = "numpy-default_rng"
 INT64_MAX = 2**63 - 1
 
+# Uniform sampling ranges [a, b); pt_low never exceeds 6, the lowest pt_nom.
+PT_NOM_RANGE = (6.0, 10.0)
+PT_LOW_RANGE = (2.0, 6.0)
+DD_START = 10.0
+DD_STEP_RANGE = (0.5, 12.0)
+ST_RANGE = (1.0, 3.0)
+SC_RANGE = (0.5, 2.5)
+ALPHA_RANGE = (0.5, 2.5)
+BETA_RANGE = (0.5, 2.5)
+GAMMA = 1.0
+
 
 @dataclass(frozen=True)
 class GenParams:
-    """Sampling plan for one random instance (ranges are closed [a, b])."""
+    """Jobs per class and the seed of one random instance."""
 
     jobs: tuple[int, ...]
     seed: int = 0
-    pt_nom_range: tuple[float, float] = (6.0, 10.0)
-    pt_low_range: tuple[float, float] = (2.0, 6.0)
-    dd_start: float = 10.0
-    dd_step_range: tuple[float, float] = (0.5, 12.0)
-    st_range: tuple[float, float] = (1.0, 3.0)
-    sc_range: tuple[float, float] = (0.5, 2.5)
-    alpha_range: tuple[float, float] = (0.5, 2.5)
-    beta_range: tuple[float, float] = (0.5, 2.5)
-    gamma: float = 1.0
 
     def __post_init__(self):
         if len(self.jobs) < 2:
             raise ValueError("at least two classes are required")
         if any(n < 1 for n in self.jobs):
             raise ValueError("every class needs at least one job")
-        for name in ("pt_nom_range", "pt_low_range", "dd_step_range",
-                     "st_range", "sc_range", "alpha_range", "beta_range"):
-            a, b = getattr(self, name)
-            if a > b:
-                raise ValueError(f"{name} is not well-ordered: {a} > {b}")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
 
     def metadata(self) -> dict:
         """Reproducibility record stored alongside generated instances."""
@@ -64,8 +59,7 @@ class GenParams:
 def generate(params: GenParams) -> Instance:
     """Deterministic instance for a seed; always passes validation.
 
-    pt_low is resampled until it does not exceed the class's pt_nom, and
-    setup matrices get exact zero diagonals.
+    Setup matrices get exact zero diagonals.
     """
     rng = np.random.default_rng(params.seed)
 
@@ -74,26 +68,18 @@ def generate(params: GenParams) -> Instance:
 
     classes = []
     for n_k in params.jobs:
-        pt_nom = u(params.pt_nom_range)
-        pt_low = u(params.pt_low_range)
-        attempts = 0
-        while pt_low > pt_nom:
-            pt_low = u(params.pt_low_range)
-            attempts += 1
-            if attempts > 1000:
-                raise ValueError(
-                    f"pt_low_range {params.pt_low_range} cannot fall below sampled pt_nom {pt_nom}"
-                )
-        beta = u(params.beta_range)
-        alpha = tuple(u(params.alpha_range) for _ in range(n_k))
+        pt_nom = u(PT_NOM_RANGE)
+        pt_low = u(PT_LOW_RANGE)
+        beta = u(BETA_RANGE)
+        alpha = tuple(u(ALPHA_RANGE) for _ in range(n_k))
         dd = []
-        prev = params.dd_start
+        prev = DD_START
         for _ in range(n_k):
-            prev = prev + u(params.dd_step_range)
+            prev = prev + u(DD_STEP_RANGE)
             dd.append(prev)
         classes.append(
             ClassParams(pt_nom=pt_nom, pt_low=pt_low, beta=beta,
-                        gamma=params.gamma, alpha=alpha, dd=tuple(dd))
+                        gamma=GAMMA, alpha=alpha, dd=tuple(dd))
         )
     k_count = len(params.jobs)
     st = [[0.0] * k_count for _ in range(k_count)]
@@ -102,8 +88,8 @@ def generate(params: GenParams) -> Instance:
         for k in range(k_count):
             if h == k:
                 continue
-            st[h][k] = u(params.st_range)
-            sc[h][k] = u(params.sc_range)
+            st[h][k] = u(ST_RANGE)
+            sc[h][k] = u(SC_RANGE)
     return Instance(
         classes=tuple(classes),
         st=tuple(tuple(r) for r in st),

@@ -31,6 +31,10 @@ class CliError(Exception):
     """Input problem reported to stderr with exit code 2."""
 
 
+class InvalidInstance(Exception):
+    """Instance violations, one ``invalid instance:`` line each, exit code 1."""
+
+
 def _read_instance(path: str) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -41,6 +45,15 @@ def _read_instance(path: str) -> Instance:
         return load_instance(text)
     except (ParseError, SchemaError) as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _read_valid_instance(path: str) -> Instance:
+    """Read an instance for a command that solves or compiles it."""
+    inst = _read_instance(path)
+    violations = validate_instance(inst)
+    if violations:
+        raise InvalidInstance("\n".join(f"invalid instance: {v}" for v in violations))
+    return inst
 
 
 def _digest(inst: Instance) -> str:
@@ -68,30 +81,18 @@ def _parse_jobs(text: str) -> tuple[int, ...]:
     return jobs
 
 
-def _solve(inst: Instance, method: str, cap: int) -> tuple[Schedule, dict]:
-    extra: dict = {}
+def _solve(inst: Instance, method: str, cap: int) -> tuple[Schedule, dp.ValueTable | None]:
     if method == "dp":
         vt = dp.backward_induction(inst)
-        sched = dp.extract_open_loop(inst, vt)
-        extra["state_nodes"] = vt.graph.node_count
-        extra["max_breakpoints"] = max(len(vt[s]) for s in vt.states())
-        extra["value_table"] = vt
-    elif method == "enum":
-        sched = bench.brute_force_solve(inst, cap=cap)
-    else:
-        raise CliError(f"unknown method {method!r}")
-    extra["sequences"] = bench.count_sequences(inst)
-    return sched, extra
+        return dp.extract_open_loop(inst, vt), vt
+    return bench.brute_force_solve(inst, cap=cap), None
 
 
 def cmd_generate(args) -> int:
     jobs = _parse_jobs(args.jobs)
     if args.classes is not None and args.classes != len(jobs):
         raise CliError(f"--classes {args.classes} conflicts with --jobs listing {len(jobs)} classes")
-    try:
-        params = bench.GenParams(jobs=jobs, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    params = bench.GenParams(jobs=jobs, seed=args.seed)
     inst = bench.generate(params)
     _write(args.output, save_instance(inst, metadata=params.metadata()))
     return 0
@@ -110,14 +111,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = _read_instance(args.instance)
-    violations = validate_instance(inst)
-    if violations:
-        for v in violations:
-            print(f"invalid instance: {v}", file=sys.stderr)
-        return 1
+    inst = _read_valid_instance(args.instance)
     t0 = time.perf_counter()
-    sched, extra = _solve(inst, args.method, args.cap)
+    sched, vt = _solve(inst, args.method, args.cap)
+    sequences = bench.count_sequences(inst)
     elapsed = time.perf_counter() - t0
     recomputed = sched.timeline.total_cost
     report = {
@@ -127,27 +124,24 @@ def cmd_solve(args) -> int:
         "cost": recomputed,
         "sequence": sched.sequence.to_1based(),
         "u": {str(k + 1): list(row) for k, row in enumerate(sched.plan.u)},
-        "sequences": extra.get("sequences"),
+        "sequences": sequences,
         "elapsed_s": elapsed,
     }
-    if "state_nodes" in extra:
-        report["state_nodes"] = extra["state_nodes"]
-        report["max_breakpoints"] = extra["max_breakpoints"]
+    if vt is not None:
+        report["state_nodes"] = len(vt)
+        report["max_breakpoints"] = max(len(vt[s]) for s in vt.states())
     if args.output:
         _write(args.output, json.dumps(schedule_to_dict(inst, sched), indent=2))
-    if args.dump_values and "value_table" in extra:
-        _write(args.dump_values, extra["value_table"].dump_csv())
+    if args.dump_values and vt is not None:
+        _write(args.dump_values, vt.dump_csv())
     print(json.dumps(report, indent=2))
     return 0
 
 
 def cmd_emit(args) -> int:
-    inst = _read_instance(args.instance)
+    inst = _read_valid_instance(args.instance)
     big_m = None if args.big_m == "auto" else float(args.big_m)
-    try:
-        model = milp.build_model(inst, args.model, big_m)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    model = milp.build_model(inst, args.model, big_m)
     _write(args.output, milp.emit_lp(model))
     rep = milp.size_report(model)
     print(
@@ -168,7 +162,7 @@ def cmd_emit(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    inst = _read_instance(args.instance)
+    inst = _read_valid_instance(args.instance)
     try:
         with open(args.schedule, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -202,7 +196,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_count(args) -> int:
-    inst = _read_instance(args.instance)
+    inst = _read_valid_instance(args.instance)
     print(
         json.dumps(
             {
@@ -238,11 +232,11 @@ def cmd_bench(args) -> int:
         methods = ("dp", "enum") if args.method == "both" else (args.method,)
         for method in methods:
             t0 = time.perf_counter()
-            sched, extra = _solve(inst, method, args.cap)
+            sched, vt = _solve(inst, method, args.cap)
             row[f"{method}_cost"] = sched.timeline.total_cost
             row[f"{method}_time_s"] = time.perf_counter() - t0
-            if "max_breakpoints" in extra:
-                row[f"{method}_max_breakpoints"] = extra["max_breakpoints"]
+            if vt is not None:
+                row[f"{method}_max_breakpoints"] = max(len(vt[s]) for s in vt.states())
         rows.append(row)
     if args.csv:
         buf = io.StringIO()
@@ -318,10 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OverflowError, ValueError) as exc:
+    except InvalidInstance as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    except (CliError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -121,16 +121,6 @@ class StateGraph:
 
     stages: tuple[tuple[DiscreteState, ...], ...]
 
-    @property
-    def node_count(self) -> int:
-        return sum(len(s) for s in self.stages)
-
-    def nodes(self) -> list[DiscreteState]:
-        return [s for stage in self.stages for s in stage]
-
-    def __contains__(self, state: DiscreteState) -> bool:
-        return state.stage < len(self.stages) and state in self.stages[state.stage]
-
 
 def build_state_graph(inst: Instance) -> StateGraph:
     """All states reachable from the initial one, stage by stage."""
@@ -163,7 +153,8 @@ class ValueTable:
 
     Each function is stored on [0, H'] (H' the padded horizon) but is the
     true cost-to-go only on its state's ``start_window``; outside it, it
-    holds the window's end values, extended flat.
+    holds the window's end values, extended flat, which ``cost_to_go``
+    refuses to read.
     """
 
     def __init__(self, inst: Instance, graph: StateGraph, values: dict[DiscreteState, Pwl]):
@@ -178,9 +169,6 @@ class ValueTable:
         except KeyError:
             raise KeyError(f"state {state} not in the graph") from None
 
-    def __contains__(self, state: DiscreteState) -> bool:
-        return state in self._values
-
     def __len__(self) -> int:
         return len(self._values)
 
@@ -188,7 +176,17 @@ class ValueTable:
         return list(self._values)
 
     def cost_to_go(self, state: DiscreteState, t: float) -> float:
-        return self[state].value_at(t)
+        """Optimal remaining cost when the next job from ``state`` starts at t.
+
+        t must lie in the state's ``start_window``, within ``TOL * max(1, H)``:
+        the stored function is exact only there.
+        """
+        f = self[state]
+        lo, hi = start_window(self._inst, state)
+        slack = TOL * max(1.0, self.horizon)
+        if not lo - slack <= t <= hi + slack:
+            raise ValueError(f"time {t} outside the start window [{lo}, {hi}] of state {state}")
+        return f.value_at(t)
 
     def optimal_cost(self) -> float:
         return self.cost_to_go(initial_state(self._inst), 0.0)
@@ -274,7 +272,14 @@ class PolicyDecision:
     cost_to_go: float
 
 
-def _decide(inst: Instance, vt: ValueTable, state: DiscreteState, t: float) -> PolicyDecision:
+def query_policy(inst: Instance, vt: ValueTable, state: DiscreteState, t: float) -> PolicyDecision:
+    """Optimal decision at (state, t); ties go to the smallest class index,
+    then to select_completion's processing-time choice.
+
+    Raises ``KeyError`` for a state outside the graph and ``ValueError`` for
+    a t that ``ValueTable.cost_to_go`` rejects.
+    """
+    value = vt.cost_to_go(state, t)
     best_k = None
     best_val = None
     best_obj = None
@@ -297,24 +302,8 @@ def _decide(inst: Instance, vt: ValueTable, state: DiscreteState, t: float) -> P
         next_class=best_k + 1,
         tau=cp.pt_nom - cp.gamma * u,
         u=u,
-        cost_to_go=vt.cost_to_go(state, t),
+        cost_to_go=value,
     )
-
-
-def query_policy(inst: Instance, vt: ValueTable, state: DiscreteState, t: float) -> PolicyDecision:
-    """Optimal decision at (state, t); ties go to the smallest class index,
-    then to select_completion's processing-time choice.
-
-    t must lie in the state's ``start_window``, within ``TOL * max(1, H)``:
-    the stored cost-to-go is exact only there.
-    """
-    if state not in vt:
-        raise KeyError(f"state {state} not in the graph")
-    lo, hi = start_window(inst, state)
-    slack = TOL * max(1.0, vt.horizon)
-    if not lo - slack <= t <= hi + slack:
-        raise ValueError(f"time {t} outside the start window [{lo}, {hi}] of state {state}")
-    return _decide(inst, vt, state, t)
 
 
 def extract_open_loop(inst: Instance, vt: ValueTable) -> Schedule:
@@ -324,7 +313,7 @@ def extract_open_loop(inst: Instance, vt: ValueTable) -> Schedule:
     order: list[int] = []
     u = [[0.0] * cp.n_jobs for cp in inst.classes]
     for _ in range(inst.total_jobs):
-        dec = _decide(inst, vt, state, t)
+        dec = query_policy(inst, vt, state, t)
         k = dec.next_class - 1
         st, _ = _edge_setup(inst, state, k)
         u[k][state.counts[k]] = dec.u

@@ -123,14 +123,10 @@ class Pwl:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def constant(cls, value: float, high: float) -> "Pwl":
-        if high <= 0:
-            return cls((0.0,), (value,))
-        return cls((0.0, high), (value, value))
-
-    @classmethod
     def zero(cls, high: float) -> "Pwl":
-        return cls.constant(0.0, high)
+        if high <= 0:
+            return cls((0.0,), (0.0,))
+        return cls((0.0, high), (0.0, 0.0))
 
     @classmethod
     def hinge(cls, alpha: float, dd: float, high: float) -> "Pwl":

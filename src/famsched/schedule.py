@@ -97,14 +97,14 @@ class CompressionPlan:
     def zero(cls, inst: Instance) -> "CompressionPlan":
         return cls(tuple((0.0,) * cp.n_jobs for cp in inst.classes))
 
-    def check(self, inst: Instance, tol: float = 1e-9) -> None:
+    def check(self, inst: Instance) -> None:
         if len(self.u) != inst.n_classes or any(
             len(row) != cp.n_jobs for row, cp in zip(self.u, inst.classes)
         ):
             raise PlanBoundsError("plan shape does not match the instance")
         for k, (row, cp) in enumerate(zip(self.u, inst.classes)):
             for i, v in enumerate(row):
-                if not -tol <= v <= cp.u_max + tol:
+                if not -1e-9 <= v <= cp.u_max + 1e-9:
                     raise PlanBoundsError(
                         f"u[{k + 1}][{i + 1}] = {v} outside [0, {cp.u_max}]"
                     )
@@ -137,14 +137,6 @@ class Schedule:
     @property
     def cost(self) -> float:
         return self.timeline.total_cost
-
-
-def u_from_tau(inst: Instance, k: int, tau: float) -> float:
-    """Resource amount that realizes processing time tau for class k."""
-    cp = inst.classes[k]
-    if tau < cp.pt_low - 1e-9 or tau > cp.pt_nom + 1e-9:
-        raise ValueError(f"tau {tau} outside [{cp.pt_low}, {cp.pt_nom}] for class {k + 1}")
-    return (cp.pt_nom - tau) / cp.gamma
 
 
 def build_timeline(inst: Instance, seq: Sequence, plan: CompressionPlan) -> Timeline:
@@ -224,11 +216,11 @@ def stage_value(windowed: Pwl, beta: float, pt_low: float, pt_nom: float,
     return windowed.shift(st + pt_low, high, beta, sc + beta * (pt_nom + st))
 
 
-def snap_u(u: float, u_max: float, tol: float = 1e-9) -> float:
-    """Remove float residue at the compression bounds (0 and u_max)."""
-    if abs(u) <= tol:
+def snap_u(u: float, u_max: float) -> float:
+    """Remove float residue (up to 1e-9) at the compression bounds (0 and u_max)."""
+    if abs(u) <= 1e-9:
         return 0.0
-    if abs(u - u_max) <= tol:
+    if abs(u - u_max) <= 1e-9:
         return u_max
     return min(max(u, 0.0), u_max)
 

@@ -50,8 +50,6 @@ def test_param_validation():
         GenParams(jobs=(3,))
     with pytest.raises(ValueError):
         GenParams(jobs=(3, 0))
-    with pytest.raises(ValueError):
-        GenParams(jobs=(2, 2), st_range=(3.0, 1.0))
 
 
 @pytest.mark.parametrize("jobs,count", [((4, 3), 35), ((5, 5), 252), ((1, 1, 1), 6)])

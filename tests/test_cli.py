@@ -1,6 +1,9 @@
 """CLI surface: subcommands, files, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,10 +58,17 @@ def test_negative_due_date_rejected_before_solving(tmp_path, capsys):
     report = json.loads(out)
     assert report["ok"] is False
     assert report["violations"] == [{"path": "classes[0].dd[0]", "message": "dd must be non-negative"}]
-    for method in ("dp", "enum"):
-        code, _, err = run(capsys, "solve", "--method", method, str(bad))
-        assert code == 1
-        assert "dd must be non-negative" in err
+    sched_file = tmp_path / "sched.json"
+    run(capsys, "solve", "--method", "dp", EX1, "-o", str(sched_file))
+    lp = tmp_path / "m1.lp"
+    for argv in (["solve", "--method", "dp"], ["solve", "--method", "enum"],
+                 ["emit", "--model", "1", "-o", str(lp)],
+                 ["certify", "--model", "1", "--schedule", str(sched_file)], ["count"]):
+        code, out, err = run(capsys, *argv, str(bad))
+        assert code == 1, argv
+        assert out == ""
+        assert err == "invalid instance: classes[0].dd[0]: dd must be non-negative\n", argv
+    assert not lp.exists()
 
 
 def test_validate_rejects_nan_and_inf(tmp_path, capsys):
@@ -205,3 +215,37 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--method", "bogus", EX1])
     assert exc.value.code == 2
+
+
+TRACED_RUN = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from famsched import cli
+ex1, tmp = sys.argv[2], sys.argv[3]
+argvs = [["solve", "--method", "dp", ex1, "-o", tmp + "/sched.json"],
+         ["solve", "--method", "enum", ex1]]
+for m in ("1", "2", "3"):
+    argvs.append(["emit", "--model", m, ex1, "-o", tmp + "/m.lp"])
+    argvs.append(["certify", "--model", m, "--schedule", tmp + "/sched.json", ex1])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+print(json.dumps({"codes": codes, "metrics": {k: v for k, (v, _) in tracer.metrics().items()}}))
+"""
+
+
+def test_tracer_wraps_every_layer(tmp_path):
+    # the perfbench tracer wraps package names by hand; a traced CLI run on
+    # ex1 fails or miscounts when one of them is renamed or removed
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", TRACED_RUN, str(root), EX1, str(tmp_path)],
+                          capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0] * 8
+    metrics = result["metrics"]
+    assert metrics["dp.states"] == 32
+    assert metrics["bench.sequences"] == 35
+    assert metrics["milp.rows"] > 0
+    assert metrics["cli.main.calls"] == 8

