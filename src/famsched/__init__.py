@@ -56,7 +56,6 @@ from .bench import (
     GenParams,
     brute_force_solve,
     count_sequences,
-    enumerate_sequences,
     generate,
 )
 
@@ -72,7 +71,7 @@ __all__ = [
     "CheckReport", "MilpModel", "SizeReport", "build_model", "build_model1",
     "build_model2", "build_model3", "check_assignment", "emit_lp", "encode_schedule",
     "parse_lp", "size_report",
-    "GenParams", "brute_force_solve", "count_sequences", "enumerate_sequences", "generate",
+    "GenParams", "brute_force_solve", "count_sequences", "generate",
 ]
 
 __version__ = "0.1.0"

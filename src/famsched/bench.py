@@ -11,13 +11,13 @@ certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
-from typing import Iterator
+from math import factorial, inf
 
 import numpy as np
 
-from .instance import ClassParams, Instance
-from .schedule import Schedule, Sequence, solve_sequence
+from .instance import ClassParams, Instance, horizon_upper_bound
+from .pwl import Pwl
+from .schedule import Schedule, Sequence, solve_sequence, stage_objective, stage_value
 
 RNG_NAME = "numpy-default_rng"
 INT64_MAX = 2**63 - 1
@@ -107,39 +107,55 @@ def count_sequences(inst: Instance) -> int:
     return total
 
 
-def enumerate_sequences(inst: Instance) -> Iterator[Sequence]:
-    """All class interleavings in lexicographic order of the class list."""
-    remaining = list(inst.jobs_per_class)
-    prefix: list[int] = []
-    n = inst.total_jobs
-
-    def rec() -> Iterator[Sequence]:
-        if len(prefix) == n:
-            yield Sequence(tuple(prefix))
-            return
-        for k in range(len(remaining)):
-            if remaining[k] == 0:
-                continue
-            remaining[k] -= 1
-            prefix.append(k)
-            yield from rec()
-            prefix.pop()
-            remaining[k] += 1
-
-    yield from rec()
-
-
 def brute_force_solve(inst: Instance, cap: int = 10**6) -> Schedule:
-    """Global optimum by full enumeration; ties keep the lexicographically
-    smallest class list (guaranteed by enumeration order plus strict
-    improvement)."""
+    """Global optimum by full enumeration of the class interleavings.
+
+    Ties go to the lexicographically smallest class list among the
+    sequences whose cost lies within 1e-9 of the minimum.
+
+    The interleavings are walked from the last stage backwards, depth first.
+    A suffix's windowed stage objective does not depend on what precedes it,
+    so each distinct suffix is built once, with the calls and arguments of
+    ``optimize_compressions``, and shared by every sequence that ends in it.
+    Only the winner gets its compressions and timeline, from
+    ``solve_sequence``.
+    """
     total = count_sequences(inst)
     if total > cap:
         raise ValueError(f"sequence count {total} exceeds the enumeration cap {cap}")
-    best: Schedule | None = None
-    for seq in enumerate_sequences(inst):
-        sched = solve_sequence(inst, seq)
-        if best is None or sched.cost < best.cost - 1e-9:
-            best = sched
-    assert best is not None
-    return best
+    high = horizon_upper_bound(inst)
+    n = inst.total_jobs
+    left = list(inst.jobs_per_class)  # jobs of each class ahead of the suffix
+    suffix: list[int] = []  # classes of the suffix, last stage first
+    best = inf
+    near: list[tuple[float, tuple[int, ...]]] = []  # (cost, order) within 1e-9 of best
+
+    def serve(k: int, value: Pwl) -> None:
+        """Prepend class k's job to the suffix whose cost-to-go is ``value``."""
+        nonlocal best, near
+        cp = inst.classes[k]
+        slot = left[k] - 1
+        obj = stage_objective(value, cp.alpha[slot], cp.dd[slot], cp.beta)
+        left[k] -= 1
+        suffix.append(k)
+        if len(suffix) == n:
+            # the first stage starts at t = 0 with no setup
+            cost = obj.min_over(cp.pt_low, cp.pt_nom) + cp.beta * cp.pt_nom
+            if cost < best:
+                best = cost
+                near = [c for c in near if c[0] <= best + 1e-9]
+            if cost <= best + 1e-9:
+                near.append((cost, tuple(reversed(suffix))))
+        else:
+            windowed = obj.window_min(cp.pt_nom - cp.pt_low)
+            for h in range(len(left)):
+                if left[h]:
+                    serve(h, stage_value(windowed, cp.beta, cp.pt_low, cp.pt_nom,
+                                         inst.st[h][k], inst.sc[h][k], high))
+        suffix.pop()
+        left[k] += 1
+
+    zero = Pwl.zero(high)
+    for k in range(len(left)):
+        serve(k, zero)
+    return solve_sequence(inst, Sequence(min(order for _, order in near)))

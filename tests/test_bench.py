@@ -1,16 +1,15 @@
 """Instance generator conformance and the enumeration oracle."""
 
+import random
+from dataclasses import replace
+from itertools import permutations
+
 import pytest
 
-from famsched.bench import (
-    GenParams,
-    brute_force_solve,
-    count_sequences,
-    enumerate_sequences,
-    generate,
-)
+from famsched.bench import GenParams, brute_force_solve, count_sequences, generate
 from famsched.dp import backward_induction
 from famsched.instance import ClassParams, Instance, validate_instance
+from famsched.schedule import Sequence, solve_sequence
 from tests.conftest import EX1_COST, EX1_ORDER_1BASED, EX1_U
 
 
@@ -74,12 +73,68 @@ def test_count_sequences_overflow():
         count_sequences(inst)
 
 
-def test_enumeration_visits_every_sequence(ex1):
-    seqs = list(enumerate_sequences(ex1))
-    assert len(seqs) == count_sequences(ex1)
-    assert len({s.order for s in seqs}) == len(seqs)
-    orders = [s.order for s in seqs]
-    assert orders == sorted(orders)  # lexicographic enumeration
+def _reference_oracle(inst):
+    """The per-sequence oracle: solve_sequence on every distinct permutation
+    of the class list, in sorted order, keeping only improvements by more
+    than 1e-9."""
+    classes = [k for k, n_k in enumerate(inst.jobs_per_class) for _ in range(n_k)]
+    best = None
+    for order in sorted(set(permutations(classes))):
+        sched = solve_sequence(inst, Sequence(order))
+        if best is None or sched.cost < best.cost - 1e-9:
+            best = sched
+    return best
+
+
+ORACLE_SHAPES = ((2, 2), (3, 2), (1, 4), (2, 2, 1), (2, 1, 2), (1, 1, 1, 2), (2, 1, 1, 1))
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_brute_force_matches_per_sequence_reference(case):
+    jobs = ORACLE_SHAPES[case % len(ORACLE_SHAPES)]
+    rng = random.Random(case)
+    base = generate(GenParams(jobs=jobs, seed=400 + case))
+    classes = [replace(cp, gamma=rng.choice((0.5, 2.0, 3.0))) for cp in base.classes]
+    st, sc = base.st, base.sc
+    if case == 0:  # an incompressible class: u_max = 0
+        classes[0] = replace(classes[0], pt_low=classes[0].pt_nom)
+    if case == 1:  # no setups at all
+        st = sc = tuple((0.0,) * len(jobs) for _ in jobs)
+    inst = Instance(tuple(classes), st, sc)
+    assert validate_instance(inst) == []
+    want = _reference_oracle(inst)
+    got = brute_force_solve(inst)
+    assert repr(got.cost) == repr(want.cost)
+    assert got.sequence == want.sequence
+    assert got.plan.u == want.plan.u
+
+
+def test_brute_force_mirrored_tie_goes_to_class_1():
+    # two identical classes with symmetric setups: every sequence ties
+    # exactly with its mirror, so the winner must start with class 1
+    cp = ClassParams(8.0, 4.0, 1.0, 1.0, (1.5, 1.0), (12.0, 20.0))
+    setups = ((0.0, 2.0), (2.0, 0.0))
+    inst = Instance((cp, cp), setups, setups)
+    sched = brute_force_solve(inst)
+    mirror = Sequence(tuple(1 - k for k in sched.sequence.order))
+    assert solve_sequence(inst, mirror).cost == sched.cost
+    assert sched.sequence.to_1based()[0] == 1
+    assert sched.sequence == _reference_oracle(inst).sequence
+
+
+def test_brute_force_near_tie_goes_to_first_class_list():
+    # orders 1 3 2 and 3 1 2 both cost 2.2 by their timelines, while the
+    # oracle's cost-to-go values for them differ by float rounding
+    a = ClassParams(8.0, 4.0, 0.1, 1.0, (0.7,), (15.0,))
+    b = ClassParams(8.0, 4.0, 0.7, 1.0, (0.1,), (10.0,))
+    st = ((0.0, 0.0, 1.0), (0.5, 0.0, 1.0), (1.0, 1.0, 0.0))
+    sc = ((0.0, 0.6, 0.2), (0.4, 0.0, 0.6), (0.1, 0.4, 0.0))
+    inst = Instance((a, b, a), st, sc)
+    sched = brute_force_solve(inst)
+    assert sched.sequence.to_1based() == [1, 3, 2]
+    rival = solve_sequence(inst, Sequence.from_1based([3, 1, 2]))
+    assert rival.cost == pytest.approx(sched.cost, abs=1e-9)
+    assert sched.sequence == _reference_oracle(inst).sequence
 
 
 def test_brute_force_ex1(ex1):
@@ -99,6 +154,8 @@ def test_brute_force_costless_instance():
     inst = Instance(classes, zeros, zeros)
     sched = brute_force_solve(inst)
     assert sched.cost == pytest.approx(0.0, abs=1e-12)
+    # all three sequences cost 0: the lexicographically first one wins
+    assert sched.sequence.to_1based() == [1, 1, 2]
 
 
 def test_brute_force_cap(ex1):

@@ -246,6 +246,8 @@ def test_tracer_wraps_every_layer(tmp_path):
     assert result["codes"] == [0] * 8
     metrics = result["metrics"]
     assert metrics["dp.states"] == 32
-    assert metrics["bench.sequences"] == 35
+    # the oracle shares suffix work and solves only the winning sequence
+    assert metrics["bench.sequences"] == 1
+    assert metrics["bench.brute_force_solve.s"] > 0
     assert metrics["milp.rows"] > 0
     assert metrics["cli.main.calls"] == 8
