@@ -113,12 +113,13 @@ def brute_force_solve(inst: Instance, cap: int = 10**6) -> Schedule:
     Ties go to the lexicographically smallest class list among the
     sequences whose cost lies within 1e-9 of the minimum.
 
-    The interleavings are walked from the last stage backwards, depth first.
-    A suffix's windowed stage objective does not depend on what precedes it,
-    so each distinct suffix is built once, with the calls and arguments of
-    ``optimize_compressions``, and shared by every sequence that ends in it.
-    Only the winner gets its compressions and timeline, from
-    ``solve_sequence``.
+    The interleavings are walked from the last stage backwards, depth first,
+    on an explicit stack, so the Python stack depth does not grow with the
+    number of jobs.  A suffix's windowed stage objective does not depend on
+    what precedes it, so each distinct suffix is built once, with the calls
+    and arguments of ``optimize_compressions``, and shared by every sequence
+    that ends in it.  Only the winner gets its compressions and timeline,
+    from ``solve_sequence``.
     """
     total = count_sequences(inst)
     if total > cap:
@@ -129,16 +130,18 @@ def brute_force_solve(inst: Instance, cap: int = 10**6) -> Schedule:
     suffix: list[int] = []  # classes of the suffix, last stage first
     best = inf
     near: list[tuple[float, tuple[int, ...]]] = []  # (cost, order) within 1e-9 of best
-
-    def serve(k: int, value: Pwl) -> None:
-        """Prepend class k's job to the suffix whose cost-to-go is ``value``."""
-        nonlocal best, near
+    # (suffix length, class to prepend, cost-to-go of the suffix), smallest class on top
+    stack = [(0, k, Pwl.zero(0.0, high)) for k in reversed(range(len(left)))]
+    while stack:
+        depth, k, value = stack.pop()
+        while len(suffix) > depth:  # back out of the suffixes already walked
+            left[suffix.pop()] += 1
         cp = inst.classes[k]
         slot = left[k] - 1
         obj = stage_objective(value, cp.alpha[slot], cp.dd[slot], cp.beta)
         left[k] -= 1
         suffix.append(k)
-        if len(suffix) == n:
+        if depth + 1 == n:
             # the first stage starts at t = 0 with no setup
             cost = obj.min_over(cp.pt_low, cp.pt_nom) + cp.beta * cp.pt_nom
             if cost < best:
@@ -148,14 +151,9 @@ def brute_force_solve(inst: Instance, cap: int = 10**6) -> Schedule:
                 near.append((cost, tuple(reversed(suffix))))
         else:
             windowed = obj.window_min(cp.pt_nom - cp.pt_low)
-            for h in range(len(left)):
+            for h in reversed(range(len(left))):
                 if left[h]:
-                    serve(h, stage_value(windowed, cp.beta, cp.pt_low, cp.pt_nom,
-                                         inst.st[h][k], inst.sc[h][k], high))
-        suffix.pop()
-        left[k] += 1
-
-    zero = Pwl.zero(high)
-    for k in range(len(left)):
-        serve(k, zero)
+                    stack.append((depth + 1, h, stage_value(
+                        windowed, cp.beta, cp.pt_low, cp.pt_nom,
+                        inst.st[h][k], inst.sc[h][k], 0.0, high)))
     return solve_sequence(inst, Sequence(min(order for _, order in near)))

@@ -13,12 +13,11 @@ library is 0-based.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import prod
 
-from .instance import Instance, horizon_upper_bound
-from .pwl import TOL, Pwl
+from .instance import Instance
+from .pwl import Pwl
 from .schedule import (
     CompressionPlan,
     Schedule,
@@ -60,21 +59,6 @@ def initial_state(inst: Instance) -> DiscreteState:
     return DiscreteState((0,) * inst.n_classes, 0)
 
 
-def _padded_horizon(inst: Instance) -> float:
-    """Domain end for stored cost-to-go functions.
-
-    Every state's start window (``start_window``) ends at or before the
-    horizon bound H, so no value a solve reads lies in the padding.  Padding
-    by one worst-case setup plus one nominal processing time keeps every
-    decision window [t + st + pt_low, t + st + pt_nom] with t <= H inside the
-    stored domain; the domain end also sets the merge tolerance
-    ``TOL * max(1, H)`` of every stored function.
-    """
-    max_st = max((v for row in inst.st for v in row), default=0.0)
-    max_pt = max(cp.pt_nom for cp in inst.classes)
-    return horizon_upper_bound(inst) + max_st + max_pt
-
-
 def start_window(inst: Instance, state: DiscreteState) -> tuple[float, float]:
     """Times [lo, hi] at which the next job can start from ``state``.
 
@@ -93,14 +77,6 @@ def start_window(inst: Instance, state: DiscreteState) -> tuple[float, float]:
         lo += c * cp.pt_low
         hi += c * cp.pt_nom
     return lo, hi + (n - 1) * max(map(max, inst.st))
-
-
-def _clamp(f: Pwl, lo: float, hi: float) -> Pwl:
-    """f restricted to [lo, hi] and extended flat to its domain [0, H]."""
-    xs = f.xs
-    inner = slice(bisect_right(xs, lo), bisect_left(xs, hi))
-    f_lo, f_hi = f.value_at(lo), f.value_at(hi)
-    return Pwl((0.0, lo, *xs[inner], hi, f.high), (f_lo, f_lo, *f.ys[inner], f_hi, f_hi))
 
 
 def _child(state: DiscreteState, k: int) -> DiscreteState:
@@ -149,18 +125,12 @@ def count_states(inst: Instance) -> int:
 
 
 class ValueTable:
-    """Cost-to-go per discrete state, as a function of the next start time.
-
-    Each function is stored on [0, H'] (H' the padded horizon) but is the
-    true cost-to-go only on its state's ``start_window``; outside it, it
-    holds the window's end values, extended flat, which ``cost_to_go``
-    refuses to read.
-    """
+    """Cost-to-go per discrete state, as a function of the next start time,
+    each defined on its state's ``start_window``."""
 
     def __init__(self, inst: Instance, graph: StateGraph, values: dict[DiscreteState, Pwl]):
         self._inst = inst
         self.graph = graph
-        self.horizon = horizon_upper_bound(inst)
         self._values = values
 
     def __getitem__(self, state: DiscreteState) -> Pwl:
@@ -178,15 +148,10 @@ class ValueTable:
     def cost_to_go(self, state: DiscreteState, t: float) -> float:
         """Optimal remaining cost when the next job from ``state`` starts at t.
 
-        t must lie in the state's ``start_window``, within ``TOL * max(1, H)``:
-        the stored function is exact only there.
+        t must lie in the state's ``start_window``, the stored function's
+        domain; ``value_at`` raises ``DomainError``, a ``ValueError``, otherwise.
         """
-        f = self[state]
-        lo, hi = start_window(self._inst, state)
-        slack = TOL * max(1.0, self.horizon)
-        if not lo - slack <= t <= hi + slack:
-            raise ValueError(f"time {t} outside the start window [{lo}, {hi}] of state {state}")
-        return f.value_at(t)
+        return self[state].value_at(t)
 
     def optimal_cost(self) -> float:
         return self.cost_to_go(initial_state(self._inst), 0.0)
@@ -230,31 +195,30 @@ def backward_induction(inst: Instance) -> ValueTable:
     windowed once, and every edge into it only shifts and offsets the result;
     windowing per edge would repeat the costliest op once per parent.
 
-    Each state's function is clamped to its ``start_window`` once built: the
-    solve reads a child only inside the child's window, so every value read
-    stays exact, while the breakpoints outside, which no start time reaches,
-    are dropped before they feed the parents' ops.
+    Each state's function is built on its ``start_window`` only: every
+    decision window from a parent's window lies inside the child's, so each
+    value read is exact, and no breakpoint is built where no start time
+    reaches.
     """
     graph = build_state_graph(inst)
-    high = _padded_horizon(inst)
     values: dict[DiscreteState, Pwl] = {}
-    zero = Pwl.zero(high)
     for state in graph.stages[-1]:
-        values[state] = zero
+        values[state] = Pwl.zero(*start_window(inst, state))
     for j in range(len(graph.stages) - 2, -1, -1):
         windowed: dict[DiscreteState, Pwl] = {}
         for child in graph.stages[j + 1]:
             cp = inst.classes[child.last - 1]
             windowed[child] = _child_objective(inst, values, child).window_min(cp.pt_nom - cp.pt_low)
         for state in graph.stages[j]:
+            lo, hi = start_window(inst, state)
             best: Pwl | None = None
             for k in admissible_classes(inst, state):
                 cp = inst.classes[k]
                 st, sc = _edge_setup(inst, state, k)
                 w = stage_value(windowed[_child(state, k)], cp.beta, cp.pt_low, cp.pt_nom,
-                                st, sc, high)
+                                st, sc, lo, hi)
                 best = w if best is None else best.pointwise_min(w)
-            values[state] = _clamp(best, *start_window(inst, state)) if best is not None else zero
+            values[state] = best
     return ValueTable(inst, graph, values)
 
 

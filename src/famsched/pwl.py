@@ -1,12 +1,13 @@
 """Exact algebra over continuous piecewise-linear functions of time.
 
-A Pwl is a continuous function on a closed interval [0, H], stored as a
-strictly increasing breakpoint list with one ordinate per breakpoint and
-linear interpolation in between.  All operations are exact up to float
-arithmetic and ``TOL``: results come from segment geometry, not sampling.
+A Pwl is a continuous function on a closed interval [a, b], its domain,
+stored as a strictly increasing breakpoint list from a to b with one
+ordinate per breakpoint and linear interpolation in between.  All operations
+are exact up to float arithmetic and ``TOL``: results come from segment
+geometry, not sampling.
 
 One relative tolerance, ``TOL``, decides what counts as equal: abscissae
-within ``TOL * max(1, H)`` of each other are the same point, and ordinates
+within ``TOL * max(1, b)`` of each other are the same point, and ordinates
 within ``TOL * max(1, |y|)`` are the same value.  Every constructor keeps
 the first of abscissae that are the same point, then merges: an interior
 breakpoint is dropped only while a single segment from the last kept
@@ -83,7 +84,7 @@ def _clean(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
 
 
 class Pwl:
-    """Immutable continuous piecewise-linear function on [0, H]."""
+    """Immutable continuous piecewise-linear function on [xs[0], xs[-1]]."""
 
     __slots__ = ("xs", "ys")
 
@@ -93,10 +94,6 @@ class Pwl:
         if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
             raise ValueError("breakpoints and values must be finite")
         cx, cy = _clean(list(map(float, xs)), list(map(float, ys)))
-        if abs(cx[0]) > TOL * max(1.0, cx[-1]):
-            raise ValueError(f"domain must start at 0, got {cx[0]}")
-        if cx[0] != 0.0:
-            cx[0] = 0.0
         object.__setattr__(self, "xs", tuple(cx))
         object.__setattr__(self, "ys", tuple(cy))
 
@@ -106,8 +103,13 @@ class Pwl:
     # -- introspection -------------------------------------------------
 
     @property
+    def low(self) -> float:
+        """Left end of the domain."""
+        return self.xs[0]
+
+    @property
     def high(self) -> float:
-        """Right end H of the domain [0, H]."""
+        """Right end of the domain."""
         return self.xs[-1]
 
     def __len__(self) -> int:
@@ -123,34 +125,34 @@ class Pwl:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zero(cls, high: float) -> "Pwl":
-        if high <= 0:
-            return cls((0.0,), (0.0,))
-        return cls((0.0, high), (0.0, 0.0))
+    def zero(cls, low: float, high: float) -> "Pwl":
+        if high <= low:
+            return cls((low,), (0.0,))
+        return cls((low, high), (0.0, 0.0))
 
     @classmethod
-    def hinge(cls, alpha: float, dd: float, high: float) -> "Pwl":
-        """t -> alpha * max(t - dd, 0) on [0, high]."""
+    def hinge(cls, alpha: float, dd: float, low: float, high: float) -> "Pwl":
+        """t -> alpha * max(t - dd, 0) on [low, high]."""
         if alpha < 0:
             raise ValueError("hinge rate must be non-negative")
         if dd < 0:
             raise ValueError("hinge knee must be non-negative")
         if alpha == 0.0 or dd >= high:
-            return cls.zero(high)
-        if dd <= 0.0:
-            return cls((0.0, high), (0.0, alpha * high))
-        return cls((0.0, dd, high), (0.0, 0.0, alpha * (high - dd)))
+            return cls.zero(low, high)
+        if dd <= low:
+            return cls((low, high), (alpha * (low - dd), alpha * (high - dd)))
+        return cls((low, dd, high), (0.0, 0.0, alpha * (high - dd)))
 
     # -- evaluation ----------------------------------------------------
 
     def value_at(self, t: float) -> float:
         """Linear interpolation; exact at breakpoints."""
-        high = self.xs[-1]
-        if not 0.0 <= t <= high:
+        low, high = self.xs[0], self.xs[-1]
+        if not low <= t <= high:
             slack = TOL * max(1.0, high)
-            if t < -slack or t > high + slack:
-                raise DomainError(f"argument {t} outside domain [0, {high}]")
-            t = min(max(t, 0.0), high)
+            if t < low - slack or t > high + slack:
+                raise DomainError(f"argument {t} outside domain [{low}, {high}]")
+            t = min(max(t, low), high)
         i = bisect_right(self.xs, t) - 1
         if i >= len(self.xs) - 1:
             return self.ys[-1]
@@ -167,15 +169,15 @@ class Pwl:
         """
         xs, ys = self.xs, self.ys
         last = len(xs) - 1
-        high = xs[last]
+        low, high = xs[0], xs[last]
         slack = TOL * max(1.0, high)
         out = []
         i = 0
         for t in ts:
-            if not 0.0 <= t <= high:
-                if t < -slack or t > high + slack:
-                    raise DomainError(f"argument {t} outside domain [0, {high}]")
-                t = min(max(t, 0.0), high)
+            if not low <= t <= high:
+                if t < low - slack or t > high + slack:
+                    raise DomainError(f"argument {t} outside domain [{low}, {high}]")
+                t = min(max(t, low), high)
             while i < last and xs[i + 1] <= t:
                 i += 1
             if i == last:
@@ -188,8 +190,10 @@ class Pwl:
     # -- arithmetic ----------------------------------------------------
 
     def _check_same_domain(self, other: "Pwl") -> None:
-        if abs(self.high - other.high) > TOL * max(1.0, self.high, other.high):
-            raise DomainError(f"domain mismatch: [0, {self.high}] vs [0, {other.high}]")
+        tol = TOL * max(1.0, self.high, other.high)
+        if abs(self.low - other.low) > tol or abs(self.high - other.high) > tol:
+            raise DomainError(f"domain mismatch: [{self.low}, {self.high}] "
+                              f"vs [{other.low}, {other.high}]")
 
     def add(self, other: "Pwl", slope: float = 0.0, intercept: float = 0.0) -> "Pwl":
         """Pointwise f(t) + g(t) + slope*t + intercept, built once.
@@ -212,32 +216,28 @@ class Pwl:
         """
         return Pwl(self.xs, tuple(y + slope * x + intercept for x, y in zip(self.xs, self.ys)))
 
-    def shift(self, delta: float, high: float | None = None,
+    def shift(self, delta: float, low: float, high: float,
               slope: float = 0.0, intercept: float = 0.0) -> "Pwl":
-        """g(t) = f(t + delta) + slope*t + intercept, with f clamped to its
-        nearest endpoint value outside [0, H].
+        """g(t) = f(t + delta) + slope*t + intercept on the domain [low, high],
+        with f clamped to its nearest endpoint value outside its own domain.
 
-        ``high`` overrides the output domain end (defaults to this function's).
         The affine term is added as in ``add``.
         """
-        out_high = self.high if high is None else high
-        cand = {0.0, out_high}
-        for x in self.xs:
+        xs = self.xs
+        f_low, f_high = xs[0], xs[-1]
+        cand = {low, high}
+        for x in xs:  # the clamp onsets f_low - delta and f_high - delta among them
             t = x - delta
-            if 0.0 < t < out_high:
-                cand.add(t)
-        for t in (-delta, self.high - delta):  # clamp onset points
-            if 0.0 < t < out_high:
+            if low < t < high:
                 cand.add(t)
         grid = sorted(cand)
-        high = self.high
         clamped = []
         for t in grid:
             v = t + delta
-            if 0.0 > v:  # max(v, 0.0): keeps v on a tie, so -0.0 survives
-                v = 0.0
-            if high < v:  # min(v, high)
-                v = high
+            if f_low > v:  # max(v, f_low): keeps v on a tie, so -0.0 survives
+                v = f_low
+            if f_high < v:  # min(v, f_high)
+                v = f_high
             clamped.append(v)
         vals = self._values_at(clamped)
         return Pwl(grid, [v + slope * t + intercept for t, v in zip(grid, vals)])
@@ -269,7 +269,7 @@ class Pwl:
     # -- window minimization -------------------------------------------
 
     def window_min(self, w: float) -> "Pwl":
-        """g(x) = min of f over [x, x + w], on the domain [0, H - w].
+        """g(x) = min of f over [x, x + w], on the domain [a, b - w].
 
         Computed exactly from segments in one sweep over the events (the
         breakpoints b and b - w inside the output domain): between
@@ -285,20 +285,21 @@ class Pwl:
         form.
         """
         xs, ys = self.xs, self.ys
-        xtol = TOL * max(1.0, self.high)
+        low, high = xs[0], xs[-1]
+        xtol = TOL * max(1.0, high)
         if w < -xtol:
             raise DomainError("window width must be non-negative")
-        if w > self.high + xtol:
-            raise DomainError(f"window width {w} exceeds domain end {self.high}")
+        if w > high - low + xtol:
+            raise DomainError(f"window width {w} exceeds domain [{low}, {high}]")
         if w <= xtol:
             return self
-        out_high = self.high - w
-        if out_high <= xtol:
-            return Pwl((0.0,), (min(ys),))
-        events = {0.0, out_high}
+        out_high = high - w
+        if out_high - low <= xtol:
+            return Pwl((low,), (min(ys),))
+        events = {low, out_high}
         for b in xs:
             for e in (b, b - w):
-                if 0.0 < e < out_high:
+                if low < e < out_high:
                     events.add(e)
         grid = sorted(events)
         left = self._values_at(grid)
@@ -372,12 +373,13 @@ class Pwl:
         raise ValueError(f"unknown preference {prefer!r}")
 
     def _interval_argmin(self, lo: float, hi: float) -> tuple[float, float, float]:
-        xtol = TOL * max(1.0, self.high)
-        if lo < -xtol or hi > self.high + xtol or hi < lo - xtol:
-            raise DomainError(f"window [{lo}, {hi}] not inside [0, {self.high}]")
-        lo = min(max(lo, 0.0), self.high)
-        hi = min(max(hi, lo), self.high)
         xs = self.xs
+        low, high = xs[0], xs[-1]
+        xtol = TOL * max(1.0, high)
+        if lo < low - xtol or hi > high + xtol or hi < lo - xtol:
+            raise DomainError(f"window [{lo}, {hi}] not inside [{low}, {high}]")
+        lo = min(max(lo, low), high)
+        hi = min(max(hi, lo), high)
         cand = [lo, *xs[bisect_right(xs, lo):bisect_left(xs, hi)]] + ([hi] if hi > lo else [])
         vals = self._values_at(cand)
         best = min(vals)

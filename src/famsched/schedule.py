@@ -197,13 +197,14 @@ def stage_objective(child_value: Pwl, alpha: float, dd: float, beta: float) -> P
     compression credit so that the window minimum below is a function of the
     decision window's position only.
     """
-    high = child_value.high
-    return child_value.add(Pwl.hinge(alpha, dd, high), -beta, 0.0)
+    hinge = Pwl.hinge(alpha, dd, child_value.low, child_value.high)
+    return child_value.add(hinge, -beta, 0.0)
 
 
 def stage_value(windowed: Pwl, beta: float, pt_low: float, pt_nom: float,
-                st: float, sc: float, high: float) -> Pwl:
-    """Cost-to-go before the stage, as a function of the stage's start time t.
+                st: float, sc: float, low: float, high: float) -> Pwl:
+    """Cost-to-go before the stage, as a function of the stage's start time t
+    on the domain [low, high].
 
     ``windowed`` is the stage objective's window minimum,
     ``objective.window_min(pt_nom - pt_low)``; it does not depend on the setup,
@@ -213,7 +214,7 @@ def stage_value(windowed: Pwl, beta: float, pt_low: float, pt_nom: float,
     one ``shift`` that moves the window minimum by st + pt_low and adds the
     affine term in the same construction.
     """
-    return windowed.shift(st + pt_low, high, beta, sc + beta * (pt_nom + st))
+    return windowed.shift(st + pt_low, low, high, beta, sc + beta * (pt_nom + st))
 
 
 def snap_u(u: float, u_max: float) -> float:
@@ -246,14 +247,14 @@ def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPla
     """
     jobs = seq.stages(inst)
     high = horizon_upper_bound(inst)
-    value = Pwl.zero(high)
+    value = Pwl.zero(0.0, high)
     objectives: list[Pwl] = [None] * len(jobs)  # type: ignore[list-item]
     for job in reversed(jobs):
         cp = inst.classes[job.cls]
         obj = stage_objective(value, cp.alpha[job.idx], cp.dd[job.idx], cp.beta)
         objectives[job.stage] = obj
         windowed = obj.window_min(cp.pt_nom - cp.pt_low)
-        value = stage_value(windowed, cp.beta, cp.pt_low, cp.pt_nom, job.st, job.sc, high)
+        value = stage_value(windowed, cp.beta, cp.pt_low, cp.pt_nom, job.st, job.sc, 0.0, high)
     total = value.value_at(0.0)
 
     u = [[0.0] * cp.n_jobs for cp in inst.classes]

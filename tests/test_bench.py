@@ -1,6 +1,8 @@
 """Instance generator conformance and the enumeration oracle."""
 
+import inspect
 import random
+import sys
 from dataclasses import replace
 from itertools import permutations
 
@@ -161,6 +163,18 @@ def test_brute_force_costless_instance():
 def test_brute_force_cap(ex1):
     with pytest.raises(ValueError, match="cap"):
         brute_force_solve(ex1, cap=10)
+
+
+def test_brute_force_stack_depth_does_not_grow_with_jobs():
+    # 40 stages against a recursion limit 25 frames above the caller's depth
+    inst = generate(GenParams(jobs=(1, 39), seed=0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 25)
+    try:
+        sched = brute_force_solve(inst)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sched.cost == pytest.approx(backward_induction(inst).optimal_cost(), abs=1e-6)
 
 
 def test_brute_force_matches_dp_on_randoms():

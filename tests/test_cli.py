@@ -9,7 +9,8 @@ import pytest
 
 from famsched.bench import GenParams, generate
 from famsched.cli import main
-from famsched.dp import backward_induction
+from famsched.dp import DiscreteState, backward_induction, start_window
+from famsched.pwl import TOL
 from tests.conftest import DATA, EX1_COST
 
 EX1 = str(DATA / "ex1.json")
@@ -82,7 +83,7 @@ def test_validate_rejects_nan_and_inf(tmp_path, capsys):
     assert "pt_nom" in err
 
 
-def test_solve_dp_report(tmp_path, capsys):
+def test_solve_dp_report(tmp_path, capsys, ex1):
     sched_file = tmp_path / "sched.json"
     values_file = tmp_path / "values.csv"
     code, out, _ = run(
@@ -95,7 +96,14 @@ def test_solve_dp_report(tmp_path, capsys):
     assert report["state_nodes"] == 32
     assert report["sequences"] == 35
     assert json.loads(sched_file.read_text())["timeline"]["total_cost"] == pytest.approx(EX1_COST)
-    assert values_file.read_text().startswith("counts;last;breakpoint;value")
+    header, *rows = values_file.read_text().splitlines()
+    assert header == "counts;last;breakpoint;value"
+    for row in rows:  # every stored breakpoint lies in its state's start window
+        counts, last, x, _ = row.split(";")
+        state = DiscreteState(tuple(map(int, counts.split(","))), int(last))
+        lo, hi = start_window(ex1, state)
+        slack = TOL * max(1.0, hi)
+        assert lo - slack <= float(x) <= hi + slack, row
 
 
 def test_max_breakpoints_reported(ex1, capsys):

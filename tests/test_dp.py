@@ -19,7 +19,7 @@ from famsched.dp import (
     query_policy,
     start_window,
 )
-from famsched.instance import ClassParams, Instance
+from famsched.instance import ClassParams, Instance, horizon_upper_bound
 from famsched.milp import build_model, check_assignment, encode_schedule
 from famsched.pwl import TOL, Pwl
 from famsched.schedule import (
@@ -134,24 +134,16 @@ def test_breakpoints_stay_bounded_on_blowup_instance():
     assert vt.optimal_cost() == pytest.approx(148.8887961063331, rel=1e-9)
 
 
-def clamp_to_window(inst: Instance, state: DiscreteState, f: Pwl) -> Pwl:
-    """f on the state's start window, extended flat to [0, H]."""
-    lo, hi = start_window(inst, state)
-    inner = [i for i, x in enumerate(f.xs) if lo < x < hi]
-    return Pwl((0.0, lo, *(f.xs[i] for i in inner), hi, f.high),
-               (f.value_at(lo), f.value_at(lo), *(f.ys[i] for i in inner),
-                f.value_at(hi), f.value_at(hi)))
-
-
-def per_edge_values(inst: Instance, high: float) -> dict[DiscreteState, Pwl]:
+def per_edge_values(inst: Instance) -> dict[DiscreteState, Pwl]:
     """Cost-to-go tables built edge by edge: every (state, class) pair forms
-    its own stage objective and window minimum, then the edges of a state
-    are folded with ``pointwise_min`` in class order and clamped to the
-    state's start window."""
+    its own stage objective and window minimum, shifted onto the state's
+    start window, then the edges of a state are folded with
+    ``pointwise_min`` in class order."""
     stages = build_state_graph(inst).stages
-    values = {s: Pwl.zero(high) for s in stages[-1]}
+    values = {s: Pwl.zero(*start_window(inst, s)) for s in stages[-1]}
     for stage in reversed(stages[:-1]):
         for state in stage:
+            lo, hi = start_window(inst, state)
             best = None
             for k, cp in enumerate(inst.classes):
                 i = state.counts[k]
@@ -161,9 +153,10 @@ def per_edge_values(inst: Instance, high: float) -> dict[DiscreteState, Pwl]:
                 prev = None if state.last == 0 else state.last - 1
                 obj = stage_objective(values[child], cp.alpha[i], cp.dd[i], cp.beta)
                 w = stage_value(obj.window_min(cp.pt_nom - cp.pt_low), cp.beta, cp.pt_low,
-                                cp.pt_nom, inst.setup_time(prev, k), inst.setup_cost(prev, k), high)
+                                cp.pt_nom, inst.setup_time(prev, k), inst.setup_cost(prev, k),
+                                lo, hi)
                 best = w if best is None else best.pointwise_min(w)
-            values[state] = clamp_to_window(inst, state, best)
+            values[state] = best
     return values
 
 
@@ -172,7 +165,7 @@ def per_edge_values(inst: Instance, high: float) -> dict[DiscreteState, Pwl]:
 def test_per_child_windowing_matches_per_edge_tables(ex1, jobs, seed):
     inst = ex1 if jobs is None else generate(GenParams(jobs=jobs, seed=seed))
     vt = backward_induction(inst)
-    ref = per_edge_values(inst, vt[initial_state(inst)].high)
+    ref = per_edge_values(inst)
     assert len(ref) == len(vt)
     for state, f in ref.items():
         assert vt[state] == f, state
@@ -182,7 +175,7 @@ def full_domain_table(inst: Instance, high: float) -> ValueTable:
     """Backward induction without start windows: every cost-to-go is built
     and kept over the whole domain [0, high], as the solver once did."""
     graph = build_state_graph(inst)
-    values = {s: Pwl.zero(high) for s in graph.stages[-1]}
+    values = {s: Pwl.zero(0.0, high) for s in graph.stages[-1]}
     for j in range(len(graph.stages) - 2, -1, -1):
         windowed = {}
         for child in graph.stages[j + 1]:
@@ -199,7 +192,7 @@ def full_domain_table(inst: Instance, high: float) -> ValueTable:
                 child = DiscreteState(state.counts[:k] + (i + 1,) + state.counts[k + 1:], k + 1)
                 prev = None if state.last == 0 else state.last - 1
                 w = stage_value(windowed[child], cp.beta, cp.pt_low, cp.pt_nom,
-                                inst.setup_time(prev, k), inst.setup_cost(prev, k), high)
+                                inst.setup_time(prev, k), inst.setup_cost(prev, k), 0.0, high)
                 best = w if best is None else best.pointwise_min(w)
             values[state] = best
     return ValueTable(inst, graph, values)
@@ -214,7 +207,11 @@ WINDOW_CASES = [((5, 5), 1), ((8, 8), 1), ((10, 10), 1), ((3, 3, 2), 1), ((2, 2,
 def test_windowed_tables_match_full_domain_reference(jobs, seed):
     inst = generate(GenParams(jobs=jobs, seed=seed))
     vt = backward_induction(inst)
-    ref = full_domain_table(inst, vt[initial_state(inst)].high)
+    # one worst-case setup and nominal processing time past the horizon bound:
+    # every decision window from a start time up to the bound fits inside
+    high = (horizon_upper_bound(inst) + max(map(max, inst.st))
+            + max(cp.pt_nom for cp in inst.classes))
+    ref = full_domain_table(inst, high)
     got, want = extract_open_loop(inst, vt), extract_open_loop(inst, ref)
     assert repr(got.cost) == repr(want.cost)
     assert got.sequence == want.sequence
@@ -255,6 +252,17 @@ def test_dp_equals_enumeration_with_compression_rates_off_one():
                 assert report.objective == pytest.approx(sched.cost, abs=1e-6), (jobs, seed, which)
 
 
+@pytest.mark.parametrize("jobs,seed", [(None, None), ((4, 4, 3), 14)], ids=["ex1", "4,4,3/14"])
+def test_stored_domains_are_start_windows(ex1, jobs, seed):
+    inst = ex1 if jobs is None else generate(GenParams(jobs=jobs, seed=seed))
+    vt = backward_induction(inst)
+    for state in vt.states():
+        lo, hi = start_window(inst, state)
+        f = vt[state]
+        assert abs(f.low - lo) <= TOL * max(1.0, hi), state
+        assert abs(f.high - hi) <= TOL * max(1.0, hi), state
+
+
 def test_terminal_values_are_zero(ex1):
     vt = backward_induction(ex1)
     for state in vt.graph.stages[-1]:
@@ -264,10 +272,9 @@ def test_terminal_values_are_zero(ex1):
 
 def test_cost_to_go_monotone_in_time(ex1):
     vt = backward_induction(ex1)
-    grid = np.linspace(0.0, vt.horizon, 250)
     for state in vt.states():
         f = vt[state]
-        vals = [f.value_at(t) for t in grid]
+        vals = [f.value_at(t) for t in np.linspace(*start_window(ex1, state), 250)]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:])), state
 
 
@@ -346,7 +353,7 @@ def test_query_policy_rejects_time_outside_start_window(ex1):
     for t in (24.0, 49.0):
         assert query_policy(ex1, vt, state, t).next_class == 2
     for t in (24.0 - 1e-6, 49.0 + 1e-6):
-        with pytest.raises(ValueError, match="start window"):
+        with pytest.raises(ValueError, match="outside domain"):
             query_policy(ex1, vt, state, t)
 
 
@@ -354,7 +361,7 @@ def test_cost_to_go_only_inside_start_window(ex1):
     vt = backward_induction(ex1)
     state = DiscreteState((4, 2), 1)
     assert vt.cost_to_go(state, 49.0) == 18.5
-    with pytest.raises(ValueError, match="start window"):
+    with pytest.raises(ValueError, match="outside domain"):
         vt.cost_to_go(state, 55.0)
 
 
@@ -363,7 +370,7 @@ def test_query_policy_rejects_unknown_state(ex1):
     with pytest.raises(KeyError):
         query_policy(ex1, vt, DiscreteState((5, 3), 1), 0.0)
     with pytest.raises(ValueError):
-        query_policy(ex1, vt, initial_state(ex1), vt.horizon + 1.0)
+        query_policy(ex1, vt, initial_state(ex1), horizon_upper_bound(ex1) + 1.0)
 
 
 def test_value_table_csv_dump(ex1):

@@ -10,9 +10,9 @@ from famsched.pwl import TOL, DomainError, Pwl
 from tests.pwl_helpers import dump_csv, is_convex
 
 
-def random_pwl(rng: random.Random, high: float, segments: int) -> Pwl:
-    xs = sorted(rng.uniform(0.0, high) for _ in range(segments - 1))
-    xs = [0.0] + xs + [high]
+def random_pwl(rng: random.Random, high: float, segments: int, low: float = 0.0) -> Pwl:
+    xs = sorted(rng.uniform(low, high) for _ in range(segments - 1))
+    xs = [low] + xs + [high]
     ys = [rng.uniform(-10.0, 10.0) for _ in xs]
     return Pwl(xs, ys)
 
@@ -30,12 +30,12 @@ def random_convex_pwl(rng: random.Random, high: float, segments: int) -> Pwl:
 # -- eval ----------------------------------------------------------------
 
 def test_eval_hinge_tardiness_value():
-    f = Pwl.hinge(0.5, 41.0, 56.0)
+    f = Pwl.hinge(0.5, 41.0, 0.0, 56.0)
     assert f.value_at(44.5) == pytest.approx(1.75, abs=1e-12)
 
 
 def test_eval_zero_function():
-    z = Pwl.zero(10.0)
+    z = Pwl.zero(0.0, 10.0)
     for t in (0.0, 3.3, 10.0):
         assert z.value_at(t) == 0.0
 
@@ -46,28 +46,30 @@ def test_eval_flat_segment():
 
 
 def test_eval_outside_domain_rejected():
-    f = Pwl.zero(10.0)
-    with pytest.raises(DomainError):
-        f.value_at(-1.0)
-    with pytest.raises(DomainError):
-        f.value_at(10.5)
+    for f, below in ((Pwl.zero(0.0, 10.0), -1.0), (Pwl.zero(4.0, 10.0), 3.5)):
+        with pytest.raises(DomainError):
+            f.value_at(below)
+        with pytest.raises(DomainError):
+            f.value_at(10.5)
 
 
 # -- hinge ---------------------------------------------------------------
 
 def test_hinge_definition():
-    f = Pwl.hinge(2.0, 21.0, 56.0)
+    f = Pwl.hinge(2.0, 21.0, 0.0, 56.0)
     assert f.value_at(21.0) == 0.0
     assert f.value_at(22.0) == pytest.approx(2.0)
+    late = Pwl.hinge(2.0, 21.0, 30.0, 56.0)  # the knee lies before the domain
+    assert late.xs == (30.0, 56.0) and late.ys == (18.0, 70.0)
 
 
 def test_hinge_beyond_horizon_is_zero():
-    f = Pwl.hinge(1.0, 100.0, 56.0)
-    assert f == Pwl.zero(56.0)
+    f = Pwl.hinge(1.0, 100.0, 0.0, 56.0)
+    assert f == Pwl.zero(0.0, 56.0)
 
 
 def test_hinge_convex_nonnegative():
-    f = Pwl.hinge(0.5, 41.0, 56.0)
+    f = Pwl.hinge(0.5, 41.0, 0.0, 56.0)
     assert is_convex(f)
     assert all(y >= 0 for y in f.ys)
     assert f.value_at(10.0) == 0.0
@@ -76,12 +78,12 @@ def test_hinge_convex_nonnegative():
 # -- add / add_affine / shift ---------------------------------------------
 
 def test_add_two_hinges():
-    a = Pwl.hinge(1.0, 5.0, 10.0)
-    assert a.add(a) == Pwl.hinge(2.0, 5.0, 10.0)
+    a = Pwl.hinge(1.0, 5.0, 0.0, 10.0)
+    assert a.add(a) == Pwl.hinge(2.0, 5.0, 0.0, 10.0)
 
 
 def test_add_affine():
-    f = Pwl.zero(10.0).add_affine(2.0, 3.0)
+    f = Pwl.zero(0.0, 10.0).add_affine(2.0, 3.0)
     assert f.value_at(4.0) == pytest.approx(11.0)
 
 
@@ -92,14 +94,14 @@ def test_affine_term_matches_add_affine():
         g = random_pwl(rng, 20.0, rng.randint(2, 12))
         slope, intercept, delta = rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
         for fused, two_step in ((f.add(g, slope, intercept), f.add(g).add_affine(slope, intercept)),
-                                (f.shift(delta, 25.0, slope, intercept),
-                                 f.shift(delta, 25.0).add_affine(slope, intercept))):
+                                (f.shift(delta, 0.0, 25.0, slope, intercept),
+                                 f.shift(delta, 0.0, 25.0).add_affine(slope, intercept))):
             assert fused.xs == two_step.xs and fused.ys == two_step.ys
 
 
 def test_shift_translates_and_clamps():
-    f = Pwl.hinge(1.0, 5.0, 10.0)
-    g = f.shift(2.0)
+    f = Pwl.hinge(1.0, 5.0, 0.0, 10.0)
+    g = f.shift(2.0, 0.0, 10.0)
     assert g.value_at(3.0) == 0.0
     assert g.value_at(4.0) == pytest.approx(1.0)
     assert g.value_at(9.0) == pytest.approx(f.value_at(10.0))  # clamped tail
@@ -107,19 +109,33 @@ def test_shift_translates_and_clamps():
 
 def test_add_domain_mismatch():
     with pytest.raises(DomainError):
-        Pwl.zero(10.0).add(Pwl.zero(12.0))
+        Pwl.zero(0.0, 10.0).add(Pwl.zero(0.0, 12.0))
+    early, late = Pwl.zero(0.0, 10.0), Pwl.zero(1.0, 10.0)
+    for f, g in ((early, late), (late, early)):
+        with pytest.raises(DomainError, match="domain mismatch"):
+            f.add(g)
+        with pytest.raises(DomainError, match="domain mismatch"):
+            f.pointwise_min(g)
+
+
+# operands on [0, b] and on [a, b] with a > 0
+LOWS = (0.0, 6.5)
 
 
 def test_add_grid_oracle():
     rng = random.Random(1)
-    for _ in range(50):
-        f = random_pwl(rng, 20.0, 5)
-        g = random_pwl(rng, 20.0, 5)
-        s = f.add(g)
-        for i in range(200):
-            t = 20.0 * i / 199
-            assert s.value_at(t) == pytest.approx(f.value_at(t) + g.value_at(t), abs=1e-9)
-        assert len(s) <= len(f) + len(g)
+    for low in LOWS:
+        for _ in range(50):
+            f = random_pwl(rng, 20.0, 5, low)
+            g = random_pwl(rng, 20.0, 5, low)
+            s = f.add(g)
+            assert (s.low, s.high) == (low, 20.0)
+            for i in range(200):
+                t = low + (20.0 - low) * i / 199
+                assert s.value_at(t) == pytest.approx(f.value_at(t) + g.value_at(t), abs=1e-9)
+            assert len(s) <= len(f) + len(g)
+            with pytest.raises(DomainError):
+                s.value_at(low - 1e-6)
 
 
 # -- pointwise_min ---------------------------------------------------------
@@ -140,20 +156,24 @@ def test_pointwise_min_crossing_lines():
 
 def test_pointwise_min_grid_oracle():
     rng = random.Random(3)
-    for _ in range(60):
-        f = random_pwl(rng, 15.0, 5)
-        g = random_pwl(rng, 15.0, 5)
-        m = f.pointwise_min(g)
-        for i in range(1000):
-            t = 15.0 * i / 999
-            assert m.value_at(t) == pytest.approx(min(f.value_at(t), g.value_at(t)), abs=1e-9)
-        # breakpoint budget: union plus one per sign change of f - g
-        grid = sorted(set(f.xs) | set(g.xs))
-        diffs = [f.value_at(x) - g.value_at(x) for x in grid]
-        crossings = sum(
-            1 for a, b in zip(diffs, diffs[1:]) if (a > 0 > b) or (a < 0 < b)
-        )
-        assert len(m) <= len(f) + len(g) + crossings
+    for low in LOWS:
+        for _ in range(60):
+            f = random_pwl(rng, 15.0, 5, low)
+            g = random_pwl(rng, 15.0, 5, low)
+            m = f.pointwise_min(g)
+            assert (m.low, m.high) == (low, 15.0)
+            for i in range(1000):
+                t = low + (15.0 - low) * i / 999
+                assert m.value_at(t) == pytest.approx(min(f.value_at(t), g.value_at(t)), abs=1e-9)
+            # breakpoint budget: union plus one per sign change of f - g
+            grid = sorted(set(f.xs) | set(g.xs))
+            diffs = [f.value_at(x) - g.value_at(x) for x in grid]
+            crossings = sum(
+                1 for a, b in zip(diffs, diffs[1:]) if (a > 0 > b) or (a < 0 < b)
+            )
+            assert len(m) <= len(f) + len(g) + crossings
+            with pytest.raises(DomainError):
+                m.value_at(low - 1e-6)
 
 
 # -- window_min -------------------------------------------------------------
@@ -182,13 +202,17 @@ def test_window_min_vee_flat_valley():
 
 def test_window_min_grid_oracle():
     rng = random.Random(5)
-    for _ in range(40):
-        f = random_pwl(rng, 30.0, 6)
-        w = 1.7
-        g = f.window_min(w)
-        for i in range(500):
-            x = (30.0 - w) * i / 499
-            assert g.value_at(x) == pytest.approx(window_min_oracle(f, x, w), abs=1e-6)
+    w = 1.7
+    for low in LOWS:
+        for _ in range(40):
+            f = random_pwl(rng, 30.0, 6, low)
+            g = f.window_min(w)
+            assert g.low == low and g.high == pytest.approx(30.0 - w, abs=1e-12)
+            for i in range(500):
+                x = low + (30.0 - w - low) * i / 499
+                assert g.value_at(x) == pytest.approx(window_min_oracle(f, x, w), abs=1e-6)
+            with pytest.raises(DomainError):
+                g.value_at(low - 1e-6)
 
 
 def test_window_min_monotone_in_width():
@@ -205,7 +229,9 @@ def test_window_min_monotone_in_width():
 
 def test_window_min_rejects_oversized_window():
     with pytest.raises(DomainError):
-        Pwl.zero(5.0).window_min(6.0)
+        Pwl.zero(0.0, 5.0).window_min(6.0)
+    with pytest.raises(DomainError):
+        Pwl.zero(2.0, 5.0).window_min(4.0)
 
 
 def test_window_min_convexity_preserved():
@@ -223,7 +249,7 @@ def test_affine_ops_preserve_convexity():
         assert is_convex(f.add(g))
         assert is_convex(f.add_affine(-2.0, 7.0))
         # translation preserves convexity away from the clamped tail
-        shifted = f.shift(3.0)
+        shifted = f.shift(3.0, 0.0, 25.0)
         inside = Pwl(
             [x for x in shifted.xs if x <= 22.0] + [22.0],
             [y for x, y in zip(shifted.xs, shifted.ys) if x <= 22.0] + [shifted.value_at(22.0)],
@@ -241,12 +267,12 @@ def window_min_reference(f: Pwl, w: float) -> Pwl:
     if w <= xtol:
         return f
     out_high = f.high - w
-    if out_high <= xtol:
-        return Pwl((0.0,), (min(f.ys),))
-    events = {0.0, out_high}
+    if out_high - f.low <= xtol:
+        return Pwl((f.low,), (min(f.ys),))
+    events = {f.low, out_high}
     for b in f.xs:
         for e in (b, b - w):
-            if 0.0 < e < out_high:
+            if f.low < e < out_high:
                 events.add(e)
     grid = sorted(events)
     pts = []
@@ -306,10 +332,14 @@ def reference_cases(seed: int):
 
 def test_window_min_matches_reference_bit_for_bit():
     for f, w in reference_cases(11):
-        g = f.window_min(w)
-        ref = window_min_reference(f, w)
-        assert g.xs == ref.xs and g.ys == ref.ys
-        assert dump_csv(g) == dump_csv(ref)  # repr-level: tells -0.0 from 0.0
+        moved = Pwl([x + 0.25 * f.high for x in f.xs], f.ys)  # on [H/4, 5H/4]
+        for h in (f, moved):
+            g = h.window_min(w)
+            ref = window_min_reference(h, w)
+            assert g.xs == ref.xs and g.ys == ref.ys
+            assert dump_csv(g) == dump_csv(ref)  # repr-level: tells -0.0 from 0.0
+            with pytest.raises(DomainError):
+                g.value_at(h.low - 2 * TOL * max(1.0, h.high))
 
 
 def reference_pointwise_min(f: Pwl, g: Pwl) -> Pwl:
@@ -332,10 +362,11 @@ def reference_pointwise_min(f: Pwl, g: Pwl) -> Pwl:
 
 def test_walk_ops_match_value_at_within_slack_past_end():
     rng = random.Random(12)
-    for _ in range(100):
+    for n in range(200):
         high = rng.choice((1.0, 30.0, 500.0))
-        f = random_pwl(rng, high, rng.randint(2, 12))
-        g0 = random_pwl(rng, high, rng.randint(2, 12))
+        low = LOWS[n // 100] * high / 20.0
+        f = random_pwl(rng, high, rng.randint(2, 12), low)
+        g0 = random_pwl(rng, high, rng.randint(2, 12), low)
         past = high + 0.5 * TOL * high  # the same end, within the slack
         g = Pwl(g0.xs[:-1] + (past,), g0.ys)
         assert g.high == past
@@ -348,10 +379,10 @@ def test_walk_ops_match_value_at_within_slack_past_end():
             ref = reference_pointwise_min(a, b)
             assert m.xs == ref.xs and m.ys == ref.ys
         delta = rng.uniform(-high, high)
-        sh = f.shift(delta)
-        ref = Pwl(sh.xs, [f.value_at(min(max(t + delta, 0.0), high)) for t in sh.xs])
+        sh = f.shift(delta, low, high)
+        ref = Pwl(sh.xs, [f.value_at(min(max(t + delta, low), high)) for t in sh.xs])
         assert sh.xs == ref.xs and sh.ys == ref.ys
-        lo = rng.uniform(0.0, high)
+        lo = rng.uniform(low, high)
         cand = [lo] + [x for x in f.xs if lo < x < high] + [high]
         vals = [f.value_at(c) for c in cand]
         assert f.min_over(lo, past) == min(vals)
@@ -368,27 +399,39 @@ def test_walk_ops_match_value_at_within_slack_past_end():
                 a.pointwise_min(b)
         with pytest.raises(DomainError):
             f.min_over(lo, beyond)
+        below = low - 2.0 * TOL * high
+        h = Pwl((below,) + g0.xs[1:], g0.ys)
+        for a, b in ((f, h), (h, f)):
+            with pytest.raises(DomainError):
+                a.add(b)
+            with pytest.raises(DomainError):
+                a.pointwise_min(b)
+        with pytest.raises(DomainError):
+            f.min_over(below, high)
+        with pytest.raises(DomainError):
+            f.value_at(below)
 
 
-def reference_shift(f: Pwl, delta: float, high: float | None = None) -> Pwl:
-    out_high = f.high if high is None else high
-    cand = {0.0, out_high}
-    for t in [x - delta for x in f.xs] + [-delta, f.high - delta]:
-        if 0.0 < t < out_high:
+def reference_shift(f: Pwl, delta: float, low: float, high: float) -> Pwl:
+    cand = {low, high}
+    for t in [x - delta for x in f.xs] + [f.low - delta, f.high - delta]:
+        if low < t < high:
             cand.add(t)
     grid = sorted(cand)
     # plus shift's affine term at slope 0 and intercept 0, which turns -0.0 into 0.0
-    return Pwl(grid, [f.value_at(min(max(t + delta, 0.0), f.high)) + 0.0 * t + 0.0 for t in grid])
+    return Pwl(grid, [f.value_at(min(max(t + delta, f.low), f.high)) + 0.0 * t + 0.0
+                      for t in grid])
 
 
 def test_shift_and_pointwise_min_match_min_max_reference():
     """The ordered comparisons in ``shift``'s clamp and ``pointwise_min`` keep
     builtin min/max's first-wins rule: same xs, ys and signs of zero."""
     rng = random.Random(13)
-    for n in range(200):
+    for n in range(400):
         high = rng.choice((1.0, 7.5, 500.0))
-        f = random_pwl(rng, high, rng.randint(2, 12))
-        g = random_pwl(rng, high, rng.randint(2, 12))
+        low = LOWS[n // 200] * high / 20.0
+        f = random_pwl(rng, high, rng.randint(2, 12), low)
+        g = random_pwl(rng, high, rng.randint(2, 12), low)
         if n % 2:  # ties, and zeros of both signs
             f = Pwl(f.xs, [rng.choice((-0.0, 0.0, 1.0)) for _ in f.xs])
             g = Pwl(g.xs, [rng.choice((-0.0, 0.0, 1.0)) for _ in g.xs])
@@ -398,10 +441,11 @@ def test_shift_and_pointwise_min_match_min_max_reference():
             got, ref = a.pointwise_min(b), reference_pointwise_min(a, b)
             assert got.xs == ref.xs and got.ys == ref.ys and dump_csv(got) == dump_csv(ref)
         x = rng.choice(f.xs)
-        # deltas that land grid points exactly on the clamp edges 0 and H
-        for delta in (0.0, -0.0, x, -x, high - x, x - high, high, -high, rng.uniform(-high, high)):
-            for out_high in (None, high / 2, high):
-                got, ref = f.shift(delta, out_high), reference_shift(f, delta, out_high)
+        # deltas that land grid points exactly on the clamp edges a and b
+        for delta in (0.0, -0.0, x - low, low - x, high - x, x - high, high - low, low - high,
+                      rng.uniform(-high, high)):
+            for out in ((low, high), (low, high / 2), (high / 2, high)):
+                got, ref = f.shift(delta, *out), reference_shift(f, delta, *out)
                 assert got.xs == ref.xs and got.ys == ref.ys and dump_csv(got) == dump_csv(ref)
 
 
@@ -436,7 +480,9 @@ def test_argmin_consistent_with_window_min():
 
 def test_argmin_window_outside_domain():
     with pytest.raises(DomainError):
-        Pwl.zero(5.0).argmin_over(3.0, 7.0)
+        Pwl.zero(0.0, 5.0).argmin_over(3.0, 7.0)
+    with pytest.raises(DomainError):
+        Pwl.zero(2.0, 5.0).argmin_over(1.0, 4.0)
 
 
 # -- representation invariants -------------------------------------------

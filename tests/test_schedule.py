@@ -240,7 +240,7 @@ def test_fused_stage_transforms_match_two_step():
         f = random_stage_function(rng, n, high)
         alpha = rng.choice((0.0, rng.uniform(0.5, 2.5)))
         dd = rng.uniform(0.0, 1.2 * high)
-        hinge = Pwl.hinge(alpha, dd, high)
+        hinge = Pwl.hinge(alpha, dd, 0.0, high)
         grid = sorted(set(f.xs) | set(hinge.xs))
         summed = Pwl(grid, [f.value_at(x) + hinge.value_at(x) for x in grid])
         assert_same_bits(stage_objective(f, alpha, dd, beta), summed.add_affine(-beta, 0.0))
@@ -250,6 +250,6 @@ def test_fused_stage_transforms_match_two_step():
         st = rng.choice((0.0, rng.uniform(0.5, 3.0)))
         sc = rng.choice((0.0, rng.uniform(0.5, 3.0)))
         windowed = random_stage_function(rng, n, high - (pt_nom - pt_low))
-        shifted = windowed.shift(st + pt_low, high=high)
+        shifted = windowed.shift(st + pt_low, 0.0, high)
         want = shifted.add_affine(beta, sc + beta * (pt_nom + st))
-        assert_same_bits(stage_value(windowed, beta, pt_low, pt_nom, st, sc, high), want)
+        assert_same_bits(stage_value(windowed, beta, pt_low, pt_nom, st, sc, 0.0, high), want)
