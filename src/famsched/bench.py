@@ -21,6 +21,10 @@ from .schedule import Schedule, Sequence, solve_sequence, stage_objective, stage
 
 RNG_NAME = "numpy-default_rng"
 INT64_MAX = 2**63 - 1
+# Most sequences brute_force_solve enumerates.  It bounds sequences, not work:
+# each distinct suffix costs one Pwl build, and jobs (1, N-1) have N sequences
+# but about N^2/2 suffixes.
+ENUM_CAP = 10**6
 
 # Uniform sampling ranges [a, b); pt_low never exceeds 6, the lowest pt_nom.
 PT_NOM_RANGE = (6.0, 10.0)
@@ -107,7 +111,7 @@ def count_sequences(inst: Instance) -> int:
     return total
 
 
-def brute_force_solve(inst: Instance, cap: int = 10**6) -> Schedule:
+def brute_force_solve(inst: Instance) -> Schedule:
     """Global optimum by full enumeration of the class interleavings.
 
     Ties go to the lexicographically smallest class list among the
@@ -122,8 +126,8 @@ def brute_force_solve(inst: Instance, cap: int = 10**6) -> Schedule:
     from ``solve_sequence``.
     """
     total = count_sequences(inst)
-    if total > cap:
-        raise ValueError(f"sequence count {total} exceeds the enumeration cap {cap}")
+    if total > ENUM_CAP:
+        raise ValueError(f"sequence count {total} exceeds the enumeration cap {ENUM_CAP}")
     high = horizon_upper_bound(inst)
     n = inst.total_jobs
     left = list(inst.jobs_per_class)  # jobs of each class ahead of the suffix

@@ -81,18 +81,15 @@ def _parse_jobs(text: str) -> tuple[int, ...]:
     return jobs
 
 
-def _solve(inst: Instance, method: str, cap: int) -> tuple[Schedule, dp.ValueTable | None]:
+def _solve(inst: Instance, method: str) -> tuple[Schedule, dp.ValueTable | None]:
     if method == "dp":
         vt = dp.backward_induction(inst)
         return dp.extract_open_loop(inst, vt), vt
-    return bench.brute_force_solve(inst, cap=cap), None
+    return bench.brute_force_solve(inst), None
 
 
 def cmd_generate(args) -> int:
-    jobs = _parse_jobs(args.jobs)
-    if args.classes is not None and args.classes != len(jobs):
-        raise CliError(f"--classes {args.classes} conflicts with --jobs listing {len(jobs)} classes")
-    params = bench.GenParams(jobs=jobs, seed=args.seed)
+    params = bench.GenParams(jobs=_parse_jobs(args.jobs), seed=args.seed)
     inst = bench.generate(params)
     _write(args.output, save_instance(inst, metadata=params.metadata()))
     return 0
@@ -113,7 +110,7 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     inst = _read_valid_instance(args.instance)
     t0 = time.perf_counter()
-    sched, vt = _solve(inst, args.method, args.cap)
+    sched, vt = _solve(inst, args.method)
     sequences = bench.count_sequences(inst)
     elapsed = time.perf_counter() - t0
     recomputed = sched.timeline.total_cost
@@ -140,8 +137,7 @@ def cmd_solve(args) -> int:
 
 def cmd_emit(args) -> int:
     inst = _read_valid_instance(args.instance)
-    big_m = None if args.big_m == "auto" else float(args.big_m)
-    model = milp.build_model(inst, args.model, big_m)
+    model = milp.build_model(inst, args.model)
     _write(args.output, milp.emit_lp(model))
     rep = milp.size_report(model)
     print(
@@ -172,10 +168,9 @@ def cmd_certify(args) -> int:
         sched = schedule_from_dict(inst, doc)
     except ValueError as exc:
         raise CliError(f"{args.schedule}: {exc}") from exc
-    big_m = None if args.big_m == "auto" else float(args.big_m)
-    model = milp.build_model(inst, args.model, big_m)
+    model = milp.build_model(inst, args.model)
     assignment = milp.encode_schedule(inst, sched, args.model)
-    report = milp.check_assignment(model, assignment, tol=args.tol)
+    report = milp.check_assignment(model, assignment)
     print(
         json.dumps(
             {
@@ -232,7 +227,7 @@ def cmd_bench(args) -> int:
         methods = ("dp", "enum") if args.method == "both" else (args.method,)
         for method in methods:
             t0 = time.perf_counter()
-            sched, vt = _solve(inst, method, args.cap)
+            sched, vt = _solve(inst, method)
             row[f"{method}_cost"] = sched.timeline.total_cost
             row[f"{method}_time_s"] = time.perf_counter() - t0
             if vt is not None:
@@ -258,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a random instance")
-    p.add_argument("--classes", type=int, default=None)
     p.add_argument("--jobs", required=True, help="jobs per class, e.g. 5,5")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
@@ -271,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="find an optimal schedule")
     p.add_argument("instance")
     p.add_argument("--method", choices=("dp", "enum"), default="dp")
-    p.add_argument("--cap", type=int, default=10**6, help="enumeration cap")
     p.add_argument("-o", "--output", default=None, help="write schedule JSON here")
     p.add_argument("--dump-values", default=None, help="write cost-to-go CSV here (dp)")
     p.set_defaults(func=cmd_solve)
@@ -279,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit", help="compile a MILP model to LP text")
     p.add_argument("instance")
     p.add_argument("--model", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--big-m", default="auto")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_emit)
 
@@ -287,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--model", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--schedule", required=True)
-    p.add_argument("--big-m", default="auto")
-    p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("count", help="state-node and sequence counts")
@@ -300,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=("dp", "enum", "both"), default="dp")
-    p.add_argument("--cap", type=int, default=10**6)
     p.add_argument("--csv", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_bench)

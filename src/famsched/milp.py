@@ -9,11 +9,11 @@ model object:
 * model 3 - stage-assignment binaries from the state-space view (N^2).
 
 Models are emitted as standard LP text and checked against assignments; no
-solver is embedded.  Every variable is non-negative and a binary is at most
-1, so a variable is its name and kind.  Size reports count structural
-constraint rows only: variable-domain declarations become bounds, and the
-objective is counted as one auxiliary among the "other" (non-binary)
-variables.
+solver is embedded.  Every big-M is the horizon bound ``horizon_upper_bound``.
+Every variable is non-negative and a binary is at most 1, so a variable is
+its name and kind.  Size reports count structural constraint rows only:
+variable-domain declarations become bounds, and the objective is counted as
+one auxiliary among the "other" (non-binary) variables.
 
 Variable naming (1-based class/job ids, 0-based stage ids):
 ``x_h_j_k_i``, ``d_h_j_k_i``, ``u_k_i``, ``S_k_i``, ``pt_k_i``, ``T_k_i``,
@@ -140,17 +140,6 @@ def _class_starts(inst: Instance) -> list[int]:
     return starts
 
 
-def _check_big_m(inst: Instance, big_m: float | None) -> float:
-    h = horizon_upper_bound(inst)
-    if big_m is None:
-        return h
-    if not math.isfinite(big_m):
-        raise ValueError(f"big-M must be finite, got {big_m}")
-    if big_m < h:
-        raise ValueError(f"big-M {big_m} is below the completion-time bound {h}")
-    return float(big_m)
-
-
 def _add_common_delta_rows(b: _Builder, inst: Instance, jobs, ids, d, v) -> None:
     """Successor-variable rows shared by models 1 and 2.
 
@@ -191,7 +180,7 @@ def _tardiness_objective(inst: Instance, jobs, v) -> list[tuple[float, str]]:
     )
 
 
-def build_model1(inst: Instance, big_m: float | None = None) -> MilpModel:
+def build_model1(inst: Instance) -> MilpModel:
     """Formulation with relative-position and successor binaries.
 
     Variable and row names come from name tables formatted once per build.
@@ -199,7 +188,7 @@ def build_model1(inst: Instance, big_m: float | None = None) -> MilpModel:
     appended as ``Constraint`` objects directly and skip ``_Builder.con``'s
     float conversion and zero filter.
     """
-    m = _check_big_m(inst, big_m)
+    m = horizon_upper_bound(inst)
     jobs = _jobs(inst)
     n = len(jobs)
     ids = _ids(jobs)
@@ -263,9 +252,9 @@ def build_model1(inst: Instance, big_m: float | None = None) -> MilpModel:
     return b.done()
 
 
-def build_model2(inst: Instance, big_m: float | None = None) -> MilpModel:
+def build_model2(inst: Instance) -> MilpModel:
     """Successor-binaries-only formulation with explicit completion times."""
-    m = _check_big_m(inst, big_m)
+    m = horizon_upper_bound(inst)
     jobs = _jobs(inst)
     n = len(jobs)
     ids = _ids(jobs)
@@ -289,9 +278,9 @@ def build_model2(inst: Instance, big_m: float | None = None) -> MilpModel:
     return b.done()
 
 
-def build_model3(inst: Instance, big_m: float | None = None) -> MilpModel:
+def build_model3(inst: Instance) -> MilpModel:
     """Stage-assignment formulation derived from the state-space view."""
-    m = _check_big_m(inst, big_m)
+    m = horizon_upper_bound(inst)
     jobs = _jobs(inst)
     n = len(jobs)
     ids = _ids(jobs)
@@ -360,13 +349,13 @@ def build_model3(inst: Instance, big_m: float | None = None) -> MilpModel:
     return b.done()
 
 
-def build_model(inst: Instance, which: int, big_m: float | None = None) -> MilpModel:
+def build_model(inst: Instance, which: int) -> MilpModel:
     if which == 1:
-        return build_model1(inst, big_m)
+        return build_model1(inst)
     if which == 2:
-        return build_model2(inst, big_m)
+        return build_model2(inst)
     if which == 3:
-        return build_model3(inst, big_m)
+        return build_model3(inst)
     raise ValueError(f"unknown model id {which}")
 
 

@@ -363,14 +363,10 @@ class Pwl:
         val, _, _ = self._interval_argmin(lo, hi)
         return val
 
-    def argmin_over(self, lo: float, hi: float, prefer: str = "lowest") -> float:
-        """Minimizer of f over [lo, hi]; ``prefer`` picks among exact ties."""
+    def argmin_over(self, lo: float, hi: float) -> tuple[float, float]:
+        """Lowest and highest minimizers of f over [lo, hi], ties within TOL."""
         _, lowest, highest = self._interval_argmin(lo, hi)
-        if prefer == "lowest":
-            return lowest
-        if prefer == "highest":
-            return highest
-        raise ValueError(f"unknown preference {prefer!r}")
+        return lowest, highest
 
     def _interval_argmin(self, lo: float, hi: float) -> tuple[float, float, float]:
         xs = self.xs

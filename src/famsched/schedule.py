@@ -234,9 +234,8 @@ def select_completion(objective: Pwl, lo: float, hi: float) -> float:
     work is deferred and jobs finish just in time.  This selection is what
     the reported optimal tableaus use.
     """
-    if objective.argmin_over(lo, hi, prefer="lowest") == lo:
-        return lo
-    return objective.argmin_over(lo, hi, prefer="highest")
+    lowest, highest = objective.argmin_over(lo, hi)
+    return lo if lowest == lo else highest
 
 
 def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPlan, float]:

@@ -8,7 +8,7 @@ from itertools import permutations
 
 import pytest
 
-from famsched.bench import GenParams, brute_force_solve, count_sequences, generate
+from famsched.bench import ENUM_CAP, GenParams, brute_force_solve, count_sequences, generate
 from famsched.dp import backward_induction
 from famsched.instance import ClassParams, Instance, validate_instance
 from famsched.schedule import Sequence, solve_sequence
@@ -160,9 +160,11 @@ def test_brute_force_costless_instance():
     assert sched.sequence.to_1based() == [1, 1, 2]
 
 
-def test_brute_force_cap(ex1):
-    with pytest.raises(ValueError, match="cap"):
-        brute_force_solve(ex1, cap=10)
+def test_brute_force_cap():
+    # 21! / (7!)^3 = 399,072,960 sequences: the guard raises before any work
+    inst = generate(GenParams(jobs=(7, 7, 7), seed=0))
+    with pytest.raises(ValueError, match=f"sequence count 399072960 exceeds the enumeration cap {ENUM_CAP}$"):
+        brute_force_solve(inst)
 
 
 def test_brute_force_stack_depth_does_not_grow_with_jobs():

@@ -6,7 +6,7 @@ import pytest
 
 from famsched.bench import GenParams, generate
 from famsched.dp import backward_induction, extract_open_loop
-from famsched.instance import ClassParams, Instance, horizon_upper_bound
+from famsched.instance import ClassParams, Instance
 from famsched.milp import (
     Constraint,
     MilpModel,
@@ -107,22 +107,6 @@ def test_model3_ex1_counts(ex1):
     model = build_model3(ex1)
     assert size_report(model).binary_count == 49
     assert sum(1 for c in model.constraints if c.name.startswith("stage_one_")) == 7
-
-
-def test_big_m_too_small_rejected(ex1):
-    h = horizon_upper_bound(ex1)
-    for builder in (build_model1, build_model2, build_model3):
-        with pytest.raises(ValueError):
-            builder(ex1, big_m=h - 1.0)
-        builder(ex1, big_m=h)  # boundary accepted
-
-
-@pytest.mark.parametrize("big_m", [float("nan"), float("inf")])
-def test_non_finite_big_m_rejected(ex1, big_m):
-    # a NaN or infinite M makes every big-M row's lhs NaN, which no tolerance test flags
-    for which in (1, 2, 3):
-        with pytest.raises(ValueError, match=f"big-M must be finite, got {big_m}"):
-            build_model(ex1, which, big_m)
 
 
 _X = Variable("x", "binary")
@@ -310,13 +294,9 @@ def test_emit_smallest_model():
 @pytest.mark.parametrize("which", [1, 2, 3])
 def test_lp_round_trip_counts(ex1, which):
     # parse_lp restores every row, the objective, its constant and the variables exactly
-    cases = [(ex1, None)] + [
-        (generate(GenParams(jobs=jobs, seed=seed)), big_m)
-        for jobs, seed, w, big_m in LP_SHA256
-        if w == which
-    ]
-    for inst, big_m in cases:
-        model = build_model(inst, which, big_m)
+    cases = [ex1] + [generate(GenParams(jobs=jobs, seed=seed)) for jobs, seed, w in LP_SHA256 if w == which]
+    for inst in cases:
+        model = build_model(inst, which)
         parsed = parse_lp(emit_lp(model))
         assert size_report(parsed) == size_report(model)
         assert parsed.constraints == model.constraints
@@ -365,41 +345,33 @@ def test_lp_round_trip_checks_assignment(ex1, ex1_opt):
 
 
 # sha256 of emit_lp's text, recorded before the row builders and emit_lp were
-# rewritten for speed: (jobs, seed, model, big-M) -> digest.
+# rewritten for speed: (jobs, seed, model) -> digest.
 LP_SHA256 = {
-    ((5, 5), 0, 1, None): "e0b1b12acfeb04beff3ff3d773909745e7e85a322f359dbc9c95f233b1c6b5a4",
-    ((5, 5), 0, 1, 1e6): "9cb41a5693c8b9bd0aad8a804ef67e32278064ce97222c309f98563e89c4eb91",
-    ((5, 5), 0, 2, None): "7ec12d4c0b6c1039cf50ba45c82f476799c977eba0b7d95634c77b7507f75700",
-    ((5, 5), 0, 2, 1e6): "b2f54a2262edcb4beb2173274e06ac2233447add9a5a25be8aaeea6e851812ee",
-    ((5, 5), 0, 3, None): "b3df86fa1e5ea29bfd2b424caac11805c35455f56061b13d9e3666ffd50e3020",
-    ((5, 5), 0, 3, 1e6): "83d66f162491539f4f563b0b20567710a2b99ab88458b2ea54abdd7000a00fe7",
-    ((3, 3, 2), 1, 1, None): "ca759c588c42c54a0bbfda08853724f0de49b7927fa659955b28d09163fb4b7d",
-    ((3, 3, 2), 1, 1, 1e6): "360799401b2690bf64cb0b536d1c10fefc42b81cf7842e4bf31df555b4fb1767",
-    ((3, 3, 2), 1, 2, None): "39be2350186f3fa19c54c759b9ea39b0e657f0a2778705b6bfd56c460e677f39",
-    ((3, 3, 2), 1, 2, 1e6): "60d9be3f12b4a1a38d09b7af17203da256e7691f4a382278a44c33ad45bccc2e",
-    ((3, 3, 2), 1, 3, None): "bd7c452609863fa63ba5974059f14d73138673dcc7138bd330697d8c5526b2ad",
-    ((3, 3, 2), 1, 3, 1e6): "7e3f039eae541732f4e9f07acc533bdefb66d0a8473d3bb93d1788951b277f9c",
-    ((2, 2, 2, 2), 0, 1, None): "586a32b04b7c7ab3a49c3bd0f3d9603651d2b3d096ad86aa161e5fd987ff1137",
-    ((2, 2, 2, 2), 0, 1, 1e6): "60108f2a52dd6262b9be55c1ea6d29fc6e23de5040c5bc043c2f36fe790d0053",
-    ((2, 2, 2, 2), 0, 2, None): "2c4df5059d0fa740fdc6ddb6607cda8789d0e2510f91fe0026d9287137337a3f",
-    ((2, 2, 2, 2), 0, 2, 1e6): "e8e8cf441d1c78f02d75be9e25c682446a39f0137c482b92b3d3b008a380f76c",
-    ((2, 2, 2, 2), 0, 3, None): "5286de4058669525a0b10c6d2e88f455ab1c82c642417f0b66a30f8f07240980",
-    ((2, 2, 2, 2), 0, 3, 1e6): "20cf2bfd45761df95f04f9c22e01de7202939c2e5066db0aaae0af3a1dbb59c8",
-    ((2, 1, 3), 2, 1, None): "edd0b37c151beda87f673c6fb9e987600add5ddaa66a4da3ddbe0242f0355e9a",
-    ((2, 1, 3), 2, 1, 1e6): "1f6d01001b3f13ab4956cb109775348409a75a4ab95493aa230f250f75c83d66",
-    ((2, 1, 3), 2, 2, None): "6308dd3e2734c301b2ffcb7660d039fad2ed017cb5d6422097a0739620367c09",
-    ((2, 1, 3), 2, 2, 1e6): "1678a303d529397d4a2fff0181915d0b3e29789abc37a8ec59d15d2f0d8eeb06",
-    ((2, 1, 3), 2, 3, None): "6eac3ce72b2d8ea931a4eb66c4d1732743f941625b599bb29c17a1b545a6deff",
-    ((2, 1, 3), 2, 3, 1e6): "180a14d3e182f449bf04e354701a822f8b757c09a295c97bdc777e5665429bf9",
+    ((5, 5), 0, 1): "e0b1b12acfeb04beff3ff3d773909745e7e85a322f359dbc9c95f233b1c6b5a4",
+    ((5, 5), 0, 2): "7ec12d4c0b6c1039cf50ba45c82f476799c977eba0b7d95634c77b7507f75700",
+    ((5, 5), 0, 3): "b3df86fa1e5ea29bfd2b424caac11805c35455f56061b13d9e3666ffd50e3020",
+    ((3, 3, 2), 1, 1): "ca759c588c42c54a0bbfda08853724f0de49b7927fa659955b28d09163fb4b7d",
+    ((3, 3, 2), 1, 2): "39be2350186f3fa19c54c759b9ea39b0e657f0a2778705b6bfd56c460e677f39",
+    ((3, 3, 2), 1, 3): "bd7c452609863fa63ba5974059f14d73138673dcc7138bd330697d8c5526b2ad",
+    ((2, 2, 2, 2), 0, 1): "586a32b04b7c7ab3a49c3bd0f3d9603651d2b3d096ad86aa161e5fd987ff1137",
+    ((2, 2, 2, 2), 0, 2): "2c4df5059d0fa740fdc6ddb6607cda8789d0e2510f91fe0026d9287137337a3f",
+    ((2, 2, 2, 2), 0, 3): "5286de4058669525a0b10c6d2e88f455ab1c82c642417f0b66a30f8f07240980",
+    ((2, 1, 3), 2, 1): "edd0b37c151beda87f673c6fb9e987600add5ddaa66a4da3ddbe0242f0355e9a",
+    ((2, 1, 3), 2, 2): "6308dd3e2734c301b2ffcb7660d039fad2ed017cb5d6422097a0739620367c09",
+    ((2, 1, 3), 2, 3): "6eac3ce72b2d8ea931a4eb66c4d1732743f941625b599bb29c17a1b545a6deff",
 }
 
 
-@pytest.mark.parametrize("jobs,seed,which,big_m", sorted(LP_SHA256, key=repr), ids=repr)
-def test_lp_text_unchanged(jobs, seed, which, big_m):
+# The ids keep the trailing "-None" of the big-M slot these hashes were
+# recorded under (None meant the horizon bound), so each test id stays stable.
+@pytest.mark.parametrize(
+    "jobs,seed,which",
+    [pytest.param(*key, id=f"{key[0]}-{key[1]}-{key[2]}-None") for key in sorted(LP_SHA256, key=repr)],
+)
+def test_lp_text_unchanged(jobs, seed, which):
     inst = generate(GenParams(jobs=jobs, seed=seed))
-    model = build_model(inst, which, big_m)
-    digest = hashlib.sha256(emit_lp(model).encode()).hexdigest()
-    assert digest == LP_SHA256[(jobs, seed, which, big_m)]
+    digest = hashlib.sha256(emit_lp(build_model(inst, which)).encode()).hexdigest()
+    assert digest == LP_SHA256[(jobs, seed, which)]
 
 
 def test_binary_section_length(ex1):

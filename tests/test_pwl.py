@@ -388,8 +388,7 @@ def test_walk_ops_match_value_at_within_slack_past_end():
         assert f.min_over(lo, past) == min(vals)
         best = min(vals)
         ties = [c for c, v in zip(cand, vals) if v <= best + TOL * max(1.0, abs(best))]
-        assert f.argmin_over(lo, past, prefer="lowest") == ties[0]
-        assert f.argmin_over(lo, past, prefer="highest") == ties[-1]
+        assert f.argmin_over(lo, past) == (ties[0], ties[-1])
         beyond = high + 2.0 * TOL * high
         h = Pwl(g0.xs[:-1] + (beyond,), g0.ys)
         for a, b in ((f, h), (h, f)):
@@ -453,17 +452,18 @@ def test_shift_and_pointwise_min_match_min_max_reference():
 
 def test_argmin_flat_right_valley():
     f = Pwl((0.0, 5.0, 10.0), (5.0, 0.0, 5.0))
-    assert f.argmin_over(3.0, 5.0) == pytest.approx(5.0)
+    assert f.argmin_over(3.0, 5.0) == pytest.approx((5.0, 5.0))
 
 
 def test_argmin_constant_prefers_window_start():
+    # every point ties: the lowest minimizer is the window start, the highest its end
     f = Pwl((0.0, 10.0), (2.0, 2.0))
-    assert f.argmin_over(3.5, 7.5) == pytest.approx(3.5)
+    assert f.argmin_over(3.5, 7.5) == pytest.approx((3.5, 7.5))
 
 
 def test_argmin_interior_minimum():
     f = Pwl((0.0, 5.0, 10.0), (5.0, 0.0, 5.0))
-    assert f.argmin_over(4.0, 8.0) == pytest.approx(5.0)
+    assert f.argmin_over(4.0, 8.0) == pytest.approx((5.0, 5.0))
 
 
 def test_argmin_consistent_with_window_min():
@@ -473,9 +473,10 @@ def test_argmin_consistent_with_window_min():
         w = rng.uniform(0.5, 5.0)
         g = f.window_min(w)
         x = rng.uniform(0.0, 20.0 - w)
-        s = f.argmin_over(x, x + w)
-        assert x - 1e-9 <= s <= x + w + 1e-9
-        assert f.value_at(s) == pytest.approx(g.value_at(x), abs=1e-9)
+        lowest, highest = f.argmin_over(x, x + w)
+        assert x - 1e-9 <= lowest <= highest <= x + w + 1e-9
+        for s in (lowest, highest):
+            assert f.value_at(s) == pytest.approx(g.value_at(x), abs=1e-9)
 
 
 def test_argmin_window_outside_domain():
