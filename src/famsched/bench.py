@@ -20,7 +20,6 @@ from .pwl import Pwl
 from .schedule import Schedule, Sequence, solve_sequence, stage_objective, stage_value
 
 RNG_NAME = "numpy-default_rng"
-INT64_MAX = 2**63 - 1
 # Most sequences brute_force_solve enumerates.  It bounds sequences, not work:
 # each distinct suffix costs one Pwl build, and jobs (1, N-1) have N sequences
 # but about N^2/2 suffixes.
@@ -106,8 +105,6 @@ def count_sequences(inst: Instance) -> int:
     total = factorial(inst.total_jobs)
     for n_k in inst.jobs_per_class:
         total //= factorial(n_k)
-    if total > INT64_MAX:
-        raise OverflowError(f"sequence count {total} exceeds the int64 range")
     return total
 
 

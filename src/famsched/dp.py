@@ -6,15 +6,19 @@ per discrete state.  Stage j holds the states with j completed jobs, so the
 backward pass walks stages from the terminal one to the initial state, and
 the value at the initial state evaluated at time 0 is the global optimum.
 
-The ``last`` component of a state is 1-based with 0 meaning "nothing served
-yet", matching the usual state-vector convention; everything else in the
-library is 0-based.
+A state is a plain ``(counts, last)`` tuple in the library's 0-based class
+convention: ``last`` is the class served last, or ``None`` before any
+service, exactly the ``prev`` that ``Instance.setup_time`` takes.  States
+are not checked on construction; ``ValueTable`` raises ``KeyError`` for any
+state the solver did not build.  Only ``ValueTable.dump_csv`` writes
+``last`` 1-based, with 0 for ``None``, like every file and report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .instance import Instance
 from .pwl import Pwl
@@ -30,33 +34,15 @@ from .schedule import (
 )
 
 
-@dataclass(frozen=True)
-class DiscreteState:
-    """Per-class completion counts plus the last-served class (1-based, 0 = none)."""
+class DiscreteState(NamedTuple):
+    """Per-class completion counts plus the last-served class (None before any)."""
 
     counts: tuple[int, ...]
-    last: int
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise ValueError("completion counts must be non-negative")
-        stage = sum(self.counts)
-        if self.last == 0:
-            if stage != 0:
-                raise ValueError("last=0 is only valid before any service")
-        else:
-            if not 1 <= self.last <= len(self.counts):
-                raise ValueError(f"last class {self.last} out of range")
-            if self.counts[self.last - 1] < 1:
-                raise ValueError("last-served class must have at least one completion")
-
-    @property
-    def stage(self) -> int:
-        return sum(self.counts)
+    last: int | None
 
 
 def initial_state(inst: Instance) -> DiscreteState:
-    return DiscreteState((0,) * inst.n_classes, 0)
+    return DiscreteState((0,) * inst.n_classes, None)
 
 
 def start_window(inst: Instance, state: DiscreteState) -> tuple[float, float]:
@@ -69,7 +55,7 @@ def start_window(inst: Instance, state: DiscreteState) -> tuple[float, float]:
     window [t + st + pt_low, t + st + pt_nom] of each move lies inside the
     child's window.
     """
-    n = state.stage
+    n = sum(state.counts)
     if n == 0:
         return 0.0, 0.0
     lo = hi = 0.0
@@ -80,14 +66,13 @@ def start_window(inst: Instance, state: DiscreteState) -> tuple[float, float]:
 
 
 def _child(state: DiscreteState, k: int) -> DiscreteState:
-    """Successor state after serving one class-k job (k 0-based)."""
-    counts = list(state.counts)
-    counts[k] += 1
-    return DiscreteState(tuple(counts), k + 1)
+    """Successor state after serving one class-k job."""
+    counts = state.counts
+    return DiscreteState(counts[:k] + (counts[k] + 1,) + counts[k + 1:], k)
 
 
 def admissible_classes(inst: Instance, state: DiscreteState) -> list[int]:
-    """0-based classes that still have jobs to serve from this state."""
+    """Classes that still have jobs to serve from this state."""
     return [k for k in range(inst.n_classes) if state.counts[k] < inst.classes[k].n_jobs]
 
 
@@ -157,12 +142,14 @@ class ValueTable:
         return self.cost_to_go(initial_state(self._inst), 0.0)
 
     def dump_csv(self) -> str:
-        """One ``counts;last;breakpoint;value`` row per stored breakpoint."""
+        """One ``counts;last;breakpoint;value`` row per stored breakpoint;
+        ``last`` is 1-based, 0 before any service, as in every file."""
         lines = ["counts;last;breakpoint;value"]
-        for state, f in self._values.items():
-            tag = ",".join(str(c) for c in state.counts)
+        for (counts, last), f in self._values.items():
+            tag = ",".join(str(c) for c in counts)
+            last_1based = 0 if last is None else last + 1
             for x, y in zip(f.xs, f.ys):
-                lines.append(f"{tag};{state.last};{x!r};{y!r}")
+                lines.append(f"{tag};{last_1based};{x!r};{y!r}")
         return "\n".join(lines)
 
 
@@ -173,15 +160,10 @@ def _child_objective(inst: Instance, values: dict[DiscreteState, Pwl],
     That job is the last-served class's latest one, so F depends on the
     child alone, not on the state it was served from.
     """
-    k = child.last - 1
+    k = child.last
     cp = inst.classes[k]
     i = child.counts[k] - 1
     return stage_objective(values[child], cp.alpha[i], cp.dd[i], cp.beta)
-
-
-def _edge_setup(inst: Instance, state: DiscreteState, k: int) -> tuple[float, float]:
-    prev = None if state.last == 0 else state.last - 1
-    return inst.setup_time(prev, k), inst.setup_cost(prev, k)
 
 
 def backward_induction(inst: Instance) -> ValueTable:
@@ -207,16 +189,16 @@ def backward_induction(inst: Instance) -> ValueTable:
     for j in range(len(graph.stages) - 2, -1, -1):
         windowed: dict[DiscreteState, Pwl] = {}
         for child in graph.stages[j + 1]:
-            cp = inst.classes[child.last - 1]
+            cp = inst.classes[child.last]
             windowed[child] = _child_objective(inst, values, child).window_min(cp.pt_nom - cp.pt_low)
         for state in graph.stages[j]:
             lo, hi = start_window(inst, state)
             best: Pwl | None = None
             for k in admissible_classes(inst, state):
                 cp = inst.classes[k]
-                st, sc = _edge_setup(inst, state, k)
                 w = stage_value(windowed[_child(state, k)], cp.beta, cp.pt_low, cp.pt_nom,
-                                st, sc, lo, hi)
+                                inst.setup_time(state.last, k), inst.setup_cost(state.last, k),
+                                lo, hi)
                 best = w if best is None else best.pointwise_min(w)
             values[state] = best
     return ValueTable(inst, graph, values)
@@ -226,11 +208,11 @@ def backward_induction(inst: Instance) -> ValueTable:
 class PolicyDecision:
     """Best next move from a state at a given time.
 
-    ``next_class`` is 1-based to match the state convention; ``tau`` is the
-    chosen processing time and ``u`` the equivalent resource amount.
+    ``cls`` is the class to serve next; ``tau`` is the chosen processing
+    time and ``u`` the equivalent resource amount.
     """
 
-    next_class: int
+    cls: int
     tau: float
     u: float
     cost_to_go: float
@@ -249,7 +231,7 @@ def query_policy(inst: Instance, vt: ValueTable, state: DiscreteState, t: float)
     best_obj = None
     for k in admissible_classes(inst, state):
         cp = inst.classes[k]
-        st, sc = _edge_setup(inst, state, k)
+        st, sc = inst.setup_time(state.last, k), inst.setup_cost(state.last, k)
         obj = _child_objective(inst, vt._values, _child(state, k))
         lo = t + st + cp.pt_low
         hi = t + st + cp.pt_nom
@@ -259,11 +241,11 @@ def query_policy(inst: Instance, vt: ValueTable, state: DiscreteState, t: float)
     if best_k is None:
         raise ValueError("terminal state has no decision")
     cp = inst.classes[best_k]
-    st, _ = _edge_setup(inst, state, best_k)
+    st = inst.setup_time(state.last, best_k)
     s = select_completion(best_obj, t + st + cp.pt_low, t + st + cp.pt_nom)
     u = snap_u((cp.pt_nom - (s - t - st)) / cp.gamma, cp.u_max)
     return PolicyDecision(
-        next_class=best_k + 1,
+        cls=best_k,
         tau=cp.pt_nom - cp.gamma * u,
         u=u,
         cost_to_go=value,
@@ -278,11 +260,10 @@ def extract_open_loop(inst: Instance, vt: ValueTable) -> Schedule:
     u = [[0.0] * cp.n_jobs for cp in inst.classes]
     for _ in range(inst.total_jobs):
         dec = query_policy(inst, vt, state, t)
-        k = dec.next_class - 1
-        st, _ = _edge_setup(inst, state, k)
+        k = dec.cls
         u[k][state.counts[k]] = dec.u
         order.append(k)
-        t = t + st + dec.tau
+        t = t + inst.setup_time(state.last, k) + dec.tau
         state = _child(state, k)
     seq = Sequence(tuple(order))
     plan = CompressionPlan(tuple(tuple(r) for r in u))

@@ -134,6 +134,8 @@ def validate_instance(inst: Instance) -> list[Violation]:
                     out.append(Violation(f"{name}[{h}][{k}]", "setup entries must be non-negative"))
                 if h == k and v != 0:
                     out.append(Violation(f"{name}[{h}][{k}]", "zero diagonal required (no setup within a class)"))
+    if not math.isfinite(horizon_upper_bound(inst)):
+        out.append(Violation("classes", "horizon bound sum(N_k * pt_nom_k) + (N - 1) * max(st) is not finite"))
     return out
 
 
@@ -158,9 +160,13 @@ _TOP_FIELDS = {"classes", "st", "sc"}
 def _require_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise SchemaError(f"{path}: integer too large for a float") from None
+    if not math.isfinite(number):
         raise SchemaError(f"{path}: expected a finite number, got {value}")
-    return float(value)
+    return number
 
 
 def _require_number_list(value: Any, path: str) -> tuple[float, ...]:

@@ -299,18 +299,28 @@ def schedule_to_dict(inst: Instance, sched: Schedule) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def schedule_from_dict(inst: Instance, doc: dict) -> Schedule:
     """Rebuild a schedule from its JSON form; the timeline block is optional
     on input and always recomputed."""
     if not isinstance(doc, dict) or "order" not in doc or "u" not in doc:
         raise ValueError("schedule document needs 'order' and 'u'")
-    seq = Sequence.from_1based(doc["order"])
+    order, amounts = doc["order"], doc["u"]
+    if not isinstance(order, list) or not all(_is_int(k) for k in order):
+        raise ValueError("'order' must be a list of integer class ids")
+    if not isinstance(amounts, dict):
+        raise ValueError("'u' must map class ids to lists of amounts")
+    seq = Sequence.from_1based(order)
     seq.check(inst)
     u = []
     for k, cp in enumerate(inst.classes):
-        row = doc["u"].get(str(k + 1))
-        if row is None or len(row) != cp.n_jobs:
-            raise ValueError(f"u['{k + 1}'] must list {cp.n_jobs} amounts")
+        row = amounts.get(str(k + 1))
+        if (not isinstance(row, list) or len(row) != cp.n_jobs
+                or not all(_is_int(v) or isinstance(v, float) for v in row)):
+            raise ValueError(f"u['{k + 1}'] must list {cp.n_jobs} numbers")
         u.append(tuple(float(v) for v in row))
     plan = CompressionPlan(tuple(u))
     return Schedule(sequence=seq, plan=plan, timeline=build_timeline(inst, seq, plan))

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -95,7 +96,8 @@ def test_solve_dp_report(tmp_path, capsys, ex1):
     assert header == "counts;last;breakpoint;value"
     for row in rows:  # every stored breakpoint lies in its state's start window
         counts, last, x, _ = row.split(";")
-        state = DiscreteState(tuple(map(int, counts.split(","))), int(last))
+        last = None if last == "0" else int(last) - 1  # the file writes last 1-based
+        state = DiscreteState(tuple(map(int, counts.split(","))), last)
         lo, hi = start_window(ex1, state)
         slack = TOL * max(1.0, hi)
         assert lo - slack <= float(x) <= hi + slack, row
@@ -172,6 +174,64 @@ def test_certify_rejects_nan_compression(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert "u[1][1] = nan outside [0, 4.0]" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("u", [[0, 0, 0, 0], [0, 0, 0]]),
+    ("order", 5),
+    ("order", [2, 2, 1, 1, 1.5, 2, 1]),
+    ("order", [2, 2, 1, 1, True, 2, 1]),
+    ("u", {"1": [None, 0, 0, 0], "2": [0, 0, 0]}),
+    ("u", {"1": 3}),
+], ids=["u-list", "order-int", "order-float", "order-bool", "u-null", "u-row-int"])
+def test_certify_rejects_malformed_schedule(tmp_path, capsys, field, value):
+    sched_file = tmp_path / "sched.json"
+    run(capsys, "solve", "--method", "dp", EX1, "-o", str(sched_file))
+    doc = json.loads(sched_file.read_text())
+    doc[field] = value
+    sched_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "certify", "--model", "1", "--schedule", str(sched_file), EX1)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {sched_file}: ")
+
+
+def test_overflowing_horizon_rejected_by_every_command(tmp_path, capsys):
+    doc = json.loads(open(EX1).read())
+    for c in doc["classes"]:
+        c["pt_nom"] = 1e308
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+    sched_file = tmp_path / "sched.json"
+    run(capsys, "solve", "--method", "dp", EX1, "-o", str(sched_file))
+    for argv in (["solve", "--method", "dp"], ["emit", "--model", "1"],
+                 ["certify", "--model", "1", "--schedule", str(sched_file)], ["count"]):
+        code, out, err = run(capsys, *argv, str(bad))
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("invalid instance: classes: horizon bound"), argv
+
+
+def test_integer_too_large_for_a_float_named(tmp_path, capsys):
+    # json reads the literal as an int; float() of it raises OverflowError
+    text = open(EX1).read().replace('"pt_nom": 8', '"pt_nom": 1' + "0" * 400, 1)
+    bad = tmp_path / "bigint.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "classes[0].pt_nom" in err
+
+
+def test_solve_reports_sequence_count_beyond_int64(tmp_path, capsys):
+    inst = tmp_path / "g.json"
+    assert run(capsys, "generate", "--jobs", "34,34", "--seed", "0", "-o", str(inst))[0] == 0
+    code, out, err = run(capsys, "solve", "--method", "dp", str(inst))
+    assert code == 0, err
+    assert json.loads(out)["sequences"] == math.comb(68, 34)
 
 
 def test_bench_csv(tmp_path, capsys):

@@ -66,11 +66,11 @@ def test_two_singleton_classes_graph():
     assert sum(map(len, graph.stages)) == 5
     nodes = {s for stage in graph.stages for s in stage}
     assert nodes == {
-        DiscreteState((0, 0), 0),
-        DiscreteState((1, 0), 1),
-        DiscreteState((0, 1), 2),
+        DiscreteState((0, 0), None),
+        DiscreteState((1, 0), 0),
+        DiscreteState((0, 1), 1),
+        DiscreteState((1, 1), 0),
         DiscreteState((1, 1), 1),
-        DiscreteState((1, 1), 2),
     }
 
 
@@ -100,16 +100,21 @@ def test_stage_partition_property():
     graph = build_state_graph(toy_instance((3, 2)))
     for j, stage in enumerate(graph.stages):
         for state in stage:
-            assert state.stage == j
+            assert sum(state.counts) == j
 
 
-def test_state_invariants_enforced():
-    with pytest.raises(ValueError):
-        DiscreteState((1, 0), 0)  # served something but last = none
-    with pytest.raises(ValueError):
-        DiscreteState((0, 1), 1)  # last class has no completions
-    with pytest.raises(ValueError):
-        DiscreteState((0, 0), 3)
+def test_states_outside_the_graph_rejected(ex1):
+    vt = backward_induction(ex1)
+    for state in (
+        DiscreteState((1, 0), None),  # served something but last = none
+        DiscreteState((0, 1), 0),  # last class has no completions
+        DiscreteState((0, 0), 2),  # no such class
+        DiscreteState((5, 3), 0),  # more jobs than class 0 has
+    ):
+        with pytest.raises(KeyError, match="not in the graph"):
+            vt.cost_to_go(state, 0.0)
+        with pytest.raises(KeyError, match="not in the graph"):
+            query_policy(ex1, vt, state, 0.0)
 
 
 # -- backward induction ---------------------------------------------------
@@ -156,12 +161,11 @@ def per_edge_values(inst: Instance) -> dict[DiscreteState, Pwl]:
                 i = state.counts[k]
                 if i == cp.n_jobs:
                     continue
-                child = DiscreteState(state.counts[:k] + (i + 1,) + state.counts[k + 1:], k + 1)
-                prev = None if state.last == 0 else state.last - 1
+                child = DiscreteState(state.counts[:k] + (i + 1,) + state.counts[k + 1:], k)
                 obj = stage_objective(values[child], cp.alpha[i], cp.dd[i], cp.beta)
                 w = stage_value(obj.window_min(cp.pt_nom - cp.pt_low), cp.beta, cp.pt_low,
-                                cp.pt_nom, inst.setup_time(prev, k), inst.setup_cost(prev, k),
-                                lo, hi)
+                                cp.pt_nom, inst.setup_time(state.last, k),
+                                inst.setup_cost(state.last, k), lo, hi)
                 best = w if best is None else best.pointwise_min(w)
             values[state] = best
     return values
@@ -186,8 +190,8 @@ def full_domain_table(inst: Instance, high: float) -> ValueTable:
     for j in range(len(graph.stages) - 2, -1, -1):
         windowed = {}
         for child in graph.stages[j + 1]:
-            cp = inst.classes[child.last - 1]
-            i = child.counts[child.last - 1] - 1
+            cp = inst.classes[child.last]
+            i = child.counts[child.last] - 1
             obj = stage_objective(values[child], cp.alpha[i], cp.dd[i], cp.beta)
             windowed[child] = obj.window_min(cp.pt_nom - cp.pt_low)
         for state in graph.stages[j]:
@@ -196,10 +200,10 @@ def full_domain_table(inst: Instance, high: float) -> ValueTable:
                 i = state.counts[k]
                 if i == cp.n_jobs:
                     continue
-                child = DiscreteState(state.counts[:k] + (i + 1,) + state.counts[k + 1:], k + 1)
-                prev = None if state.last == 0 else state.last - 1
+                child = DiscreteState(state.counts[:k] + (i + 1,) + state.counts[k + 1:], k)
                 w = stage_value(windowed[child], cp.beta, cp.pt_low, cp.pt_nom,
-                                inst.setup_time(prev, k), inst.setup_cost(prev, k), 0.0, high)
+                                inst.setup_time(state.last, k), inst.setup_cost(state.last, k),
+                                0.0, high)
                 best = w if best is None else best.pointwise_min(w)
             values[state] = best
     return ValueTable(inst, graph, values)
@@ -335,30 +339,30 @@ def test_label_swap_symmetry():
 def test_query_policy_initial_state(ex1):
     vt = backward_induction(ex1)
     dec = query_policy(ex1, vt, initial_state(ex1), 0.0)
-    assert dec.next_class == 2
+    assert dec.cls == 1
     assert dec.cost_to_go == pytest.approx(EX1_COST, abs=1e-9)
 
 
 def test_query_policy_forced_move(ex1):
     vt = backward_induction(ex1)
-    dec = query_policy(ex1, vt, DiscreteState((4, 2), 1), 30.0)
-    assert dec.next_class == 2  # only class 2 has a job left
+    dec = query_policy(ex1, vt, DiscreteState((4, 2), 0), 30.0)
+    assert dec.cls == 1  # only class 1 has a job left
 
 
 def test_query_policy_published_state(ex1):
     vt = backward_induction(ex1)
-    dec = query_policy(ex1, vt, DiscreteState((3, 3), 2), 36.0)
-    assert dec.next_class == 1
+    dec = query_policy(ex1, vt, DiscreteState((3, 3), 1), 36.0)
+    assert dec.cls == 0
     assert dec.tau == pytest.approx(8.0, abs=1e-9)
     assert dec.u == pytest.approx(0.0, abs=1e-9)
 
 
 def test_query_policy_rejects_time_outside_start_window(ex1):
     vt = backward_induction(ex1)
-    state = DiscreteState((4, 2), 1)
+    state = DiscreteState((4, 2), 0)
     assert start_window(ex1, state) == (24.0, 49.0)
     for t in (24.0, 49.0):
-        assert query_policy(ex1, vt, state, t).next_class == 2
+        assert query_policy(ex1, vt, state, t).cls == 1
     for t in (24.0 - 1e-6, 49.0 + 1e-6):
         with pytest.raises(ValueError, match="outside domain"):
             query_policy(ex1, vt, state, t)
@@ -366,7 +370,7 @@ def test_query_policy_rejects_time_outside_start_window(ex1):
 
 def test_cost_to_go_only_inside_start_window(ex1):
     vt = backward_induction(ex1)
-    state = DiscreteState((4, 2), 1)
+    state = DiscreteState((4, 2), 0)
     assert vt.cost_to_go(state, 49.0) == 18.5
     with pytest.raises(ValueError, match="outside domain"):
         vt.cost_to_go(state, 55.0)
@@ -375,7 +379,7 @@ def test_cost_to_go_only_inside_start_window(ex1):
 def test_query_policy_rejects_unknown_state(ex1):
     vt = backward_induction(ex1)
     with pytest.raises(KeyError):
-        query_policy(ex1, vt, DiscreteState((5, 3), 1), 0.0)
+        query_policy(ex1, vt, DiscreteState((5, 3), 0), 0.0)
     with pytest.raises(ValueError):
         query_policy(ex1, vt, initial_state(ex1), horizon_upper_bound(ex1) + 1.0)
 
