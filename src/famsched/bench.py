@@ -17,7 +17,7 @@ import numpy as np
 
 from .instance import ClassParams, Instance, horizon_upper_bound
 from .pwl import Pwl
-from .schedule import Schedule, Sequence, solve_sequence, stage_objective, stage_value
+from .schedule import TIE, Schedule, Sequence, solve_sequence, stage_cost, stage_objective, stage_value
 
 RNG_NAME = "numpy-default_rng"
 # Most sequences brute_force_solve enumerates.  It bounds sequences, not work:
@@ -112,7 +112,7 @@ def brute_force_solve(inst: Instance) -> Schedule:
     """Global optimum by full enumeration of the class interleavings.
 
     Ties go to the lexicographically smallest class list among the
-    sequences whose cost lies within 1e-9 of the minimum.
+    sequences whose cost lies within ``TIE`` of the minimum.
 
     The interleavings are walked from the last stage backwards, depth first,
     on an explicit stack, so the Python stack depth does not grow with the
@@ -130,7 +130,7 @@ def brute_force_solve(inst: Instance) -> Schedule:
     left = list(inst.jobs_per_class)  # jobs of each class ahead of the suffix
     suffix: list[int] = []  # classes of the suffix, last stage first
     best = inf
-    near: list[tuple[float, tuple[int, ...]]] = []  # (cost, order) within 1e-9 of best
+    near: list[tuple[float, tuple[int, ...]]] = []  # (cost, order) within TIE of best
     # (suffix length, class to prepend, cost-to-go of the suffix), smallest class on top
     stack = [(0, k, Pwl.zero(0.0, high)) for k in reversed(range(len(left)))]
     while stack:
@@ -143,12 +143,11 @@ def brute_force_solve(inst: Instance) -> Schedule:
         left[k] -= 1
         suffix.append(k)
         if depth + 1 == n:
-            # the first stage starts at t = 0 with no setup
-            cost = obj.min_over(cp.pt_low, cp.pt_nom) + cp.beta * cp.pt_nom
+            cost = stage_cost(obj, cp, 0.0, 0.0, 0.0)  # first stage: t = 0, no setup
             if cost < best:
                 best = cost
-                near = [c for c in near if c[0] <= best + 1e-9]
-            if cost <= best + 1e-9:
+                near = [c for c in near if c[0] <= best + TIE]
+            if cost <= best + TIE:
                 near.append((cost, tuple(reversed(suffix))))
         else:
             windowed = obj.window_min(cp.pt_nom - cp.pt_low)

@@ -113,14 +113,14 @@ def cmd_solve(args) -> int:
     sched, vt = _solve(inst, args.method)
     sequences = bench.count_sequences(inst)
     elapsed = time.perf_counter() - t0
-    recomputed = sched.timeline.total_cost
+    doc = schedule_to_dict(inst, sched)
     report = {
         "command": "solve",
         "instance": _digest(inst),
         "method": args.method,
-        "cost": recomputed,
-        "sequence": sched.sequence.to_1based(),
-        "u": {str(k + 1): list(row) for k, row in enumerate(sched.plan.u)},
+        "cost": sched.timeline.total_cost,
+        "sequence": doc["order"],
+        "u": doc["u"],
         "sequences": sequences,
         "elapsed_s": elapsed,
     }
@@ -128,7 +128,7 @@ def cmd_solve(args) -> int:
         report["state_nodes"] = len(vt)
         report["max_breakpoints"] = max(len(vt[s]) for s in vt.states())
     if args.output:
-        _write(args.output, json.dumps(schedule_to_dict(inst, sched), indent=2))
+        _write(args.output, json.dumps(doc, indent=2))
     if args.dump_values and vt is not None:
         _write(args.dump_values, vt.dump_csv())
     print(json.dumps(report, indent=2))
@@ -169,8 +169,7 @@ def cmd_certify(args) -> int:
     except ValueError as exc:
         raise CliError(f"{args.schedule}: {exc}") from exc
     model = milp.build_model(inst, args.model)
-    assignment = milp.encode_schedule(inst, sched, args.model)
-    report = milp.check_assignment(model, assignment)
+    report = milp.check_assignment(model, milp.encode_schedule(inst, sched, model))
     print(
         json.dumps(
             {

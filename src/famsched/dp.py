@@ -23,12 +23,13 @@ from typing import NamedTuple
 from .instance import Instance
 from .pwl import Pwl
 from .schedule import (
+    TIE,
     CompressionPlan,
     Schedule,
     Sequence,
     build_timeline,
-    select_completion,
-    snap_u,
+    serve,
+    stage_cost,
     stage_objective,
     stage_value,
 )
@@ -220,36 +221,25 @@ class PolicyDecision:
 
 def query_policy(inst: Instance, vt: ValueTable, state: DiscreteState, t: float) -> PolicyDecision:
     """Optimal decision at (state, t); ties go to the smallest class index,
-    then to select_completion's processing-time choice.
+    then to ``serve``'s processing-time choice.
 
     Raises ``KeyError`` for a state outside the graph and ``ValueError`` for
     a t that ``ValueTable.cost_to_go`` rejects.
     """
     value = vt.cost_to_go(state, t)
-    best_k = None
-    best_val = None
-    best_obj = None
+    best = None  # (cost, class, stage objective, setup time)
     for k in admissible_classes(inst, state):
-        cp = inst.classes[k]
-        st, sc = inst.setup_time(state.last, k), inst.setup_cost(state.last, k)
+        st = inst.setup_time(state.last, k)
         obj = _child_objective(inst, vt._values, _child(state, k))
-        lo = t + st + cp.pt_low
-        hi = t + st + cp.pt_nom
-        val = sc + cp.beta * (cp.pt_nom + st) + cp.beta * t + obj.min_over(lo, hi)
-        if best_val is None or val < best_val - 1e-9:
-            best_k, best_val, best_obj = k, val, obj
-    if best_k is None:
+        cost = stage_cost(obj, inst.classes[k], t, st, inst.setup_cost(state.last, k))
+        if best is None or cost < best[0] - TIE:
+            best = (cost, k, obj, st)
+    if best is None:
         raise ValueError("terminal state has no decision")
-    cp = inst.classes[best_k]
-    st = inst.setup_time(state.last, best_k)
-    s = select_completion(best_obj, t + st + cp.pt_low, t + st + cp.pt_nom)
-    u = snap_u((cp.pt_nom - (s - t - st)) / cp.gamma, cp.u_max)
-    return PolicyDecision(
-        cls=best_k,
-        tau=cp.pt_nom - cp.gamma * u,
-        u=u,
-        cost_to_go=value,
-    )
+    _, k, obj, st = best
+    cp = inst.classes[k]
+    _, u = serve(obj, cp, t, st)
+    return PolicyDecision(cls=k, tau=cp.pt_nom - cp.gamma * u, u=u, cost_to_go=value)
 
 
 def extract_open_loop(inst: Instance, vt: ValueTable) -> Schedule:

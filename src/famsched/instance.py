@@ -134,8 +134,14 @@ def validate_instance(inst: Instance) -> list[Violation]:
                     out.append(Violation(f"{name}[{h}][{k}]", "setup entries must be non-negative"))
                 if h == k and v != 0:
                     out.append(Violation(f"{name}[{h}][{k}]", "zero diagonal required (no setup within a class)"))
-    if not math.isfinite(horizon_upper_bound(inst)):
+    horizon = horizon_upper_bound(inst)
+    weights = sum(sum(cp.alpha) + cp.n_jobs * cp.beta for cp in inst.classes)
+    max_sc = max((v for row in inst.sc for v in row), default=0.0)
+    if not math.isfinite(horizon):
         out.append(Violation("classes", "horizon bound sum(N_k * pt_nom_k) + (N - 1) * max(st) is not finite"))
+    elif not math.isfinite(weights * horizon + (inst.total_jobs - 1) * max_sc):
+        out.append(Violation("classes", "cost bound (sum(alpha) + sum(N_k * beta_k)) * horizon"
+                                        " + (N - 1) * max(sc) is not finite"))
     return out
 
 

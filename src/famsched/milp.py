@@ -30,6 +30,8 @@ from typing import NamedTuple
 from .instance import Instance, horizon_upper_bound
 from .schedule import Schedule
 
+CHECK_TOL = 1e-6  # absolute slack check_assignment allows every row and bound
+
 SIZE_CONVENTION = (
     "other = continuous variables + 1 (objective auxiliary); "
     "constraints = structural rows, variable-domain declarations excluded"
@@ -362,57 +364,51 @@ def build_model(inst: Instance, which: int) -> MilpModel:
 # -- schedule encoding and certificate checking -------------------------
 
 
-def encode_schedule(inst: Instance, sched: Schedule, which: int) -> dict[str, float]:
-    """Assignment of every model variable implied by a feasible schedule."""
+def encode_schedule(inst: Instance, sched: Schedule, model: MilpModel) -> dict[str, float]:
+    """Value of each variable of ``model`` in a feasible schedule, keyed by
+    name in declaration order.
+
+    The name says what to read (module docstring): ``<family>_k_i`` is job
+    (k, i)'s entry of the plan or timeline, ``<family>_j`` that of the job
+    served at stage j, and the binary ``d_h_j_k_i``, ``x_h_j_k_i`` or
+    ``xs_k_i_j`` is 1 when job (k, i) directly follows job (h, j), comes
+    after it, or is served at stage j.  Any other name raises ``ValueError``.
+    """
     stages = sched.sequence.stages(inst)  # raises on multiplicity mismatch
     sched.plan.check(inst)
     tl = sched.timeline
-    pos = {(job.cls + 1, job.idx + 1): job.stage for job in stages}
-    jobs = _jobs(inst)
-    a: dict[str, float] = {}
+    job_at = {(str(job.cls + 1), str(job.idx + 1)): job for job in stages}  # by ("k", "i")
+    stage_at = {(str(job.stage),): job for job in stages}  # by ("j",)
+    per_job = {"u": sched.plan.u, "S": tl.start, "pt": tl.proc, "T": tl.tardiness,
+               "Om": tl.setup_cost, "La": tl.setup_time, "C": tl.completion}
+    per_stage = {"tau": tl.proc, "Omt": tl.setup_cost, "Lat": tl.setup_time,
+                 "St": tl.start, "Ct": tl.completion}
 
-    def job_vals(k: int, i: int) -> dict[str, float]:
-        return {
-            "u": sched.plan.u[k - 1][i - 1],
-            "S": tl.start[k - 1][i - 1],
-            "pt": tl.proc[k - 1][i - 1],
-            "T": tl.tardiness[k - 1][i - 1],
-            "Om": tl.setup_cost[k - 1][i - 1],
-            "La": tl.setup_time[k - 1][i - 1],
-            "C": tl.completion[k - 1][i - 1],
-        }
+    def value(family: str, ids: tuple[str, ...]) -> float:
+        if family in per_job:
+            job = job_at[ids]
+            return per_job[family][job.cls][job.idx]
+        if family in per_stage:
+            job = stage_at[ids]
+            return per_stage[family][job.cls][job.idx]
+        p = job_at[ids[:2]].stage
+        if family == "xs":
+            return 1.0 if stage_at[ids[2:]].stage == p else 0.0
+        q = job_at[ids[2:]].stage
+        if family == "d":
+            return 1.0 if q == p + 1 else 0.0
+        if family == "x":
+            return 1.0 if p < q else 0.0
+        raise KeyError(family)
 
-    if which in (1, 2):
-        for h, j in jobs:
-            for k, i in jobs:
-                a[f"d_{h}_{j}_{k}_{i}"] = 1.0 if pos[(k, i)] == pos[(h, j)] + 1 else 0.0
-        if which == 1:
-            for h, j in jobs:
-                for k, i in jobs:
-                    a[f"x_{h}_{j}_{k}_{i}"] = 1.0 if pos[(h, j)] < pos[(k, i)] else 0.0
-        fields = ("u", "S", "pt", "T", "Om", "La") if which == 1 else ("u", "S", "pt", "T", "Om", "La", "C")
-        for k, i in jobs:
-            vals = job_vals(k, i)
-            for f in fields:
-                a[f"{f}_{k}_{i}"] = vals[f]
-        return a
-    if which == 3:
-        for k, i in jobs:
-            for j in range(len(jobs)):
-                a[f"xs_{k}_{i}_{j}"] = 1.0 if pos[(k, i)] == j else 0.0
-        for k, i in jobs:
-            vals = job_vals(k, i)
-            for f in ("S", "C", "pt", "T"):
-                a[f"{f}_{k}_{i}"] = vals[f]
-        for job in stages:
-            j = job.stage
-            a[f"tau_{j}"] = tl.proc[job.cls][job.idx]
-            a[f"Omt_{j}"] = tl.setup_cost[job.cls][job.idx]
-            a[f"Lat_{j}"] = tl.setup_time[job.cls][job.idx]
-            a[f"St_{j}"] = tl.start[job.cls][job.idx]
-            a[f"Ct_{j}"] = tl.completion[job.cls][job.idx]
-        return a
-    raise ValueError(f"unknown model id {which}")
+    out: dict[str, float] = {}
+    for name, _ in model.variables:
+        family, *ids = name.split("_")
+        try:
+            out[name] = value(family, tuple(ids))
+        except KeyError:
+            raise ValueError(f"variable {name} is no schedule quantity") from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -433,8 +429,8 @@ class CheckReport:
         return not self.violations
 
 
-def check_assignment(model: MilpModel, assignment: dict[str, float], tol: float = 1e-6) -> CheckReport:
-    """Feasibility certificate: every row and bound checked against tol.
+def check_assignment(model: MilpModel, assignment: dict[str, float]) -> CheckReport:
+    """Feasibility certificate: every row and bound checked against CHECK_TOL.
 
     A NaN value fails its lower bound and a NaN row gap its row.
     """
@@ -444,12 +440,12 @@ def check_assignment(model: MilpModel, assignment: dict[str, float], tol: float 
     out: list[CheckViolation] = []
     for name, kind in model.variables:
         val = assignment[name]
-        if not val >= -tol:
+        if not val >= -CHECK_TOL:
             out.append(CheckViolation("bound", name, -val, f"{name}={val} < lb 0.0"))
         if kind == "binary":
-            if val > 1.0 + tol:
+            if val > 1.0 + CHECK_TOL:
                 out.append(CheckViolation("bound", name, val - 1.0, f"{name}={val} > ub 1.0"))
-            if math.isfinite(val) and abs(val - round(val)) > tol:
+            if math.isfinite(val) and abs(val - round(val)) > CHECK_TOL:
                 out.append(CheckViolation("integrality", name, abs(val - round(val)), f"{name}={val} not integral"))
     for name, terms, sense, rhs in model.constraints:
         lhs = sum([coef * assignment[var] for coef, var in terms])
@@ -459,7 +455,7 @@ def check_assignment(model: MilpModel, assignment: dict[str, float], tol: float 
             gap = rhs - lhs
         else:
             gap = abs(lhs - rhs)
-        if not gap <= tol:
+        if not gap <= CHECK_TOL:
             out.append(CheckViolation("constraint", name, gap, f"{name}: lhs={lhs} {sense} rhs={rhs}"))
     objective = model.objective_constant + sum([coef * assignment[var] for coef, var in model.objective])
     return CheckReport(tuple(out), objective)

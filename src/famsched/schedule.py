@@ -18,8 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance, horizon_upper_bound
+from .instance import ClassParams, Instance, horizon_upper_bound
 from .pwl import Pwl
+
+# Absolute tie tolerance: costs within TIE of each other are equal, and a
+# compression amount within TIE of a bound is that bound.
+TIE = 1e-9
 
 
 class SequenceError(ValueError):
@@ -104,7 +108,7 @@ class CompressionPlan:
             raise PlanBoundsError("plan shape does not match the instance")
         for k, (row, cp) in enumerate(zip(self.u, inst.classes)):
             for i, v in enumerate(row):
-                if not -1e-9 <= v <= cp.u_max + 1e-9:
+                if not -TIE <= v <= cp.u_max + TIE:
                     raise PlanBoundsError(
                         f"u[{k + 1}][{i + 1}] = {v} outside [0, {cp.u_max}]"
                     )
@@ -187,7 +191,7 @@ def build_timeline(inst: Instance, seq: Sequence, plan: CompressionPlan) -> Time
     )
 
 
-# -- stage transforms shared with the state-space solver ----------------
+# -- stage transforms and stage cost, shared by every solver ------------
 
 
 def stage_objective(child_value: Pwl, alpha: float, dd: float, beta: float) -> Pwl:
@@ -204,26 +208,23 @@ def stage_objective(child_value: Pwl, alpha: float, dd: float, beta: float) -> P
 def stage_value(windowed: Pwl, beta: float, pt_low: float, pt_nom: float,
                 st: float, sc: float, low: float, high: float) -> Pwl:
     """Cost-to-go before the stage, as a function of the stage's start time t
-    on the domain [low, high].
+    on the domain [low, high]: ``stage_cost`` at every t.
 
     ``windowed`` is the stage objective's window minimum,
     ``objective.window_min(pt_nom - pt_low)``; it does not depend on the setup,
     so callers that reach one job's objective after different predecessors
-    window it once.  The result equals sc + beta*(pt_nom + st) + beta*t + min
-    of the stage objective over completions s in [t + st + pt_low, t + st + pt_nom]:
-    one ``shift`` that moves the window minimum by st + pt_low and adds the
-    affine term in the same construction.
+    window it once.  One ``shift`` moves the window minimum by st + pt_low
+    and adds the affine term in the same construction.
     """
     return windowed.shift(st + pt_low, low, high, beta, sc + beta * (pt_nom + st))
 
 
-def snap_u(u: float, u_max: float) -> float:
-    """Remove float residue (up to 1e-9) at the compression bounds (0 and u_max)."""
-    if abs(u) <= 1e-9:
-        return 0.0
-    if abs(u - u_max) <= 1e-9:
-        return u_max
-    return min(max(u, 0.0), u_max)
+def stage_cost(objective: Pwl, cp: ClassParams, t: float, st: float, sc: float) -> float:
+    """``stage_value`` at the single start time t of a class-``cp`` job with
+    setup (st, sc): sc + beta*(pt_nom + st) + beta*t + min of the stage
+    objective over completions s in [t + st + pt_low, t + st + pt_nom]."""
+    return (sc + cp.beta * (cp.pt_nom + st) + cp.beta * t
+            + objective.min_over(t + st + cp.pt_low, t + st + cp.pt_nom))
 
 
 def select_completion(objective: Pwl, lo: float, hi: float) -> float:
@@ -238,11 +239,24 @@ def select_completion(objective: Pwl, lo: float, hi: float) -> float:
     return lo if lowest == lo else highest
 
 
+def serve(objective: Pwl, cp: ClassParams, t: float, st: float) -> tuple[float, float]:
+    """Completion s of a class-``cp`` job started at t with setup time st, by
+    select_completion, and its compression amount u, set to the bound 0 or
+    u_max it lies within TIE of and clamped to [0, u_max] otherwise."""
+    s = select_completion(objective, t + st + cp.pt_low, t + st + cp.pt_nom)
+    u = (cp.pt_nom - (s - t - st)) / cp.gamma
+    if abs(u) <= TIE:
+        return s, 0.0
+    if abs(u - cp.u_max) <= TIE:
+        return s, cp.u_max
+    return s, min(max(u, 0.0), cp.u_max)
+
+
 def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPlan, float]:
     """Exact minimizer of the total cost over all compression plans for seq.
 
     Backward pass: cost-to-go functions along the job chain.  Forward pass:
-    recover one optimal completion per stage with select_completion.
+    recover one optimal completion per stage with ``serve``.
     """
     jobs = seq.stages(inst)
     high = horizon_upper_bound(inst)
@@ -259,13 +273,7 @@ def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPla
     u = [[0.0] * cp.n_jobs for cp in inst.classes]
     t = 0.0
     for job in jobs:
-        cp = inst.classes[job.cls]
-        lo = t + job.st + cp.pt_low
-        hi = t + job.st + cp.pt_nom
-        s = select_completion(objectives[job.stage], lo, hi)
-        tau = s - t - job.st
-        u[job.cls][job.idx] = snap_u((cp.pt_nom - tau) / cp.gamma, cp.u_max)
-        t = s
+        t, u[job.cls][job.idx] = serve(objectives[job.stage], inst.classes[job.cls], t, job.st)
     plan = CompressionPlan(tuple(tuple(r) for r in u))
     return plan, total
 

@@ -133,7 +133,7 @@ def test_criterion_4_cross_model_certificates(ex1):
         sched = extract_open_loop(inst, vt)
         for which in (1, 2, 3):
             model = build_model(inst, which)
-            report = check_assignment(model, encode_schedule(inst, sched, which), tol=1e-6)
+            report = check_assignment(model, encode_schedule(inst, sched, model))
             assert report.ok, (idx, which, report.violations[:3])
             assert abs(report.objective - vt.optimal_cost()) <= 1e-6, (idx, which)
     elapsed = time.perf_counter() - t0

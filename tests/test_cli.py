@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 
@@ -197,22 +198,28 @@ def test_certify_rejects_malformed_schedule(tmp_path, capsys, field, value):
 
 
 def test_overflowing_horizon_rejected_by_every_command(tmp_path, capsys):
-    doc = json.loads(open(EX1).read())
-    for c in doc["classes"]:
-        c["pt_nom"] = 1e308
-    bad = tmp_path / "huge.json"
-    bad.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "validate", str(bad))
-    assert code == 1
-    assert json.loads(out)["ok"] is False
     sched_file = tmp_path / "sched.json"
     run(capsys, "solve", "--method", "dp", EX1, "-o", str(sched_file))
-    for argv in (["solve", "--method", "dp"], ["emit", "--model", "1"],
-                 ["certify", "--model", "1", "--schedule", str(sched_file)], ["count"]):
-        code, out, err = run(capsys, *argv, str(bad))
-        assert code == 1, argv
-        assert out == ""
-        assert err.startswith("invalid instance: classes: horizon bound"), argv
+    # (class ids, field, value, violation): the horizon bound overflows, or
+    # the cost bound does while the horizon stays finite
+    for ks, field, value, message in (((0, 1), "pt_nom", 1e308, "horizon bound"),
+                                      ((0,), "alpha", [1e308] * 4, "cost bound"),
+                                      ((0,), "beta", 1e308, "cost bound")):
+        doc = json.loads(open(EX1).read())
+        for k in ks:
+            doc["classes"][k][field] = value
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", str(bad))
+        assert code == 1
+        assert json.loads(out)["violations"] == [{"path": "classes", "message": ANY}]
+        for argv in (["solve", "--method", "dp"], ["solve", "--method", "enum"],
+                     ["emit", "--model", "1"], ["count"],
+                     ["certify", "--model", "1", "--schedule", str(sched_file)]):
+            code, out, err = run(capsys, *argv, str(bad))
+            assert code == 1, (field, argv)
+            assert out == ""
+            assert err.startswith(f"invalid instance: classes: {message}"), (field, argv)
 
 
 def test_integer_too_large_for_a_float_named(tmp_path, capsys):

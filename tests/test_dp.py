@@ -257,8 +257,8 @@ def test_dp_equals_enumeration_with_compression_rates_off_one():
             sched = extract_open_loop(inst, vt)
             assert sched.cost == pytest.approx(brute_force_solve(inst).cost, abs=1e-6), (jobs, seed)
             for which in (1, 2, 3):
-                report = check_assignment(build_model(inst, which),
-                                          encode_schedule(inst, sched, which), tol=1e-6)
+                model = build_model(inst, which)
+                report = check_assignment(model, encode_schedule(inst, sched, model))
                 assert report.ok, (jobs, seed, which)
                 assert report.objective == pytest.approx(sched.cost, abs=1e-6), (jobs, seed, which)
 

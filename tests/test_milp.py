@@ -147,7 +147,7 @@ def ex1_opt(ex1):
 
 
 def test_encode_model1_delta_table(ex1, ex1_opt):
-    a = encode_schedule(ex1, ex1_opt, 1)
+    a = encode_schedule(ex1, ex1_opt, build_model1(ex1))
     ones = {
         (h, j, k, i)
         for h, j in EX1_JOBS
@@ -158,14 +158,28 @@ def test_encode_model1_delta_table(ex1, ex1_opt):
 
 
 def test_encode_model1_x_table(ex1, ex1_opt):
-    a = encode_schedule(ex1, ex1_opt, 1)
+    a = encode_schedule(ex1, ex1_opt, build_model1(ex1))
     for (h, j), row in EX1_X_TABLE.items():
         for (k, i), want in zip(EX1_JOBS, row):
             assert a[f"x_{h}_{j}_{k}_{i}"] == float(want), (h, j, k, i)
 
 
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_encode_keys_are_the_model_variables(ex1, ex1_opt, which):
+    model = build_model(ex1, which)
+    assert list(encode_schedule(ex1, ex1_opt, model)) == [v.name for v in model.variables]
+
+
+@pytest.mark.parametrize("name", ["y", "S_0_1", "S_1_1_1", "tau_-1", "tau_7", "xs_1_1",
+                                  "d_1_1_2", "x_1_a_2_1"])
+def test_encode_rejects_a_foreign_variable(ex1, ex1_opt, name):
+    model = MilpModel("foreign", [Variable("S_1_1", "continuous"), Variable(name, "continuous")])
+    with pytest.raises(ValueError, match=f"variable {name} "):
+        encode_schedule(ex1, ex1_opt, model)
+
+
 def test_encode_model3_first_stage(ex1, ex1_opt):
-    a = encode_schedule(ex1, ex1_opt, 3)
+    a = encode_schedule(ex1, ex1_opt, build_model3(ex1))
     assert a["xs_2_1_0"] == 1.0
     assert a["xs_1_4_6"] == 1.0
 
@@ -175,14 +189,14 @@ def test_encode_model3_first_stage(ex1, ex1_opt):
 @pytest.mark.parametrize("which", [1, 2, 3])
 def test_ex1_certificates(ex1, ex1_opt, which):
     model = build_model(ex1, which)
-    report = check_assignment(model, encode_schedule(ex1, ex1_opt, which))
+    report = check_assignment(model, encode_schedule(ex1, ex1_opt, model))
     assert report.ok, report.violations[:3]
     assert report.objective == pytest.approx(EX1_COST, abs=1e-6)
 
 
 def test_flipped_delta_violates(ex1, ex1_opt):
     model = build_model1(ex1)
-    a = encode_schedule(ex1, ex1_opt, 1)
+    a = encode_schedule(ex1, ex1_opt, model)
     a["d_2_1_2_2"] = 0.0
     a["d_2_1_1_3"] = 1.0
     report = check_assignment(model, a)
@@ -219,16 +233,17 @@ TAMPERED_REPORTS = {
 
 @pytest.mark.parametrize("which", [2, 3])
 def test_tampered_times_report(ex1, ex1_opt, which):
-    a = encode_schedule(ex1, ex1_opt, which)
+    model = build_model(ex1, which)
+    a = encode_schedule(ex1, ex1_opt, model)
     a["S_1_2"] = 10.25
     a["pt_2_1"] = 3.5
-    report = check_assignment(build_model(ex1, which), a)
+    report = check_assignment(model, a)
     assert repr((report.objective, report.violations)) == TAMPERED_REPORTS[which]
 
 
 def test_missing_variable_rejected(ex1, ex1_opt):
     model = build_model1(ex1)
-    a = encode_schedule(ex1, ex1_opt, 1)
+    a = encode_schedule(ex1, ex1_opt, model)
     del a["u_1_1"]
     with pytest.raises(ValueError, match="u_1_1"):
         check_assignment(model, a)
@@ -241,7 +256,7 @@ def test_random_small_instances_cross_model(seeded=range(6)):
         sched = extract_open_loop(inst, vt)
         for which in (1, 2, 3):
             model = build_model(inst, which)
-            report = check_assignment(model, encode_schedule(inst, sched, which))
+            report = check_assignment(model, encode_schedule(inst, sched, model))
             assert report.ok, (seed, which, report.violations[:3])
             assert report.objective == pytest.approx(vt.optimal_cost(), abs=1e-6)
 
@@ -252,7 +267,7 @@ def test_feasible_certificates_bounded_below_by_optimum(ex1):
         sched = solve_sequence(ex1, Sequence.from_1based(order))
         for which in (1, 2, 3):
             model = build_model(ex1, which)
-            report = check_assignment(model, encode_schedule(ex1, sched, which))
+            report = check_assignment(model, encode_schedule(ex1, sched, model))
             assert report.ok
             assert report.objective >= vt_cost - 1e-6
 
@@ -263,7 +278,8 @@ def test_uncompressed_schedule_certifies(ex1):
 
     sched = Schedule(EX1_SEQ, CompressionPlan.zero(ex1), tl)
     for which in (1, 2, 3):
-        report = check_assignment(build_model(ex1, which), encode_schedule(ex1, sched, which))
+        model = build_model(ex1, which)
+        report = check_assignment(model, encode_schedule(ex1, sched, model))
         assert report.ok
         assert report.objective == pytest.approx(28.125, abs=1e-6)
 
@@ -272,7 +288,7 @@ def test_uncompressed_schedule_certifies(ex1):
 def test_nan_values_reported(ex1, ex1_opt, which):
     model = build_model(ex1, which)
     binary = model.binaries()[0].name
-    a = encode_schedule(ex1, ex1_opt, which)
+    a = encode_schedule(ex1, ex1_opt, model)
     a[binary] = a["pt_1_1"] = float("nan")
     report = check_assignment(model, a)
     assert {v.name for v in report.violations if v.kind == "bound"} == {binary, "pt_1_1"}
@@ -339,7 +355,7 @@ def test_lp_round_trip_checks_assignment(ex1, ex1_opt):
     # the parsed model is complete enough to verify certificates
     for which in (1, 2, 3):
         parsed = parse_lp(emit_lp(build_model(ex1, which)))
-        report = check_assignment(parsed, encode_schedule(ex1, ex1_opt, which))
+        report = check_assignment(parsed, encode_schedule(ex1, ex1_opt, parsed))
         assert report.ok
         assert report.objective == pytest.approx(EX1_COST, abs=1e-6)
 

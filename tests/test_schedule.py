@@ -7,7 +7,7 @@ import pytest
 
 from famsched.bench import GenParams, generate
 from famsched.instance import ClassParams, Instance
-from famsched.pwl import Pwl
+from famsched.pwl import TOL, Pwl
 from famsched.schedule import (
     CompressionPlan,
     PlanBoundsError,
@@ -18,6 +18,7 @@ from famsched.schedule import (
     schedule_from_dict,
     schedule_to_dict,
     solve_sequence,
+    stage_cost,
     stage_objective,
     stage_value,
 )
@@ -253,3 +254,14 @@ def test_fused_stage_transforms_match_two_step():
         shifted = windowed.shift(st + pt_low, 0.0, high)
         want = shifted.add_affine(beta, sc + beta * (pt_nom + st))
         assert_same_bits(stage_value(windowed, beta, pt_low, pt_nom, st, sc, 0.0, high), want)
+
+        # the point form: stage_cost at t is the stage value of obj's window minimum at t
+        obj = stage_objective(f, alpha, dd, beta)
+        cp = ClassParams(pt_nom=pt_nom, pt_low=pt_low, beta=beta, gamma=1.0, alpha=(alpha,), dd=(dd,))
+        top = high - st - pt_nom  # latest start whose decision window fits in [0, high]
+        if top <= 0.0:
+            continue
+        value = stage_value(obj.window_min(pt_nom - pt_low), beta, pt_low, pt_nom, st, sc, 0.0, top)
+        for t in [0.0, top] + [rng.uniform(0.0, top) for _ in range(5)]:
+            v = value.value_at(t)
+            assert abs(stage_cost(obj, cp, t, st, sc) - v) <= TOL * max(1.0, abs(v)), (n, t)
