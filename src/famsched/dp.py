@@ -21,7 +21,7 @@ from math import prod
 from typing import NamedTuple
 
 from .instance import Instance
-from .pwl import Pwl
+from .pwl import Pwl, envelope
 from .schedule import (
     TIE,
     CompressionPlan,
@@ -31,7 +31,7 @@ from .schedule import (
     serve,
     stage_cost,
     stage_objective,
-    stage_value,
+    stage_part,
 )
 
 
@@ -176,7 +176,9 @@ def backward_induction(inst: Instance) -> ValueTable:
     job and that job's cost-to-go), while the setup depends on the edge, that
     is on the parent's last class.  So each state of the next stage is
     windowed once, and every edge into it only shifts and offsets the result;
-    windowing per edge would repeat the costliest op once per parent.
+    windowing per edge would repeat the costliest op once per parent.  A
+    state's function is the minimum over its edges of ``stage_value``, built
+    by one ``envelope`` of the edges' ``stage_part``s.
 
     Each state's function is built on its ``start_window`` only: every
     decision window from a parent's window lies inside the child's, so each
@@ -193,15 +195,13 @@ def backward_induction(inst: Instance) -> ValueTable:
             cp = inst.classes[child.last]
             windowed[child] = _child_objective(inst, values, child).window_min(cp.pt_nom - cp.pt_low)
         for state in graph.stages[j]:
-            lo, hi = start_window(inst, state)
-            best: Pwl | None = None
+            parts = []
             for k in admissible_classes(inst, state):
                 cp = inst.classes[k]
-                w = stage_value(windowed[_child(state, k)], cp.beta, cp.pt_low, cp.pt_nom,
-                                inst.setup_time(state.last, k), inst.setup_cost(state.last, k),
-                                lo, hi)
-                best = w if best is None else best.pointwise_min(w)
-            values[state] = best
+                parts.append(stage_part(windowed[_child(state, k)], cp.beta, cp.pt_low, cp.pt_nom,
+                                        inst.setup_time(state.last, k),
+                                        inst.setup_cost(state.last, k)))
+            values[state] = envelope(parts, *start_window(inst, state))
     return ValueTable(inst, graph, values)
 
 

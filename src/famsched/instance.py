@@ -109,6 +109,8 @@ def validate_instance(inst: Instance) -> list[Violation]:
             out.append(Violation(f"{loc}.pt_low", "pt_low must not exceed pt_nom"))
         if not cp.gamma > 0:
             out.append(Violation(f"{loc}.gamma", "gamma must be positive"))
+        elif not math.isfinite(cp.u_max):
+            out.append(Violation(f"{loc}.gamma", "u_max = (pt_nom - pt_low) / gamma is not finite"))
         if cp.beta < 0:
             out.append(Violation(f"{loc}.beta", "beta must be non-negative"))
         if len(cp.alpha) != len(cp.dd):

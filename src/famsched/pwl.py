@@ -195,24 +195,18 @@ class Pwl:
             raise DomainError(f"domain mismatch: [{self.low}, {self.high}] "
                               f"vs [{other.low}, {other.high}]")
 
-    def add(self, other: "Pwl", slope: float = 0.0, intercept: float = 0.0) -> "Pwl":
-        """Pointwise f(t) + g(t) + slope*t + intercept, built once.
-
-        The affine term uses ``add_affine``'s arithmetic, so the result is
-        bit-identical to ``add(other).add_affine(slope, intercept)`` whenever
-        the merge keeps the same breakpoints in one pass as in two.
-        """
+    def add(self, other: "Pwl") -> "Pwl":
+        """Pointwise f(t) + g(t)."""
         self._check_same_domain(other)
         grid = sorted(set(self.xs) | set(other.xs))
-        ys = [a + b + slope * x + intercept
-              for x, a, b in zip(grid, self._values_at(grid), other._values_at(grid))]
-        return Pwl(grid, ys)
+        return Pwl(grid, [a + b for a, b in zip(self._values_at(grid), other._values_at(grid))])
 
     def add_affine(self, slope: float, intercept: float) -> "Pwl":
         """Pointwise f(t) + slope*t + intercept.
 
-        The solver adds its affine terms inside ``add`` and ``shift``; this
-        stays because ``perfbench/tracer.py`` wraps it by name.
+        The solver adds its affine terms inside ``envelope`` and
+        ``schedule.stage_objective``; this stays because
+        ``perfbench/tracer.py`` wraps it by name.
         """
         return Pwl(self.xs, tuple(y + slope * x + intercept for x, y in zip(self.xs, self.ys)))
 
@@ -221,26 +215,12 @@ class Pwl:
         """g(t) = f(t + delta) + slope*t + intercept on the domain [low, high],
         with f clamped to its nearest endpoint value outside its own domain.
 
-        The affine term is added as in ``add``.
+        The affine term uses ``add_affine``'s arithmetic, so the result is
+        bit-identical to ``shift(delta, low, high).add_affine(slope, intercept)``
+        whenever the merge keeps the same breakpoints in one pass as in two;
+        this is ``envelope`` of the one part.
         """
-        xs = self.xs
-        f_low, f_high = xs[0], xs[-1]
-        cand = {low, high}
-        for x in xs:  # the clamp onsets f_low - delta and f_high - delta among them
-            t = x - delta
-            if low < t < high:
-                cand.add(t)
-        grid = sorted(cand)
-        clamped = []
-        for t in grid:
-            v = t + delta
-            if f_low > v:  # max(v, f_low): keeps v on a tie, so -0.0 survives
-                v = f_low
-            if f_high < v:  # min(v, f_high)
-                v = f_high
-            clamped.append(v)
-        vals = self._values_at(clamped)
-        return Pwl(grid, [v + slope * t + intercept for t, v in zip(grid, vals)])
+        return envelope(((self, delta, slope, intercept),), low, high)
 
     def pointwise_min(self, other: "Pwl") -> "Pwl":
         """Pointwise minimum, with crossing points inserted as breakpoints."""
@@ -381,3 +361,74 @@ class Pwl:
         best = min(vals)
         ties = [c for c, v in zip(cand, vals) if v <= best + TOL * max(1.0, abs(best))]
         return best, ties[0], ties[-1]
+
+
+def envelope(parts: Sequence[tuple[Pwl, float, float, float]], low: float, high: float) -> Pwl:
+    """Lower envelope of the parts ``(f, delta, slope, intercept)``, each the
+    function ``f.shift(delta, low, high, slope, intercept)``, in one
+    construction; ties go to the first part, as in ``pointwise_min``.
+
+    The grid is every part's shifted breakpoints inside (low, high), plus low
+    and high; each part is evaluated on it with ``shift``'s clamp and one walk,
+    so one part gives ``shift``'s result bit for bit.  Between consecutive
+    grid points every part is a line.  Where the line lowest at the left end
+    is not lowest at the right end, the walk follows the envelope from line
+    to line, at each step to the earliest crossing with a line lower at the
+    right end, and inserts the crossings more than the abscissa tolerance
+    inside the interval, valued on the line left behind.
+    """
+    cand = {low, high}
+    for f, delta, _, _ in parts:
+        for x in f.xs:  # the clamp onsets f_low - delta and f_high - delta among them
+            t = x - delta
+            if low < t < high:
+                cand.add(t)
+    grid = sorted(cand)
+    cols = []
+    for f, delta, slope, intercept in parts:
+        f_low, f_high = f.xs[0], f.xs[-1]
+        clamped = []
+        for t in grid:
+            v = t + delta
+            if f_low > v:  # max(v, f_low): keeps v on a tie, so -0.0 survives
+                v = f_low
+            if f_high < v:  # min(v, f_high)
+                v = f_high
+            clamped.append(v)
+        cols.append([v + slope * t + intercept for t, v in zip(grid, f._values_at(clamped))])
+    if len(cols) == 1:
+        return Pwl(grid, cols[0])
+    xtol = TOL * max(1.0, high)
+    rows = list(zip(*cols))
+    p = rows[0]
+    m = min(p)
+    cur = p.index(m)
+    out_x = [grid[0]]
+    out_y = [m]
+    x0 = grid[0]
+    for x1, q in zip(grid[1:], rows[1:]):
+        m = min(q)
+        if q[cur] > m:
+            width = x1 - x0
+            at = x0
+            while q[cur] > m:
+                pc, qc = p[cur], q[cur]
+                cx, nxt = inf, cur
+                for k, qk in enumerate(q):
+                    if qk < qc:  # line k ends below the current one: they cross
+                        d0 = pc - p[k]
+                        c = x0 + width * d0 / (d0 - (qc - qk)) if d0 < 0 else x0
+                        if c < cx or c == cx and qk < q[nxt]:
+                            cx, nxt = c, k
+                if cx < at:  # rounding: the envelope only moves right
+                    cx = at
+                if x0 + xtol < cx < x1 - xtol:
+                    out_x.append(cx)
+                    out_y.append(pc + (qc - pc) * (cx - x0) / width)
+                at = cx
+                cur = nxt
+        out_x.append(x1)
+        out_y.append(m)
+        cur = q.index(m)
+        x0, p = x1, q
+    return Pwl(out_x, out_y)

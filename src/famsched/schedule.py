@@ -16,6 +16,7 @@ sliding-window minimum absorbs the continuous processing-time choice.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .instance import ClassParams, Instance, horizon_upper_bound
@@ -200,9 +201,32 @@ def stage_objective(child_value: Pwl, alpha: float, dd: float, beta: float) -> P
     s is the served job's completion time; the -beta*s term carries the
     compression credit so that the window minimum below is a function of the
     decision window's position only.
+
+    Built in one construction on the child's breakpoints plus the knee dd
+    where it lies inside the domain.  The hinge takes ``Pwl.hinge``'s
+    breakpoint values and the child its values at dd by ``_values_at``'s
+    interpolation formula, so the result is bit-identical to
+    ``child_value.add(Pwl.hinge(alpha, dd, low, high)).add_affine(-beta, 0.0)``
+    whenever that hinge keeps its breakpoints (its knee is not within the
+    tolerance of an end) and the merge keeps the same breakpoints in one
+    pass as in two.  alpha and dd are not checked here: ``validate_instance`` does.
     """
-    hinge = Pwl.hinge(alpha, dd, child_value.low, child_value.high)
-    return child_value.add(hinge, -beta, 0.0)
+    xs, ys = list(child_value.xs), list(child_value.ys)
+    low, high = xs[0], xs[-1]
+    if alpha == 0.0 or dd >= high:
+        hinge = [0.0] * len(xs)
+    elif dd <= low:  # the line through (low, alpha*(low - dd)) and (high, alpha*(high - dd))
+        y0, y1 = alpha * (low - dd), alpha * (high - dd)
+        hinge = [y0 + (y1 - y0) * (x - low) / (high - low) for x in xs[:-1]] + [y1]
+    else:  # zero up to the knee, then the line to (high, alpha*(high - dd))
+        i = bisect_left(xs, dd)
+        if xs[i] != dd:
+            x0, x1, y0 = xs[i - 1], xs[i], ys[i - 1]
+            xs.insert(i, dd)
+            ys.insert(i, y0 + (ys[i] - y0) * (dd - x0) / (x1 - x0))
+        y1 = alpha * (high - dd)
+        hinge = [0.0] * (i + 1) + [y1 * (x - dd) / (high - dd) for x in xs[i + 1:-1]] + [y1]
+    return Pwl(xs, [y + h - beta * x for x, y, h in zip(xs, ys, hinge)])
 
 
 def stage_value(windowed: Pwl, beta: float, pt_low: float, pt_nom: float,
@@ -216,7 +240,16 @@ def stage_value(windowed: Pwl, beta: float, pt_low: float, pt_nom: float,
     window it once.  One ``shift`` moves the window minimum by st + pt_low
     and adds the affine term in the same construction.
     """
-    return windowed.shift(st + pt_low, low, high, beta, sc + beta * (pt_nom + st))
+    f, delta, slope, intercept = stage_part(windowed, beta, pt_low, pt_nom, st, sc)
+    return f.shift(delta, low, high, slope, intercept)
+
+
+def stage_part(windowed: Pwl, beta: float, pt_low: float, pt_nom: float,
+               st: float, sc: float) -> tuple[Pwl, float, float, float]:
+    """``stage_value`` as a part ``(f, delta, slope, intercept)`` of
+    ``pwl.envelope``: the cost-to-go of a state is the envelope of its moves'
+    parts on the state's start window."""
+    return windowed, st + pt_low, beta, sc + beta * (pt_nom + st)
 
 
 def stage_cost(objective: Pwl, cp: ClassParams, t: float, st: float, sc: float) -> float:

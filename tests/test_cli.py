@@ -222,6 +222,26 @@ def test_overflowing_horizon_rejected_by_every_command(tmp_path, capsys):
             assert err.startswith(f"invalid instance: classes: {message}"), (field, argv)
 
 
+def test_subnormal_gamma_rejected_by_every_command(tmp_path, capsys):
+    # (pt_nom - pt_low) / gamma overflows: u_max would be infinite
+    sched_file = tmp_path / "sched.json"
+    run(capsys, "solve", "--method", "dp", EX1, "-o", str(sched_file))
+    doc = json.loads(open(EX1).read())
+    doc["classes"][0]["gamma"] = 1e-310
+    bad = tmp_path / "subnormal.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert json.loads(out)["violations"] == [{"path": "classes[0].gamma", "message": ANY}]
+    for argv in (["solve", "--method", "dp"], ["solve", "--method", "enum"],
+                 ["emit", "--model", "1"], ["count"],
+                 ["certify", "--model", "1", "--schedule", str(sched_file)]):
+        code, out, err = run(capsys, *argv, str(bad))
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("invalid instance: classes[0].gamma: u_max"), argv
+
+
 def test_integer_too_large_for_a_float_named(tmp_path, capsys):
     # json reads the literal as an int; float() of it raises OverflowError
     text = open(EX1).read().replace('"pt_nom": 8', '"pt_nom": 1' + "0" * 400, 1)

@@ -21,12 +21,13 @@ from famsched.dp import (
 )
 from famsched.instance import ClassParams, Instance, horizon_upper_bound
 from famsched.milp import build_model, check_assignment, encode_schedule
-from famsched.pwl import TOL, Pwl
+from famsched.pwl import TOL, Pwl, envelope
 from famsched.schedule import (
     CompressionPlan,
     Sequence,
     build_timeline,
     stage_objective,
+    stage_part,
     stage_value,
 )
 from tests.conftest import EX1_COST, EX1_ORDER_1BASED, EX1_U
@@ -146,28 +147,48 @@ def test_breakpoints_stay_bounded_on_blowup_instance():
     assert vt.optimal_cost() == pytest.approx(148.8887961063331, rel=1e-9)
 
 
+# optimal_cost() and the open-loop sequence (0-based) of the published size
+# ladder at seed 1, recorded from tables whose edges were folded pairwise
+# (a shift per edge, then pointwise_min in class order)
+PINNED_OPTIMA = {
+    (5, 5): (62.807620114672744, (1, 1, 0, 0, 0, 0, 0, 1, 1, 1)),
+    (10, 10): (842.6670845720182, (0,) + (1,) * 10 + (0,) * 9),
+    (15, 15): (1014.0449786875712, (0,) * 6 + (1,) * 15 + (0,) * 9),
+    (20, 20): (1876.1112807088705, (1,) * 4 + (0,) * 6 + (1,) * 15 + (0,) * 14 + (1,)),
+    (5, 5, 5): (251.3854395468568, (0, 0, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1, 0, 0, 0)),
+    (10, 10, 10): (2389.0444262811743, (0,) * 4 + (2,) * 10 + (1,) * 10 + (0,) * 6),
+}
+
+
+@pytest.mark.parametrize("jobs", list(PINNED_OPTIMA), ids=lambda jobs: ",".join(map(str, jobs)))
+def test_published_ladder_optima_pinned(jobs):
+    inst = generate(GenParams(jobs=jobs, seed=1))
+    vt = backward_induction(inst)
+    cost, order = PINNED_OPTIMA[jobs]
+    assert vt.optimal_cost() == pytest.approx(cost, rel=1e-12)
+    assert extract_open_loop(inst, vt).sequence.order == order
+
+
 def per_edge_values(inst: Instance) -> dict[DiscreteState, Pwl]:
     """Cost-to-go tables built edge by edge: every (state, class) pair forms
-    its own stage objective and window minimum, shifted onto the state's
-    start window, then the edges of a state are folded with
-    ``pointwise_min`` in class order."""
+    its own stage objective and window minimum, and the edges of a state,
+    in class order, are shifted onto its start window and minimized by
+    ``envelope``; the fold itself is checked in ``tests/test_pwl.py``."""
     stages = build_state_graph(inst).stages
     values = {s: Pwl.zero(*start_window(inst, s)) for s in stages[-1]}
     for stage in reversed(stages[:-1]):
         for state in stage:
-            lo, hi = start_window(inst, state)
-            best = None
+            parts = []
             for k, cp in enumerate(inst.classes):
                 i = state.counts[k]
                 if i == cp.n_jobs:
                     continue
                 child = DiscreteState(state.counts[:k] + (i + 1,) + state.counts[k + 1:], k)
                 obj = stage_objective(values[child], cp.alpha[i], cp.dd[i], cp.beta)
-                w = stage_value(obj.window_min(cp.pt_nom - cp.pt_low), cp.beta, cp.pt_low,
-                                cp.pt_nom, inst.setup_time(state.last, k),
-                                inst.setup_cost(state.last, k), lo, hi)
-                best = w if best is None else best.pointwise_min(w)
-            values[state] = best
+                parts.append(stage_part(obj.window_min(cp.pt_nom - cp.pt_low), cp.beta,
+                                        cp.pt_low, cp.pt_nom, inst.setup_time(state.last, k),
+                                        inst.setup_cost(state.last, k)))
+            values[state] = envelope(parts, *start_window(inst, state))
     return values
 
 

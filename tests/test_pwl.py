@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from famsched.pwl import TOL, DomainError, Pwl
+from famsched.pwl import TOL, DomainError, Pwl, envelope
 from tests.pwl_helpers import dump_csv, is_convex
 
 
@@ -91,12 +91,10 @@ def test_affine_term_matches_add_affine():
     rng = random.Random(16)
     for _ in range(100):
         f = random_pwl(rng, 20.0, rng.randint(2, 12))
-        g = random_pwl(rng, 20.0, rng.randint(2, 12))
         slope, intercept, delta = rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
-        for fused, two_step in ((f.add(g, slope, intercept), f.add(g).add_affine(slope, intercept)),
-                                (f.shift(delta, 0.0, 25.0, slope, intercept),
-                                 f.shift(delta, 0.0, 25.0).add_affine(slope, intercept))):
-            assert fused.xs == two_step.xs and fused.ys == two_step.ys
+        fused = f.shift(delta, 0.0, 25.0, slope, intercept)
+        two_step = f.shift(delta, 0.0, 25.0).add_affine(slope, intercept)
+        assert fused.xs == two_step.xs and fused.ys == two_step.ys
 
 
 def test_shift_translates_and_clamps():
@@ -411,14 +409,15 @@ def test_walk_ops_match_value_at_within_slack_past_end():
             f.value_at(below)
 
 
-def reference_shift(f: Pwl, delta: float, low: float, high: float) -> Pwl:
+def reference_shift(f: Pwl, delta: float, low: float, high: float,
+                    slope: float = 0.0, intercept: float = 0.0) -> Pwl:
     cand = {low, high}
     for t in [x - delta for x in f.xs] + [f.low - delta, f.high - delta]:
         if low < t < high:
             cand.add(t)
     grid = sorted(cand)
-    # plus shift's affine term at slope 0 and intercept 0, which turns -0.0 into 0.0
-    return Pwl(grid, [f.value_at(min(max(t + delta, f.low), f.high)) + 0.0 * t + 0.0
+    # at slope 0 and intercept 0 the affine term turns -0.0 into 0.0
+    return Pwl(grid, [f.value_at(min(max(t + delta, f.low), f.high)) + slope * t + intercept
                       for t in grid])
 
 
@@ -446,6 +445,106 @@ def test_shift_and_pointwise_min_match_min_max_reference():
             for out in ((low, high), (low, high / 2), (high / 2, high)):
                 got, ref = f.shift(delta, *out), reference_shift(f, delta, *out)
                 assert got.xs == ref.xs and got.ys == ref.ys and dump_csv(got) == dump_csv(ref)
+
+
+# -- envelope against the pairwise fold ------------------------------------
+
+def pairwise_fold(parts, low: float, high: float) -> Pwl:
+    """The lower envelope as the solver once built it: each part shifted onto
+    [low, high] on its own, then folded with ``pointwise_min`` in order."""
+    best = None
+    for f, delta, slope, intercept in parts:
+        g = reference_shift(f, delta, low, high, slope, intercept)
+        best = g if best is None else best.pointwise_min(g)
+    return best
+
+
+def random_part(rng: random.Random, low: float, high: float):
+    """(f, delta, slope, intercept) whose shifted domain covers [low, high]
+    exactly, or falls short of it at either end, so that f is clamped there.
+
+    f's breakpoints lie on a grid of 1/40 of its domain, which bounds its
+    slopes: two exact builds may put a crossing one ulp apart, and on a line
+    of slope s that moves the value by s ulps, which must stay under the
+    1e-12 relative bound of the comparison."""
+    width = high - low
+    delta = rng.uniform(-width, width)
+    a, b = low + delta, high + delta
+    shape = rng.randrange(4)
+    if shape & 1:  # clamped at the left end
+        a += rng.uniform(0.1, 0.6) * width
+    if shape & 2:  # clamped at the right end
+        b -= rng.uniform(0.1, 0.3) * width
+    step = (b - a) / 40
+    xs = sorted({a + step * rng.randint(1, 39) for _ in range(rng.randint(1, 9))})
+    f = Pwl([a, *xs, b], [rng.uniform(-10.0, 10.0) for _ in range(len(xs) + 2)])
+    return (f, delta, rng.choice((0.0, rng.uniform(-2.0, 2.0))), rng.uniform(-4.0, 4.0))
+
+
+def assert_envelope_matches_fold(parts, low: float, high: float):
+    got, want = envelope(parts, low, high), pairwise_fold(parts, low, high)
+    assert got.low == want.low and got.high == want.high
+    for x in sorted(set(got.xs) | set(want.xs)):
+        y = want.value_at(x)
+        assert abs(got.value_at(x) - y) <= 1e-12 * max(1.0, abs(y)), (x, parts)
+
+
+def test_envelope_of_one_part_is_shift_bit_for_bit():
+    rng = random.Random(16)
+    for n in range(300):
+        high = rng.choice((1.0, 30.0, 500.0))
+        low = LOWS[n // 150] * high / 20.0
+        f, delta, slope, intercept = random_part(rng, low, high)
+        got = envelope([(f, delta, slope, intercept)], low, high)
+        want = reference_shift(f, delta, low, high, slope, intercept)
+        assert got.xs == want.xs and got.ys == want.ys and dump_csv(got) == dump_csv(want)
+        assert f.shift(delta, low, high, slope, intercept) == got
+
+
+def test_envelope_matches_pairwise_fold_on_random_parts():
+    rng = random.Random(17)
+    for n in range(400):
+        high = rng.choice((1.0, 30.0, 500.0))
+        low = LOWS[n // 200] * high / 20.0
+        k = rng.randint(1, 4 if n % 4 in (0, 3) else 3)  # K = 1 to 4 with the extra part below
+        parts = [random_part(rng, low, high) for _ in range(k)]
+        if n % 4 == 1:  # an identical part: ties everywhere
+            parts.insert(rng.randrange(len(parts) + 1), rng.choice(parts))
+        elif n % 4 == 2:  # a part tied with another except around one breakpoint
+            f, delta, slope, intercept = rng.choice(parts)
+            ys = list(f.ys)
+            i = rng.randrange(len(ys))
+            ys[i] += rng.choice((-1.0, 1.0))
+            parts.append((Pwl(f.xs, ys), delta, slope, intercept))
+        assert_envelope_matches_fold(parts, low, high)
+
+
+def test_envelope_crossings_near_a_grid_point():
+    """A line crossing a vee half the abscissa tolerance from its kink g adds
+    no breakpoint, two tolerances away it adds the crossing, in both builds."""
+    rng = random.Random(18)
+    for n in range(200):
+        high = rng.choice((1.0, 30.0, 500.0))
+        low = LOWS[n // 100] * high / 20.0
+        xtol = TOL * max(1.0, high)
+        g = rng.uniform(low + 0.1 * (high - low), high - 0.1 * (high - low))
+        left, right = rng.uniform(-3.0, 0.0), rng.uniform(0.0, 3.0)
+        vee = Pwl((low, g, high), (left * (low - g), 0.0, right * (high - g)))
+        for offset in (0.5 * xtol, -0.5 * xtol, 2.0 * xtol, -2.0 * xtol):
+            c = g + offset
+            # steeper than both arms, so the line crosses the vee once, at c
+            s = rng.choice((-1.0, 1.0)) * rng.uniform(3.5, 6.0)
+            at_c = vee.value_at(c)
+            line = Pwl((low, high), (at_c + s * (low - c), at_c + s * (high - c)))
+            for parts in ([(vee, 0.0, 0.0, 0.0), (line, 0.0, 0.0, 0.0)],
+                          [(line, 0.0, 0.0, 0.0), (vee, 0.0, 0.0, 0.0)]):
+                assert_envelope_matches_fold(parts, low, high)
+                near = [x for x in envelope(parts, low, high).xs
+                        if x != g and abs(x - g) <= 4.0 * xtol]
+                if abs(offset) < xtol:
+                    assert near == [], (offset, near)
+                else:
+                    assert len(near) == 1 and abs(near[0] - c) <= 0.1 * xtol, (offset, near)
 
 
 # -- argmin -------------------------------------------------------------
