@@ -3,9 +3,11 @@
 The generator draws every parameter from the uniform ranges used for the
 benchmark batches (compression rate fixed to 1, due-date ladders built by
 accumulating uniform steps from a fixed origin).  Enumeration over all class
-interleavings, with exact per-sequence compression optimization, is the
-independent optimality oracle for the state-space solver and for MILP
-certificates.
+interleavings, with exact per-sequence compression optimization, is a second
+exact solver.  It is not independent of the state-space solver: both build
+their stage costs with ``stage_objective``, ``stage_value``, ``stage_cost``
+and ``Pwl.window_min``.  The independent reference is the LP oracle in
+``tests/lp_reference.py``, which reads only instance data.
 """
 
 from __future__ import annotations
@@ -138,9 +140,8 @@ def brute_force_solve(inst: Instance) -> Schedule:
         while len(suffix) > depth:  # back out of the suffixes already walked
             left[suffix.pop()] += 1
         cp = inst.classes[k]
-        slot = left[k] - 1
-        obj = stage_objective(value, cp.alpha[slot], cp.dd[slot], cp.beta)
         left[k] -= 1
+        obj = stage_objective(value, cp, left[k])
         suffix.append(k)
         if depth + 1 == n:
             cost = stage_cost(obj, cp, 0.0, 0.0, 0.0)  # first stage: t = 0, no setup
@@ -154,6 +155,5 @@ def brute_force_solve(inst: Instance) -> Schedule:
             for h in reversed(range(len(left))):
                 if left[h]:
                     stack.append((depth + 1, h, stage_value(
-                        windowed, cp.beta, cp.pt_low, cp.pt_nom,
-                        inst.st[h][k], inst.sc[h][k], 0.0, high)))
+                        windowed, cp, inst.st[h][k], inst.sc[h][k], 0.0, high)))
     return solve_sequence(inst, Sequence(min(order for _, order in near)))

@@ -108,6 +108,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.dump_values and args.method != "dp":
+        raise CliError("--dump-values needs --method dp")
     inst = _read_valid_instance(args.instance)
     t0 = time.perf_counter()
     sched, vt = _solve(inst, args.method)
@@ -129,7 +131,7 @@ def cmd_solve(args) -> int:
         report["max_breakpoints"] = max(len(vt[s]) for s in vt.states())
     if args.output:
         _write(args.output, json.dumps(doc, indent=2))
-    if args.dump_values and vt is not None:
+    if args.dump_values:
         _write(args.dump_values, vt.dump_csv())
     print(json.dumps(report, indent=2))
     return 0

@@ -162,9 +162,7 @@ def _child_objective(inst: Instance, values: dict[DiscreteState, Pwl],
     child alone, not on the state it was served from.
     """
     k = child.last
-    cp = inst.classes[k]
-    i = child.counts[k] - 1
-    return stage_objective(values[child], cp.alpha[i], cp.dd[i], cp.beta)
+    return stage_objective(values[child], inst.classes[k], child.counts[k] - 1)
 
 
 def backward_induction(inst: Instance) -> ValueTable:
@@ -197,8 +195,7 @@ def backward_induction(inst: Instance) -> ValueTable:
         for state in graph.stages[j]:
             parts = []
             for k in admissible_classes(inst, state):
-                cp = inst.classes[k]
-                parts.append(stage_part(windowed[_child(state, k)], cp.beta, cp.pt_low, cp.pt_nom,
+                parts.append(stage_part(windowed[_child(state, k)], inst.classes[k],
                                         inst.setup_time(state.last, k),
                                         inst.setup_cost(state.last, k)))
             values[state] = envelope(parts, *start_window(inst, state))

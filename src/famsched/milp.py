@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 from .instance import Instance, horizon_upper_bound
@@ -99,8 +100,29 @@ def size_report(model: MilpModel) -> SizeReport:
 
 
 class _Builder:
-    def __init__(self, name: str):
+    """A model under construction and the job index its rows read.
+
+    Jobs are numbered by position p in class-major order.  ``cls[p]`` and
+    ``slot[p]`` are job p's 0-based class and due-date slot, ``params[p]``
+    that class's parameters, ``ids[p]`` its 1-based ``k_i`` name suffix, and
+    ``blocks[k]`` the range of class k's positions.  ``m`` is every big-M:
+    the horizon bound.
+    """
+
+    def __init__(self, name: str, inst: Instance):
         self.model = MilpModel(name=name)
+        self.inst = inst
+        self.m = horizon_upper_bound(inst)
+        self.cls = [k for k, cp in enumerate(inst.classes) for _ in range(cp.n_jobs)]
+        self.slot = [i for cp in inst.classes for i in range(cp.n_jobs)]
+        self.params = [inst.classes[k] for k in self.cls]
+        self.ids = [f"{k + 1}_{i + 1}" for k, i in zip(self.cls, self.slot)]
+        starts = list(accumulate(inst.jobs_per_class, initial=0))
+        self.blocks = [range(a, z) for a, z in zip(starts, starts[1:])]
+
+    def pairs(self) -> list[list[str]]:
+        """``h_j_k_i`` name suffix of each ordered job pair, by (position, position)."""
+        return [[f"{a}_{b}" for b in self.ids] for a in self.ids]
 
     def declare(self, prefix: str, suffixes: list[str], kind: str) -> list[str]:
         """Declare ``{prefix}_{suffix}`` for each suffix; the names, in suffix order."""
@@ -118,38 +140,14 @@ class _Builder:
         return self.model
 
 
-def _jobs(inst: Instance) -> list[tuple[int, int]]:
-    """(class, job) pairs, 1-based, in class-major order."""
-    return [(k + 1, i + 1) for k in range(inst.n_classes) for i in range(inst.classes[k].n_jobs)]
-
-
-def _ids(jobs) -> list[str]:
-    """``k_i`` name suffix of each job, by job position."""
-    return [f"{k}_{i}" for k, i in jobs]
-
-
-def _pairs(ids: list[str]) -> list[list[str]]:
-    """``h_j_k_i`` name suffix of each ordered job pair, by (position, position)."""
-    return [[f"{a}_{b}" for b in ids] for a in ids]
-
-
-def _class_starts(inst: Instance) -> list[int]:
-    """Position of each class's first job in ``_jobs`` order."""
-    starts, pos = [], 0
-    for cp in inst.classes:
-        starts.append(pos)
-        pos += cp.n_jobs
-    return starts
-
-
-def _add_common_delta_rows(b: _Builder, inst: Instance, jobs, ids, d, v) -> None:
+def _add_common_delta_rows(b: _Builder, d, v) -> None:
     """Successor-variable rows shared by models 1 and 2.
 
     ``d`` is the successor-binary name table and ``v`` the per-job continuous
     name lists, both indexed by job position.
     """
-    n = len(jobs)
-    cls = [k - 1 for k, _ in jobs]
+    inst, cls, ids = b.inst, b.cls, b.ids
+    n = len(ids)
     om, la, u, pt = v["Om"], v["La"], v["u"], v["pt"]
     for q in range(n):
         k = cls[q]
@@ -161,23 +159,20 @@ def _add_common_delta_rows(b: _Builder, inst: Instance, jobs, ids, d, v) -> None
         b.con(f"pred_{ids[q]}", [(1.0, row[q]) for row in d], "<=", 1.0)
     for p in range(n):
         b.con(f"succ_{ids[p]}", [(1.0, name) for name in d[p]], "<=", 1.0)
-    for k, s in enumerate(_class_starts(inst)):
-        nk = inst.classes[k].n_jobs
-        for i in range(nk):
-            b.con(f"gdd_lo_{k + 1}_{i + 1}", [(1.0, d[s + i][s + j]) for j in range(i + 1)], "=", 0.0)
-        for i in range(nk - 2):
-            b.con(f"gdd_hi_{k + 1}_{i + 1}", [(1.0, d[s + i][s + j]) for j in range(i + 2, nk)], "=", 0.0)
-    for p in range(n):
-        cp = inst.classes[cls[p]]
+    for blk in b.blocks:
+        for p in blk:
+            b.con(f"gdd_lo_{ids[p]}", [(1.0, d[p][r]) for r in range(blk.start, p + 1)], "=", 0.0)
+        for p in blk[:-2]:
+            b.con(f"gdd_hi_{ids[p]}", [(1.0, d[p][r]) for r in range(p + 2, blk.stop)], "=", 0.0)
+    for p, cp in enumerate(b.params):
         b.con(f"ubound_{ids[p]}", [(1.0, u[p])], "<=", cp.u_max)
         b.con(f"ptdef_{ids[p]}", [(1.0, pt[p]), (cp.gamma, u[p])], "=", cp.pt_nom)
 
 
-def _tardiness_objective(inst: Instance, jobs, v) -> list[tuple[float, str]]:
-    classes = [inst.classes[k - 1] for k, _ in jobs]
+def _tardiness_objective(b: _Builder, v) -> list[tuple[float, str]]:
     return (
-        [(cp.alpha[i - 1], name) for cp, (_, i), name in zip(classes, jobs, v["T"])]
-        + [(cp.beta * cp.gamma, name) for cp, name in zip(classes, v["u"])]
+        [(cp.alpha[i], name) for cp, i, name in zip(b.params, b.slot, v["T"])]
+        + [(cp.beta * cp.gamma, name) for cp, name in zip(b.params, v["u"])]
         + [(1.0, name) for name in v["Om"]]
     )
 
@@ -190,26 +185,24 @@ def build_model1(inst: Instance) -> MilpModel:
     appended as ``Constraint`` objects directly and skip ``_Builder.con``'s
     float conversion and zero filter.
     """
-    m = horizon_upper_bound(inst)
-    jobs = _jobs(inst)
-    n = len(jobs)
-    ids = _ids(jobs)
-    pairs = _pairs(ids)
-    b = _Builder("model1")
+    b = _Builder("model1", inst)
+    m, ids, slot = b.m, b.ids, b.slot
+    n = len(ids)
+    pairs = b.pairs()
     x = [b.declare("x", row, "binary") for row in pairs]
     d = [b.declare("d", row, "binary") for row in pairs]
     v = {prefix: b.declare(prefix, ids, "continuous") for prefix in ("u", "S", "pt", "T", "Om", "La")}
-    b.model.objective = _tardiness_objective(inst, jobs, v)
+    b.model.objective = _tardiness_objective(b, v)
     s, pt, la = v["S"], v["pt"], v["La"]
 
-    for p, (k, i) in enumerate(jobs):
+    for p, cp in enumerate(b.params):
         b.con(
             f"tard_{ids[p]}",
             [(1.0, v["T"][p]), (-1.0, s[p]), (-1.0, la[p]), (-1.0, pt[p])],
             ">=",
-            -inst.classes[k - 1].dd[i - 1],
+            -cp.dd[slot[p]],
         )
-    _add_common_delta_rows(b, inst, jobs, ids, d, v)
+    _add_common_delta_rows(b, d, v)
     for p in range(n):
         for q in range(n):
             if p == q:
@@ -226,13 +219,12 @@ def build_model1(inst: Instance) -> MilpModel:
                 ">=",
                 0.0,
             )
-    for k, start in enumerate(_class_starts(inst)):
-        nk = inst.classes[k].n_jobs
-        for i in range(nk):
-            for j in range(i):
-                b.con(f"gx_one_{k + 1}_{i + 1}_{j + 1}", [(1.0, x[start + j][start + i])], "=", 1.0)
-            for j in range(i, nk):
-                b.con(f"gx_zero_{k + 1}_{i + 1}_{j + 1}", [(1.0, x[start + j][start + i])], "=", 0.0)
+    for blk in b.blocks:
+        for p in blk:
+            for r in range(blk.start, p):
+                b.con(f"gx_one_{ids[p]}_{slot[r] + 1}", [(1.0, x[r][p])], "=", 1.0)
+            for r in range(p, blk.stop):
+                b.con(f"gx_zero_{ids[p]}_{slot[r] + 1}", [(1.0, x[r][p])], "=", 0.0)
     for p in range(n):
         for q in range(n):
             if p != q:
@@ -256,21 +248,19 @@ def build_model1(inst: Instance) -> MilpModel:
 
 def build_model2(inst: Instance) -> MilpModel:
     """Successor-binaries-only formulation with explicit completion times."""
-    m = horizon_upper_bound(inst)
-    jobs = _jobs(inst)
-    n = len(jobs)
-    ids = _ids(jobs)
-    pairs = _pairs(ids)
-    b = _Builder("model2")
+    b = _Builder("model2", inst)
+    m, ids = b.m, b.ids
+    n = len(ids)
+    pairs = b.pairs()
     d = [b.declare("d", row, "binary") for row in pairs]
     v = {prefix: b.declare(prefix, ids, "continuous") for prefix in ("u", "S", "pt", "T", "Om", "La", "C")}
-    b.model.objective = _tardiness_objective(inst, jobs, v)
+    b.model.objective = _tardiness_objective(b, v)
     s, pt, la, c = v["S"], v["pt"], v["La"], v["C"]
 
-    for p, (k, i) in enumerate(jobs):
+    for p, cp in enumerate(b.params):
         b.con(f"comp_{ids[p]}", [(1.0, c[p]), (-1.0, s[p]), (-1.0, la[p]), (-1.0, pt[p])], "=", 0.0)
-        b.con(f"tard_{ids[p]}", [(1.0, v["T"][p]), (-1.0, c[p])], ">=", -inst.classes[k - 1].dd[i - 1])
-    _add_common_delta_rows(b, inst, jobs, ids, d, v)
+        b.con(f"tard_{ids[p]}", [(1.0, v["T"][p]), (-1.0, c[p])], ">=", -cp.dd[b.slot[p]])
+    _add_common_delta_rows(b, d, v)
     for p in range(n):
         for q in range(n):
             if p != q:
@@ -282,41 +272,29 @@ def build_model2(inst: Instance) -> MilpModel:
 
 def build_model3(inst: Instance) -> MilpModel:
     """Stage-assignment formulation derived from the state-space view."""
-    m = horizon_upper_bound(inst)
-    jobs = _jobs(inst)
-    n = len(jobs)
-    ids = _ids(jobs)
+    b = _Builder("model3", inst)
+    m, ids = b.m, b.ids
+    n = len(ids)
     stages = range(n)
-    b = _Builder("model3")
     stage_ids = [str(j) for j in stages]
     xs = [b.declare(f"xs_{a}", stage_ids, "binary") for a in ids]
     v = {prefix: b.declare(prefix, ids, "continuous") for prefix in ("S", "C", "pt", "T")}
     w = {prefix: b.declare(prefix, stage_ids, "continuous") for prefix in ("tau", "Omt", "Lat", "St", "Ct")}
     s, c, pt, t = v["S"], v["C"], v["pt"], v["T"]
     tau, omt, lat, st_, ct = w["tau"], w["Omt"], w["Lat"], w["St"], w["Ct"]
-    obj: list[tuple[float, str]] = []
-    const = 0.0
-    for (k, i), name in zip(jobs, t):
-        obj.append((inst.classes[k - 1].alpha[i - 1], name))
-    for (k, _), name in zip(jobs, pt):
-        cp = inst.classes[k - 1]
-        obj.append((-cp.beta, name))
-        const += cp.beta * cp.pt_nom
-    obj += [(1.0, name) for name in omt]
-    b.model.objective = obj
-    b.model.objective_constant = const
+    b.model.objective = (
+        [(cp.alpha[i], name) for cp, i, name in zip(b.params, b.slot, t)]
+        + [(-cp.beta, name) for cp, name in zip(b.params, pt)]
+        + [(1.0, name) for name in omt]
+    )
+    b.model.objective_constant = sum(cp.beta * cp.pt_nom for cp in b.params)
 
-    for p, (k, i) in enumerate(jobs):
-        cp = inst.classes[k - 1]
-        b.con(f"tard_{ids[p]}", [(1.0, t[p]), (-1.0, c[p])], ">=", -cp.dd[i - 1])
+    for p, cp in enumerate(b.params):
+        b.con(f"tard_{ids[p]}", [(1.0, t[p]), (-1.0, c[p])], ">=", -cp.dd[b.slot[p]])
         b.con(f"pt_lo_{ids[p]}", [(1.0, pt[p])], ">=", cp.pt_low)
         b.con(f"pt_hi_{ids[p]}", [(1.0, pt[p])], "<=", cp.pt_nom)
     # xs names of each class's jobs at each stage
-    starts = _class_starts(inst)
-    by_class = [
-        [[xs[p][j] for p in range(start, start + cp.n_jobs)] for j in stages]
-        for start, cp in zip(starts, inst.classes)
-    ]
+    by_class = [[[xs[p][j] for p in blk] for j in stages] for blk in b.blocks]
     for j in range(1, n):
         for h in range(inst.n_classes):
             for k in range(inst.n_classes):
@@ -337,15 +315,14 @@ def build_model3(inst: Instance) -> MilpModel:
             b.con(f"ptlink_{j}_{ids[p]}", [(1.0, tau[j]), (-1.0, pt[p]), (-m, xs[p][j])], ">=", -m)
             b.con(f"slink_{j}_{ids[p]}", [(1.0, s[p]), (-1.0, st_[j]), (-m, xs[p][j])], ">=", -m)
             b.con(f"clink_{j}_{ids[p]}", [(1.0, c[p]), (-1.0, ct[j]), (-m, xs[p][j])], ">=", -m)
-    for k, start in enumerate(starts):
-        for p in range(start + 1, start + inst.classes[k].n_jobs):
+    for blk in b.blocks:
+        for p in blk[1:]:
             b.con(f"gdd_{ids[p]}", [(1.0, s[p]), (-1.0, c[p - 1])], ">=", 0.0)
     for j in stages:
         b.con(f"stage_one_{j}", [(1.0, row[j]) for row in xs], "=", 1.0)
-    for k, start in enumerate(starts):
-        nk = inst.classes[k].n_jobs
-        terms = [(1.0, name) for row in xs[start:start + nk] for name in row]
-        b.con(f"class_total_{k + 1}", terms, "=", float(nk))
+    for k, blk in enumerate(b.blocks):
+        terms = [(1.0, name) for row in xs[blk.start:blk.stop] for name in row]
+        b.con(f"class_total_{k + 1}", terms, "=", float(len(blk)))
     for p in range(n):
         b.con(f"once_{ids[p]}", [(1.0, name) for name in xs[p]], "=", 1.0)
     return b.done()

@@ -195,8 +195,9 @@ def build_timeline(inst: Instance, seq: Sequence, plan: CompressionPlan) -> Time
 # -- stage transforms and stage cost, shared by every solver ------------
 
 
-def stage_objective(child_value: Pwl, alpha: float, dd: float, beta: float) -> Pwl:
-    """F(s) = tardiness hinge at s + child cost-to-go at s - beta * s.
+def stage_objective(child_value: Pwl, cp: ClassParams, i: int) -> Pwl:
+    """F(s) = tardiness hinge at s + child cost-to-go at s - beta * s, for
+    slot i of class ``cp``: the hinge has slope alpha[i] and knee dd[i].
 
     s is the served job's completion time; the -beta*s term carries the
     compression credit so that the window minimum below is a function of the
@@ -211,6 +212,7 @@ def stage_objective(child_value: Pwl, alpha: float, dd: float, beta: float) -> P
     tolerance of an end) and the merge keeps the same breakpoints in one
     pass as in two.  alpha and dd are not checked here: ``validate_instance`` does.
     """
+    alpha, dd, beta = cp.alpha[i], cp.dd[i], cp.beta
     xs, ys = list(child_value.xs), list(child_value.ys)
     low, high = xs[0], xs[-1]
     if alpha == 0.0 or dd >= high:
@@ -229,8 +231,7 @@ def stage_objective(child_value: Pwl, alpha: float, dd: float, beta: float) -> P
     return Pwl(xs, [y + h - beta * x for x, y, h in zip(xs, ys, hinge)])
 
 
-def stage_value(windowed: Pwl, beta: float, pt_low: float, pt_nom: float,
-                st: float, sc: float, low: float, high: float) -> Pwl:
+def stage_value(windowed: Pwl, cp: ClassParams, st: float, sc: float, low: float, high: float) -> Pwl:
     """Cost-to-go before the stage, as a function of the stage's start time t
     on the domain [low, high]: ``stage_cost`` at every t.
 
@@ -240,16 +241,15 @@ def stage_value(windowed: Pwl, beta: float, pt_low: float, pt_nom: float,
     window it once.  One ``shift`` moves the window minimum by st + pt_low
     and adds the affine term in the same construction.
     """
-    f, delta, slope, intercept = stage_part(windowed, beta, pt_low, pt_nom, st, sc)
+    f, delta, slope, intercept = stage_part(windowed, cp, st, sc)
     return f.shift(delta, low, high, slope, intercept)
 
 
-def stage_part(windowed: Pwl, beta: float, pt_low: float, pt_nom: float,
-               st: float, sc: float) -> tuple[Pwl, float, float, float]:
+def stage_part(windowed: Pwl, cp: ClassParams, st: float, sc: float) -> tuple[Pwl, float, float, float]:
     """``stage_value`` as a part ``(f, delta, slope, intercept)`` of
     ``pwl.envelope``: the cost-to-go of a state is the envelope of its moves'
     parts on the state's start window."""
-    return windowed, st + pt_low, beta, sc + beta * (pt_nom + st)
+    return windowed, st + cp.pt_low, cp.beta, sc + cp.beta * (cp.pt_nom + st)
 
 
 def stage_cost(objective: Pwl, cp: ClassParams, t: float, st: float, sc: float) -> float:
@@ -297,10 +297,10 @@ def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPla
     objectives: list[Pwl] = [None] * len(jobs)  # type: ignore[list-item]
     for job in reversed(jobs):
         cp = inst.classes[job.cls]
-        obj = stage_objective(value, cp.alpha[job.idx], cp.dd[job.idx], cp.beta)
+        obj = stage_objective(value, cp, job.idx)
         objectives[job.stage] = obj
         windowed = obj.window_min(cp.pt_nom - cp.pt_low)
-        value = stage_value(windowed, cp.beta, cp.pt_low, cp.pt_nom, job.st, job.sc, 0.0, high)
+        value = stage_value(windowed, cp, job.st, job.sc, 0.0, high)
     total = value.value_at(0.0)
 
     u = [[0.0] * cp.n_jobs for cp in inst.classes]

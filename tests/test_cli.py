@@ -104,6 +104,15 @@ def test_solve_dp_report(tmp_path, capsys, ex1):
         assert lo - slack <= float(x) <= hi + slack, row
 
 
+def test_dump_values_needs_dp(tmp_path, capsys):
+    values_file = tmp_path / "values.csv"
+    code, out, err = run(capsys, "solve", "--method", "enum", EX1, "--dump-values", str(values_file))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --dump-values needs --method dp\n"
+    assert not values_file.exists()
+
+
 def test_max_breakpoints_reported(ex1, capsys):
     vt = backward_induction(ex1)
     want = max(len(vt[s]) for s in vt.states())

@@ -184,9 +184,9 @@ def per_edge_values(inst: Instance) -> dict[DiscreteState, Pwl]:
                 if i == cp.n_jobs:
                     continue
                 child = DiscreteState(state.counts[:k] + (i + 1,) + state.counts[k + 1:], k)
-                obj = stage_objective(values[child], cp.alpha[i], cp.dd[i], cp.beta)
-                parts.append(stage_part(obj.window_min(cp.pt_nom - cp.pt_low), cp.beta,
-                                        cp.pt_low, cp.pt_nom, inst.setup_time(state.last, k),
+                obj = stage_objective(values[child], cp, i)
+                parts.append(stage_part(obj.window_min(cp.pt_nom - cp.pt_low), cp,
+                                        inst.setup_time(state.last, k),
                                         inst.setup_cost(state.last, k)))
             values[state] = envelope(parts, *start_window(inst, state))
     return values
@@ -212,8 +212,7 @@ def full_domain_table(inst: Instance, high: float) -> ValueTable:
         windowed = {}
         for child in graph.stages[j + 1]:
             cp = inst.classes[child.last]
-            i = child.counts[child.last] - 1
-            obj = stage_objective(values[child], cp.alpha[i], cp.dd[i], cp.beta)
+            obj = stage_objective(values[child], cp, child.counts[child.last] - 1)
             windowed[child] = obj.window_min(cp.pt_nom - cp.pt_low)
         for state in graph.stages[j]:
             best = None
@@ -222,9 +221,8 @@ def full_domain_table(inst: Instance, high: float) -> ValueTable:
                 if i == cp.n_jobs:
                     continue
                 child = DiscreteState(state.counts[:k] + (i + 1,) + state.counts[k + 1:], k)
-                w = stage_value(windowed[child], cp.beta, cp.pt_low, cp.pt_nom,
-                                inst.setup_time(state.last, k), inst.setup_cost(state.last, k),
-                                0.0, high)
+                w = stage_value(windowed[child], cp, inst.setup_time(state.last, k),
+                                inst.setup_cost(state.last, k), 0.0, high)
                 best = w if best is None else best.pointwise_min(w)
             values[state] = best
     return ValueTable(inst, graph, values)

@@ -390,6 +390,21 @@ def test_lp_text_unchanged(jobs, seed, which):
     assert digest == LP_SHA256[(jobs, seed, which)]
 
 
+# sha256 of emit_lp's text on the hand-written example, by model id; recorded
+# before the builders read one 0-based job index.
+EX1_LP_SHA256 = {
+    1: "e005b312d40f8731415e7e94b72a5909f64d360e869d4d42b0df71b0468fccd2",
+    2: "4bbdefc87913c034a971d630fd7a0ca88312699b232a423e630966519bc67ff8",
+    3: "f5f5941722df1d1fdf8a46f545249d22b8f2cd69955579303f157ed9c38b8a72",
+}
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_ex1_lp_text_unchanged(ex1, which):
+    digest = hashlib.sha256(emit_lp(build_model(ex1, which)).encode()).hexdigest()
+    assert digest == EX1_LP_SHA256[which]
+
+
 def test_binary_section_length(ex1):
     text = emit_lp(build_model1(ex1))
     section = text.split("Binaries")[1].split("End")[0]

@@ -244,24 +244,24 @@ def test_fused_stage_transforms_match_two_step():
         hinge = Pwl.hinge(alpha, dd, 0.0, high)
         grid = sorted(set(f.xs) | set(hinge.xs))
         summed = Pwl(grid, [f.value_at(x) + hinge.value_at(x) for x in grid])
-        assert_same_bits(stage_objective(f, alpha, dd, beta), summed.add_affine(-beta, 0.0))
-
         pt_low = rng.uniform(0.5, 3.0)
         pt_nom = pt_low + rng.uniform(0.0, 3.0)
+        cp = ClassParams(pt_nom=pt_nom, pt_low=pt_low, beta=beta, gamma=1.0, alpha=(alpha,), dd=(dd,))
+        obj = stage_objective(f, cp, 0)
+        assert_same_bits(obj, summed.add_affine(-beta, 0.0))
+
         st = rng.choice((0.0, rng.uniform(0.5, 3.0)))
         sc = rng.choice((0.0, rng.uniform(0.5, 3.0)))
         windowed = random_stage_function(rng, n, high - (pt_nom - pt_low))
         shifted = windowed.shift(st + pt_low, 0.0, high)
         want = shifted.add_affine(beta, sc + beta * (pt_nom + st))
-        assert_same_bits(stage_value(windowed, beta, pt_low, pt_nom, st, sc, 0.0, high), want)
+        assert_same_bits(stage_value(windowed, cp, st, sc, 0.0, high), want)
 
         # the point form: stage_cost at t is the stage value of obj's window minimum at t
-        obj = stage_objective(f, alpha, dd, beta)
-        cp = ClassParams(pt_nom=pt_nom, pt_low=pt_low, beta=beta, gamma=1.0, alpha=(alpha,), dd=(dd,))
         top = high - st - pt_nom  # latest start whose decision window fits in [0, high]
         if top <= 0.0:
             continue
-        value = stage_value(obj.window_min(pt_nom - pt_low), beta, pt_low, pt_nom, st, sc, 0.0, top)
+        value = stage_value(obj.window_min(pt_nom - pt_low), cp, st, sc, 0.0, top)
         for t in [0.0, top] + [rng.uniform(0.0, top) for _ in range(5)]:
             v = value.value_at(t)
             assert abs(stage_cost(obj, cp, t, st, sc) - v) <= TOL * max(1.0, abs(v)), (n, t)
