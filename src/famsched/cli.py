@@ -1,8 +1,10 @@
 """Command-line front end: generate, validate, solve, emit, certify, count, bench.
 
 File I/O is explicit via flags; reports go to stdout as JSON (CSV for bench
-behind --csv).  Exit codes: 0 success, 1 validation/violation findings,
-2 usage or input errors.
+behind --csv), or to stderr when a command writes its payload (LP text, a
+schedule, cost-to-go values) to stdout, so that stdout stays parseable.
+Exit codes: 0 success, 1 validation/violation findings, 2 usage or input
+errors.
 """
 
 from __future__ import annotations
@@ -63,12 +65,21 @@ def _digest(inst: Instance) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def _on_stdout(path: str | None) -> bool:
+    return path is None or path == "-"
+
+
 def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+    if _on_stdout(path):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _report(doc: dict, payload_on_stdout: bool) -> None:
+    """Print a command's JSON report, to stderr when its payload took stdout."""
+    print(json.dumps(doc, indent=2), file=sys.stderr if payload_on_stdout else sys.stdout)
 
 
 def _parse_jobs(text: str) -> tuple[int, ...]:
@@ -133,7 +144,7 @@ def cmd_solve(args) -> int:
         _write(args.output, json.dumps(doc, indent=2))
     if args.dump_values:
         _write(args.dump_values, vt.dump_csv())
-    print(json.dumps(report, indent=2))
+    _report(report, "-" in (args.output, args.dump_values))
     return 0
 
 
@@ -142,19 +153,17 @@ def cmd_emit(args) -> int:
     model = milp.build_model(inst, args.model)
     _write(args.output, milp.emit_lp(model))
     rep = milp.size_report(model)
-    print(
-        json.dumps(
-            {
-                "command": "emit",
-                "instance": _digest(inst),
-                "model": args.model,
-                "binary_count": rep.binary_count,
-                "other_count": rep.other_count,
-                "constraint_count": rep.constraint_count,
-                "convention": rep.convention,
-            },
-            indent=2,
-        )
+    _report(
+        {
+            "command": "emit",
+            "instance": _digest(inst),
+            "model": args.model,
+            "binary_count": rep.binary_count,
+            "other_count": rep.other_count,
+            "constraint_count": rep.constraint_count,
+            "convention": rep.convention,
+        },
+        _on_stdout(args.output),
     )
     return 0
 
@@ -221,7 +230,7 @@ def cmd_bench(args) -> int:
             "sequences": bench.count_sequences(inst),
         }
         for which in (1, 2, 3):
-            rep = milp.size_report(milp.build_model(inst, which))
+            rep = milp.model_size(jobs, which)
             row[f"m{which}_binaries"] = rep.binary_count
             row[f"m{which}_other"] = rep.other_count
             row[f"m{which}_constraints"] = rep.constraint_count

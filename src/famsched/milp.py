@@ -15,6 +15,14 @@ its name and kind.  Size reports count structural constraint rows only:
 variable-domain declarations become bounds, and the objective is counted as
 one auxiliary among the "other" (non-binary) variables.
 
+A model keeps its rows in one columnar store, ``MilpModel.rows``: row names,
+sense codes and right-hand sides, plus the compressed sparse row (CSR)
+arrays ``indptr``, ``cols`` (indices into ``MilpModel.variables``) and
+``coefs``, which is the form ``scipy.optimize.milp`` takes.  Builders append
+large row families as index arrays, ``emit_lp`` and ``check_assignment``
+read the arrays, and ``MilpModel.constraints`` is a read-only view that
+yields each row as a ``Constraint`` tuple naming its variables.
+
 Variable naming (1-based class/job ids, 0-based stage ids):
 ``x_h_j_k_i``, ``d_h_j_k_i``, ``u_k_i``, ``S_k_i``, ``pt_k_i``, ``T_k_i``,
 ``Om_k_i``, ``La_k_i``, ``C_k_i``, ``xs_k_i_j``, ``tau_j``, ``Omt_j``,
@@ -24,14 +32,19 @@ Variable naming (1-based class/job ids, 0-based stage ids):
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
+
+import numpy as np
 
 from .instance import Instance, horizon_upper_bound
 from .schedule import Schedule
 
 CHECK_TOL = 1e-6  # absolute slack check_assignment allows every row and bound
+SENSES = ("<=", "=", ">=")  # a row's sense code indexes this
 
 SIZE_CONVENTION = (
     "other = continuous variables + 1 (objective auxiliary); "
@@ -51,13 +64,83 @@ class Constraint(NamedTuple):
     rhs: float
 
 
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Constraint rows in compressed sparse row form.
+
+    Row r is ``names[r]``, with sense ``SENSES[senses[r]]`` and right-hand
+    side ``rhs[r]``; its terms are ``coefs[t]`` times variable ``cols[t]``
+    for t in ``range(indptr[r], indptr[r + 1])``, in the order they print.
+    """
+
+    names: list[str]
+    senses: np.ndarray  # int8
+    rhs: np.ndarray  # float64
+    indptr: np.ndarray  # int64, one entry more than rows
+    cols: np.ndarray  # int64
+    coefs: np.ndarray  # float64
+
+
+def _rows(names, senses, rhs, lengths, cols, coefs) -> Rows:
+    """A ``Rows`` from per-row names, sense codes, right-hand sides and term
+    counts, and the terms' columns and coefficients in row order."""
+    indptr = np.zeros(len(names) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return Rows(list(names), np.asarray(senses, dtype=np.int8), np.asarray(rhs, dtype=np.float64),
+                indptr, np.asarray(cols, dtype=np.int64), np.asarray(coefs, dtype=np.float64))
+
+
+class Constraints(Sequence):
+    """Read-only view of a model's rows, each a ``Constraint`` naming its variables."""
+
+    def __init__(self, model: MilpModel):
+        self._model = model
+
+    def __len__(self) -> int:
+        return len(self._model.rows.names)
+
+    def __getitem__(self, index: int) -> Constraint:
+        rows, variables = self._model.rows, self._model.variables
+        r = range(len(rows.names))[operator.index(index)]
+        a, z = rows.indptr[r:r + 2].tolist()
+        names = [variables[c].name for c in rows.cols[a:z].tolist()]
+        return Constraint(rows.names[r], tuple(zip(rows.coefs[a:z].tolist(), names)),
+                          SENSES[rows.senses[r]], float(rows.rhs[r]))
+
+
 @dataclass
 class MilpModel:
     name: str
     variables: list[Variable] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
+    rows: Rows = field(default_factory=lambda: _rows([], [], [], [], [], []))
     objective: list[tuple[float, str]] = field(default_factory=list)
     objective_constant: float = 0.0
+
+    @classmethod
+    def from_constraints(cls, name: str, variables: list[Variable], constraints: list[Constraint],
+                         objective=(), objective_constant: float = 0.0) -> MilpModel:
+        """A model whose rows are given as ``Constraint`` tuples; each term's
+        variable name is mapped to its column, and an undeclared one raises
+        ``ValueError`` naming the first row that uses it."""
+        column = {v.name: c for c, v in enumerate(variables)}
+        try:
+            cols = [column[var] for con in constraints for _, var in con.terms]
+        except KeyError as exc:
+            row = next(con for con in constraints if any(var not in column for _, var in con.terms))
+            raise ValueError(f"constraint {row.name} references unknown variable {exc.args[0]}") from None
+        rows = _rows(
+            [con.name for con in constraints],
+            [SENSES.index(con.sense) for con in constraints],
+            [con.rhs for con in constraints],
+            [len(con.terms) for con in constraints],
+            cols,
+            [coef for con in constraints for coef, _ in con.terms],
+        )
+        return cls(name, list(variables), rows, list(objective), objective_constant)
+
+    @property
+    def constraints(self) -> Constraints:
+        return Constraints(self)
 
     def binaries(self) -> list[Variable]:
         return [v for v in self.variables if v.kind == "binary"]
@@ -69,15 +152,12 @@ class MilpModel:
         names = [v.name for v in self.variables]
         if len(names) != len(set(names)):
             raise ValueError("duplicate variable names")
-        cnames = [c.name for c in self.constraints]
-        if len(cnames) != len(set(cnames)):
+        if len(self.rows.names) != len(set(self.rows.names)):
             raise ValueError("duplicate constraint names")
+        cols = self.rows.cols
+        if cols.size and not (cols.min() >= 0 and cols.max() < len(names)):
+            raise ValueError("row columns outside the variable list")
         declared = set(names)
-        if not declared.issuperset({var for c in self.constraints for _, var in c.terms}):
-            for c in self.constraints:  # name the first offending row
-                for _, var in c.terms:
-                    if var not in declared:
-                        raise ValueError(f"constraint {c.name} references unknown variable {var}")
         for coef, var in self.objective:
             if var not in declared:
                 raise ValueError(f"objective references unknown variable {var}")
@@ -95,8 +175,24 @@ def size_report(model: MilpModel) -> SizeReport:
     return SizeReport(
         binary_count=len(model.binaries()),
         other_count=len(model.continuous()) + 1,
-        constraint_count=len(model.constraints),
+        constraint_count=len(model.rows.names),
     )
+
+
+def model_size(jobs: Sequence[int], which: int) -> SizeReport:
+    """``size_report(build_model(inst, which))`` for any instance with
+    ``jobs[k]`` jobs in class k, counted in closed form."""
+    n, k = sum(jobs), len(jobs)
+    delta = 7 * n + 1 + sum(max(nk - 2, 0) for nk in jobs)  # _add_common_delta_rows
+    if which == 1:
+        rows = n + delta + 3 * n * (n - 1) + sum(nk * nk for nk in jobs) + n * (n - 1) * (n - 2) + n * n
+        return SizeReport(2 * n * n, 6 * n + 1, rows)
+    if which == 2:
+        return SizeReport(n * n, 7 * n + 1, 3 * n + delta + n * (n - 1))
+    if which == 3:
+        rows = 7 * n + 2 + 2 * (n - 1) * k * k + 3 * n * n + sum(max(nk - 1, 0) for nk in jobs) + k
+        return SizeReport(n * n, 9 * n + 1, rows)
+    raise ValueError(f"unknown model id {which}")
 
 
 class _Builder:
@@ -106,7 +202,7 @@ class _Builder:
     ``slot[p]`` are job p's 0-based class and due-date slot, ``params[p]``
     that class's parameters, ``ids[p]`` its 1-based ``k_i`` name suffix, and
     ``blocks[k]`` the range of class k's positions.  ``m`` is every big-M:
-    the horizon bound.
+    the horizon bound.  Rows refer to variables by column.
     """
 
     def __init__(self, name: str, inst: Instance):
@@ -119,51 +215,84 @@ class _Builder:
         self.ids = [f"{k + 1}_{i + 1}" for k, i in zip(self.cls, self.slot)]
         starts = list(accumulate(inst.jobs_per_class, initial=0))
         self.blocks = [range(a, z) for a, z in zip(starts, starts[1:])]
+        self.row_names: list[str] = []
+        # (sense codes, rhs, term counts, cols, coefs) of the rows so far, in
+        # row order: arrays per block() call, lists for the rows con() adds
+        self.parts: list[tuple] = []
 
     def pairs(self) -> list[list[str]]:
         """``h_j_k_i`` name suffix of each ordered job pair, by (position, position)."""
         return [[f"{a}_{b}" for b in self.ids] for a in self.ids]
 
-    def declare(self, prefix: str, suffixes: list[str], kind: str) -> list[str]:
-        """Declare ``{prefix}_{suffix}`` for each suffix; the names, in suffix order."""
-        names = [f"{prefix}_{s}" for s in suffixes]
-        self.model.variables += [Variable(name, kind) for name in names]
-        return names
+    def off_diagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions p and q of each ordered pair of distinct jobs, p-major."""
+        n = len(self.ids)
+        return np.nonzero(~np.eye(n, dtype=bool))
+
+    def declare(self, prefix: str, suffixes: list[str], kind: str) -> np.ndarray:
+        """Declare ``{prefix}_{suffix}`` for each suffix; their columns, in suffix order."""
+        start = len(self.model.variables)
+        self.model.variables += [Variable(f"{prefix}_{s}", kind) for s in suffixes]
+        return np.arange(start, len(self.model.variables))
+
+    def names(self, cols) -> list[str]:
+        return [self.model.variables[c].name for c in cols]
 
     def con(self, name: str, terms, sense: str, rhs: float) -> None:
-        """Append a row; coefficients become floats and zero ones are dropped."""
-        kept = tuple([(float(c), v) for c, v in terms if c != 0.0])
-        self.model.constraints.append(Constraint(name, kept, sense, float(rhs)))
+        """Append a row of ``(coefficient, column)`` terms; zero coefficients are dropped."""
+        kept = [(c, col) for c, col in terms if c != 0.0]
+        if not self.parts or not isinstance(self.parts[-1][0], list):
+            self.parts.append(([], [], [], [], []))
+        senses, rhss, counts, cols, coefs = self.parts[-1]
+        self.row_names.append(name)
+        senses.append(SENSES.index(sense))
+        rhss.append(rhs)
+        counts.append(len(kept))
+        cols += [col for _, col in kept]
+        coefs += [c for c, _ in kept]
+
+    def block(self, names: list[str], cols, coefs, sense: str, rhs) -> None:
+        """Append ``len(names)`` rows of equal length: row r's terms are
+        ``coefs[r, t]`` times column ``cols[r, t]`` (``coefs`` and ``rhs``
+        broadcast), zero coefficients dropped as in ``con``."""
+        cols, coefs = np.broadcast_arrays(cols, np.asarray(coefs, dtype=np.float64))
+        keep = coefs != 0.0
+        self.row_names += names
+        self.parts.append((np.full(len(names), SENSES.index(sense)), np.broadcast_to(rhs, len(names)),
+                           keep.sum(axis=1), cols[keep], coefs[keep]))
 
     def done(self) -> MilpModel:
+        fields = [np.concatenate([np.asarray(part) for part in column]) for column in zip(*self.parts)]
+        self.model.rows = _rows(self.row_names, *fields)
         self.model.validate()
         return self.model
 
 
-def _add_common_delta_rows(b: _Builder, d, v) -> None:
+def _add_common_delta_rows(b: _Builder, d: np.ndarray, v) -> None:
     """Successor-variable rows shared by models 1 and 2.
 
-    ``d`` is the successor-binary name table and ``v`` the per-job continuous
-    name lists, both indexed by job position.
+    ``d`` is the successor-binary column table and ``v`` the per-job
+    continuous columns, both indexed by job position.
     """
     inst, cls, ids = b.inst, b.cls, b.ids
     n = len(ids)
     om, la, u, pt = v["Om"], v["La"], v["u"], v["pt"]
+    dl = d.tolist()
     for q in range(n):
         k = cls[q]
-        col = [row[q] for row in d]
+        col = [row[q] for row in dl]
         b.con(f"scost_{ids[q]}", [(1.0, om[q])] + [(-inst.sc[cls[p]][k], col[p]) for p in range(n)], "=", 0.0)
         b.con(f"stime_{ids[q]}", [(1.0, la[q])] + [(-inst.st[cls[p]][k], col[p]) for p in range(n)], "=", 0.0)
-    b.con("all_jobs", [(1.0, name) for row in d for name in row], "=", n - 1)
+    b.con("all_jobs", [(1.0, c) for row in dl for c in row], "=", n - 1)
     for q in range(n):
-        b.con(f"pred_{ids[q]}", [(1.0, row[q]) for row in d], "<=", 1.0)
+        b.con(f"pred_{ids[q]}", [(1.0, row[q]) for row in dl], "<=", 1.0)
     for p in range(n):
-        b.con(f"succ_{ids[p]}", [(1.0, name) for name in d[p]], "<=", 1.0)
+        b.con(f"succ_{ids[p]}", [(1.0, c) for c in dl[p]], "<=", 1.0)
     for blk in b.blocks:
         for p in blk:
-            b.con(f"gdd_lo_{ids[p]}", [(1.0, d[p][r]) for r in range(blk.start, p + 1)], "=", 0.0)
+            b.con(f"gdd_lo_{ids[p]}", [(1.0, dl[p][r]) for r in range(blk.start, p + 1)], "=", 0.0)
         for p in blk[:-2]:
-            b.con(f"gdd_hi_{ids[p]}", [(1.0, d[p][r]) for r in range(p + 2, blk.stop)], "=", 0.0)
+            b.con(f"gdd_hi_{ids[p]}", [(1.0, dl[p][r]) for r in range(p + 2, blk.stop)], "=", 0.0)
     for p, cp in enumerate(b.params):
         b.con(f"ubound_{ids[p]}", [(1.0, u[p])], "<=", cp.u_max)
         b.con(f"ptdef_{ids[p]}", [(1.0, pt[p]), (cp.gamma, u[p])], "=", cp.pt_nom)
@@ -171,78 +300,61 @@ def _add_common_delta_rows(b: _Builder, d, v) -> None:
 
 def _tardiness_objective(b: _Builder, v) -> list[tuple[float, str]]:
     return (
-        [(cp.alpha[i], name) for cp, i, name in zip(b.params, b.slot, v["T"])]
-        + [(cp.beta * cp.gamma, name) for cp, name in zip(b.params, v["u"])]
-        + [(1.0, name) for name in v["Om"]]
+        [(cp.alpha[i], name) for cp, i, name in zip(b.params, b.slot, b.names(v["T"]))]
+        + [(cp.beta * cp.gamma, name) for cp, name in zip(b.params, b.names(v["u"]))]
+        + [(1.0, name) for name in b.names(v["Om"])]
     )
 
 
 def build_model1(inst: Instance) -> MilpModel:
     """Formulation with relative-position and successor binaries.
 
-    Variable and row names come from name tables formatted once per build.
-    The N^3 ``cyc3`` rows, whose coefficients are the constant 1.0, are
-    appended as ``Constraint`` objects directly and skip ``_Builder.con``'s
-    float conversion and zero filter.
+    Variable and row names come from name tables formatted once per build;
+    the row families of N^2 or more rows are built from column index arrays.
     """
     b = _Builder("model1", inst)
     m, ids, slot = b.m, b.ids, b.slot
     n = len(ids)
     pairs = b.pairs()
-    x = [b.declare("x", row, "binary") for row in pairs]
-    d = [b.declare("d", row, "binary") for row in pairs]
+    flat = [s for row in pairs for s in row]
+    x = b.declare("x", flat, "binary").reshape(n, n)
+    d = b.declare("d", flat, "binary").reshape(n, n)
     v = {prefix: b.declare(prefix, ids, "continuous") for prefix in ("u", "S", "pt", "T", "Om", "La")}
     b.model.objective = _tardiness_objective(b, v)
-    s, pt, la = v["S"], v["pt"], v["La"]
+    s, pt, la, t = v["S"], v["pt"], v["La"], v["T"]
 
     for p, cp in enumerate(b.params):
-        b.con(
-            f"tard_{ids[p]}",
-            [(1.0, v["T"][p]), (-1.0, s[p]), (-1.0, la[p]), (-1.0, pt[p])],
-            ">=",
-            -cp.dd[slot[p]],
-        )
+        b.con(f"tard_{ids[p]}", [(1.0, t[p]), (-1.0, s[p]), (-1.0, la[p]), (-1.0, pt[p])], ">=", -cp.dd[slot[p]])
     _add_common_delta_rows(b, d, v)
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            b.con(
-                f"after_{pairs[p][q]}",
-                [(1.0, s[q]), (-1.0, s[p]), (-1.0, la[p]), (-1.0, pt[p]), (-m, x[p][q])],
-                ">=",
-                -m,
-            )
-            b.con(
-                f"before_{pairs[p][q]}",
-                [(1.0, s[p]), (-1.0, s[q]), (-1.0, la[q]), (-1.0, pt[q]), (m, x[p][q])],
-                ">=",
-                0.0,
-            )
-    for blk in b.blocks:
-        for p in blk:
-            for r in range(blk.start, p):
-                b.con(f"gx_one_{ids[p]}_{slot[r] + 1}", [(1.0, x[r][p])], "=", 1.0)
-            for r in range(p, blk.stop):
-                b.con(f"gx_zero_{ids[p]}_{slot[r] + 1}", [(1.0, x[r][p])], "=", 0.0)
-    for p in range(n):
-        for q in range(n):
-            if p != q:
-                b.con(f"cyc2_{pairs[p][q]}", [(1.0, x[p][q]), (1.0, x[q][p])], "=", 1.0)
-    rows = b.model.constraints
-    one = [[(1.0, name) for name in row] for row in x]
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            head = f"cyc3_{pairs[p][q]}_"
-            pq, oq = one[p][q], one[q]
-            for r in range(n):
-                if r != p and r != q:
-                    rows.append(Constraint(head + ids[r], (pq, oq[r], one[r][p]), "<=", 2.0))
-    for p in range(n):
-        for q in range(n):
-            b.con(f"link_{pairs[p][q]}", [(1.0, x[p][q]), (-m, d[p][q])], ">=", 1.0 - m)
+    p, q = b.off_diagonal()
+    off = [pairs[a][c] for a, c in zip(p.tolist(), q.tolist())]
+    after = np.stack([s[q], s[p], la[p], pt[p], x[p, q]], axis=1)
+    before = np.stack([s[p], s[q], la[q], pt[q], x[p, q]], axis=1)
+    b.block(  # after_ and before_ rows alternate pair by pair
+        [f"{kind}_{pq}" for pq in off for kind in ("after", "before")],
+        np.stack([after, before], axis=1).reshape(-1, 5),
+        np.tile([[1.0, -1.0, -1.0, -1.0, -m], [1.0, -1.0, -1.0, -1.0, m]], (len(off), 1)),
+        ">=",
+        np.tile([-m, 0.0], len(off)),
+    )
+    for blk in b.blocks:  # per job p of the class, one row per r: x[r][p] = 1 for r < p, else 0
+        jobs = np.arange(blk.start, blk.stop)
+        pp, rr = np.repeat(jobs, len(jobs)), np.tile(jobs, len(jobs))
+        names = [f"gx_{'one' if r < p else 'zero'}_{ids[p]}_{slot[r] + 1}" for p in blk for r in blk]
+        b.block(names, x[rr, pp][:, None], 1.0, "=", (rr < pp).astype(np.float64))
+    b.block([f"cyc2_{pq}" for pq in off], np.stack([x[p, q], x[q, p]], axis=1), 1.0, "=", 1.0)
+    p3, q3, r3 = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij"))
+    distinct = (p3 != q3) & (r3 != p3) & (r3 != q3)
+    p3, q3, r3 = p3[distinct], q3[distinct], r3[distinct]
+    heads = [f"cyc3_{pq}_" for pq in off]
+    b.block(
+        [head + ids[r] for head, a, c in zip(heads, p.tolist(), q.tolist()) for r in range(n) if r != a and r != c],
+        np.stack([x[p3, q3], x[q3, r3], x[r3, p3]], axis=1),
+        1.0,
+        "<=",
+        2.0,
+    )
+    b.block(["link_" + pq for pq in flat], np.stack([x.ravel(), d.ravel()], axis=1), [1.0, -m], ">=", 1.0 - m)
     return b.done()
 
 
@@ -252,21 +364,26 @@ def build_model2(inst: Instance) -> MilpModel:
     m, ids = b.m, b.ids
     n = len(ids)
     pairs = b.pairs()
-    d = [b.declare("d", row, "binary") for row in pairs]
+    d = b.declare("d", [s for row in pairs for s in row], "binary").reshape(n, n)
     v = {prefix: b.declare(prefix, ids, "continuous") for prefix in ("u", "S", "pt", "T", "Om", "La", "C")}
     b.model.objective = _tardiness_objective(b, v)
-    s, pt, la, c = v["S"], v["pt"], v["La"], v["C"]
+    s, pt, la, c, t = v["S"], v["pt"], v["La"], v["C"], v["T"]
 
     for p, cp in enumerate(b.params):
         b.con(f"comp_{ids[p]}", [(1.0, c[p]), (-1.0, s[p]), (-1.0, la[p]), (-1.0, pt[p])], "=", 0.0)
-        b.con(f"tard_{ids[p]}", [(1.0, v["T"][p]), (-1.0, c[p])], ">=", -cp.dd[b.slot[p]])
+        b.con(f"tard_{ids[p]}", [(1.0, t[p]), (-1.0, c[p])], ">=", -cp.dd[b.slot[p]])
     _add_common_delta_rows(b, d, v)
-    for p in range(n):
-        for q in range(n):
-            if p != q:
-                b.con(f"after_{pairs[p][q]}", [(1.0, s[q]), (-1.0, c[p]), (-m, d[p][q])], ">=", -m)
+    p, q = b.off_diagonal()
+    b.block(
+        [f"after_{pairs[a][z]}" for a, z in zip(p.tolist(), q.tolist())],
+        np.stack([s[q], c[p], d[p, q]], axis=1),
+        [1.0, -1.0, -m],
+        ">=",
+        -m,
+    )
+    dl = d.tolist()
     for q in range(n):
-        b.con(f"first_{ids[q]}", [(1.0, c[q]), (-1.0, pt[q])] + [(m, row[q]) for row in d], ">=", 0.0)
+        b.con(f"first_{ids[q]}", [(1.0, c[q]), (-1.0, pt[q])] + [(m, row[q]) for row in dl], ">=", 0.0)
     return b.done()
 
 
@@ -277,15 +394,15 @@ def build_model3(inst: Instance) -> MilpModel:
     n = len(ids)
     stages = range(n)
     stage_ids = [str(j) for j in stages]
-    xs = [b.declare(f"xs_{a}", stage_ids, "binary") for a in ids]
+    xs = np.stack([b.declare(f"xs_{a}", stage_ids, "binary") for a in ids])  # xs[p, j]
     v = {prefix: b.declare(prefix, ids, "continuous") for prefix in ("S", "C", "pt", "T")}
     w = {prefix: b.declare(prefix, stage_ids, "continuous") for prefix in ("tau", "Omt", "Lat", "St", "Ct")}
     s, c, pt, t = v["S"], v["C"], v["pt"], v["T"]
     tau, omt, lat, st_, ct = w["tau"], w["Omt"], w["Lat"], w["St"], w["Ct"]
     b.model.objective = (
-        [(cp.alpha[i], name) for cp, i, name in zip(b.params, b.slot, t)]
-        + [(-cp.beta, name) for cp, name in zip(b.params, pt)]
-        + [(1.0, name) for name in omt]
+        [(cp.alpha[i], name) for cp, i, name in zip(b.params, b.slot, b.names(t))]
+        + [(-cp.beta, name) for cp, name in zip(b.params, b.names(pt))]
+        + [(1.0, name) for name in b.names(omt)]
     )
     b.model.objective_constant = sum(cp.beta * cp.pt_nom for cp in b.params)
 
@@ -293,38 +410,43 @@ def build_model3(inst: Instance) -> MilpModel:
         b.con(f"tard_{ids[p]}", [(1.0, t[p]), (-1.0, c[p])], ">=", -cp.dd[b.slot[p]])
         b.con(f"pt_lo_{ids[p]}", [(1.0, pt[p])], ">=", cp.pt_low)
         b.con(f"pt_hi_{ids[p]}", [(1.0, pt[p])], "<=", cp.pt_nom)
-    # xs names of each class's jobs at each stage
-    by_class = [[[xs[p][j] for p in blk] for j in stages] for blk in b.blocks]
+    # xs columns of each class's jobs at each stage
+    by_class = [xs[blk.start:blk.stop].T.tolist() for blk in b.blocks]
     for j in range(1, n):
         for h in range(inst.n_classes):
             for k in range(inst.n_classes):
                 both = by_class[h][j - 1] + by_class[k][j]
                 sc = inst.sc[h][k]
                 st = inst.st[h][k]
-                b.con(f"scost_{j}_{h + 1}_{k + 1}", [(1.0, omt[j])] + [(-sc, name) for name in both], ">=", -sc)
-                b.con(f"stime_{j}_{h + 1}_{k + 1}", [(1.0, lat[j])] + [(-st, name) for name in both], ">=", -st)
-    b.con("scost_0", [(1.0, "Omt_0")], "=", 0.0)
-    b.con("stime_0", [(1.0, "Lat_0")], "=", 0.0)
+                b.con(f"scost_{j}_{h + 1}_{k + 1}", [(1.0, omt[j])] + [(-sc, col) for col in both], ">=", -sc)
+                b.con(f"stime_{j}_{h + 1}_{k + 1}", [(1.0, lat[j])] + [(-st, col) for col in both], ">=", -st)
+    b.con("scost_0", [(1.0, omt[0])], "=", 0.0)
+    b.con("stime_0", [(1.0, lat[0])], "=", 0.0)
     for j in range(1, n):
         b.con(f"chain_{j}", [(1.0, st_[j]), (-1.0, ct[j - 1])], "=", 0.0)
-    b.con("chain_0", [(1.0, "St_0")], "=", 0.0)
+    b.con("chain_0", [(1.0, st_[0])], "=", 0.0)
     for j in stages:
         b.con(f"scomp_{j}", [(1.0, ct[j]), (-1.0, st_[j]), (-1.0, lat[j]), (-1.0, tau[j])], "=", 0.0)
-    for j in stages:
-        for p in range(n):
-            b.con(f"ptlink_{j}_{ids[p]}", [(1.0, tau[j]), (-1.0, pt[p]), (-m, xs[p][j])], ">=", -m)
-            b.con(f"slink_{j}_{ids[p]}", [(1.0, s[p]), (-1.0, st_[j]), (-m, xs[p][j])], ">=", -m)
-            b.con(f"clink_{j}_{ids[p]}", [(1.0, c[p]), (-1.0, ct[j]), (-m, xs[p][j])], ">=", -m)
+    jj, pp = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)  # stage-major
+    links = [(tau[jj], pt[pp]), (s[pp], st_[jj]), (c[pp], ct[jj])]
+    b.block(  # ptlink_, slink_ and clink_ rows alternate by (stage, job)
+        [f"{kind}_{j}_{a}" for j in stages for a in ids for kind in ("ptlink", "slink", "clink")],
+        np.stack([np.stack([lo, hi, xs[pp, jj]], axis=1) for lo, hi in links], axis=1).reshape(-1, 3),
+        [1.0, -1.0, -m],
+        ">=",
+        -m,
+    )
     for blk in b.blocks:
         for p in blk[1:]:
             b.con(f"gdd_{ids[p]}", [(1.0, s[p]), (-1.0, c[p - 1])], ">=", 0.0)
+    xl = xs.tolist()
     for j in stages:
-        b.con(f"stage_one_{j}", [(1.0, row[j]) for row in xs], "=", 1.0)
+        b.con(f"stage_one_{j}", [(1.0, row[j]) for row in xl], "=", 1.0)
     for k, blk in enumerate(b.blocks):
-        terms = [(1.0, name) for row in xs[blk.start:blk.stop] for name in row]
+        terms = [(1.0, col) for row in xl[blk.start:blk.stop] for col in row]
         b.con(f"class_total_{k + 1}", terms, "=", float(len(blk)))
     for p in range(n):
-        b.con(f"once_{ids[p]}", [(1.0, name) for name in xs[p]], "=", 1.0)
+        b.con(f"once_{ids[p]}", [(1.0, col) for col in xl[p]], "=", 1.0)
     return b.done()
 
 
@@ -409,14 +531,26 @@ class CheckReport:
 def check_assignment(model: MilpModel, assignment: dict[str, float]) -> CheckReport:
     """Feasibility certificate: every row and bound checked against CHECK_TOL.
 
-    A NaN value fails its lower bound and a NaN row gap its row.
+    A NaN value fails its lower bound and a NaN row gap its row.  The row
+    sums are one pass over the terms, each row summed left to right.
     """
-    for name, _ in model.variables:
-        if name not in assignment:
-            raise ValueError(f"assignment missing variable {name}")
+    try:
+        values = [assignment[name] for name, _ in model.variables]
+    except KeyError as exc:
+        raise ValueError(f"assignment missing variable {exc.args[0]}") from None
+    rows = model.rows
+    x = np.array(values, dtype=np.float64)
+    binary = np.array([kind == "binary" for _, kind in model.variables], dtype=bool)
+    with np.errstate(all="ignore"):
+        # a superset of the variables the loop below reports on
+        suspect = ~(x >= -CHECK_TOL) | binary & ~((x <= 1.0 + CHECK_TOL) & (np.abs(x - np.rint(x)) <= CHECK_TOL))
+        row_of_term = np.repeat(np.arange(len(rows.names)), np.diff(rows.indptr))
+        lhs = np.bincount(row_of_term, weights=rows.coefs * x[rows.cols], minlength=len(rows.names))
+        gap = np.choose(rows.senses, (lhs - rows.rhs, np.abs(lhs - rows.rhs), rows.rhs - lhs))
+        failed = np.flatnonzero(~(gap <= CHECK_TOL))
     out: list[CheckViolation] = []
-    for name, kind in model.variables:
-        val = assignment[name]
+    for c in np.flatnonzero(suspect).tolist():
+        (name, kind), val = model.variables[c], values[c]
         if not val >= -CHECK_TOL:
             out.append(CheckViolation("bound", name, -val, f"{name}={val} < lb 0.0"))
         if kind == "binary":
@@ -424,16 +558,9 @@ def check_assignment(model: MilpModel, assignment: dict[str, float]) -> CheckRep
                 out.append(CheckViolation("bound", name, val - 1.0, f"{name}={val} > ub 1.0"))
             if math.isfinite(val) and abs(val - round(val)) > CHECK_TOL:
                 out.append(CheckViolation("integrality", name, abs(val - round(val)), f"{name}={val} not integral"))
-    for name, terms, sense, rhs in model.constraints:
-        lhs = sum([coef * assignment[var] for coef, var in terms])
-        if sense == "<=":
-            gap = lhs - rhs
-        elif sense == ">=":
-            gap = rhs - lhs
-        else:
-            gap = abs(lhs - rhs)
-        if not gap <= CHECK_TOL:
-            out.append(CheckViolation("constraint", name, gap, f"{name}: lhs={lhs} {sense} rhs={rhs}"))
+    for r in failed.tolist():
+        name, sense, value, rhs = rows.names[r], SENSES[rows.senses[r]], float(lhs[r]), float(rows.rhs[r])
+        out.append(CheckViolation("constraint", name, float(gap[r]), f"{name}: lhs={value} {sense} rhs={rhs}"))
     objective = model.objective_constant + sum([coef * assignment[var] for coef, var in model.objective])
     return CheckReport(tuple(out), objective)
 
@@ -468,29 +595,61 @@ def _terms_text(terms, prefix: _Memo) -> str:
     return text[2:] if text.startswith("+ ") else text
 
 
+def _rows_text(model: MilpModel, prefix: _Memo) -> list[str]:
+    """The `` <name>: <terms> <sense> <rhs>`` lines, each ending in a newline,
+    as the texts of consecutive batches of rows.
+
+    Each batch is one join over a table of shared strings, placed by index
+    arithmetic: row r is ``" "``, its name, ``": "``, a coefficient and a
+    variable piece per term (term t at ``4r + 2t + 3``), and its
+    sense-and-rhs piece.  Batching bounds the table's memory.
+    """
+    rows = model.rows
+    coefs = np.unique(rows.coefs)
+    signed = [prefix[c] for c in coefs.tolist()]
+    inner = np.array([" " + text for text in signed], dtype=object)
+    first = np.array([text[2:] if text.startswith("+ ") else text for text in signed], dtype=object)
+    variables = np.array([v.name for v in model.variables], dtype=object)
+    seps = np.array([": ", ": 0 __zero__"], dtype=object)
+    rhs = np.unique(rows.rhs)
+    tails = np.array([[f" {sense} {_fmt(value)}\n" for value in rhs.tolist()] for sense in SENSES], dtype=object)
+    out = []
+    for a in range(0, len(rows.names), _BATCH):
+        z = min(a + _BATCH, len(rows.names))
+        ptr = rows.indptr[a:z + 1]
+        counts = np.diff(ptr)
+        r = np.arange(z - a)
+        start = 4 * r + 2 * (ptr[:-1] - ptr[0])
+        pieces = np.empty(4 * (z - a) + 2 * (ptr[-1] - ptr[0]), dtype=object)
+        pieces[start] = " "
+        pieces[start + 1] = rows.names[a:z]
+        pieces[start + 2] = seps[(counts == 0).view(np.int8)]
+        code = np.searchsorted(coefs, rows.coefs[ptr[0]:ptr[-1]])
+        at = 2 * np.arange(len(code)) + 4 * np.repeat(r, counts) + 3
+        pieces[at] = inner[code]
+        leads = (ptr[:-1] - ptr[0])[counts > 0]
+        pieces[at[leads]] = first[code[leads]]
+        pieces[at + 1] = variables[rows.cols[ptr[0]:ptr[-1]]]
+        pieces[start + 2 * counts + 3] = tails[rows.senses[a:z], np.searchsorted(rhs, rows.rhs[a:z])]
+        out.append("".join(pieces.tolist()))
+    return out
+
+
 def emit_lp(model: MilpModel) -> str:
     """Standard LP text: objective, rows, bounds, binary section."""
     # A model has few distinct coefficients and right-hand sides, so each is
-    # formatted once per call (0.0 and -0.0 share a key and both print "+ 0").
+    # formatted once per call (0.0 and -0.0 compare equal and both print "0").
     prefix = _Memo(lambda c: f"{'-' if c < 0 else '+'} {_fmt(abs(c))} ")
-    rhs = _Memo(_fmt)
-    lines = [f"\\ Problem: {model.name}"]
+    head = [f"\\ Problem: {model.name}"]
     if model.objective_constant:
-        lines.append(f"\\ objective_constant: {model.objective_constant!r}")
-    lines.append("Minimize")
-    lines.append(f" obj: {_terms_text(model.objective, prefix)}")
-    lines.append("Subject To")
-    for name, terms, sense, value in model.constraints:
-        lines.append(f" {name}: {_terms_text(terms, prefix)} {sense} {rhs[value]}")
-    lines.append("Bounds")
-    for v in model.continuous():
-        lines.append(f" {v.name} >= 0")
-    lines.append("Binaries")
-    for v in model.binaries():
-        lines.append(f" {v.name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        head.append(f"\\ objective_constant: {model.objective_constant!r}")
+    head += ["Minimize", f" obj: {_terms_text(model.objective, prefix)}", "Subject To", ""]
+    tail = ["Bounds", *(f" {v.name} >= 0" for v in model.continuous()),
+            "Binaries", *(f" {v.name}" for v in model.binaries()), "End", ""]
+    return "".join(["\n".join(head), *_rows_text(model, prefix), "\n".join(tail)])
 
+
+_BATCH = 4096  # rows per join in _rows_text
 
 _SECTIONS = ("Minimize", "Subject To", "Bounds", "Binaries", "End")
 
@@ -529,7 +688,9 @@ def parse_lp(text: str) -> MilpModel:
     bare binary names.  Any other line raises ``ValueError`` naming it, and
     the result is validated.
     """
-    model = MilpModel(name="parsed")
+    objective: list[tuple[float, str]] = []
+    objective_constant = 0.0
+    constraints: list[Constraint] = []
     binaries: list[Variable] = []
     continuous: list[Variable] = []
     section = -1  # index into _SECTIONS
@@ -538,16 +699,16 @@ def parse_lp(text: str) -> MilpModel:
         try:
             if line.startswith("\\"):
                 if tokens[1:2] == ["objective_constant:"]:
-                    model.objective_constant = _number(tokens[2])
+                    objective_constant = _number(tokens[2])
             elif section + 1 < len(_SECTIONS) and line == _SECTIONS[section + 1]:
                 section += 1
             elif not line.startswith(" "):
                 raise ValueError
             elif section == 0 and tokens[0] == "obj:":
-                model.objective = list(_read_terms(tokens[1:]))
+                objective = list(_read_terms(tokens[1:]))
             elif section == 1 and tokens[0].endswith(":") and tokens[-2] in ("<=", ">=", "="):
                 terms = _read_terms(tokens[1:-2])
-                model.constraints.append(Constraint(tokens[0][:-1], terms, tokens[-2], _number(tokens[-1])))
+                constraints.append(Constraint(tokens[0][:-1], terms, tokens[-2], _number(tokens[-1])))
             elif section == 2 and len(tokens) == 3 and tokens[1:] == [">=", "0"]:
                 continuous.append(Variable(tokens[0], "continuous"))
             elif section == 3 and len(tokens) == 1:
@@ -558,6 +719,6 @@ def parse_lp(text: str) -> MilpModel:
             raise ValueError(f"line {number} is not emit_lp syntax: {line!r}") from None
     if section != len(_SECTIONS) - 1:
         raise ValueError("LP text ends before its End line")
-    model.variables = binaries + continuous
+    model = MilpModel.from_constraints("parsed", binaries + continuous, constraints, objective, objective_constant)
     model.validate()
     return model

@@ -13,6 +13,7 @@ import pytest
 from famsched.bench import GenParams, generate
 from famsched.cli import build_parser, main
 from famsched.dp import DiscreteState, backward_induction, start_window
+from famsched.milp import parse_lp, size_report
 from famsched.pwl import TOL
 from tests.conftest import DATA, EX1_COST
 
@@ -160,6 +161,30 @@ def test_emit_and_count(tmp_path, capsys):
     counts = json.loads(out)
     assert counts["state_nodes"] == 32
     assert counts["sequences"] == 35
+
+
+@pytest.mark.parametrize("argv", [["emit", "--model", "1", EX1], ["emit", "--model", "1", EX1, "-o", "-"]],
+                         ids=["no-output", "dash"])
+def test_emit_to_stdout_reports_on_stderr(capsys, argv):
+    # the LP text alone is on stdout; the JSON report moves to stderr
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    rep = size_report(parse_lp(out))
+    assert (rep.binary_count, rep.other_count, rep.constraint_count) == (98, 43, 470)
+    report = json.loads(err)
+    assert report["command"] == "emit"
+    assert (report["binary_count"], report["other_count"], report["constraint_count"]) == (98, 43, 470)
+
+
+def test_solve_schedule_to_stdout_reports_on_stderr(capsys):
+    code, out, err = run(capsys, "solve", "--method", "dp", EX1, "-o", "-")
+    assert code == 0
+    assert json.loads(out)["order"] == [2, 2, 1, 1, 1, 2, 1]
+    assert json.loads(err)["cost"] == EX1_COST
+    code, out, err = run(capsys, "solve", "--method", "dp", EX1, "--dump-values", "-")
+    assert code == 0
+    assert out.splitlines()[0] == "counts;last;breakpoint;value"  # the CSV alone
+    assert json.loads(err)["state_nodes"] == 32
 
 
 def test_certify_solved_schedule(tmp_path, capsys):

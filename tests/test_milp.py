@@ -1,6 +1,10 @@
 """MILP builders, size reports, LP text, schedule encodings, certificates."""
 
 import hashlib
+import itertools
+import math
+import random
+import warnings
 
 import pytest
 
@@ -18,11 +22,13 @@ from famsched.milp import (
     check_assignment,
     emit_lp,
     encode_schedule,
+    model_size,
     parse_lp,
     size_report,
 )
 from famsched.schedule import CompressionPlan, Sequence, build_timeline, solve_sequence
 from tests.conftest import EX1_COST, EX1_ORDER_1BASED
+from tests.milp_helpers import check_rows
 
 EX1_SEQ = Sequence.from_1based(EX1_ORDER_1BASED)
 
@@ -74,6 +80,21 @@ def test_model1_published_sizes(jobs, binaries, others, constraints):
     assert rep.constraint_count == constraints
 
 
+# Every job vector of 1-2 classes with 1-6 jobs each, and of 3-4 classes
+# with the smallest, a middle and the largest of those counts.
+SIZE_SWEEP = [
+    jobs
+    for k, counts in ((1, range(1, 7)), (2, range(1, 7)), (3, (1, 4, 6)), (4, (1, 6)))
+    for jobs in itertools.product(counts, repeat=k)
+]
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_model_size_closed_form(which):
+    for jobs in SIZE_SWEEP:
+        assert model_size(jobs, which) == size_report(build_model(uniform_instance(jobs), which)), jobs
+
+
 def test_model1_ex1_binaries(ex1):
     assert size_report(build_model1(ex1)).binary_count == 98  # 2 * 7^2
 
@@ -114,13 +135,12 @@ _ROW = Constraint("r", ((1.0, "x"),), "<=", 1.0)
 
 
 @pytest.mark.parametrize(
-    "model,message",
+    "args,message",
     [
-        (MilpModel("m", [_X, _X], [_ROW]), "duplicate variable names"),
-        (MilpModel("m", [_X], [_ROW, _ROW]), "duplicate constraint names"),
+        (([_X, _X], [_ROW]), "duplicate variable names"),
+        (([_X], [_ROW, _ROW]), "duplicate constraint names"),
         (
-            MilpModel(
-                "m",
+            (
                 [_X],
                 [
                     _ROW,
@@ -130,13 +150,14 @@ _ROW = Constraint("r", ((1.0, "x"),), "<=", 1.0)
             ),
             "constraint r2 references unknown variable y",
         ),
-        (MilpModel("m", [_X], [_ROW], [(1.0, "x"), (1.0, "w")]), "objective references unknown variable w"),
+        (([_X], [_ROW], [(1.0, "x"), (1.0, "w")]), "objective references unknown variable w"),
     ],
     ids=["duplicate-variable", "duplicate-row", "unknown-in-row", "unknown-in-objective"],
 )
-def test_validate_errors(model, message):
+def test_validate_errors(args, message):
+    # an undeclared row variable is caught where its name is mapped to a column
     with pytest.raises(ValueError, match=f"^{message}$"):
-        model.validate()
+        MilpModel.from_constraints("m", *args).validate()
 
 
 # -- encoding ------------------------------------------------------------
@@ -298,6 +319,34 @@ def test_nan_values_reported(ex1, ex1_opt, which):
     assert all(v.kind != "integrality" for v in report.violations)
 
 
+def _same_amount(got: float, want: float) -> bool:
+    # Python >= 3.12's compensated sum can change a row sum's last bit
+    return math.isclose(got, want, rel_tol=1e-12) or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+@pytest.mark.parametrize("case", ["ex1", ((2, 2, 2), 3), ((3, 3), 0), ((5, 5), 0)], ids=str)
+def test_check_assignment_matches_row_reference(ex1, which, case):
+    inst = ex1 if case == "ex1" else generate(GenParams(jobs=case[0], seed=case[1]))
+    model = build_model(inst, which)
+    exact = encode_schedule(inst, extract_open_loop(inst, backward_induction(inst)), model)
+    rng = random.Random(which)
+    assignments = [exact]
+    for _ in range(4):  # about one value in eight perturbed, NaN or infinite
+        a = dict(exact)
+        for name in rng.sample(list(a), len(a) // 8):
+            a[name] = rng.choice([a[name] + rng.uniform(-3.0, 3.0), math.nan, math.inf, -math.inf])
+        assignments.append(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        for a in assignments:
+            got, want = check_assignment(model, a), check_rows(model, a)
+            assert [(v.kind, v.name) for v in got.violations] == [(v.kind, v.name) for v in want.violations]
+            assert all(_same_amount(g.amount, w.amount) for g, w in zip(got.violations, want.violations))
+            assert _same_amount(got.objective, want.objective)
+    assert check_rows(model, exact).ok
+
+
 # -- LP text ------------------------------------------------------------
 
 def test_emit_smallest_model():
@@ -315,14 +364,14 @@ def test_lp_round_trip_counts(ex1, which):
         model = build_model(inst, which)
         parsed = parse_lp(emit_lp(model))
         assert size_report(parsed) == size_report(model)
-        assert parsed.constraints == model.constraints
+        assert list(parsed.constraints) == list(model.constraints)
         assert parsed.objective == model.objective
         assert parsed.objective_constant == model.objective_constant
         assert parsed.variables == model.variables
 
 
 _SMALL_LP = emit_lp(
-    MilpModel(
+    MilpModel.from_constraints(
         "m",
         [_X, Variable("y", "continuous")],
         [Constraint("r", ((1.0, "x"), (-2.0, "y")), "<=", 1.0)],
