@@ -18,10 +18,11 @@ one auxiliary among the "other" (non-binary) variables.
 A model keeps its rows in one columnar store, ``MilpModel.rows``: row names,
 sense codes and right-hand sides, plus the compressed sparse row (CSR)
 arrays ``indptr``, ``cols`` (indices into ``MilpModel.variables``) and
-``coefs``, which is the form ``scipy.optimize.milp`` takes.  Builders append
-large row families as index arrays, ``emit_lp`` and ``check_assignment``
-read the arrays, and ``MilpModel.constraints`` is a read-only view that
-yields each row as a ``Constraint`` tuple naming its variables.
+``coefs``, which is the form ``scipy.optimize.milp`` takes.  Every row
+family is one ``_Builder.add`` call of column tables, ``emit_lp`` and
+``check_assignment`` read the arrays, and ``MilpModel.constraints`` is a
+read-only view that yields each row as a ``Constraint`` tuple naming its
+variables.
 
 Variable naming (1-based class/job ids, 0-based stage ids):
 ``x_h_j_k_i``, ``d_h_j_k_i``, ``u_k_i``, ``S_k_i``, ``pt_k_i``, ``T_k_i``,
@@ -200,9 +201,10 @@ class _Builder:
 
     Jobs are numbered by position p in class-major order.  ``cls[p]`` and
     ``slot[p]`` are job p's 0-based class and due-date slot, ``params[p]``
-    that class's parameters, ``ids[p]`` its 1-based ``k_i`` name suffix, and
-    ``blocks[k]`` the range of class k's positions.  ``m`` is every big-M:
-    the horizon bound.  Rows refer to variables by column.
+    that class's parameters, ``dd[p]`` its due date, ``ids[p]`` its 1-based
+    ``k_i`` name suffix, and ``blocks[k]`` the range of class k's positions.
+    ``m`` is every big-M: the horizon bound.  Rows refer to variables by
+    column.
     """
 
     def __init__(self, name: str, inst: Instance):
@@ -212,13 +214,16 @@ class _Builder:
         self.cls = [k for k, cp in enumerate(inst.classes) for _ in range(cp.n_jobs)]
         self.slot = [i for cp in inst.classes for i in range(cp.n_jobs)]
         self.params = [inst.classes[k] for k in self.cls]
+        self.dd = np.array([cp.dd[i] for cp, i in zip(self.params, self.slot)])
         self.ids = [f"{k + 1}_{i + 1}" for k, i in zip(self.cls, self.slot)]
         starts = list(accumulate(inst.jobs_per_class, initial=0))
         self.blocks = [range(a, z) for a, z in zip(starts, starts[1:])]
         self.row_names: list[str] = []
-        # (sense codes, rhs, term counts, cols, coefs) of the rows so far, in
-        # row order: arrays per block() call, lists for the rows con() adds
-        self.parts: list[tuple] = []
+        self.parts: list[tuple] = []  # (sense codes, rhs, term counts, cols, coefs) per add()
+
+    def per_job(self, param: str) -> np.ndarray:
+        """Class parameter ``param`` of each job, by position."""
+        return np.array([getattr(cp, param) for cp in self.params])
 
     def pairs(self) -> list[list[str]]:
         """``h_j_k_i`` name suffix of each ordered job pair, by (position, position)."""
@@ -238,32 +243,34 @@ class _Builder:
     def names(self, cols) -> list[str]:
         return [self.model.variables[c].name for c in cols]
 
-    def con(self, name: str, terms, sense: str, rhs: float) -> None:
-        """Append a row of ``(coefficient, column)`` terms; zero coefficients are dropped."""
-        kept = [(c, col) for c, col in terms if c != 0.0]
-        if not self.parts or not isinstance(self.parts[-1][0], list):
-            self.parts.append(([], [], [], [], []))
-        senses, rhss, counts, cols, coefs = self.parts[-1]
-        self.row_names.append(name)
-        senses.append(SENSES.index(sense))
-        rhss.append(rhs)
-        counts.append(len(kept))
-        cols += [col for _, col in kept]
-        coefs += [c for c, _ in kept]
+    def add(self, names: list[str], *families) -> None:
+        """Append the rows of one or more families ``(cols, coefs, sense, rhs)``.
 
-    def block(self, names: list[str], cols, coefs, sense: str, rhs) -> None:
-        """Append ``len(names)`` rows of equal length: row r's terms are
-        ``coefs[r, t]`` times column ``cols[r, t]`` (``coefs`` and ``rhs``
-        broadcast), zero coefficients dropped as in ``con``."""
-        cols, coefs = np.broadcast_arrays(cols, np.asarray(coefs, dtype=np.float64))
+        Row i of a family has terms ``coefs[i, t]`` times column ``cols[i, t]``,
+        where ``cols`` is a table with one row per row and ``coefs`` and
+        ``rhs`` broadcast against it.  The families' rows alternate: row i of
+        each family in turn, named by ``names`` in that order.  Zero
+        coefficients are dropped, so a narrower family is padded with them.
+        """
+        shape = (len(names) // len(families), len(families))
+        width = max(np.shape(family[0])[1] for family in families)
+        cols = np.zeros((*shape, width), dtype=np.int64)
+        coefs = np.zeros((*shape, width))
+        senses = np.empty(shape, dtype=np.int8)
+        rhs = np.empty(shape)
+        for f, (family_cols, family_coefs, sense, family_rhs) in enumerate(families):
+            w = np.shape(family_cols)[1]
+            cols[:, f, :w] = family_cols
+            coefs[:, f, :w] = family_coefs
+            senses[:, f] = SENSES.index(sense)
+            rhs[:, f] = family_rhs
+        cols, coefs = cols.reshape(-1, width), coefs.reshape(-1, width)
         keep = coefs != 0.0
         self.row_names += names
-        self.parts.append((np.full(len(names), SENSES.index(sense)), np.broadcast_to(rhs, len(names)),
-                           keep.sum(axis=1), cols[keep], coefs[keep]))
+        self.parts.append((senses.ravel(), rhs.ravel(), keep.sum(axis=1), cols[keep], coefs[keep]))
 
     def done(self) -> MilpModel:
-        fields = [np.concatenate([np.asarray(part) for part in column]) for column in zip(*self.parts)]
-        self.model.rows = _rows(self.row_names, *fields)
+        self.model.rows = _rows(self.row_names, *(np.concatenate(column) for column in zip(*self.parts)))
         self.model.validate()
         return self.model
 
@@ -277,25 +284,26 @@ def _add_common_delta_rows(b: _Builder, d: np.ndarray, v) -> None:
     inst, cls, ids = b.inst, b.cls, b.ids
     n = len(ids)
     om, la, u, pt = v["Om"], v["La"], v["u"], v["pt"]
-    dl = d.tolist()
-    for q in range(n):
-        k = cls[q]
-        col = [row[q] for row in dl]
-        b.con(f"scost_{ids[q]}", [(1.0, om[q])] + [(-inst.sc[cls[p]][k], col[p]) for p in range(n)], "=", 0.0)
-        b.con(f"stime_{ids[q]}", [(1.0, la[q])] + [(-inst.st[cls[p]][k], col[p]) for p in range(n)], "=", 0.0)
-    b.con("all_jobs", [(1.0, c) for row in dl for c in row], "=", n - 1)
-    for q in range(n):
-        b.con(f"pred_{ids[q]}", [(1.0, row[q]) for row in dl], "<=", 1.0)
-    for p in range(n):
-        b.con(f"succ_{ids[p]}", [(1.0, c) for c in dl[p]], "<=", 1.0)
-    for blk in b.blocks:
-        for p in blk:
-            b.con(f"gdd_lo_{ids[p]}", [(1.0, dl[p][r]) for r in range(blk.start, p + 1)], "=", 0.0)
-        for p in blk[:-2]:
-            b.con(f"gdd_hi_{ids[p]}", [(1.0, dl[p][r]) for r in range(p + 2, blk.stop)], "=", 0.0)
-    for p, cp in enumerate(b.params):
-        b.con(f"ubound_{ids[p]}", [(1.0, u[p])], "<=", cp.u_max)
-        b.con(f"ptdef_{ids[p]}", [(1.0, pt[p]), (cp.gamma, u[p])], "=", cp.pt_nom)
+    # [q, p]: setup cost or time of job q after job p; row q sums them over the arcs into q
+    sc, st = (np.array(table)[np.ix_(cls, cls)].T for table in (inst.sc, inst.st))
+    ones = np.ones((n, 1))
+    b.add(
+        [f"{kind}_{a}" for a in ids for kind in ("scost", "stime")],
+        (np.column_stack([om, d.T]), np.hstack([ones, -sc]), "=", 0.0),
+        (np.column_stack([la, d.T]), np.hstack([ones, -st]), "=", 0.0),
+    )
+    b.add(["all_jobs"], (d.reshape(1, -1), 1.0, "=", n - 1))
+    b.add([f"pred_{a}" for a in ids], (d.T, 1.0, "<=", 1.0))
+    b.add([f"succ_{a}" for a in ids], (d, 1.0, "<=", 1.0))
+    for blk in b.blocks:  # within class k: d[p][r] = 0 for r <= p and for r >= p + 2
+        own, size = d[blk.start:blk.stop, blk.start:blk.stop], len(blk)
+        b.add([f"gdd_lo_{ids[p]}" for p in blk], (own, np.tri(size), "=", 0.0))
+        b.add([f"gdd_hi_{ids[p]}" for p in blk[:-2]], (own[:-2], np.triu(np.ones((size, size)), 2)[:-2], "=", 0.0))
+    b.add(
+        [f"{kind}_{a}" for a in ids for kind in ("ubound", "ptdef")],
+        (u[:, None], 1.0, "<=", b.per_job("u_max")),
+        (np.column_stack([pt, u]), np.column_stack([np.ones(n), b.per_job("gamma")]), "=", b.per_job("pt_nom")),
+    )
 
 
 def _tardiness_objective(b: _Builder, v) -> list[tuple[float, str]]:
@@ -309,8 +317,7 @@ def _tardiness_objective(b: _Builder, v) -> list[tuple[float, str]]:
 def build_model1(inst: Instance) -> MilpModel:
     """Formulation with relative-position and successor binaries.
 
-    Variable and row names come from name tables formatted once per build;
-    the row families of N^2 or more rows are built from column index arrays.
+    Variable and row names come from name tables formatted once per build.
     """
     b = _Builder("model1", inst)
     m, ids, slot = b.m, b.ids, b.slot
@@ -323,38 +330,30 @@ def build_model1(inst: Instance) -> MilpModel:
     b.model.objective = _tardiness_objective(b, v)
     s, pt, la, t = v["S"], v["pt"], v["La"], v["T"]
 
-    for p, cp in enumerate(b.params):
-        b.con(f"tard_{ids[p]}", [(1.0, t[p]), (-1.0, s[p]), (-1.0, la[p]), (-1.0, pt[p])], ">=", -cp.dd[slot[p]])
+    b.add([f"tard_{a}" for a in ids], (np.column_stack([t, s, la, pt]), [1.0, -1.0, -1.0, -1.0], ">=", -b.dd))
     _add_common_delta_rows(b, d, v)
     p, q = b.off_diagonal()
     off = [pairs[a][c] for a, c in zip(p.tolist(), q.tolist())]
-    after = np.stack([s[q], s[p], la[p], pt[p], x[p, q]], axis=1)
-    before = np.stack([s[p], s[q], la[q], pt[q], x[p, q]], axis=1)
-    b.block(  # after_ and before_ rows alternate pair by pair
+    b.add(
         [f"{kind}_{pq}" for pq in off for kind in ("after", "before")],
-        np.stack([after, before], axis=1).reshape(-1, 5),
-        np.tile([[1.0, -1.0, -1.0, -1.0, -m], [1.0, -1.0, -1.0, -1.0, m]], (len(off), 1)),
-        ">=",
-        np.tile([-m, 0.0], len(off)),
+        (np.column_stack([s[q], s[p], la[p], pt[p], x[p, q]]), [1.0, -1.0, -1.0, -1.0, -m], ">=", -m),
+        (np.column_stack([s[p], s[q], la[q], pt[q], x[p, q]]), [1.0, -1.0, -1.0, -1.0, m], ">=", 0.0),
     )
     for blk in b.blocks:  # per job p of the class, one row per r: x[r][p] = 1 for r < p, else 0
         jobs = np.arange(blk.start, blk.stop)
         pp, rr = np.repeat(jobs, len(jobs)), np.tile(jobs, len(jobs))
         names = [f"gx_{'one' if r < p else 'zero'}_{ids[p]}_{slot[r] + 1}" for p in blk for r in blk]
-        b.block(names, x[rr, pp][:, None], 1.0, "=", (rr < pp).astype(np.float64))
-    b.block([f"cyc2_{pq}" for pq in off], np.stack([x[p, q], x[q, p]], axis=1), 1.0, "=", 1.0)
+        b.add(names, (x[rr, pp][:, None], 1.0, "=", (rr < pp).astype(np.float64)))
+    b.add([f"cyc2_{pq}" for pq in off], (np.column_stack([x[p, q], x[q, p]]), 1.0, "=", 1.0))
     p3, q3, r3 = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij"))
     distinct = (p3 != q3) & (r3 != p3) & (r3 != q3)
     p3, q3, r3 = p3[distinct], q3[distinct], r3[distinct]
     heads = [f"cyc3_{pq}_" for pq in off]
-    b.block(
+    b.add(
         [head + ids[r] for head, a, c in zip(heads, p.tolist(), q.tolist()) for r in range(n) if r != a and r != c],
-        np.stack([x[p3, q3], x[q3, r3], x[r3, p3]], axis=1),
-        1.0,
-        "<=",
-        2.0,
+        (np.column_stack([x[p3, q3], x[q3, r3], x[r3, p3]]), 1.0, "<=", 2.0),
     )
-    b.block(["link_" + pq for pq in flat], np.stack([x.ravel(), d.ravel()], axis=1), [1.0, -m], ">=", 1.0 - m)
+    b.add(["link_" + pq for pq in flat], (np.column_stack([x.ravel(), d.ravel()]), [1.0, -m], ">=", 1.0 - m))
     return b.done()
 
 
@@ -369,29 +368,26 @@ def build_model2(inst: Instance) -> MilpModel:
     b.model.objective = _tardiness_objective(b, v)
     s, pt, la, c, t = v["S"], v["pt"], v["La"], v["C"], v["T"]
 
-    for p, cp in enumerate(b.params):
-        b.con(f"comp_{ids[p]}", [(1.0, c[p]), (-1.0, s[p]), (-1.0, la[p]), (-1.0, pt[p])], "=", 0.0)
-        b.con(f"tard_{ids[p]}", [(1.0, t[p]), (-1.0, c[p])], ">=", -cp.dd[b.slot[p]])
+    b.add(
+        [f"{kind}_{a}" for a in ids for kind in ("comp", "tard")],
+        (np.column_stack([c, s, la, pt]), [1.0, -1.0, -1.0, -1.0], "=", 0.0),
+        (np.column_stack([t, c]), [1.0, -1.0], ">=", -b.dd),
+    )
     _add_common_delta_rows(b, d, v)
     p, q = b.off_diagonal()
-    b.block(
+    b.add(
         [f"after_{pairs[a][z]}" for a, z in zip(p.tolist(), q.tolist())],
-        np.stack([s[q], c[p], d[p, q]], axis=1),
-        [1.0, -1.0, -m],
-        ">=",
-        -m,
+        (np.column_stack([s[q], c[p], d[p, q]]), [1.0, -1.0, -m], ">=", -m),
     )
-    dl = d.tolist()
-    for q in range(n):
-        b.con(f"first_{ids[q]}", [(1.0, c[q]), (-1.0, pt[q])] + [(m, row[q]) for row in dl], ">=", 0.0)
+    b.add([f"first_{a}" for a in ids], (np.column_stack([c, pt, d.T]), np.r_[1.0, -1.0, np.full(n, m)], ">=", 0.0))
     return b.done()
 
 
 def build_model3(inst: Instance) -> MilpModel:
     """Stage-assignment formulation derived from the state-space view."""
     b = _Builder("model3", inst)
-    m, ids = b.m, b.ids
-    n = len(ids)
+    m, ids, cls = b.m, b.ids, b.cls
+    n, classes = len(ids), range(inst.n_classes)
     stages = range(n)
     stage_ids = [str(j) for j in stages]
     xs = np.stack([b.declare(f"xs_{a}", stage_ids, "binary") for a in ids])  # xs[p, j]
@@ -406,47 +402,44 @@ def build_model3(inst: Instance) -> MilpModel:
     )
     b.model.objective_constant = sum(cp.beta * cp.pt_nom for cp in b.params)
 
-    for p, cp in enumerate(b.params):
-        b.con(f"tard_{ids[p]}", [(1.0, t[p]), (-1.0, c[p])], ">=", -cp.dd[b.slot[p]])
-        b.con(f"pt_lo_{ids[p]}", [(1.0, pt[p])], ">=", cp.pt_low)
-        b.con(f"pt_hi_{ids[p]}", [(1.0, pt[p])], "<=", cp.pt_nom)
-    # xs columns of each class's jobs at each stage
-    by_class = [xs[blk.start:blk.stop].T.tolist() for blk in b.blocks]
-    for j in range(1, n):
-        for h in range(inst.n_classes):
-            for k in range(inst.n_classes):
-                both = by_class[h][j - 1] + by_class[k][j]
-                sc = inst.sc[h][k]
-                st = inst.st[h][k]
-                b.con(f"scost_{j}_{h + 1}_{k + 1}", [(1.0, omt[j])] + [(-sc, col) for col in both], ">=", -sc)
-                b.con(f"stime_{j}_{h + 1}_{k + 1}", [(1.0, lat[j])] + [(-st, col) for col in both], ">=", -st)
-    b.con("scost_0", [(1.0, omt[0])], "=", 0.0)
-    b.con("stime_0", [(1.0, lat[0])], "=", 0.0)
-    for j in range(1, n):
-        b.con(f"chain_{j}", [(1.0, st_[j]), (-1.0, ct[j - 1])], "=", 0.0)
-    b.con("chain_0", [(1.0, st_[0])], "=", 0.0)
-    for j in stages:
-        b.con(f"scomp_{j}", [(1.0, ct[j]), (-1.0, st_[j]), (-1.0, lat[j]), (-1.0, tau[j])], "=", 0.0)
-    jj, pp = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)  # stage-major
-    links = [(tau[jj], pt[pp]), (s[pp], st_[jj]), (c[pp], ct[jj])]
-    b.block(  # ptlink_, slink_ and clink_ rows alternate by (stage, job)
-        [f"{kind}_{j}_{a}" for j in stages for a in ids for kind in ("ptlink", "slink", "clink")],
-        np.stack([np.stack([lo, hi, xs[pp, jj]], axis=1) for lo, hi in links], axis=1).reshape(-1, 3),
-        [1.0, -1.0, -m],
-        ">=",
-        -m,
+    b.add(
+        [f"{kind}_{a}" for a in ids for kind in ("tard", "pt_lo", "pt_hi")],
+        (np.column_stack([t, c]), [1.0, -1.0], ">=", -b.dd),
+        (pt[:, None], 1.0, ">=", b.per_job("pt_low")),
+        (pt[:, None], 1.0, "<=", b.per_job("pt_nom")),
     )
-    for blk in b.blocks:
-        for p in blk[1:]:
-            b.con(f"gdd_{ids[p]}", [(1.0, s[p]), (-1.0, c[p - 1])], ">=", 0.0)
-    xl = xs.tolist()
-    for j in stages:
-        b.con(f"stage_one_{j}", [(1.0, row[j]) for row in xl], "=", 1.0)
-    for k, blk in enumerate(b.blocks):
-        terms = [(1.0, col) for row in xl[blk.start:blk.stop] for col in row]
-        b.con(f"class_total_{k + 1}", terms, "=", float(len(blk)))
-    for p in range(n):
-        b.con(f"once_{ids[p]}", [(1.0, col) for col in xl[p]], "=", 1.0)
+    member = (np.arange(inst.n_classes)[:, None] == cls).astype(np.float64)  # member[k, p]: job p is of class k
+    # row (j, h, k) binds when a class-h job is served at stage j - 1 and a class-k job at stage j
+    jj, hh, kk = (a.ravel() for a in np.meshgrid(np.arange(1, n), classes, classes, indexing="ij"))
+    served = np.column_stack([xs.T[jj - 1], xs.T[jj]])  # every job's xs at stages j - 1 and j
+    pair = np.column_stack([member[hh], member[kk]])  # which of them are of class h and k
+    sc, st, ones = np.array(inst.sc)[hh, kk], np.array(inst.st)[hh, kk], np.ones(len(jj))
+    b.add(
+        [f"{kind}_{j}_{h + 1}_{k + 1}" for j, h, k in zip(jj.tolist(), hh.tolist(), kk.tolist())
+         for kind in ("scost", "stime")],
+        (np.column_stack([omt[jj], served]), np.column_stack([ones, -sc[:, None] * pair]), ">=", -sc),
+        (np.column_stack([lat[jj], served]), np.column_stack([ones, -st[:, None] * pair]), ">=", -st),
+    )
+    b.add(["scost_0", "stime_0"], ([[omt[0]]], 1.0, "=", 0.0), ([[lat[0]]], 1.0, "=", 0.0))
+    b.add([f"chain_{j}" for j in stages[1:]], (np.column_stack([st_[1:], ct[:-1]]), [1.0, -1.0], "=", 0.0))
+    b.add(["chain_0"], ([[st_[0]]], 1.0, "=", 0.0))
+    b.add([f"scomp_{j}" for j in stages], (np.column_stack([ct, st_, lat, tau]), [1.0, -1.0, -1.0, -1.0], "=", 0.0))
+    jj, pp = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)  # stage-major
+    serves = xs[pp, jj]  # job p is served at stage j
+    b.add(
+        [f"{kind}_{j}_{a}" for j in stages for a in ids for kind in ("ptlink", "slink", "clink")],
+        (np.column_stack([tau[jj], pt[pp], serves]), [1.0, -1.0, -m], ">=", -m),
+        (np.column_stack([s[pp], st_[jj], serves]), [1.0, -1.0, -m], ">=", -m),
+        (np.column_stack([c[pp], ct[jj], serves]), [1.0, -1.0, -m], ">=", -m),
+    )
+    later = np.array([p for blk in b.blocks for p in blk[1:]], dtype=np.int64)  # jobs after the first of a class
+    b.add([f"gdd_{ids[p]}" for p in later], (np.column_stack([s[later], c[later - 1]]), [1.0, -1.0], ">=", 0.0))
+    b.add([f"stage_one_{j}" for j in stages], (xs.T, 1.0, "=", 1.0))
+    b.add(
+        [f"class_total_{k + 1}" for k in classes],
+        (np.broadcast_to(xs.ravel(), (len(classes), n * n)), np.repeat(member, n, axis=1), "=", member.sum(axis=1)),
+    )
+    b.add([f"once_{a}" for a in ids], (xs, 1.0, "=", 1.0))
     return b.done()
 
 

@@ -130,19 +130,6 @@ class Pwl:
             return cls((low,), (0.0,))
         return cls((low, high), (0.0, 0.0))
 
-    @classmethod
-    def hinge(cls, alpha: float, dd: float, low: float, high: float) -> "Pwl":
-        """t -> alpha * max(t - dd, 0) on [low, high]."""
-        if alpha < 0:
-            raise ValueError("hinge rate must be non-negative")
-        if dd < 0:
-            raise ValueError("hinge knee must be non-negative")
-        if alpha == 0.0 or dd >= high:
-            return cls.zero(low, high)
-        if dd <= low:
-            return cls((low, high), (alpha * (low - dd), alpha * (high - dd)))
-        return cls((low, dd, high), (0.0, 0.0, alpha * (high - dd)))
-
     # -- evaluation ----------------------------------------------------
 
     def value_at(self, t: float) -> float:

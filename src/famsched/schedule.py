@@ -204,10 +204,11 @@ def stage_objective(child_value: Pwl, cp: ClassParams, i: int) -> Pwl:
     decision window's position only.
 
     Built in one construction on the child's breakpoints plus the knee dd
-    where it lies inside the domain.  The hinge takes ``Pwl.hinge``'s
-    breakpoint values and the child its values at dd by ``_values_at``'s
-    interpolation formula, so the result is bit-identical to
-    ``child_value.add(Pwl.hinge(alpha, dd, low, high)).add_affine(-beta, 0.0)``
+    where it lies inside the domain.  The hinge takes the breakpoint values
+    of its own ``Pwl`` on [low, high] (``hinge`` in ``tests/pwl_helpers.py``)
+    and the child its values at dd by ``_values_at``'s interpolation
+    formula, so the result is bit-identical to
+    ``child_value.add(hinge(alpha, dd, low, high)).add_affine(-beta, 0.0)``
     whenever that hinge keeps its breakpoints (its knee is not within the
     tolerance of an end) and the merge keeps the same breakpoints in one
     pass as in two.  alpha and dd are not checked here: ``validate_instance`` does.

@@ -1,6 +1,19 @@
-"""Inspection helpers for `Pwl` that only the tests need."""
+"""Helpers for `Pwl` that only the tests need: the tardiness hinge and inspection."""
 
 from famsched.pwl import TOL, Pwl
+
+
+def hinge(alpha: float, dd: float, low: float, high: float) -> Pwl:
+    """t -> alpha * max(t - dd, 0) on [low, high]."""
+    if alpha < 0:
+        raise ValueError("hinge rate must be non-negative")
+    if dd < 0:
+        raise ValueError("hinge knee must be non-negative")
+    if alpha == 0.0 or dd >= high:
+        return Pwl.zero(low, high)
+    if dd <= low:
+        return Pwl((low, high), (alpha * (low - dd), alpha * (high - dd)))
+    return Pwl((low, dd, high), (0.0, 0.0, alpha * (high - dd)))
 
 
 def slopes(f: Pwl) -> tuple[float, ...]:

@@ -28,7 +28,7 @@ from famsched.milp import (
 )
 from famsched.schedule import CompressionPlan, Sequence, build_timeline, solve_sequence
 from tests.conftest import EX1_COST, EX1_ORDER_1BASED
-from tests.milp_helpers import check_rows
+from tests.milp_helpers import check_rows, solve_highs
 
 EX1_SEQ = Sequence.from_1based(EX1_ORDER_1BASED)
 
@@ -282,6 +282,30 @@ def test_random_small_instances_cross_model(seeded=range(6)):
             assert report.objective == pytest.approx(vt.optimal_cost(), abs=1e-6)
 
 
+# -- optimum against the DP ---------------------------------------------------
+
+HIGHS_JOBS = ((2, 2, 1), (2, 1, 2), (3, 2), (2, 3), (1, 1, 1, 1), (2, 2))
+
+
+def test_model1_highs_optimum_equals_dp():
+    for jobs, seed in itertools.product(HIGHS_JOBS, range(3)):
+        inst = generate(GenParams(jobs=jobs, seed=seed))
+        want = backward_induction(inst).optimal_cost()
+        assert solve_highs(build_model1(inst)) == pytest.approx(want, rel=1e-6), (jobs, seed)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: as compiled, models 2 and 3 admit optima below the true one "
+    "((2,2,1)/4: DP 51.1827, model 2 47.8323, model 3 40.8922)",
+)
+def test_models23_highs_optimum_equals_dp():
+    inst = generate(GenParams(jobs=(2, 2, 1), seed=4))
+    want = backward_induction(inst).optimal_cost()
+    assert [solve_highs(build_model(inst, which)) for which in (2, 3)] == pytest.approx([want, want], rel=1e-6)
+
+
 def test_feasible_certificates_bounded_below_by_optimum(ex1):
     vt_cost = backward_induction(ex1).optimal_cost()
     for order in ([1, 1, 1, 1, 2, 2, 2], [2, 1, 2, 1, 2, 1, 1]):
@@ -424,6 +448,14 @@ LP_SHA256 = {
     ((2, 1, 3), 2, 1): "edd0b37c151beda87f673c6fb9e987600add5ddaa66a4da3ddbe0242f0355e9a",
     ((2, 1, 3), 2, 2): "6308dd3e2734c301b2ffcb7660d039fad2ed017cb5d6422097a0739620367c09",
     ((2, 1, 3), 2, 3): "6eac3ce72b2d8ea931a4eb66c4d1732743f941625b599bb29c17a1b545a6deff",
+    # model 1 spans several emit_lp batches here (28,587 and 8,653 rows);
+    # recorded before every row family became one _Builder.add call
+    ((15, 15), 0, 1): "b59478f43c6eed02aa73f3bbe686a4a9aa23cf198e730ff3c12caf08430fb851",
+    ((15, 15), 0, 2): "a64ac16ad415b47390514657b77680653b101f67b9991bf9b48d1683e867a98f",
+    ((15, 15), 0, 3): "ed6bbda3031c15f84a25ce135fd396188937a1df1ccf774ff62c50627e5e5216",
+    ((5, 5, 5, 5), 0, 1): "32c8193bbca02335d81ac2caef8a87607769d529b50c038448a390d49d61cf4b",
+    ((5, 5, 5, 5), 0, 2): "663ff116b9c520e0a1c6e10925cbf416588a1053483aede38283731cf8fb8dc5",
+    ((5, 5, 5, 5), 0, 3): "4ab085f9594329d18e7f7d12b33184f2a9bd2f49988f6934e79816941ce5a074",
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from famsched.pwl import TOL, DomainError, Pwl, envelope
-from tests.pwl_helpers import dump_csv, is_convex
+from tests.pwl_helpers import dump_csv, hinge, is_convex
 
 
 def random_pwl(rng: random.Random, high: float, segments: int, low: float = 0.0) -> Pwl:
@@ -30,7 +30,7 @@ def random_convex_pwl(rng: random.Random, high: float, segments: int) -> Pwl:
 # -- eval ----------------------------------------------------------------
 
 def test_eval_hinge_tardiness_value():
-    f = Pwl.hinge(0.5, 41.0, 0.0, 56.0)
+    f = hinge(0.5, 41.0, 0.0, 56.0)
     assert f.value_at(44.5) == pytest.approx(1.75, abs=1e-12)
 
 
@@ -56,20 +56,20 @@ def test_eval_outside_domain_rejected():
 # -- hinge ---------------------------------------------------------------
 
 def test_hinge_definition():
-    f = Pwl.hinge(2.0, 21.0, 0.0, 56.0)
+    f = hinge(2.0, 21.0, 0.0, 56.0)
     assert f.value_at(21.0) == 0.0
     assert f.value_at(22.0) == pytest.approx(2.0)
-    late = Pwl.hinge(2.0, 21.0, 30.0, 56.0)  # the knee lies before the domain
+    late = hinge(2.0, 21.0, 30.0, 56.0)  # the knee lies before the domain
     assert late.xs == (30.0, 56.0) and late.ys == (18.0, 70.0)
 
 
 def test_hinge_beyond_horizon_is_zero():
-    f = Pwl.hinge(1.0, 100.0, 0.0, 56.0)
+    f = hinge(1.0, 100.0, 0.0, 56.0)
     assert f == Pwl.zero(0.0, 56.0)
 
 
 def test_hinge_convex_nonnegative():
-    f = Pwl.hinge(0.5, 41.0, 0.0, 56.0)
+    f = hinge(0.5, 41.0, 0.0, 56.0)
     assert is_convex(f)
     assert all(y >= 0 for y in f.ys)
     assert f.value_at(10.0) == 0.0
@@ -78,8 +78,8 @@ def test_hinge_convex_nonnegative():
 # -- add / add_affine / shift ---------------------------------------------
 
 def test_add_two_hinges():
-    a = Pwl.hinge(1.0, 5.0, 0.0, 10.0)
-    assert a.add(a) == Pwl.hinge(2.0, 5.0, 0.0, 10.0)
+    a = hinge(1.0, 5.0, 0.0, 10.0)
+    assert a.add(a) == hinge(2.0, 5.0, 0.0, 10.0)
 
 
 def test_add_affine():
@@ -98,7 +98,7 @@ def test_affine_term_matches_add_affine():
 
 
 def test_shift_translates_and_clamps():
-    f = Pwl.hinge(1.0, 5.0, 0.0, 10.0)
+    f = hinge(1.0, 5.0, 0.0, 10.0)
     g = f.shift(2.0, 0.0, 10.0)
     assert g.value_at(3.0) == 0.0
     assert g.value_at(4.0) == pytest.approx(1.0)

@@ -32,7 +32,7 @@ from tests.conftest import (
     EX1_T,
     EX1_U,
 )
-from tests.pwl_helpers import dump_csv
+from tests.pwl_helpers import dump_csv, hinge
 from tests.test_pwl import random_convex_pwl, random_pwl
 
 EX1_SEQ = Sequence.from_1based(EX1_ORDER_1BASED)
@@ -241,9 +241,9 @@ def test_fused_stage_transforms_match_two_step():
         f = random_stage_function(rng, n, high)
         alpha = rng.choice((0.0, rng.uniform(0.5, 2.5)))
         dd = rng.uniform(0.0, 1.2 * high)
-        hinge = Pwl.hinge(alpha, dd, 0.0, high)
-        grid = sorted(set(f.xs) | set(hinge.xs))
-        summed = Pwl(grid, [f.value_at(x) + hinge.value_at(x) for x in grid])
+        tardiness = hinge(alpha, dd, 0.0, high)
+        grid = sorted(set(f.xs) | set(tardiness.xs))
+        summed = Pwl(grid, [f.value_at(x) + tardiness.value_at(x) for x in grid])
         pt_low = rng.uniform(0.5, 3.0)
         pt_nom = pt_low + rng.uniform(0.0, 3.0)
         cp = ClassParams(pt_nom=pt_nom, pt_low=pt_low, beta=beta, gamma=1.0, alpha=(alpha,), dd=(dd,))
