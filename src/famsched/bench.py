@@ -5,8 +5,10 @@ benchmark batches (compression rate fixed to 1, due-date ladders built by
 accumulating uniform steps from a fixed origin).  Enumeration over all class
 interleavings, with exact per-sequence compression optimization, is a second
 exact solver.  It is not independent of the state-space solver: both build
-their stage costs with ``stage_objective``, ``stage_value``, ``stage_cost``
-and ``Pwl.window_min``.  The independent reference is the LP oracle in
+their stage costs with ``stage_part``, ``Pwl.window_min`` and
+``stage_cost``, and the oracle's ``part_objective`` shares the hinge
+arithmetic of the solver's ``stage_objective`` and the shifted values of its
+``pwl.envelope``.  The independent reference is the LP oracle in
 ``tests/lp_reference.py``, which reads only instance data.
 """
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .instance import ClassParams, Instance, horizon_upper_bound
 from .pwl import Pwl
-from .schedule import TIE, Schedule, Sequence, solve_sequence, stage_cost, stage_objective, stage_value
+from .schedule import TIE, Schedule, Sequence, part_objective, solve_sequence, stage_cost, stage_part
 
 RNG_NAME = "numpy-default_rng"
 # Most sequences brute_force_solve enumerates.  It bounds sequences, not work:
@@ -51,6 +53,8 @@ class GenParams:
             raise ValueError("at least two classes are required")
         if any(n < 1 for n in self.jobs):
             raise ValueError("every class needs at least one job")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def metadata(self) -> dict:
         """Reproducibility record stored alongside generated instances."""
@@ -120,9 +124,11 @@ def brute_force_solve(inst: Instance) -> Schedule:
     on an explicit stack, so the Python stack depth does not grow with the
     number of jobs.  A suffix's windowed stage objective does not depend on
     what precedes it, so each distinct suffix is built once, with the calls
-    and arguments of ``optimize_compressions``, and shared by every sequence
-    that ends in it.  Only the winner gets its compressions and timeline,
-    from ``solve_sequence``.
+    and arguments of ``optimize_compressions`` (``part_objective`` of the
+    successor's ``stage_part``, then ``window_min``), and shared by every
+    sequence that ends in it; the stack carries each suffix as the
+    ``stage_part`` of its window minimum after one predecessor class.  Only
+    the winner gets its compressions and timeline, from ``solve_sequence``.
     """
     total = count_sequences(inst)
     if total > ENUM_CAP:
@@ -133,15 +139,15 @@ def brute_force_solve(inst: Instance) -> Schedule:
     suffix: list[int] = []  # classes of the suffix, last stage first
     best = inf
     near: list[tuple[float, tuple[int, ...]]] = []  # (cost, order) within TIE of best
-    # (suffix length, class to prepend, cost-to-go of the suffix), smallest class on top
-    stack = [(0, k, Pwl.zero(0.0, high)) for k in reversed(range(len(left)))]
+    # (suffix length, class to prepend, stage_part of the suffix), smallest class on top
+    stack = [(0, k, (Pwl.zero(0.0, high), 0.0, 0.0, 0.0)) for k in reversed(range(len(left)))]
     while stack:
-        depth, k, value = stack.pop()
+        depth, k, part = stack.pop()
         while len(suffix) > depth:  # back out of the suffixes already walked
             left[suffix.pop()] += 1
         cp = inst.classes[k]
         left[k] -= 1
-        obj = stage_objective(value, cp, left[k])
+        obj = part_objective(part, cp, left[k], 0.0, high)
         suffix.append(k)
         if depth + 1 == n:
             cost = stage_cost(obj, cp, 0.0, 0.0, 0.0)  # first stage: t = 0, no setup
@@ -154,6 +160,5 @@ def brute_force_solve(inst: Instance) -> Schedule:
             windowed = obj.window_min(cp.pt_nom - cp.pt_low)
             for h in reversed(range(len(left))):
                 if left[h]:
-                    stack.append((depth + 1, h, stage_value(
-                        windowed, cp, inst.st[h][k], inst.sc[h][k], 0.0, high)))
+                    stack.append((depth + 1, h, stage_part(windowed, cp, inst.st[h][k], inst.sc[h][k])))
     return solve_sequence(inst, Sequence(min(order for _, order in near)))

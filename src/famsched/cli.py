@@ -217,6 +217,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.count < 1:
+        raise CliError("--count must be at least 1")
     jobs = _parse_jobs(args.jobs)
     rows = []
     for idx in range(args.count):
@@ -245,7 +247,7 @@ def cmd_bench(args) -> int:
         rows.append(row)
     if args.csv:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else [])
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
         _write(args.output, buf.getvalue())

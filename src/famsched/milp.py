@@ -150,18 +150,25 @@ class MilpModel:
         return [v for v in self.variables if v.kind == "continuous"]
 
     def validate(self) -> None:
+        """Unique names, row columns in range and a declared objective, for a
+        model whose names come from outside the builders (``parse_lp``,
+        ``from_constraints``).  A builder's model checks only its columns:
+        its names are unique by construction, which the tests check."""
         names = [v.name for v in self.variables]
         if len(names) != len(set(names)):
             raise ValueError("duplicate variable names")
         if len(self.rows.names) != len(set(self.rows.names)):
             raise ValueError("duplicate constraint names")
-        cols = self.rows.cols
-        if cols.size and not (cols.min() >= 0 and cols.max() < len(names)):
-            raise ValueError("row columns outside the variable list")
+        self._check_columns()
         declared = set(names)
         for coef, var in self.objective:
             if var not in declared:
                 raise ValueError(f"objective references unknown variable {var}")
+
+    def _check_columns(self) -> None:
+        cols = self.rows.cols
+        if cols.size and not (cols.min() >= 0 and cols.max() < len(self.variables)):
+            raise ValueError("row columns outside the variable list")
 
 
 @dataclass(frozen=True)
@@ -271,7 +278,7 @@ class _Builder:
 
     def done(self) -> MilpModel:
         self.model.rows = _rows(self.row_names, *(np.concatenate(column) for column in zip(*self.parts)))
-        self.model.validate()
+        self.model._check_columns()
         return self.model
 
 

@@ -39,9 +39,9 @@ class DomainError(ValueError):
 def _clean(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
     """Collapse near-equal abscissae and merge within tolerance, in one pass.
 
-    ``xs`` and ``ys`` are parallel lists.  Every op but ``window_min`` hands
-    over a sorted grid; any other input is first stably sorted by x, so the
-    first of equal abscissae stays first.  Of abscissae within the tolerance
+    ``xs`` and ``ys`` are parallel lists.  Every op hands over a sorted grid;
+    any other input is first stably sorted by x, so the first of equal
+    abscissae stays first.  Of abscissae within the tolerance
     of the last one taken, the first is kept; the bounded-error merge then
     runs over the points taken.
     """
@@ -245,7 +245,9 @@ class Pwl:
         breakpoint in [e2, e1 + w], all affine in x.  Edge values come from
         one forward walk each over the events and the events shifted by w;
         the best breakpoint from a monotone deque (Lemire's sliding-window
-        minimum), as both ends of [e2, e1 + w] only move right.
+        minimum), as both ends of [e2, e1 + w] only move right.  Each event
+        is emitted once: the first interval's left end, then every interval's
+        crossings and right end.
 
         Lines are anchored at e1 (slope, value there): steep segments on tiny
         intervals far from the origin would lose precision in slope-intercept
@@ -291,9 +293,20 @@ class Pwl:
                 r += 1
             while window and xs[window[0]] < e2 - xtol:
                 window.popleft()
+            # the left end e1 is the previous interval's right end, emitted at
+            # e0 + (e1 - e0); where that rounds above e1, e1 replaces it, as the
+            # merge would keep the lower of the two
+            if not px:
+                offsets = [0.0, width]
+            elif px[-1] > e1:
+                px.pop()
+                py.pop()
+                offsets = [0.0, width]
+            else:
+                offsets = [width]
             # crossings of the lines, in the order (left, right), (left, best),
             # (right, best); the best breakpoint's line is flat
-            offsets = [0.0, width]
+            first = len(offsets)
             inner = width - xtol
             if a1 != a2:
                 dx = (b2 - b1) / (a1 - a2)
@@ -312,7 +325,7 @@ class Pwl:
                 flat = 0.0 + b3  # the flat line's value, 0.0 * dx + b3
             else:
                 flat = inf
-            if len(offsets) > 2:
+            if len(offsets) > first:
                 offsets = sorted(set(offsets))
             for dx in offsets:
                 px.append(e1 + dx)
@@ -350,19 +363,16 @@ class Pwl:
         return best, ties[0], ties[-1]
 
 
-def envelope(parts: Sequence[tuple[Pwl, float, float, float]], low: float, high: float) -> Pwl:
-    """Lower envelope of the parts ``(f, delta, slope, intercept)``, each the
-    function ``f.shift(delta, low, high, slope, intercept)``, in one
-    construction; ties go to the first part, as in ``pointwise_min``.
+def shift_table(parts: Sequence[tuple[Pwl, float, float, float]], low: float,
+                high: float) -> tuple[list[float], list[list[float]]]:
+    """The grid and values that ``envelope`` builds from, before the merge.
 
-    The grid is every part's shifted breakpoints inside (low, high), plus low
-    and high; each part is evaluated on it with ``shift``'s clamp and one walk,
-    so one part gives ``shift``'s result bit for bit.  Between consecutive
-    grid points every part is a line.  Where the line lowest at the left end
-    is not lowest at the right end, the walk follows the envelope from line
-    to line, at each step to the earliest crossing with a line lower at the
-    right end, and inserts the crossings more than the abscissa tolerance
-    inside the interval, valued on the line left behind.
+    The grid is low, high and every part's shifted breakpoints inside
+    (low, high), sorted; each part ``(f, delta, slope, intercept)`` gets the
+    column f(t + delta) + slope*t + intercept at the grid points t, with f
+    clamped to its nearest endpoint value outside its own domain, in one
+    walk.  Callers that add more terms to one part's shift build one ``Pwl``
+    instead of two.
     """
     cand = {low, high}
     for f, delta, _, _ in parts:
@@ -383,6 +393,23 @@ def envelope(parts: Sequence[tuple[Pwl, float, float, float]], low: float, high:
                 v = f_high
             clamped.append(v)
         cols.append([v + slope * t + intercept for t, v in zip(grid, f._values_at(clamped))])
+    return grid, cols
+
+
+def envelope(parts: Sequence[tuple[Pwl, float, float, float]], low: float, high: float) -> Pwl:
+    """Lower envelope of the parts ``(f, delta, slope, intercept)``, each the
+    function ``f.shift(delta, low, high, slope, intercept)``, in one
+    construction; ties go to the first part, as in ``pointwise_min``.
+
+    The grid and the parts' values on it come from ``shift_table``, so one
+    part gives ``shift``'s result bit for bit.  Between consecutive grid
+    points every part is a line.  Where the line lowest at the left end is
+    not lowest at the right end, the walk follows the envelope from line to
+    line, at each step to the earliest crossing with a line lower at the
+    right end, and inserts the crossings more than the abscissa tolerance
+    inside the interval, valued on the line left behind.
+    """
+    grid, cols = shift_table(parts, low, high)
     if len(cols) == 1:
         return Pwl(grid, cols[0])
     xtol = TOL * max(1.0, high)

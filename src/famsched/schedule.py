@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .instance import ClassParams, Instance, horizon_upper_bound
-from .pwl import Pwl
+from .pwl import Pwl, shift_table
 
 # Absolute tie tolerance: costs within TIE of each other are equal, and a
 # compression amount within TIE of a bound is that bound.
@@ -204,17 +204,42 @@ def stage_objective(child_value: Pwl, cp: ClassParams, i: int) -> Pwl:
     decision window's position only.
 
     Built in one construction on the child's breakpoints plus the knee dd
-    where it lies inside the domain.  The hinge takes the breakpoint values
-    of its own ``Pwl`` on [low, high] (``hinge`` in ``tests/pwl_helpers.py``)
-    and the child its values at dd by ``_values_at``'s interpolation
-    formula, so the result is bit-identical to
+    where it lies inside the domain (``_hinged``).  The result is
+    bit-identical to
     ``child_value.add(hinge(alpha, dd, low, high)).add_affine(-beta, 0.0)``
-    whenever that hinge keeps its breakpoints (its knee is not within the
-    tolerance of an end) and the merge keeps the same breakpoints in one
-    pass as in two.  alpha and dd are not checked here: ``validate_instance`` does.
+    (``hinge`` in ``tests/pwl_helpers.py``) whenever that hinge keeps its
+    breakpoints (its knee is not within the tolerance of an end) and the
+    merge keeps the same breakpoints in one pass as in two.
     """
+    return _hinged(list(child_value.xs), list(child_value.ys), cp, i)
+
+
+def part_objective(part: tuple[Pwl, float, float, float], cp: ClassParams, i: int,
+                   low: float, high: float) -> Pwl:
+    """``stage_objective`` of the child cost-to-go that ``part`` stands for:
+    the successor's ``stage_part`` ``(windowed, delta, slope, intercept)``,
+    whose function is ``windowed.shift(delta, low, high, slope, intercept)``.
+
+    One construction instead of two: the hinge is added to the shift's
+    breakpoints and values before they are merged (``pwl.shift_table``), so
+    the result is bit-identical to
+    ``stage_objective(windowed.shift(delta, low, high, slope, intercept), cp, i)``
+    whenever the shift's merge keeps every breakpoint, and within the
+    tolerance of it otherwise.  A chain of stages, as in
+    ``optimize_compressions``, carries parts from stage to stage; the DP keeps
+    ``stage_objective``, as its cost-to-go functions are stored.
+    """
+    xs, (ys,) = shift_table((part,), low, high)
+    return _hinged(xs, ys, cp, i)
+
+
+def _hinged(xs: list[float], ys: list[float], cp: ClassParams, i: int) -> Pwl:
+    """The stage objective from the child cost-to-go's breakpoint lists (which
+    it extends): the knee dd is inserted where it lies strictly inside the
+    domain, valued by ``_values_at``'s interpolation formula; the hinge takes
+    the breakpoint values of its own ``Pwl`` on [low, high].  alpha and dd are
+    not checked here: ``validate_instance`` does."""
     alpha, dd, beta = cp.alpha[i], cp.dd[i], cp.beta
-    xs, ys = list(child_value.xs), list(child_value.ys)
     low, high = xs[0], xs[-1]
     if alpha == 0.0 or dd >= high:
         hinge = [0.0] * len(xs)
@@ -241,6 +266,10 @@ def stage_value(windowed: Pwl, cp: ClassParams, st: float, sc: float, low: float
     so callers that reach one job's objective after different predecessors
     window it once.  One ``shift`` moves the window minimum by st + pt_low
     and adds the affine term in the same construction.
+
+    The solvers build it inside ``pwl.envelope`` and ``part_objective``, from
+    ``stage_part``; this stays because ``perfbench/tracer.py`` wraps it by
+    name.
     """
     f, delta, slope, intercept = stage_part(windowed, cp, st, sc)
     return f.shift(delta, low, high, slope, intercept)
@@ -249,7 +278,8 @@ def stage_value(windowed: Pwl, cp: ClassParams, st: float, sc: float, low: float
 def stage_part(windowed: Pwl, cp: ClassParams, st: float, sc: float) -> tuple[Pwl, float, float, float]:
     """``stage_value`` as a part ``(f, delta, slope, intercept)`` of
     ``pwl.envelope``: the cost-to-go of a state is the envelope of its moves'
-    parts on the state's start window."""
+    parts on the state's start window, and a fixed sequence's predecessor
+    stage reads its successor's part with ``part_objective``."""
     return windowed, st + cp.pt_low, cp.beta, sc + cp.beta * (cp.pt_nom + st)
 
 
@@ -289,20 +319,23 @@ def serve(objective: Pwl, cp: ClassParams, t: float, st: float) -> tuple[float, 
 def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPlan, float]:
     """Exact minimizer of the total cost over all compression plans for seq.
 
-    Backward pass: cost-to-go functions along the job chain.  Forward pass:
-    recover one optimal completion per stage with ``serve``.
+    Backward pass: cost-to-go functions along the job chain, each carried to
+    the predecessor stage as the ``stage_part`` of its ``window_min``, from
+    which ``part_objective`` builds that stage's objective in one
+    construction.  Forward pass: recover one optimal completion per stage
+    with ``serve``.
     """
     jobs = seq.stages(inst)
     high = horizon_upper_bound(inst)
-    value = Pwl.zero(0.0, high)
+    part = (Pwl.zero(0.0, high), 0.0, 0.0, 0.0)  # no successor: cost-to-go 0
     objectives: list[Pwl] = [None] * len(jobs)  # type: ignore[list-item]
     for job in reversed(jobs):
         cp = inst.classes[job.cls]
-        obj = stage_objective(value, cp, job.idx)
+        obj = part_objective(part, cp, job.idx, 0.0, high)
         objectives[job.stage] = obj
-        windowed = obj.window_min(cp.pt_nom - cp.pt_low)
-        value = stage_value(windowed, cp, job.st, job.sc, 0.0, high)
-    total = value.value_at(0.0)
+        part = stage_part(obj.window_min(cp.pt_nom - cp.pt_low), cp, job.st, job.sc)
+    f, delta, slope, intercept = part
+    total = f.shift(delta, 0.0, high, slope, intercept).value_at(0.0)
 
     u = [[0.0] * cp.n_jobs for cp in inst.classes]
     t = 0.0

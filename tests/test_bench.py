@@ -52,6 +52,8 @@ def test_param_validation():
         GenParams(jobs=(3,))
     with pytest.raises(ValueError):
         GenParams(jobs=(3, 0))
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        GenParams(jobs=(3, 3), seed=-1)
 
 
 @pytest.mark.parametrize("jobs,count", [((4, 3), 35), ((5, 5), 252), ((1, 1, 1), 6)])

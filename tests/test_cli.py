@@ -308,6 +308,19 @@ def test_bench_csv(tmp_path, capsys):
     assert "dp_cost" in header and "enum_cost" in header and "m1_binaries" in header
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_bench_rejects_empty_batch(capsys, count, fmt):
+    code, out, err = run(capsys, "bench", "--jobs", "2,2", "--count", count, *fmt)
+    assert (code, out, err) == (2, "", "error: --count must be at least 1\n")
+
+
+@pytest.mark.parametrize("argv", [["generate", "--jobs", "2,2"], ["bench", "--jobs", "2,2", "--count", "1"]])
+def test_negative_seed_named(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: seed must be non-negative, got -1\n")
+
+
 def test_unreadable_file(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/file.json")
     assert code == 2

@@ -160,6 +160,21 @@ def test_validate_errors(args, message):
         MilpModel.from_constraints("m", *args).validate()
 
 
+@pytest.mark.parametrize("classes", [2, 3, 4])
+def test_built_names_unique(classes):
+    """A build checks only its row columns; its row and variable names are
+    unique by construction, over equal and unequal class sizes."""
+    for n in range(1, 6):
+        for jobs in ((n,) * classes, tuple((n + k) % 5 + 1 for k in range(classes))):
+            inst = generate(GenParams(jobs, seed=n))
+            for which in (1, 2, 3):
+                model = build_model(inst, which)
+                names = [v.name for v in model.variables]
+                assert len(names) == len(set(names)), (jobs, which)
+                assert len(model.rows.names) == len(set(model.rows.names)), (jobs, which)
+                model.validate()
+
+
 # -- encoding ------------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import pytest
 
 from famsched.bench import GenParams, generate
 from famsched.instance import ClassParams, Instance
-from famsched.pwl import TOL, Pwl
+from famsched.pwl import TOL, Pwl, shift_table
 from famsched.schedule import (
     CompressionPlan,
     PlanBoundsError,
@@ -15,6 +15,7 @@ from famsched.schedule import (
     SequenceError,
     build_timeline,
     optimize_compressions,
+    part_objective,
     schedule_from_dict,
     schedule_to_dict,
     solve_sequence,
@@ -265,3 +266,43 @@ def test_fused_stage_transforms_match_two_step():
         for t in [0.0, top] + [rng.uniform(0.0, top) for _ in range(5)]:
             v = value.value_at(t)
             assert abs(stage_cost(obj, cp, t, st, sc) - v) <= TOL * max(1.0, abs(v)), (n, t)
+
+
+def test_part_objective_matches_two_step():
+    """The stage objective built from the successor's part in one construction
+    gives the bits of shifting first and adding the hinge second wherever the
+    shift's merge keeps every breakpoint, and agrees within the ordinate
+    tolerance elsewhere."""
+    rng = random.Random(18)
+    kept = merged = 0
+    for n in range(600):
+        high = rng.choice((7.5, 30.0, 500.0))
+        low = 0.0 if n % 2 else rng.uniform(0.0, high / 4)
+        span = rng.uniform(0.3, 1.2) * (high - low)
+        f = random_stage_function(rng, n, span)
+        if n % 5 == 0:  # clamped at both ends (a flat shift if f's domain is too wide)
+            delta = rng.uniform(span - high, -low) if span < high - low else -low - 1.0
+        else:
+            delta = rng.uniform(-0.5 * high, 0.5 * high)
+        beta = 0.0 if n % 4 == 0 else rng.uniform(0.5, 2.5)
+        part = (f, delta, beta, rng.choice((0.0, rng.uniform(0.5, 9.0))))
+        grid, _ = shift_table((part,), low, high)
+        alpha = 0.0 if n % 6 == 0 else rng.uniform(0.5, 2.5)
+        dd = {
+            1: rng.choice((low, rng.uniform(0.0, low))),  # at or before the domain's start
+            2: rng.choice((high, high + rng.uniform(0.0, high))),  # at or after its end
+            3: rng.choice(grid),  # on a grid point, the ends included
+        }.get(n % 6, rng.uniform(low, high))
+        cp = ClassParams(pt_nom=3.0, pt_low=1.0, beta=beta, gamma=1.0, alpha=(alpha,), dd=(dd,))
+        shifted = f.shift(delta, low, high, part[2], part[3])
+        got = part_objective(part, cp, 0, low, high)
+        want = stage_objective(shifted, cp, 0)
+        if list(shifted.xs) == grid:
+            assert_same_bits(got, want)
+            kept += 1
+        else:
+            for x in sorted(set(got.xs) | set(want.xs)):
+                y = want.value_at(x)
+                assert abs(got.value_at(x) - y) <= TOL * max(1.0, abs(y)), (n, x)
+            merged += 1
+    assert kept > 300 and merged > 50, (kept, merged)
