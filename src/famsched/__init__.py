@@ -49,7 +49,6 @@ from .milp import (
     check_assignment,
     emit_lp,
     encode_schedule,
-    model_size,
     parse_lp,
     size_report,
 )
@@ -71,7 +70,7 @@ __all__ = [
     "initial_state", "query_policy", "start_window",
     "CheckReport", "MilpModel", "SizeReport", "build_model", "build_model1",
     "build_model2", "build_model3", "check_assignment", "emit_lp", "encode_schedule",
-    "model_size", "parse_lp", "size_report",
+    "parse_lp", "size_report",
     "GenParams", "brute_force_solve", "count_sequences", "generate",
 ]
 

@@ -73,8 +73,11 @@ def _write(path: str | None, text: str) -> None:
     if _on_stdout(path):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _report(doc: dict, payload_on_stdout: bool) -> None:
@@ -232,7 +235,7 @@ def cmd_bench(args) -> int:
             "sequences": bench.count_sequences(inst),
         }
         for which in (1, 2, 3):
-            rep = milp.model_size(jobs, which)
+            rep = milp.size_report(milp.build_model(inst, which))
             row[f"m{which}_binaries"] = rep.binary_count
             row[f"m{which}_other"] = rep.other_count
             row[f"m{which}_constraints"] = rep.constraint_count

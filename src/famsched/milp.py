@@ -117,28 +117,6 @@ class MilpModel:
     objective: list[tuple[float, str]] = field(default_factory=list)
     objective_constant: float = 0.0
 
-    @classmethod
-    def from_constraints(cls, name: str, variables: list[Variable], constraints: list[Constraint],
-                         objective=(), objective_constant: float = 0.0) -> MilpModel:
-        """A model whose rows are given as ``Constraint`` tuples; each term's
-        variable name is mapped to its column, and an undeclared one raises
-        ``ValueError`` naming the first row that uses it."""
-        column = {v.name: c for c, v in enumerate(variables)}
-        try:
-            cols = [column[var] for con in constraints for _, var in con.terms]
-        except KeyError as exc:
-            row = next(con for con in constraints if any(var not in column for _, var in con.terms))
-            raise ValueError(f"constraint {row.name} references unknown variable {exc.args[0]}") from None
-        rows = _rows(
-            [con.name for con in constraints],
-            [SENSES.index(con.sense) for con in constraints],
-            [con.rhs for con in constraints],
-            [len(con.terms) for con in constraints],
-            cols,
-            [coef for con in constraints for coef, _ in con.terms],
-        )
-        return cls(name, list(variables), rows, list(objective), objective_constant)
-
     @property
     def constraints(self) -> Constraints:
         return Constraints(self)
@@ -148,22 +126,6 @@ class MilpModel:
 
     def continuous(self) -> list[Variable]:
         return [v for v in self.variables if v.kind == "continuous"]
-
-    def validate(self) -> None:
-        """Unique names, row columns in range and a declared objective, for a
-        model whose names come from outside the builders (``parse_lp``,
-        ``from_constraints``).  A builder's model checks only its columns:
-        its names are unique by construction, which the tests check."""
-        names = [v.name for v in self.variables]
-        if len(names) != len(set(names)):
-            raise ValueError("duplicate variable names")
-        if len(self.rows.names) != len(set(self.rows.names)):
-            raise ValueError("duplicate constraint names")
-        self._check_columns()
-        declared = set(names)
-        for coef, var in self.objective:
-            if var not in declared:
-                raise ValueError(f"objective references unknown variable {var}")
 
     def _check_columns(self) -> None:
         cols = self.rows.cols
@@ -185,22 +147,6 @@ def size_report(model: MilpModel) -> SizeReport:
         other_count=len(model.continuous()) + 1,
         constraint_count=len(model.rows.names),
     )
-
-
-def model_size(jobs: Sequence[int], which: int) -> SizeReport:
-    """``size_report(build_model(inst, which))`` for any instance with
-    ``jobs[k]`` jobs in class k, counted in closed form."""
-    n, k = sum(jobs), len(jobs)
-    delta = 7 * n + 1 + sum(max(nk - 2, 0) for nk in jobs)  # _add_common_delta_rows
-    if which == 1:
-        rows = n + delta + 3 * n * (n - 1) + sum(nk * nk for nk in jobs) + n * (n - 1) * (n - 2) + n * n
-        return SizeReport(2 * n * n, 6 * n + 1, rows)
-    if which == 2:
-        return SizeReport(n * n, 7 * n + 1, 3 * n + delta + n * (n - 1))
-    if which == 3:
-        rows = 7 * n + 2 + 2 * (n - 1) * k * k + 3 * n * n + sum(max(nk - 1, 0) for nk in jobs) + k
-        return SizeReport(n * n, 9 * n + 1, rows)
-    raise ValueError(f"unknown model id {which}")
 
 
 class _Builder:
@@ -683,14 +629,19 @@ def parse_lp(text: str) -> MilpModel:
     """Read back the LP text that ``emit_lp`` writes.
 
     Only that grammar is read: ``\\`` comments (of which only
-    ``objective_constant:`` is used), the five section headers in order,
+    ``objective_constant:`` is used), the five section headers in order, one
     `` obj: <terms>``, `` <name>: <terms> <sense> <rhs>``, `` <name> >= 0`` and
-    bare binary names.  Any other line raises ``ValueError`` naming it, and
-    the result is validated.
+    bare binary names.  Any other line raises ``ValueError`` naming it.  The
+    names are checked where each is mapped to its column: duplicate variable
+    or row names and an undeclared variable raise ``ValueError``.
     """
-    objective: list[tuple[float, str]] = []
+    objective: list[tuple[float, str]] | None = None
     objective_constant = 0.0
-    constraints: list[Constraint] = []
+    row_names: list[str] = []
+    senses: list[int] = []
+    rhs: list[float] = []
+    lengths: list[int] = []
+    terms: list[tuple[float, str]] = []  # every row's terms, in row order
     binaries: list[Variable] = []
     continuous: list[Variable] = []
     section = -1  # index into _SECTIONS
@@ -704,11 +655,15 @@ def parse_lp(text: str) -> MilpModel:
                 section += 1
             elif not line.startswith(" "):
                 raise ValueError
-            elif section == 0 and tokens[0] == "obj:":
+            elif section == 0 and tokens[0] == "obj:" and objective is None:
                 objective = list(_read_terms(tokens[1:]))
-            elif section == 1 and tokens[0].endswith(":") and tokens[-2] in ("<=", ">=", "="):
-                terms = _read_terms(tokens[1:-2])
-                constraints.append(Constraint(tokens[0][:-1], terms, tokens[-2], _number(tokens[-1])))
+            elif section == 1 and tokens[0].endswith(":") and tokens[-2] in SENSES:
+                row_terms = _read_terms(tokens[1:-2])
+                row_names.append(tokens[0][:-1])
+                senses.append(SENSES.index(tokens[-2]))
+                rhs.append(_number(tokens[-1]))
+                lengths.append(len(row_terms))
+                terms += row_terms
             elif section == 2 and len(tokens) == 3 and tokens[1:] == [">=", "0"]:
                 continuous.append(Variable(tokens[0], "continuous"))
             elif section == 3 and len(tokens) == 1:
@@ -719,6 +674,22 @@ def parse_lp(text: str) -> MilpModel:
             raise ValueError(f"line {number} is not emit_lp syntax: {line!r}") from None
     if section != len(_SECTIONS) - 1:
         raise ValueError("LP text ends before its End line")
-    model = MilpModel.from_constraints("parsed", binaries + continuous, constraints, objective, objective_constant)
-    model.validate()
-    return model
+    if objective is None:
+        raise ValueError("LP text has no objective line")
+    variables = binaries + continuous
+    column = {v.name: c for c, v in enumerate(variables)}
+    if len(column) != len(variables):
+        raise ValueError("duplicate variable names")
+    if len(set(row_names)) != len(row_names):
+        raise ValueError("duplicate constraint names")
+    cols = [column.get(var, -1) for _, var in terms]
+    rows = _rows(row_names, senses, rhs, lengths, cols, [coef for coef, _ in terms])
+    unknown = np.flatnonzero(rows.cols < 0)
+    if unknown.size:
+        t = int(unknown[0])
+        r = int(np.searchsorted(rows.indptr, t, side="right")) - 1
+        raise ValueError(f"constraint {row_names[r]} references unknown variable {terms[t][1]}")
+    for _, var in objective:
+        if var not in column:
+            raise ValueError(f"objective references unknown variable {var}")
+    return MilpModel("parsed", variables, rows, objective, objective_constant)

@@ -327,6 +327,18 @@ def test_unreadable_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["emit", "--model", "1", EX1, "-o"], ["solve", EX1, "--dump-values"], ["generate", "--jobs", "2,2", "-o"]],
+    ids=["emit", "dump-values", "generate"],
+)
+def test_unwritable_output(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1, err
+
+
 def test_schema_error_reported(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"classes": []}')

@@ -6,13 +6,13 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from famsched.bench import GenParams, generate
 from famsched.dp import backward_induction, extract_open_loop
 from famsched.instance import ClassParams, Instance
 from famsched.milp import (
-    Constraint,
     MilpModel,
     Variable,
     build_model,
@@ -22,7 +22,6 @@ from famsched.milp import (
     check_assignment,
     emit_lp,
     encode_schedule,
-    model_size,
     parse_lp,
     size_report,
 )
@@ -80,21 +79,6 @@ def test_model1_published_sizes(jobs, binaries, others, constraints):
     assert rep.constraint_count == constraints
 
 
-# Every job vector of 1-2 classes with 1-6 jobs each, and of 3-4 classes
-# with the smallest, a middle and the largest of those counts.
-SIZE_SWEEP = [
-    jobs
-    for k, counts in ((1, range(1, 7)), (2, range(1, 7)), (3, (1, 4, 6)), (4, (1, 6)))
-    for jobs in itertools.product(counts, repeat=k)
-]
-
-
-@pytest.mark.parametrize("which", [1, 2, 3])
-def test_model_size_closed_form(which):
-    for jobs in SIZE_SWEEP:
-        assert model_size(jobs, which) == size_report(build_model(uniform_instance(jobs), which)), jobs
-
-
 def test_model1_ex1_binaries(ex1):
     assert size_report(build_model1(ex1)).binary_count == 98  # 2 * 7^2
 
@@ -130,34 +114,34 @@ def test_model3_ex1_counts(ex1):
     assert sum(1 for c in model.constraints if c.name.startswith("stage_one_")) == 7
 
 
-_X = Variable("x", "binary")
-_ROW = Constraint("r", ((1.0, "x"),), "<=", 1.0)
+# emit_lp's text for one binary x, one continuous y, one row and objective y
+_SMALL_LP = """\\ Problem: m
+Minimize
+ obj: 1 y
+Subject To
+ r: 1 x - 2 y <= 1
+Bounds
+ y >= 0
+Binaries
+ x
+End
+"""
 
 
 @pytest.mark.parametrize(
-    "args,message",
+    "old,new,message",
     [
-        (([_X, _X], [_ROW]), "duplicate variable names"),
-        (([_X], [_ROW, _ROW]), "duplicate constraint names"),
-        (
-            (
-                [_X],
-                [
-                    _ROW,
-                    Constraint("r2", ((1.0, "x"), (2.0, "y")), "<=", 1.0),
-                    Constraint("r3", ((1.0, "z"),), "<=", 1.0),
-                ],
-            ),
-            "constraint r2 references unknown variable y",
-        ),
-        (([_X], [_ROW], [(1.0, "x"), (1.0, "w")]), "objective references unknown variable w"),
+        ("Binaries\n x\n", "Binaries\n x\n x\n", "duplicate variable names"),
+        (" r: 1 x - 2 y <= 1\n", " r: 1 x - 2 y <= 1\n r: 1 x <= 1\n", "duplicate constraint names"),
+        (" obj: 1 y", " obj: 1 y + 1 w", "objective references unknown variable w"),
     ],
-    ids=["duplicate-variable", "duplicate-row", "unknown-in-row", "unknown-in-objective"],
+    ids=["duplicate-variable", "duplicate-row", "unknown-in-objective"],
 )
-def test_validate_errors(args, message):
-    # an undeclared row variable is caught where its name is mapped to a column
+def test_validate_errors(old, new, message):
+    # parse_lp checks names where it maps each to its column
+    assert old in _SMALL_LP
     with pytest.raises(ValueError, match=f"^{message}$"):
-        MilpModel.from_constraints("m", *args).validate()
+        parse_lp(_SMALL_LP.replace(old, new))
 
 
 @pytest.mark.parametrize("classes", [2, 3, 4])
@@ -172,7 +156,6 @@ def test_built_names_unique(classes):
                 names = [v.name for v in model.variables]
                 assert len(names) == len(set(names)), (jobs, which)
                 assert len(model.rows.names) == len(set(model.rows.names)), (jobs, which)
-                model.validate()
 
 
 # -- encoding ------------------------------------------------------------
@@ -407,16 +390,8 @@ def test_lp_round_trip_counts(ex1, which):
         assert parsed.objective == model.objective
         assert parsed.objective_constant == model.objective_constant
         assert parsed.variables == model.variables
-
-
-_SMALL_LP = emit_lp(
-    MilpModel.from_constraints(
-        "m",
-        [_X, Variable("y", "continuous")],
-        [Constraint("r", ((1.0, "x"), (-2.0, "y")), "<=", 1.0)],
-        [(1.0, "y")],
-    )
-)
+        for array in ("indptr", "cols", "coefs", "senses", "rhs"):
+            assert np.array_equal(getattr(parsed.rows, array), getattr(model.rows, array)), array
 
 
 @pytest.mark.parametrize(
@@ -429,8 +404,11 @@ _SMALL_LP = emit_lp(
         (" y <= 1", " y <= nan", "line 5 .*y <= nan"),
         (" r: 1 x - 2 y <= 1", " r: 1 x - 2 z <= 1", "^constraint r references unknown variable z$"),
         ("End\n", "", "^LP text ends before its End line$"),
+        (" obj: 1 y\n", " obj: 1 y\n obj: 1 x\n", "line 4 .*obj: 1 x"),
+        (" obj: 1 y\n", "", "^LP text has no objective line$"),
     ],
-    ids=["maximize", "generals", "two-sided-bound", "signed-coefficient", "nan-rhs", "undeclared-variable", "no-end"],
+    ids=["maximize", "generals", "two-sided-bound", "signed-coefficient", "nan-rhs", "undeclared-variable", "no-end",
+         "two-objectives", "no-objective"],
 )
 def test_parse_lp_rejects_foreign_syntax(old, new, message):
     assert parse_lp(_SMALL_LP).constraints[0].terms == ((1.0, "x"), (-2.0, "y"))
