@@ -4,7 +4,7 @@ File I/O is explicit via flags; reports go to stdout as JSON (CSV for bench
 behind --csv), or to stderr when a command writes its payload (LP text, a
 schedule, cost-to-go values) to stdout, so that stdout stays parseable.
 Exit codes: 0 success, 1 validation/violation findings, 2 usage or input
-errors.
+errors, or a stdout that cannot be written (say, a pipe closed early).
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import bench, dp, milp
 from .instance import (
@@ -155,16 +157,12 @@ def cmd_emit(args) -> int:
     inst = _read_valid_instance(args.instance)
     model = milp.build_model(inst, args.model)
     _write(args.output, milp.emit_lp(model))
-    rep = milp.size_report(model)
     _report(
         {
             "command": "emit",
             "instance": _digest(inst),
             "model": args.model,
-            "binary_count": rep.binary_count,
-            "other_count": rep.other_count,
-            "constraint_count": rep.constraint_count,
-            "convention": rep.convention,
+            **asdict(milp.size_report(model)),
         },
         _on_stdout(args.output),
     )
@@ -192,10 +190,7 @@ def cmd_certify(args) -> int:
                 "model": args.model,
                 "objective": report.objective,
                 "ok": report.ok,
-                "violations": [
-                    {"kind": v.kind, "name": v.name, "amount": v.amount, "detail": v.detail}
-                    for v in report.violations
-                ],
+                "violations": [asdict(v) for v in report.violations],
             },
             indent=2,
         )
@@ -315,10 +310,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return rc
     except InvalidInstance as exc:
         print(exc, file=sys.stderr)
         return 1
+    except BrokenPipeError as exc:
+        # the interpreter flushes stdout again at exit; let that go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 2
     except (CliError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -413,47 +413,34 @@ def encode_schedule(inst: Instance, sched: Schedule, model: MilpModel) -> dict[s
     """Value of each variable of ``model`` in a feasible schedule, keyed by
     name in declaration order.
 
-    The name says what to read (module docstring): ``<family>_k_i`` is job
-    (k, i)'s entry of the plan or timeline, ``<family>_j`` that of the job
-    served at stage j, and the binary ``d_h_j_k_i``, ``x_h_j_k_i`` or
-    ``xs_k_i_j`` is 1 when job (k, i) directly follows job (h, j), comes
-    after it, or is served at stage j.  Any other name raises ``ValueError``.
+    Each of the model's variable names is looked up in one table of the
+    schedule's values, keyed by every name a builder can declare (module
+    docstring): ``<family>_k_i`` is job (k, i)'s entry of the plan or
+    timeline, ``<family>_j`` that of the job served at stage j, and the
+    binary ``d_h_j_k_i``, ``x_h_j_k_i`` or ``xs_k_i_j`` is 1 when job (k, i)
+    directly follows job (h, j), comes after it, or is served at stage j.
+    Any other name raises ``ValueError``.
     """
     stages = sched.sequence.stages(inst)  # raises on multiplicity mismatch
     sched.plan.check(inst)
     tl = sched.timeline
-    job_at = {(str(job.cls + 1), str(job.idx + 1)): job for job in stages}  # by ("k", "i")
-    stage_at = {(str(job.stage),): job for job in stages}  # by ("j",)
     per_job = {"u": sched.plan.u, "S": tl.start, "pt": tl.proc, "T": tl.tardiness,
                "Om": tl.setup_cost, "La": tl.setup_time, "C": tl.completion}
     per_stage = {"tau": tl.proc, "Omt": tl.setup_cost, "Lat": tl.setup_time,
                  "St": tl.start, "Ct": tl.completion}
-
-    def value(family: str, ids: tuple[str, ...]) -> float:
-        if family in per_job:
-            job = job_at[ids]
-            return per_job[family][job.cls][job.idx]
-        if family in per_stage:
-            job = stage_at[ids]
-            return per_stage[family][job.cls][job.idx]
-        p = job_at[ids[:2]].stage
-        if family == "xs":
-            return 1.0 if stage_at[ids[2:]].stage == p else 0.0
-        q = job_at[ids[2:]].stage
-        if family == "d":
-            return 1.0 if q == p + 1 else 0.0
-        if family == "x":
-            return 1.0 if p < q else 0.0
-        raise KeyError(family)
-
-    out: dict[str, float] = {}
-    for name, _ in model.variables:
-        family, *ids = name.split("_")
-        try:
-            out[name] = value(family, tuple(ids))
-        except KeyError:
-            raise ValueError(f"variable {name} is no schedule quantity") from None
-    return out
+    ids = [f"{job.cls + 1}_{job.idx + 1}" for job in stages]  # by stage
+    value: dict[str, float] = {}
+    for p, (job, a) in enumerate(zip(stages, ids)):
+        value.update((f"{family}_{a}", table[job.cls][job.idx]) for family, table in per_job.items())
+        value.update((f"{family}_{p}", table[job.cls][job.idx]) for family, table in per_stage.items())
+        for q, b in enumerate(ids):
+            value[f"d_{a}_{b}"] = 1.0 if q == p + 1 else 0.0
+            value[f"x_{a}_{b}"] = 1.0 if p < q else 0.0
+            value[f"xs_{a}_{q}"] = 1.0 if q == p else 0.0
+    try:
+        return {name: value[name] for name, _ in model.variables}
+    except KeyError as exc:
+        raise ValueError(f"variable {exc.args[0]} is no schedule quantity") from None
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -337,6 +338,27 @@ def test_unwritable_output(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, str(target))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["count", EX1], ["generate", "--jobs", "2,2"]], ids=["count", "generate"])
+def test_closed_stdout_pipe(argv, buffered):
+    # a reader that quit early is one error line and exit 2, whether the
+    # write fails in the command or at the final flush of a buffered stdout
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "famsched.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: cannot write stdout: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
 
 def test_schema_error_reported(tmp_path, capsys):

@@ -25,7 +25,15 @@ from famsched.milp import (
     parse_lp,
     size_report,
 )
-from famsched.schedule import CompressionPlan, Sequence, build_timeline, solve_sequence
+from famsched.schedule import (
+    CompressionPlan,
+    PlanBoundsError,
+    Schedule,
+    Sequence,
+    SequenceError,
+    build_timeline,
+    solve_sequence,
+)
 from tests.conftest import EX1_COST, EX1_ORDER_1BASED
 from tests.milp_helpers import check_rows, solve_highs
 
@@ -185,8 +193,29 @@ def test_encode_model1_x_table(ex1, ex1_opt):
 
 @pytest.mark.parametrize("which", [1, 2, 3])
 def test_encode_keys_are_the_model_variables(ex1, ex1_opt, which):
-    model = build_model(ex1, which)
-    assert list(encode_schedule(ex1, ex1_opt, model)) == [v.name for v in model.variables]
+    # built and re-parsed models name the same variables, in their own orders
+    g = generate(GenParams(jobs=(3, 2, 2), seed=0))
+    for inst, sched in ((ex1, ex1_opt), (g, extract_open_loop(g, backward_induction(g)))):
+        model = build_model(inst, which)
+        parsed = parse_lp(emit_lp(model))
+        built, reparsed = encode_schedule(inst, sched, model), encode_schedule(inst, sched, parsed)
+        assert list(built) == [v.name for v in model.variables]
+        assert list(reparsed) == [v.name for v in parsed.variables]
+        assert reparsed == built
+
+
+def test_encode_rejects_a_mismatched_sequence(ex1, ex1_opt):
+    sched = Schedule(Sequence(ex1_opt.sequence.order[1:]), ex1_opt.plan, ex1_opt.timeline)
+    with pytest.raises(SequenceError, match="multiplicities"):
+        encode_schedule(ex1, sched, build_model1(ex1))
+
+
+def test_encode_rejects_an_out_of_bounds_plan(ex1, ex1_opt):
+    u = [list(row) for row in ex1_opt.plan.u]
+    u[0][0] = ex1.classes[0].u_max + 1.0
+    sched = Schedule(ex1_opt.sequence, CompressionPlan(tuple(map(tuple, u))), ex1_opt.timeline)
+    with pytest.raises(PlanBoundsError, match=r"u\[1\]\[1\]"):
+        encode_schedule(ex1, sched, build_model1(ex1))
 
 
 @pytest.mark.parametrize("name", ["y", "S_0_1", "S_1_1_1", "tau_-1", "tau_7", "xs_1_1",
