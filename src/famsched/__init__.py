@@ -11,6 +11,7 @@ from .instance import (
     horizon_upper_bound,
     load_instance,
     save_instance,
+    start_window,
     validate_instance,
 )
 from .pwl import DomainError, Pwl
@@ -36,7 +37,6 @@ from .dp import (
     extract_open_loop,
     initial_state,
     query_policy,
-    start_window,
 )
 from .milp import (
     CheckReport,
@@ -61,13 +61,14 @@ from .bench import (
 
 __all__ = [
     "ClassParams", "Instance", "ParseError", "SchemaError", "Violation",
-    "horizon_upper_bound", "load_instance", "save_instance", "validate_instance",
+    "horizon_upper_bound", "load_instance", "save_instance", "start_window",
+    "validate_instance",
     "DomainError", "Pwl",
     "CompressionPlan", "PlanBoundsError", "Schedule", "Sequence", "SequenceError",
     "Timeline", "build_timeline", "optimize_compressions", "solve_sequence",
     "DiscreteState", "PolicyDecision", "StateGraph", "ValueTable",
     "backward_induction", "build_state_graph", "count_states", "extract_open_loop",
-    "initial_state", "query_policy", "start_window",
+    "initial_state", "query_policy",
     "CheckReport", "MilpModel", "SizeReport", "build_model", "build_model1",
     "build_model2", "build_model3", "check_assignment", "emit_lp", "encode_schedule",
     "parse_lp", "size_report",

@@ -19,14 +19,14 @@ from math import factorial, inf
 
 import numpy as np
 
-from .instance import ClassParams, Instance, horizon_upper_bound
+from .instance import ClassParams, Instance, start_window
 from .pwl import Pwl
 from .schedule import TIE, Schedule, Sequence, part_objective, solve_sequence, stage_cost, stage_part
 
 RNG_NAME = "numpy-default_rng"
 # Most sequences brute_force_solve enumerates.  It bounds sequences, not work:
 # each distinct suffix costs one Pwl build, and jobs (1, N-1) have N sequences
-# but about N^2/2 suffixes.
+# but about N^2/2 suffixes: (1, 319) passes the cap and takes about a minute.
 ENUM_CAP = 10**6
 
 # Uniform sampling ranges [a, b); pt_low never exceeds 6, the lowest pt_nom.
@@ -125,7 +125,8 @@ def brute_force_solve(inst: Instance) -> Schedule:
     number of jobs.  A suffix's windowed stage objective does not depend on
     what precedes it, so each distinct suffix is built once, with the calls
     and arguments of ``optimize_compressions`` (``part_objective`` of the
-    successor's ``stage_part``, then ``window_min``), and shared by every
+    successor's ``stage_part`` on the ``start_window`` of the counts served
+    through the suffix's first job, then ``window_min``), and shared by every
     sequence that ends in it; the stack carries each suffix as the
     ``stage_part`` of its window minimum after one predecessor class.  Only
     the winner gets its compressions and timeline, from ``solve_sequence``.
@@ -133,21 +134,21 @@ def brute_force_solve(inst: Instance) -> Schedule:
     total = count_sequences(inst)
     if total > ENUM_CAP:
         raise ValueError(f"sequence count {total} exceeds the enumeration cap {ENUM_CAP}")
-    high = horizon_upper_bound(inst)
     n = inst.total_jobs
     left = list(inst.jobs_per_class)  # jobs of each class ahead of the suffix
     suffix: list[int] = []  # classes of the suffix, last stage first
     best = inf
     near: list[tuple[float, tuple[int, ...]]] = []  # (cost, order) within TIE of best
     # (suffix length, class to prepend, stage_part of the suffix), smallest class on top
-    stack = [(0, k, (Pwl.zero(0.0, high), 0.0, 0.0, 0.0)) for k in reversed(range(len(left)))]
+    done = (Pwl.zero(*start_window(inst, left)), 0.0, 0.0, 0.0)  # no successor: cost-to-go 0
+    stack = [(0, k, done) for k in reversed(range(len(left)))]
     while stack:
         depth, k, part = stack.pop()
         while len(suffix) > depth:  # back out of the suffixes already walked
             left[suffix.pop()] += 1
         cp = inst.classes[k]
+        obj = part_objective(part, cp, left[k] - 1, *start_window(inst, left))
         left[k] -= 1
-        obj = part_objective(part, cp, left[k], 0.0, high)
         suffix.append(k)
         if depth + 1 == n:
             cost = stage_cost(obj, cp, 0.0, 0.0, 0.0)  # first stage: t = 0, no setup

@@ -24,6 +24,7 @@ from .instance import (
     Instance,
     ParseError,
     SchemaError,
+    instance_to_dict,
     load_instance,
     save_instance,
     validate_instance,
@@ -61,9 +62,7 @@ def _read_valid_instance(path: str) -> Instance:
 
 
 def _digest(inst: Instance) -> str:
-    canonical = json.dumps(
-        json.loads(save_instance(inst)), sort_keys=True, separators=(",", ":")
-    )
+    canonical = json.dumps(instance_to_dict(inst), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import NamedTuple
 
-from .instance import Instance
+from .instance import Instance, start_window
 from .pwl import Pwl, envelope
 from .schedule import (
     TIE,
@@ -44,26 +44,6 @@ class DiscreteState(NamedTuple):
 
 def initial_state(inst: Instance) -> DiscreteState:
     return DiscreteState((0,) * inst.n_classes, None)
-
-
-def start_window(inst: Instance, state: DiscreteState) -> tuple[float, float]:
-    """Times [lo, hi] at which the next job can start from ``state``.
-
-    From t = 0, after n >= 1 completions with counts c, the next start lies
-    in [sum c_k pt_low_k, sum c_k pt_nom_k + (n - 1) max st]: the first job
-    has no setup and every later one at most the largest.  The initial
-    state's window is [0, 0].  For every t in a state's window, the decision
-    window [t + st + pt_low, t + st + pt_nom] of each move lies inside the
-    child's window.
-    """
-    n = sum(state.counts)
-    if n == 0:
-        return 0.0, 0.0
-    lo = hi = 0.0
-    for c, cp in zip(state.counts, inst.classes):
-        lo += c * cp.pt_low
-        hi += c * cp.pt_nom
-    return lo, hi + (n - 1) * max(map(max, inst.st))
 
 
 def _child(state: DiscreteState, k: int) -> DiscreteState:
@@ -112,7 +92,7 @@ def count_states(inst: Instance) -> int:
 
 class ValueTable:
     """Cost-to-go per discrete state, as a function of the next start time,
-    each defined on its state's ``start_window``."""
+    each defined on the ``instance.start_window`` of its state's counts."""
 
     def __init__(self, inst: Instance, graph: StateGraph, values: dict[DiscreteState, Pwl]):
         self._inst = inst
@@ -154,7 +134,7 @@ class ValueTable:
         return "\n".join(lines)
 
 
-def _child_objective(inst: Instance, values: dict[DiscreteState, Pwl],
+def _child_objective(inst: Instance, values: dict[DiscreteState, Pwl] | ValueTable,
                      child: DiscreteState) -> Pwl:
     """Stage objective F(s) of the job whose service leads into child.
 
@@ -178,7 +158,7 @@ def backward_induction(inst: Instance) -> ValueTable:
     state's function is the minimum over its edges of ``stage_value``, built
     by one ``envelope`` of the edges' ``stage_part``s.
 
-    Each state's function is built on its ``start_window`` only: every
+    Each state's function is built on the ``start_window`` of its counts: every
     decision window from a parent's window lies inside the child's, so each
     value read is exact, and no breakpoint is built where no start time
     reaches.
@@ -186,7 +166,7 @@ def backward_induction(inst: Instance) -> ValueTable:
     graph = build_state_graph(inst)
     values: dict[DiscreteState, Pwl] = {}
     for state in graph.stages[-1]:
-        values[state] = Pwl.zero(*start_window(inst, state))
+        values[state] = Pwl.zero(*start_window(inst, state.counts))
     for j in range(len(graph.stages) - 2, -1, -1):
         windowed: dict[DiscreteState, Pwl] = {}
         for child in graph.stages[j + 1]:
@@ -198,7 +178,7 @@ def backward_induction(inst: Instance) -> ValueTable:
                 parts.append(stage_part(windowed[_child(state, k)], inst.classes[k],
                                         inst.setup_time(state.last, k),
                                         inst.setup_cost(state.last, k)))
-            values[state] = envelope(parts, *start_window(inst, state))
+            values[state] = envelope(parts, *start_window(inst, state.counts))
     return ValueTable(inst, graph, values)
 
 
@@ -227,7 +207,7 @@ def query_policy(inst: Instance, vt: ValueTable, state: DiscreteState, t: float)
     best = None  # (cost, class, stage objective, setup time)
     for k in admissible_classes(inst, state):
         st = inst.setup_time(state.last, k)
-        obj = _child_objective(inst, vt._values, _child(state, k))
+        obj = _child_objective(inst, vt, _child(state, k))
         cost = stage_cost(obj, inst.classes[k], t, st, inst.setup_cost(state.last, k))
         if best is None or cost < best[0] - TIE:
             best = (cost, k, obj, st)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 
 class ParseError(ValueError):
@@ -147,16 +147,31 @@ def validate_instance(inst: Instance) -> list[Violation]:
     return out
 
 
-def horizon_upper_bound(inst: Instance) -> float:
-    """An upper bound on any no-idle completion time.
+def start_window(inst: Instance, counts: Sequence[int]) -> tuple[float, float]:
+    """Times [lo, hi] at which the next job can start once ``counts[k]`` jobs
+    of each class k are done.
 
-    Sum of nominal processing times plus the worst setup for each of the
-    N-1 class switches that could occur.
+    From t = 0, after n >= 1 completions, the next start lies in
+    [sum c_k pt_low_k, sum c_k pt_nom_k + (n - 1) max st]: the first job has
+    no setup and every later one at most the largest.  With nothing done the
+    window is [0, 0].  For every t in a window, the decision window
+    [t + st + pt_low, t + st + pt_nom] of serving one more class-k job lies
+    inside the window of the counts with c_k one higher.
     """
-    total_pt = sum(cp.pt_nom * cp.n_jobs for cp in inst.classes)
-    n = inst.total_jobs
-    max_st = max((v for row in inst.st for v in row), default=0.0)
-    return total_pt + (n - 1) * max_st
+    n = sum(counts)
+    if n == 0:
+        return 0.0, 0.0
+    lo = hi = 0.0
+    for c, cp in zip(counts, inst.classes):
+        lo += c * cp.pt_low
+        hi += c * cp.pt_nom
+    return lo, hi + (n - 1) * max((v for row in inst.st for v in row), default=0.0)
+
+
+def horizon_upper_bound(inst: Instance) -> float:
+    """An upper bound on any no-idle completion time: the end of the start
+    window with every job done."""
+    return start_window(inst, inst.jobs_per_class)[1]
 
 
 # -- JSON serialization -----------------------------------------------

@@ -32,6 +32,7 @@ Variable naming (1-based class/job ids, 0-based stage ids):
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -507,28 +508,16 @@ def _fmt(v: float) -> str:
     return repr(v)
 
 
-class _Memo(dict):
-    """A dict that computes a missing value as ``fn(key)`` and keeps it."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
-def _terms_text(terms, prefix: _Memo) -> str:
+def _terms_text(terms, prefix) -> str:
     """``prefix`` maps a coefficient to its ``"<sign> <digits> "`` text."""
-    parts = [prefix[coef] + var for coef, var in terms]
+    parts = [prefix(coef) + var for coef, var in terms]
     if not parts:
         return "0 " + "__zero__"
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else text
 
 
-def _rows_text(model: MilpModel, prefix: _Memo) -> list[str]:
+def _rows_text(model: MilpModel, prefix) -> list[str]:
     """The `` <name>: <terms> <sense> <rhs>`` lines, each ending in a newline,
     as the texts of consecutive batches of rows.
 
@@ -539,7 +528,7 @@ def _rows_text(model: MilpModel, prefix: _Memo) -> list[str]:
     """
     rows = model.rows
     coefs = np.unique(rows.coefs)
-    signed = [prefix[c] for c in coefs.tolist()]
+    signed = [prefix(c) for c in coefs.tolist()]
     inner = np.array([" " + text for text in signed], dtype=object)
     first = np.array([text[2:] if text.startswith("+ ") else text for text in signed], dtype=object)
     variables = np.array([v.name for v in model.variables], dtype=object)
@@ -572,7 +561,7 @@ def emit_lp(model: MilpModel) -> str:
     """Standard LP text: objective, rows, bounds, binary section."""
     # A model has few distinct coefficients and right-hand sides, so each is
     # formatted once per call (0.0 and -0.0 compare equal and both print "0").
-    prefix = _Memo(lambda c: f"{'-' if c < 0 else '+'} {_fmt(abs(c))} ")
+    prefix = functools.cache(lambda c: f"{'-' if c < 0 else '+'} {_fmt(abs(c))} ")
     head = [f"\\ Problem: {model.name}"]
     if model.objective_constant:
         head.append(f"\\ objective_constant: {model.objective_constant!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .instance import ClassParams, Instance, horizon_upper_bound
+from .instance import ClassParams, Instance, start_window
 from .pwl import Pwl, shift_table
 
 # Absolute tie tolerance: costs within TIE of each other are equal, and a
@@ -322,20 +322,22 @@ def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPla
     Backward pass: cost-to-go functions along the job chain, each carried to
     the predecessor stage as the ``stage_part`` of its ``window_min``, from
     which ``part_objective`` builds that stage's objective in one
-    construction.  Forward pass: recover one optimal completion per stage
-    with ``serve``.
+    construction, on the ``start_window`` of the counts served through its
+    job (the terminal zero on the window with every job done).  Forward
+    pass: recover one optimal completion per stage with ``serve``.
     """
     jobs = seq.stages(inst)
-    high = horizon_upper_bound(inst)
-    part = (Pwl.zero(0.0, high), 0.0, 0.0, 0.0)  # no successor: cost-to-go 0
+    counts = list(inst.jobs_per_class)  # jobs done once the current job completes
+    part = (Pwl.zero(*start_window(inst, counts)), 0.0, 0.0, 0.0)  # no successor: cost-to-go 0
     objectives: list[Pwl] = [None] * len(jobs)  # type: ignore[list-item]
     for job in reversed(jobs):
         cp = inst.classes[job.cls]
-        obj = part_objective(part, cp, job.idx, 0.0, high)
+        obj = part_objective(part, cp, job.idx, *start_window(inst, counts))
         objectives[job.stage] = obj
+        counts[job.cls] -= 1
         part = stage_part(obj.window_min(cp.pt_nom - cp.pt_low), cp, job.st, job.sc)
     f, delta, slope, intercept = part
-    total = f.shift(delta, 0.0, high, slope, intercept).value_at(0.0)
+    total = f.shift(delta, 0.0, 0.0, slope, intercept).value_at(0.0)
 
     u = [[0.0] * cp.n_jobs for cp in inst.classes]
     t = 0.0

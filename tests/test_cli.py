@@ -13,7 +13,8 @@ import pytest
 
 from famsched.bench import GenParams, generate
 from famsched.cli import build_parser, main
-from famsched.dp import DiscreteState, backward_induction, start_window
+from famsched.dp import DiscreteState, backward_induction
+from famsched.instance import start_window
 from famsched.milp import parse_lp, size_report
 from famsched.pwl import TOL
 from tests.conftest import DATA, EX1_COST
@@ -36,6 +37,14 @@ def test_generate_and_validate(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", str(target))
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_validate_reports_the_instance_digest(capsys):
+    # the sha256 prefix of the instance's canonical JSON (sorted keys, no
+    # spaces); a change of the canonical form changes every report's digest
+    code, out, _ = run(capsys, "validate", EX1)
+    assert code == 0
+    assert json.loads(out) == {"instance": "9b98017e71fa145f", "ok": True, "violations": []}
 
 
 def test_validate_finds_violations(tmp_path, capsys):
@@ -101,7 +110,7 @@ def test_solve_dp_report(tmp_path, capsys, ex1):
         counts, last, x, _ = row.split(";")
         last = None if last == "0" else int(last) - 1  # the file writes last 1-based
         state = DiscreteState(tuple(map(int, counts.split(","))), last)
-        lo, hi = start_window(ex1, state)
+        lo, hi = start_window(ex1, state.counts)
         slack = TOL * max(1.0, hi)
         assert lo - slack <= float(x) <= hi + slack, row
 

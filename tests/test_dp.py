@@ -17,9 +17,8 @@ from famsched.dp import (
     extract_open_loop,
     initial_state,
     query_policy,
-    start_window,
 )
-from famsched.instance import ClassParams, Instance, horizon_upper_bound
+from famsched.instance import ClassParams, Instance, horizon_upper_bound, start_window
 from famsched.milp import build_model, check_assignment, encode_schedule
 from famsched.pwl import TOL, Pwl, envelope
 from famsched.schedule import (
@@ -175,7 +174,7 @@ def per_edge_values(inst: Instance) -> dict[DiscreteState, Pwl]:
     in class order, are shifted onto its start window and minimized by
     ``envelope``; the fold itself is checked in ``tests/test_pwl.py``."""
     stages = build_state_graph(inst).stages
-    values = {s: Pwl.zero(*start_window(inst, s)) for s in stages[-1]}
+    values = {s: Pwl.zero(*start_window(inst, s.counts)) for s in stages[-1]}
     for stage in reversed(stages[:-1]):
         for state in stage:
             parts = []
@@ -188,7 +187,7 @@ def per_edge_values(inst: Instance) -> dict[DiscreteState, Pwl]:
                 parts.append(stage_part(obj.window_min(cp.pt_nom - cp.pt_low), cp,
                                         inst.setup_time(state.last, k),
                                         inst.setup_cost(state.last, k)))
-            values[state] = envelope(parts, *start_window(inst, state))
+            values[state] = envelope(parts, *start_window(inst, state.counts))
     return values
 
 
@@ -248,7 +247,7 @@ def test_windowed_tables_match_full_domain_reference(jobs, seed):
     assert repr(got.plan.u) == repr(want.plan.u)
     assert vt.optimal_cost() == pytest.approx(ref.optimal_cost(), rel=1e-12)
     for state in ref.states():
-        lo, hi = start_window(inst, state)
+        lo, hi = start_window(inst, state.counts)
         f, g = vt[state], ref[state]
         for x, y in zip(g.xs, g.ys):
             if lo <= x <= hi:
@@ -287,7 +286,7 @@ def test_stored_domains_are_start_windows(ex1, jobs, seed):
     inst = ex1 if jobs is None else generate(GenParams(jobs=jobs, seed=seed))
     vt = backward_induction(inst)
     for state in vt.states():
-        lo, hi = start_window(inst, state)
+        lo, hi = start_window(inst, state.counts)
         f = vt[state]
         assert abs(f.low - lo) <= TOL * max(1.0, hi), state
         assert abs(f.high - hi) <= TOL * max(1.0, hi), state
@@ -304,7 +303,7 @@ def test_cost_to_go_monotone_in_time(ex1):
     vt = backward_induction(ex1)
     for state in vt.states():
         f = vt[state]
-        vals = [f.value_at(t) for t in np.linspace(*start_window(ex1, state), 250)]
+        vals = [f.value_at(t) for t in np.linspace(*start_window(ex1, state.counts), 250)]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:])), state
 
 
@@ -379,7 +378,7 @@ def test_query_policy_published_state(ex1):
 def test_query_policy_rejects_time_outside_start_window(ex1):
     vt = backward_induction(ex1)
     state = DiscreteState((4, 2), 0)
-    assert start_window(ex1, state) == (24.0, 49.0)
+    assert start_window(ex1, state.counts) == (24.0, 49.0)
     for t in (24.0, 49.0):
         assert query_policy(ex1, vt, state, t).cls == 1
     for t in (24.0 - 1e-6, 49.0 + 1e-6):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from famsched.bench import GenParams, generate
-from famsched.instance import ClassParams, Instance
+from famsched.instance import ClassParams, Instance, start_window
 from famsched.pwl import TOL, Pwl, shift_table
 from famsched.schedule import (
     CompressionPlan,
@@ -175,6 +175,34 @@ def test_optimum_is_lower_bound_over_sampled_plans():
         )
         tl = build_timeline(inst, seq, CompressionPlan(u))
         assert tl.total_cost >= cost - 1e-9
+
+
+def test_every_start_lies_in_its_window():
+    # any sequence and any plan, not only optimal ones: the time at which the
+    # job after counts c starts (the last completion once every job is done)
+    # lies in start_window(inst, c), the domain on which the chain, the oracle
+    # and the DP build their stage functions
+    rng = random.Random(23)
+    for jobs in ((3, 2), (2, 2, 2), (4, 1, 3), (1, 5), (2, 2, 1, 2)):
+        for seed in range(4):
+            inst = generate(GenParams(jobs=jobs, seed=seed))
+            for _ in range(25):
+                order = [k for k, n in enumerate(jobs) for _ in range(n)]
+                rng.shuffle(order)
+                seq = Sequence(tuple(order))
+                u = tuple(tuple(rng.choice((0.0, cp.u_max, rng.uniform(0.0, cp.u_max)))
+                                for _ in range(cp.n_jobs)) for cp in inst.classes)
+                tl = build_timeline(inst, seq, CompressionPlan(u))
+                counts = [0] * len(jobs)
+                times = []
+                for job in seq.stages(inst):
+                    times.append((tuple(counts), tl.start[job.cls][job.idx]))
+                    counts[job.cls] += 1
+                times.append((tuple(counts), tl.completion[job.cls][job.idx]))
+                for c, t in times:
+                    lo, hi = start_window(inst, c)
+                    slack = TOL * max(1.0, hi)
+                    assert lo - slack <= t <= hi + slack, (jobs, seed, order, c)
 
 
 def test_round_trip_cost_identity():
