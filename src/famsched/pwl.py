@@ -126,40 +126,32 @@ class Pwl:
 
     @classmethod
     def zero(cls, low: float, high: float) -> "Pwl":
-        if high <= low:
-            return cls((low,), (0.0,))
+        """The zero function on [low, high], low <= high; one breakpoint
+        where the two ends are the same point."""
         return cls((low, high), (0.0, 0.0))
 
     # -- evaluation ----------------------------------------------------
 
     def value_at(self, t: float) -> float:
-        """Linear interpolation; exact at breakpoints."""
-        low, high = self.xs[0], self.xs[-1]
-        if not low <= t <= high:
-            slack = TOL * max(1.0, high)
-            if t < low - slack or t > high + slack:
-                raise DomainError(f"argument {t} outside domain [{low}, {high}]")
-            t = min(max(t, low), high)
-        i = bisect_right(self.xs, t) - 1
-        if i >= len(self.xs) - 1:
-            return self.ys[-1]
-        x0, x1 = self.xs[i], self.xs[i + 1]
-        y0, y1 = self.ys[i], self.ys[i + 1]
-        return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+        """Linear interpolation; exact at breakpoints (``_values_at``)."""
+        return self._values_at((t,))[0]
 
     def _values_at(self, ts: Sequence[float]) -> list[float]:
-        """``value_at`` at each point of a non-decreasing grid, in one walk.
+        """f at each point of a non-empty, non-decreasing grid, in one walk.
 
-        A pointer advances along the breakpoints instead of one bisect per
-        point, with ``value_at``'s domain check, end clamp and interpolation
-        formula, so every value is bit-identical to it.
+        Points within the abscissa tolerance outside the domain are clamped
+        to its nearest end; points further out raise ``DomainError``.  The
+        walk starts at the breakpoint interval of the first point, found by
+        bisection unless it is the first interval, then a pointer advances
+        along the breakpoints, so one point costs O(log n) and a grid
+        O(log n + len(ts) + n).
         """
         xs, ys = self.xs, self.ys
         last = len(xs) - 1
         low, high = xs[0], xs[last]
         slack = TOL * max(1.0, high)
         out = []
-        i = 0
+        i = 0 if last == 0 or ts[0] < xs[1] else bisect_right(xs, ts[0]) - 1
         for t in ts:
             if not low <= t <= high:
                 if t < low - slack or t > high + slack:

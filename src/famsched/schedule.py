@@ -323,8 +323,10 @@ def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPla
     the predecessor stage as the ``stage_part`` of its ``window_min``, from
     which ``part_objective`` builds that stage's objective in one
     construction, on the ``start_window`` of the counts served through its
-    job (the terminal zero on the window with every job done).  Forward
-    pass: recover one optimal completion per stage with ``serve``.
+    job (the terminal zero on the window with every job done).  The first
+    job has no predecessor: the total is its ``stage_cost`` at t = 0 with no
+    setup, as ``bench.brute_force_solve`` reads it.  Forward pass: recover
+    one optimal completion per stage with ``serve``.
     """
     jobs = seq.stages(inst)
     counts = list(inst.jobs_per_class)  # jobs done once the current job completes
@@ -335,9 +337,9 @@ def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPla
         obj = part_objective(part, cp, job.idx, *start_window(inst, counts))
         objectives[job.stage] = obj
         counts[job.cls] -= 1
-        part = stage_part(obj.window_min(cp.pt_nom - cp.pt_low), cp, job.st, job.sc)
-    f, delta, slope, intercept = part
-    total = f.shift(delta, 0.0, 0.0, slope, intercept).value_at(0.0)
+        if job.stage:
+            part = stage_part(obj.window_min(cp.pt_nom - cp.pt_low), cp, job.st, job.sc)
+    total = stage_cost(objectives[0], inst.classes[jobs[0].cls], 0.0, 0.0, 0.0)  # t = 0, no setup
 
     u = [[0.0] * cp.n_jobs for cp in inst.classes]
     t = 0.0

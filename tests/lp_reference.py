@@ -39,18 +39,27 @@ def interleavings(jobs):
     yield from walk()
 
 
-def block_costs(inst, orders) -> list[float]:
-    """Optimal cost of each class list in ``orders`` (0-based classes), from one LP."""
-    n = sum(len(cp.dd) for cp in inst.classes)
+def block_costs(inst, orders, start=None) -> list[float]:
+    """Optimal cost of each class list in ``orders`` (0-based classes), from one LP.
+
+    By default each list is a whole schedule from time 0.  With
+    ``start = (counts, last, t)`` each list is the rest of a schedule that
+    has served ``counts[k]`` jobs of each class k, class ``last`` most
+    recently (None: no job yet), and starts its next job at time t: class k's
+    slots begin at ``counts[k]``, the first job pays the setup from ``last``,
+    and nominal time begins at t.  All lists must have the same length.
+    """
+    counts, last, t = start if start is not None else ([0] * len(inst.classes), None, 0.0)
+    n = len(orders[0])
     width = 2 * n  # y_0..y_{n-1}, then T_0..T_{n-1}
     c = np.zeros(width * len(orders))
     upper = np.full(width * len(orders), np.inf)
     rows, cols, rhs, setup = [], [], [], []
     for b, order in enumerate(orders):
         base = b * width
-        served = [0] * len(inst.classes)
-        prev = None
-        nominal = setup_cost = 0.0
+        served = list(counts)
+        prev = last
+        nominal, setup_cost = t, 0.0
         for j, k in enumerate(order):
             cp = inst.classes[k]
             i = served[k]

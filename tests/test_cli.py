@@ -241,6 +241,17 @@ def test_certify_rejects_malformed_schedule(tmp_path, capsys, field, value):
     assert err.startswith(f"error: {sched_file}: ")
 
 
+@pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "malformed"])
+def test_certify_rejects_unreadable_schedule(tmp_path, capsys, text):
+    sched_file = tmp_path / "sched.json"
+    if text is not None:
+        sched_file.write_text(text)
+    code, out, err = run(capsys, "certify", "--model", "1", "--schedule", str(sched_file), EX1)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read schedule {sched_file}: ")
+
+
 def test_overflowing_horizon_rejected_by_every_command(tmp_path, capsys):
     sched_file = tmp_path / "sched.json"
     run(capsys, "solve", "--method", "dp", EX1, "-o", str(sched_file))
@@ -323,6 +334,11 @@ def test_bench_csv(tmp_path, capsys):
 def test_bench_rejects_empty_batch(capsys, count, fmt):
     code, out, err = run(capsys, "bench", "--jobs", "2,2", "--count", count, *fmt)
     assert (code, out, err) == (2, "", "error: --count must be at least 1\n")
+
+
+def test_bench_rejects_empty_jobs(capsys):
+    code, out, err = run(capsys, "bench", "--jobs", "")
+    assert (code, out, err) == (2, "", "error: --jobs expects a comma list of integers, got ''\n")
 
 
 @pytest.mark.parametrize("argv", [["generate", "--jobs", "2,2"], ["bench", "--jobs", "2,2", "--count", "1"]])

@@ -386,6 +386,14 @@ def test_query_policy_rejects_time_outside_start_window(ex1):
             query_policy(ex1, vt, state, t)
 
 
+def test_query_policy_rejects_terminal_state(ex1):
+    vt = backward_induction(ex1)
+    for state in vt.graph.stages[-1]:
+        for t in start_window(ex1, state.counts):  # inside the window: the time is fine
+            with pytest.raises(ValueError, match="^terminal state has no decision$"):
+                query_policy(ex1, vt, state, t)
+
+
 def test_cost_to_go_only_inside_start_window(ex1):
     vt = backward_induction(ex1)
     state = DiscreteState((4, 2), 0)

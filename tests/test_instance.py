@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -61,6 +62,54 @@ def test_negative_due_date_flagged(ex1_dict):
     assert [(v.path, v.message) for v in violations] == [
         ("classes[0].dd[0]", "dd must be non-negative")
     ]
+
+
+def _with_class0(inst, **fields):
+    return replace(inst, classes=(replace(inst.classes[0], **fields), *inst.classes[1:]))
+
+
+@pytest.mark.parametrize("mutate,want", [
+    (lambda i: _with_class0(i, pt_low=0.0), ("classes[0].pt_low", "pt_low must be positive")),
+    (lambda i: _with_class0(i, pt_low=9.0), ("classes[0].pt_low", "pt_low must not exceed pt_nom")),
+    (lambda i: _with_class0(i, gamma=0.0), ("classes[0].gamma", "gamma must be positive")),
+    (lambda i: _with_class0(i, beta=-1.0), ("classes[0].beta", "beta must be non-negative")),
+    (lambda i: _with_class0(i, alpha=i.classes[0].alpha + (1.0,)),
+     ("classes[0]", "alpha and dd must have identical length")),
+    (lambda i: _with_class0(i, alpha=(), dd=()), ("classes[0].dd", "each class needs at least one job")),
+    (lambda i: replace(i, st=i.st[:1]), ("st", "st must be a 2x2 matrix")),
+], ids=["pt_low-zero", "pt_low-above-pt_nom", "gamma-zero", "beta-negative", "alpha-dd-length",
+        "dd-empty", "st-shape"])
+def test_each_validation_rule_reported(ex1, mutate, want):
+    assert [(v.path, v.message) for v in validate_instance(mutate(ex1))] == [want]
+
+
+def _set(path, value):
+    """Mutator of an instance document: the field at ``path`` becomes ``value``."""
+    def mutate(doc):
+        *head, last = path
+        node = doc
+        for key in head:
+            node = node[key]
+        node[last] = value
+        return doc
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,want", [
+    (lambda doc: [], ("top level", "expected an object")),
+    (_set(("classes", 0, "dd"), 5), ("classes[0].dd", "expected a list of numbers")),
+    (_set(("st",), 5), ("st", "expected a 2x2 matrix")),
+    (_set(("metadata",), []), ("metadata", "expected an object")),
+    (_set(("classes",), []), ("classes", "expected a non-empty list")),
+    (_set(("classes", 0), 5), ("classes[0]", "expected an object")),
+    (_set(("classes", 0, "release"), 0), ("classes[0]", "unknown field(s): release")),
+    (_set(("classes", 0, "alpha"), [1, 2]), ("classes[0]", "alpha and dd must have identical length")),
+], ids=["top-level", "non-list", "non-matrix", "metadata", "classes-empty", "class-non-object", "class-unknown-field",
+        "alpha-dd-length"])
+def test_each_schema_error_named(ex1_dict, mutate, want):
+    with pytest.raises(SchemaError) as exc:
+        instance_from_dict(mutate(json.loads(json.dumps(ex1_dict))))
+    assert tuple(str(exc.value).split(": ", 1)) == want
 
 
 def test_horizon_ex1(ex1):
