@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -70,6 +71,12 @@ def _on_stdout(path: str | None) -> bool:
     return path is None or path == "-"
 
 
+def _same_destination(a: str, b: str) -> bool:
+    if "-" in (a, b):
+        return a == b
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _write(path: str | None, text: str) -> None:
     if _on_stdout(path):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -123,6 +130,8 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     if args.dump_values and args.method != "dp":
         raise CliError("--dump-values needs --method dp")
+    if args.output and args.dump_values and _same_destination(args.output, args.dump_values):
+        raise CliError(f"-o {args.output} and --dump-values {args.dump_values} name the same destination")
     inst = _read_valid_instance(args.instance)
     t0 = time.perf_counter()
     sched, vt = _solve(inst, args.method)
@@ -251,7 +260,14 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``famsched`` parser, built once per process and shared by every call.
+
+    ``parse_args`` returns a fresh namespace and leaves the parser as it is,
+    so repeated ``main`` calls see no option of an earlier call.  Callers
+    share the one parser and must not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="famsched",
         description="Exact solvers and MILP compilers for family scheduling "
@@ -304,8 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; return its exit code (argparse exits on a usage error).
+
+    May be called any number of times in one process: every call parses
+    with the shared parser of ``build_parser``, which it does not mutate.
+    """
+    args = build_parser().parse_args(argv)
     try:
         rc = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

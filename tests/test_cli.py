@@ -124,6 +124,23 @@ def test_dump_values_needs_dp(tmp_path, capsys):
     assert not values_file.exists()
 
 
+@pytest.mark.parametrize("same", ["stdout", "same-file", "same-file-respelled"])
+def test_schedule_and_values_need_different_destinations(tmp_path, capsys, same):
+    # two payloads on one stdout, or one file written twice, are a usage
+    # error found before the instance is read; nothing is solved or written
+    target = str(tmp_path / "out.txt")
+    output, values = {
+        "stdout": ("-", "-"),
+        "same-file": (target, target),
+        "same-file-respelled": (target, os.path.join(str(tmp_path), ".", "out.txt")),
+    }[same]
+    code, out, err = run(capsys, "solve", "--method", "dp", EX1, "-o", output, "--dump-values", values)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: -o {output} and --dump-values {values} name the same destination\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_max_breakpoints_reported(ex1, capsys):
     vt = backward_induction(ex1)
     want = max(len(vt[s]) for s in vt.states())
@@ -416,6 +433,31 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--method", "bogus", EX1])
     assert exc.value.code == 2
+
+
+def test_parser_is_shared_and_calls_do_not_leak(tmp_path, capsys):
+    # main parses every call with the one parser of build_parser; no option,
+    # default or error of one call reaches the next
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "solve", "--method", "enum", EX1, "-o", str(tmp_path / "f.json"))
+    assert code == 0 and json.loads(out)["method"] == "enum"
+    code, out, err = run(capsys, "solve", EX1)
+    assert code == 0 and err == ""
+    assert json.loads(out)["method"] == "dp"
+    code, out, err = run(capsys, "emit", "--model", "3", EX1)
+    assert code == 0
+    assert size_report(parse_lp(out)).binary_count == json.loads(err)["binary_count"]
+    lp = tmp_path / "g.lp"
+    code, out, err = run(capsys, "emit", "--model", "1", EX1, "-o", str(lp))
+    assert code == 0 and err == "" and lp.exists()
+    assert json.loads(out)["model"] == 1
+    for argv, want in ((["solve", "--method", "bogus", EX1], 2), (["--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == want
+    capsys.readouterr()
+    code, out, _ = run(capsys, "validate", EX1)
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 TRACED_RUN = """
