@@ -26,7 +26,7 @@ from .schedule import TIE, Schedule, Sequence, part_objective, solve_sequence, s
 RNG_NAME = "numpy-default_rng"
 # Most sequences brute_force_solve enumerates.  It bounds sequences, not work:
 # each distinct suffix costs one Pwl build, and jobs (1, N-1) have N sequences
-# but about N^2/2 suffixes: (1, 319) passes the cap and takes about a minute.
+# but about N^2/2 suffixes: (1, 319) passes the cap and takes about 18 s.
 ENUM_CAP = 10**6
 
 # Uniform sampling ranges [a, b); pt_low never exceeds 6, the lowest pt_nom.

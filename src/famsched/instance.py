@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 
@@ -74,6 +75,12 @@ class Instance:
     @property
     def total_jobs(self) -> int:
         return sum(cp.n_jobs for cp in self.classes)
+
+    @cached_property
+    def max_setup_time(self) -> float:
+        """The largest entry of ``st`` (0.0 for no entries), read once per
+        instance; not a field, so ``==``, ``repr`` and JSON ignore it."""
+        return max((v for row in self.st for v in row), default=0.0)
 
     def setup_time(self, prev: int | None, k: int) -> float:
         return 0.0 if prev is None else self.st[prev][k]
@@ -165,7 +172,7 @@ def start_window(inst: Instance, counts: Sequence[int]) -> tuple[float, float]:
     for c, cp in zip(counts, inst.classes):
         lo += c * cp.pt_low
         hi += c * cp.pt_nom
-    return lo, hi + (n - 1) * max((v for row in inst.st for v in row), default=0.0)
+    return lo, hi + (n - 1) * inst.max_setup_time
 
 
 def horizon_upper_bound(inst: Instance) -> float:

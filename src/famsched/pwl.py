@@ -27,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from math import inf, isfinite
+from operator import ge, le
 from typing import Sequence
 
 TOL = 1e-9  # relative tolerance for abscissae and ordinates (module docstring)
@@ -230,6 +231,48 @@ class Pwl:
     def window_min(self, w: float) -> "Pwl":
         """g(x) = min of f over [x, x + w], on the domain [a, b - w].
 
+        Two paths, picked from the input.  When f is quasiconvex, tested
+        exactly on its ordinates (with i the first index of the minimum m:
+        ``ys`` non-increasing up to i and non-decreasing from i on), g has a
+        closed form built in one construction.  With s = xs[i], g is f(x + w)
+        left of s - w, on f's breakpoints shifted by -w; the flat m on
+        [s - w, s]; and f(x) right of s, on f's own breakpoints, where f
+        stays at m up to its last minimum.  Any other f takes the event
+        sweep, ``_window_sweep``.
+        """
+        xs, ys = self.xs, self.ys
+        low, high = xs[0], xs[-1]
+        xtol = TOL * max(1.0, high)
+        if w < -xtol:
+            raise DomainError("window width must be non-negative")
+        if w > high - low + xtol:
+            raise DomainError(f"window width {w} exceeds domain [{low}, {high}]")
+        out_high = high - w
+        if w <= xtol or out_high - low <= xtol:
+            return self._window_sweep(w)
+        m = min(ys)
+        i = ys.index(m)
+        if not (all(map(ge, ys, ys[1:i + 1])) and all(map(le, ys[i:], ys[i + 1:]))):
+            return self._window_sweep(w)
+        s = xs[i]  # f is m on its whole run of minima, so g can follow f from s on
+        px = [low]
+        py = [m if s - w <= low else self.value_at(low + w)]
+        for x, y in zip(xs[1:i + 1], ys[1:i + 1]):  # f(x + w) up to s - w
+            if x - w > low:
+                px.append(x - w)
+                py.append(y)
+        for x, y in zip(xs[i:], ys[i:]):  # the flat m from s - w to s, then f(x)
+            if x >= out_high:
+                break
+            px.append(x)
+            py.append(y)
+        px.append(out_high)
+        py.append(m if s >= out_high else self.value_at(out_high))
+        return Pwl(px, py)
+
+    def _window_sweep(self, w: float) -> "Pwl":
+        """``window_min`` of any f, for a width it has checked.
+
         Computed exactly from segments in one sweep over the events (the
         breakpoints b and b - w inside the output domain): between
         consecutive events e1 < e2 the window minimum is the lower envelope
@@ -248,10 +291,6 @@ class Pwl:
         xs, ys = self.xs, self.ys
         low, high = xs[0], xs[-1]
         xtol = TOL * max(1.0, high)
-        if w < -xtol:
-            raise DomainError("window width must be non-negative")
-        if w > high - low + xtol:
-            raise DomainError(f"window width {w} exceeds domain [{low}, {high}]")
         if w <= xtol:
             return self
         out_high = high - w

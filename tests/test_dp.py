@@ -281,6 +281,32 @@ def test_dp_equals_enumeration_with_compression_rates_off_one():
                 assert report.objective == pytest.approx(sched.cost, abs=1e-6), (jobs, seed, which)
 
 
+def solve_all(inst: Instance):
+    vt = backward_induction(inst)
+    return vt, extract_open_loop(inst, vt), brute_force_solve(inst)
+
+
+@pytest.mark.parametrize("jobs,seed", [(None, None), ((2, 2, 2), 0), ((3, 2), 1), ((1, 6), 2)],
+                         ids=["ex1", "2,2,2/0", "3,2/1", "1,6/2"])
+def test_window_closed_form_matches_sweep_in_the_solvers(ex1, jobs, seed, monkeypatch):
+    """``window_min``'s closed form for quasiconvex stage objectives changes
+    no solve: with every window taken by the event sweep instead, the table
+    has the same states and breakpoint counts and values within 1e-12
+    relative, and both solvers return the same schedules."""
+    inst = ex1 if jobs is None else generate(GenParams(jobs=jobs, seed=seed))
+    vt, sched, oracle = solve_all(inst)
+    monkeypatch.setattr(Pwl, "window_min", Pwl._window_sweep)
+    swept_vt, swept_sched, swept_oracle = solve_all(inst)
+    assert vt.states() == swept_vt.states()
+    for state in vt.states():
+        f, g = vt[state], swept_vt[state]
+        assert len(f) == len(g), state
+        for a, b in zip(f.xs + f.ys, g.xs + g.ys):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), state
+    assert repr(sched) == repr(swept_sched)
+    assert repr(oracle) == repr(swept_oracle)
+
+
 @pytest.mark.parametrize("jobs,seed", [(None, None), ((4, 4, 3), 14)], ids=["ex1", "4,4,3/14"])
 def test_stored_domains_are_start_windows(ex1, jobs, seed):
     inst = ex1 if jobs is None else generate(GenParams(jobs=jobs, seed=seed))

@@ -329,15 +329,89 @@ def reference_cases(seed: int):
 
 
 def test_window_min_matches_reference_bit_for_bit():
+    """The event sweep is the reference bit for bit; ``window_min``, which
+    takes the closed form on quasiconvex functions, has the reference's
+    breakpoint count, abscissae within the abscissa tolerance, and at equal
+    abscissae ordinates within 1e-12 relative."""
     for f, w in reference_cases(11):
         moved = Pwl([x + 0.25 * f.high for x in f.xs], f.ys)  # on [H/4, 5H/4]
         for h in (f, moved):
-            g = h.window_min(w)
             ref = window_min_reference(h, w)
-            assert g.xs == ref.xs and g.ys == ref.ys
-            assert dump_csv(g) == dump_csv(ref)  # repr-level: tells -0.0 from 0.0
+            swept = h._window_sweep(w)
+            assert swept.xs == ref.xs and swept.ys == ref.ys
+            assert dump_csv(swept) == dump_csv(ref)  # repr-level: tells -0.0 from 0.0
+            g = h.window_min(w)
+            xtol = TOL * max(1.0, h.high)
+            assert len(g) == len(ref)
+            for x, y, rx, ry in zip(g.xs, g.ys, ref.xs, ref.ys):
+                assert abs(x - rx) <= xtol
+                assert x != rx or abs(y - ry) <= 1e-12 * max(1.0, abs(ry))
             with pytest.raises(DomainError):
                 g.value_at(h.low - 2 * TOL * max(1.0, h.high))
+
+
+def random_quasiconvex_pwl(rng: random.Random, low: float, high: float, shape: str,
+                           levels=None) -> Pwl:
+    """Non-increasing to a run of minima, then non-decreasing.  ``shape``
+    puts the run: "up" at the left end (f non-decreasing), "down" at the
+    right end (f non-increasing), "vee" inside, one breakpoint or a flat
+    valley of several.  ``levels`` draws the ordinates from a finite set,
+    so that ties and zeros of both signs occur."""
+    xs = [low, *sorted(rng.uniform(low, high) for _ in range(rng.randint(1, 10))), high]
+    n = len(xs)
+    if shape == "up":
+        i, j = 0, rng.randint(0, n - 2)
+    elif shape == "down":
+        i, j = rng.randint(1, n - 1), n - 1
+    else:
+        i = rng.randint(1, n - 2)
+        j = rng.randint(i, n - 2)
+    draw = (lambda: rng.choice(levels)) if levels else (lambda: rng.uniform(-5.0, 10.0))
+    m = min(levels) if levels else rng.uniform(-10.0, -5.0)
+    left = sorted((draw() for _ in range(i)), reverse=True)
+    right = sorted(draw() for _ in range(n - 1 - j))
+    return Pwl(xs, left + [m] * (j - i + 1) + right)
+
+
+def test_window_min_quasiconvex_closed_form_matches_oracle(monkeypatch):
+    """Quasiconvex functions take the closed form, never the sweep, and it
+    matches the brute-force window minimum; widths run from twice the
+    abscissa tolerance to all but twice of the domain."""
+    swept = []
+    sweep = Pwl._window_sweep
+    monkeypatch.setattr(Pwl, "_window_sweep", lambda f, w: swept.append(w) or sweep(f, w))
+    rng = random.Random(19)
+    for shape in ("up", "down", "vee"):
+        for low in (0.0, 6.5, 1000.0):
+            for levels in (None, (-0.0, 0.0, 1.0)):
+                for span in (rng.choice((1.0, 30.0)), 500.0):
+                    f = random_quasiconvex_pwl(rng, low, low + span, shape, levels)
+                    xtol = TOL * max(1.0, f.high)
+                    for w in (2.0 * xtol, span - 2.0 * xtol, rng.uniform(0.0, span)):
+                        g = f.window_min(w)
+                        assert g.low == f.low and abs(g.high - (f.high - w)) <= xtol
+                        for k in range(500):
+                            x = g.low + (g.high - g.low) * k / 499
+                            assert g.value_at(x) == pytest.approx(window_min_oracle(f, x, w),
+                                                                  abs=1e-6)
+    assert swept == []
+
+
+@pytest.mark.parametrize("ys", [
+    (5.0, 0.0, 4.0, -1.0, 6.0),  # two valleys
+    (5.0, 3.0, math.nextafter(3.0, math.inf), 0.0, 5.0),  # a one-ulp bump on the way down
+], ids=["two-valleys", "one-ulp-bump"])
+def test_window_min_not_quasiconvex_takes_the_sweep(ys, monkeypatch):
+    f = Pwl((0.0, 1.0, 2.0, 3.0, 4.0), ys)
+    assert f.ys == ys
+    swept = []
+    sweep = Pwl._window_sweep
+    monkeypatch.setattr(Pwl, "_window_sweep", lambda f, w: swept.append(w) or sweep(f, w))
+    for w in (0.5, 1.0, 1.5, 2.5):
+        g = f.window_min(w)
+        ref = sweep(f, w)
+        assert g.xs == ref.xs and g.ys == ref.ys and dump_csv(g) == dump_csv(ref)
+    assert swept == [0.5, 1.0, 1.5, 2.5]
 
 
 def reference_pointwise_min(f: Pwl, g: Pwl) -> Pwl:
