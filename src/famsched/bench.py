@@ -5,10 +5,10 @@ benchmark batches (compression rate fixed to 1, due-date ladders built by
 accumulating uniform steps from a fixed origin).  Enumeration over all class
 interleavings, with exact per-sequence compression optimization, is a second
 exact solver.  It is not independent of the state-space solver: both build
-their stage costs with ``stage_part``, ``Pwl.window_min`` and
-``stage_cost``, and the oracle's ``part_objective`` shares the hinge
-arithmetic of the solver's ``stage_objective`` and the shifted values of its
-``pwl.envelope``.  The independent reference is the LP oracle in
+their stage costs with ``stage_part``, ``pwl.window_min_of`` and
+``stage_cost``, and the oracle's ``windowed_part`` and ``part_objective``
+share the hinge arithmetic of the solver's ``windowed_objective`` and the
+shifted values of its ``pwl.envelope``.  The independent reference is the LP oracle in
 ``tests/lp_reference.py``, which reads only instance data.
 """
 
@@ -21,7 +21,16 @@ import numpy as np
 
 from .instance import ClassParams, Instance, start_window
 from .pwl import Pwl
-from .schedule import TIE, Schedule, Sequence, part_objective, solve_sequence, stage_cost, stage_part
+from .schedule import (
+    TIE,
+    Schedule,
+    Sequence,
+    part_objective,
+    solve_sequence,
+    stage_cost,
+    stage_part,
+    windowed_part,
+)
 
 RNG_NAME = "numpy-default_rng"
 # Most sequences brute_force_solve enumerates.  It bounds sequences, not work:
@@ -123,13 +132,15 @@ def brute_force_solve(inst: Instance) -> Schedule:
     The interleavings are walked from the last stage backwards, depth first,
     on an explicit stack, so the Python stack depth does not grow with the
     number of jobs.  A suffix's windowed stage objective does not depend on
-    what precedes it, so each distinct suffix is built once, with the calls
-    and arguments of ``optimize_compressions`` (``part_objective`` of the
-    successor's ``stage_part`` on the ``start_window`` of the counts served
-    through the suffix's first job, then ``window_min``), and shared by every
-    sequence that ends in it; the stack carries each suffix as the
-    ``stage_part`` of its window minimum after one predecessor class.  Only
-    the winner gets its compressions and timeline, from ``solve_sequence``.
+    what precedes it, so each distinct suffix is built once and shared by
+    every sequence that ends in it: ``windowed_part`` of the successor's
+    ``stage_part``, on the ``start_window`` of the counts served through the
+    suffix's first job, in one construction from the same lists that
+    ``optimize_compressions`` windows.  The stack carries each suffix as the
+    ``stage_part`` of its window minimum after one predecessor class.  A
+    whole sequence's first job is read with ``part_objective`` and
+    ``stage_cost``, as the chain reads it.  Only the winner gets its
+    compressions and timeline, from ``solve_sequence``.
     """
     total = count_sequences(inst)
     if total > ENUM_CAP:
@@ -147,10 +158,11 @@ def brute_force_solve(inst: Instance) -> Schedule:
         while len(suffix) > depth:  # back out of the suffixes already walked
             left[suffix.pop()] += 1
         cp = inst.classes[k]
-        obj = part_objective(part, cp, left[k] - 1, *start_window(inst, left))
+        low, high = start_window(inst, left)
         left[k] -= 1
         suffix.append(k)
         if depth + 1 == n:
+            obj = part_objective(part, cp, left[k], low, high)
             cost = stage_cost(obj, cp, 0.0, 0.0, 0.0)  # first stage: t = 0, no setup
             if cost < best:
                 best = cost
@@ -158,7 +170,7 @@ def brute_force_solve(inst: Instance) -> Schedule:
             if cost <= best + TIE:
                 near.append((cost, tuple(reversed(suffix))))
         else:
-            windowed = obj.window_min(cp.pt_nom - cp.pt_low)
+            windowed = windowed_part(part, cp, left[k], low, high)
             for h in reversed(range(len(left))):
                 if left[h]:
                     stack.append((depth + 1, h, stage_part(windowed, cp, inst.st[h][k], inst.sc[h][k])))

@@ -135,7 +135,6 @@ def cmd_solve(args) -> int:
     inst = _read_valid_instance(args.instance)
     t0 = time.perf_counter()
     sched, vt = _solve(inst, args.method)
-    sequences = bench.count_sequences(inst)
     elapsed = time.perf_counter() - t0
     doc = schedule_to_dict(inst, sched)
     report = {
@@ -145,7 +144,7 @@ def cmd_solve(args) -> int:
         "cost": sched.timeline.total_cost,
         "sequence": doc["order"],
         "u": doc["u"],
-        "sequences": sequences,
+        "sequences": bench.count_sequences(inst),
         "elapsed_s": elapsed,
     }
     if vt is not None:

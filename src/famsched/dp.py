@@ -32,6 +32,7 @@ from .schedule import (
     stage_cost,
     stage_objective,
     stage_part,
+    windowed_objective,
 )
 
 
@@ -59,22 +60,32 @@ def admissible_classes(inst: Instance, state: DiscreteState) -> list[int]:
 
 @dataclass(frozen=True)
 class StateGraph:
-    """States grouped by stage; edges are (state, class served) -> child."""
+    """States grouped by stage, and the edges between consecutive stages.
+
+    ``edges[j][i]`` lists one ``(k, c)`` per class k that the i-th state of
+    stage j can serve, in increasing k, where c is the index of the child
+    ``_child(stages[j][i], k)`` in stage j + 1.
+    """
 
     stages: tuple[tuple[DiscreteState, ...], ...]
+    edges: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
 
 def build_state_graph(inst: Instance) -> StateGraph:
-    """All states reachable from the initial one, stage by stage."""
+    """All states reachable from the initial one, stage by stage, with their
+    edges recorded in the same walk."""
     n = inst.total_jobs
     stages: list[tuple[DiscreteState, ...]] = [(initial_state(inst),)]
+    edges = []
     for _ in range(n):
-        nxt: dict[DiscreteState, None] = {}
+        nxt: dict[DiscreteState, int] = {}  # child -> its index in the next stage
+        out = []
         for state in stages[-1]:
-            for k in admissible_classes(inst, state):
-                nxt[_child(state, k)] = None
+            out.append(tuple([(k, nxt.setdefault(_child(state, k), len(nxt)))
+                              for k in admissible_classes(inst, state)]))
         stages.append(tuple(nxt))
-    return StateGraph(tuple(stages))
+        edges.append(tuple(out))
+    return StateGraph(tuple(stages), tuple(edges))
 
 
 def count_states(inst: Instance) -> int:
@@ -134,15 +145,14 @@ class ValueTable:
         return "\n".join(lines)
 
 
-def _child_objective(inst: Instance, values: dict[DiscreteState, Pwl] | ValueTable,
-                     child: DiscreteState) -> Pwl:
+def _child_objective(inst: Instance, vt: ValueTable, child: DiscreteState) -> Pwl:
     """Stage objective F(s) of the job whose service leads into child.
 
     That job is the last-served class's latest one, so F depends on the
     child alone, not on the state it was served from.
     """
     k = child.last
-    return stage_objective(values[child], inst.classes[k], child.counts[k] - 1)
+    return stage_objective(vt[child], inst.classes[k], child.counts[k] - 1)
 
 
 def backward_induction(inst: Instance) -> ValueTable:
@@ -153,32 +163,38 @@ def backward_induction(inst: Instance) -> ValueTable:
     minimum of a stage objective depends only on the child state (its served
     job and that job's cost-to-go), while the setup depends on the edge, that
     is on the parent's last class.  So each state of the next stage is
-    windowed once, and every edge into it only shifts and offsets the result;
-    windowing per edge would repeat the costliest op once per parent.  A
-    state's function is the minimum over its edges of ``stage_value``, built
-    by one ``envelope`` of the edges' ``stage_part``s.
+    windowed once, by ``windowed_objective`` in one construction, and every
+    edge into it only shifts and offsets the result; windowing per edge would
+    repeat the costliest op once per parent.  A state's function is the
+    minimum over its edges of ``stage_value``, built by one ``envelope`` of
+    the edges' ``stage_part``s.  A stage's functions are kept in lists by
+    position and read along ``StateGraph.edges``, with ``stage_part``'s
+    constants taken once per (last class, class) pair.
 
-    Each state's function is built on the ``start_window`` of its counts: every
-    decision window from a parent's window lies inside the child's, so each
-    value read is exact, and no breakpoint is built where no start time
-    reaches.
+    Each state's function is built on the ``start_window`` of its counts
+    (computed once per counts vector): every decision window from a parent's
+    window lies inside the child's, so each value read is exact, and no
+    breakpoint is built where no start time reaches.
     """
     graph = build_state_graph(inst)
-    values: dict[DiscreteState, Pwl] = {}
-    for state in graph.stages[-1]:
-        values[state] = Pwl.zero(*start_window(inst, state.counts))
-    for j in range(len(graph.stages) - 2, -1, -1):
-        windowed: dict[DiscreteState, Pwl] = {}
-        for child in graph.stages[j + 1]:
-            cp = inst.classes[child.last]
-            windowed[child] = _child_objective(inst, values, child).window_min(cp.pt_nom - cp.pt_low)
-        for state in graph.stages[j]:
-            parts = []
-            for k in admissible_classes(inst, state):
-                parts.append(stage_part(windowed[_child(state, k)], inst.classes[k],
-                                        inst.setup_time(state.last, k),
-                                        inst.setup_cost(state.last, k)))
-            values[state] = envelope(parts, *start_window(inst, state.counts))
+    stages = graph.stages
+    # stage_part's (delta, slope, intercept) after each last class h, per class k
+    moves = {
+        h: [stage_part(None, cp, inst.setup_time(h, k), inst.setup_cost(h, k))[1:]
+            for k, cp in enumerate(inst.classes)]
+        for h in (None, *range(inst.n_classes))
+    }
+    vals = [Pwl.zero(*start_window(inst, inst.jobs_per_class))] * len(stages[-1])
+    values: dict[DiscreteState, Pwl] = dict(zip(stages[-1], vals))
+    for j in range(len(stages) - 2, -1, -1):
+        windowed = [windowed_objective(f, inst.classes[child.last], child.counts[child.last] - 1)
+                    for child, f in zip(stages[j + 1], vals)]
+        spans = {counts: start_window(inst, counts) for counts in {s.counts for s in stages[j]}}
+        vals = []
+        for state, out in zip(stages[j], graph.edges[j]):
+            row = moves[state.last]
+            vals.append(envelope([(windowed[c], *row[k]) for k, c in out], *spans[state.counts]))
+        values.update(zip(stages[j], vals))
     return ValueTable(inst, graph, values)
 
 

@@ -135,37 +135,7 @@ class Pwl:
 
     def value_at(self, t: float) -> float:
         """Linear interpolation; exact at breakpoints (``_values_at``)."""
-        return self._values_at((t,))[0]
-
-    def _values_at(self, ts: Sequence[float]) -> list[float]:
-        """f at each point of a non-empty, non-decreasing grid, in one walk.
-
-        Points within the abscissa tolerance outside the domain are clamped
-        to its nearest end; points further out raise ``DomainError``.  The
-        walk starts at the breakpoint interval of the first point, found by
-        bisection unless it is the first interval, then a pointer advances
-        along the breakpoints, so one point costs O(log n) and a grid
-        O(log n + len(ts) + n).
-        """
-        xs, ys = self.xs, self.ys
-        last = len(xs) - 1
-        low, high = xs[0], xs[last]
-        slack = TOL * max(1.0, high)
-        out = []
-        i = 0 if last == 0 or ts[0] < xs[1] else bisect_right(xs, ts[0]) - 1
-        for t in ts:
-            if not low <= t <= high:
-                if t < low - slack or t > high + slack:
-                    raise DomainError(f"argument {t} outside domain [{low}, {high}]")
-                t = min(max(t, low), high)
-            while i < last and xs[i + 1] <= t:
-                i += 1
-            if i == last:
-                out.append(ys[last])
-            else:
-                x0, y0 = xs[i], ys[i]
-                out.append(y0 + (ys[i + 1] - y0) * (t - x0) / (xs[i + 1] - x0))
-        return out
+        return _values_at(self.xs, self.ys, (t,))[0]
 
     # -- arithmetic ----------------------------------------------------
 
@@ -179,7 +149,8 @@ class Pwl:
         """Pointwise f(t) + g(t)."""
         self._check_same_domain(other)
         grid = sorted(set(self.xs) | set(other.xs))
-        return Pwl(grid, [a + b for a, b in zip(self._values_at(grid), other._values_at(grid))])
+        fvs, gvs = _values_at(self.xs, self.ys, grid), _values_at(other.xs, other.ys, grid)
+        return Pwl(grid, [a + b for a, b in zip(fvs, gvs)])
 
     def add_affine(self, slope: float, intercept: float) -> "Pwl":
         """Pointwise f(t) + slope*t + intercept.
@@ -207,9 +178,10 @@ class Pwl:
         self._check_same_domain(other)
         grid = sorted(set(self.xs) | set(other.xs))
         xtol = TOL * max(1.0, self.high)
-        fvs = self._values_at(grid)
+        fvs = _values_at(self.xs, self.ys, grid)
         g_high = other.high
-        gvs = other._values_at([g_high if g_high < x else x for x in grid])  # min(x, g_high)
+        gvs = _values_at(other.xs, other.ys,
+                         [g_high if g_high < x else x for x in grid])  # min(x, g_high)
         out_x: list[float] = []
         out_y: list[float] = []
         prev_x = None
@@ -231,44 +203,22 @@ class Pwl:
     def window_min(self, w: float) -> "Pwl":
         """g(x) = min of f over [x, x + w], on the domain [a, b - w].
 
-        Two paths, picked from the input.  When f is quasiconvex, tested
-        exactly on its ordinates (with i the first index of the minimum m:
-        ``ys`` non-increasing up to i and non-decreasing from i on), g has a
-        closed form built in one construction.  With s = xs[i], g is f(x + w)
-        left of s - w, on f's breakpoints shifted by -w; the flat m on
-        [s - w, s]; and f(x) right of s, on f's own breakpoints, where f
-        stays at m up to its last minimum.  Any other f takes the event
+        Two paths, picked from the input.  When f is quasiconvex, g has a
+        closed form built in one construction (``_quasiconvex_window``, which
+        the solvers also call on a stage objective's lists before the merge,
+        through ``window_min_of``).  Any other f, and a width within the
+        abscissa tolerance of 0 or of the domain's length, takes the event
         sweep, ``_window_sweep``.
         """
-        xs, ys = self.xs, self.ys
+        xs = self.xs
         low, high = xs[0], xs[-1]
         xtol = TOL * max(1.0, high)
         if w < -xtol:
             raise DomainError("window width must be non-negative")
         if w > high - low + xtol:
             raise DomainError(f"window width {w} exceeds domain [{low}, {high}]")
-        out_high = high - w
-        if w <= xtol or out_high - low <= xtol:
-            return self._window_sweep(w)
-        m = min(ys)
-        i = ys.index(m)
-        if not (all(map(ge, ys, ys[1:i + 1])) and all(map(le, ys[i:], ys[i + 1:]))):
-            return self._window_sweep(w)
-        s = xs[i]  # f is m on its whole run of minima, so g can follow f from s on
-        px = [low]
-        py = [m if s - w <= low else self.value_at(low + w)]
-        for x, y in zip(xs[1:i + 1], ys[1:i + 1]):  # f(x + w) up to s - w
-            if x - w > low:
-                px.append(x - w)
-                py.append(y)
-        for x, y in zip(xs[i:], ys[i:]):  # the flat m from s - w to s, then f(x)
-            if x >= out_high:
-                break
-            px.append(x)
-            py.append(y)
-        px.append(out_high)
-        py.append(m if s >= out_high else self.value_at(out_high))
-        return Pwl(px, py)
+        g = _quasiconvex_window(xs, self.ys, w)
+        return self._window_sweep(w) if g is None else g
 
     def _window_sweep(self, w: float) -> "Pwl":
         """``window_min`` of any f, for a width it has checked.
@@ -302,8 +252,8 @@ class Pwl:
                 if low < e < out_high:
                     events.add(e)
         grid = sorted(events)
-        left = self._values_at(grid)
-        right = self._values_at([e + w for e in grid])
+        left = _values_at(xs, ys, grid)
+        right = _values_at(xs, ys, [e + w for e in grid])
         window: deque[int] = deque()  # breakpoint indices, ordinates increasing
         n = len(xs)
         r = 0
@@ -388,10 +338,97 @@ class Pwl:
         lo = min(max(lo, low), high)
         hi = min(max(hi, lo), high)
         cand = [lo, *xs[bisect_right(xs, lo):bisect_left(xs, hi)]] + ([hi] if hi > lo else [])
-        vals = self._values_at(cand)
+        vals = _values_at(xs, self.ys, cand)
         best = min(vals)
         ties = [c for c, v in zip(cand, vals) if v <= best + TOL * max(1.0, abs(best))]
         return best, ties[0], ties[-1]
+
+
+def _values_at(xs: Sequence[float], ys: Sequence[float], ts: Sequence[float]) -> list[float]:
+    """The function with breakpoint lists xs, ys at each point of a
+    non-empty, non-decreasing grid, in one walk.
+
+    Points within the abscissa tolerance outside the domain are clamped to
+    its nearest end; points further out raise ``DomainError``.  The walk
+    starts at the breakpoint interval of the first point, found by bisection
+    unless it is the first interval, then a pointer advances along the
+    breakpoints, so one point costs O(log n) and a grid O(log n + len(ts) + n).
+    """
+    last = len(xs) - 1
+    low, high = xs[0], xs[last]
+    slack = TOL * max(1.0, high)
+    out = []
+    i = 0 if last == 0 or ts[0] < xs[1] else bisect_right(xs, ts[0]) - 1
+    for t in ts:
+        if not low <= t <= high:
+            if t < low - slack or t > high + slack:
+                raise DomainError(f"argument {t} outside domain [{low}, {high}]")
+            t = min(max(t, low), high)
+        while i < last and xs[i + 1] <= t:
+            i += 1
+        if i == last:
+            out.append(ys[last])
+        else:
+            x0, y0 = xs[i], ys[i]
+            out.append(y0 + (ys[i + 1] - y0) * (t - x0) / (xs[i + 1] - x0))
+    return out
+
+
+def _quasiconvex_window(xs: Sequence[float], ys: Sequence[float], w: float) -> Pwl | None:
+    """``window_min``'s closed form, from f's breakpoint lists (xs strictly
+    increasing), or None where it does not apply: a width within the
+    abscissa tolerance of 0 or of the domain's length, or outside them, or an
+    f that is not quasiconvex.
+
+    The test is exact on the ordinates: with i the first index of the
+    minimum m, ``ys`` is non-increasing up to i and non-decreasing from i on.
+    Then, with s = xs[i], g is f(x + w) left of s - w, on f's breakpoints
+    shifted by -w; the flat m on [s - w, s]; and f(x) right of s, on f's own
+    breakpoints, where f stays at m up to its last minimum.
+    """
+    low, high = xs[0], xs[-1]
+    xtol = TOL * max(1.0, high)
+    out_high = high - w
+    if w <= xtol or out_high - low <= xtol:
+        return None
+    m = min(ys)
+    i = ys.index(m)
+    if not (all(map(ge, ys, ys[1:i + 1])) and all(map(le, ys[i:], ys[i + 1:]))):
+        return None
+    s = xs[i]  # f is m on its whole run of minima, so g can follow f from s on
+    px = [low]
+    py = [m if s - w <= low else _values_at(xs, ys, (low + w,))[0]]
+    for x, y in zip(xs[1:i + 1], ys[1:i + 1]):  # f(x + w) up to s - w
+        if x - w > low:
+            px.append(x - w)
+            py.append(y)
+    for x, y in zip(xs[i:], ys[i:]):  # the flat m from s - w to s, then f(x)
+        if x >= out_high:
+            break
+        px.append(x)
+        py.append(y)
+    px.append(out_high)
+    py.append(m if s >= out_high else _values_at(xs, ys, (out_high,))[0])
+    return Pwl(px, py)
+
+
+def window_min_of(xs: list[float], ys: list[float], w: float) -> Pwl:
+    """``Pwl(xs, ys).window_min(w)`` for aligned breakpoint lists before the
+    merge, xs strictly increasing, in one construction where the closed form
+    applies to them.
+
+    Lists that are not finite, or that fail ``_quasiconvex_window``, are
+    constructed and windowed as they are, so they raise and take the sweep
+    exactly as ``window_min`` does.  Where the merge would drop no breakpoint
+    the result is ``window_min``'s bit for bit.  Elsewhere the closed form
+    also reads the breakpoints the merge drops, so a breakpoint may move by
+    the abscissa tolerance and a value by the ordinate tolerance of the
+    lists' largest ordinates.
+    """
+    g = None
+    if all(map(isfinite, xs)) and all(map(isfinite, ys)):
+        g = _quasiconvex_window(xs, ys, w)
+    return Pwl(xs, ys).window_min(w) if g is None else g
 
 
 def shift_table(parts: Sequence[tuple[Pwl, float, float, float]], low: float,
@@ -423,7 +460,8 @@ def shift_table(parts: Sequence[tuple[Pwl, float, float, float]], low: float,
             if f_high < v:  # min(v, f_high)
                 v = f_high
             clamped.append(v)
-        cols.append([v + slope * t + intercept for t, v in zip(grid, f._values_at(clamped))])
+        vals = _values_at(f.xs, f.ys, clamped)
+        cols.append([v + slope * t + intercept for t, v in zip(grid, vals)])
     return grid, cols
 
 

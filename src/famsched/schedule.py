@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .instance import ClassParams, Instance, start_window
-from .pwl import Pwl, shift_table
+from .pwl import Pwl, shift_table, window_min_of
 
 # Absolute tie tolerance: costs within TIE of each other are equal, and a
 # compression amount within TIE of a bound is that bound.
@@ -211,7 +211,17 @@ def stage_objective(child_value: Pwl, cp: ClassParams, i: int) -> Pwl:
     breakpoints (its knee is not within the tolerance of an end) and the
     merge keeps the same breakpoints in one pass as in two.
     """
-    return _hinged(list(child_value.xs), list(child_value.ys), cp, i)
+    return Pwl(*_hinged(list(child_value.xs), list(child_value.ys), cp, i))
+
+
+def windowed_objective(child_value: Pwl, cp: ClassParams, i: int) -> Pwl:
+    """``stage_objective(child_value, cp, i).window_min(pt_nom - pt_low)``,
+    windowing the stage objective's lists before the merge
+    (``pwl.window_min_of``): one construction where the closed form applies,
+    bit-identical to the two steps wherever the merge drops nothing.  The DP
+    windows each child's stage objective this way."""
+    return window_min_of(*_hinged(list(child_value.xs), list(child_value.ys), cp, i),
+                         cp.pt_nom - cp.pt_low)
 
 
 def part_objective(part: tuple[Pwl, float, float, float], cp: ClassParams, i: int,
@@ -221,24 +231,43 @@ def part_objective(part: tuple[Pwl, float, float, float], cp: ClassParams, i: in
     whose function is ``windowed.shift(delta, low, high, slope, intercept)``.
 
     One construction instead of two: the hinge is added to the shift's
-    breakpoints and values before they are merged (``pwl.shift_table``), so
+    breakpoints and values before they are merged (``_part_hinged``), so
     the result is bit-identical to
     ``stage_objective(windowed.shift(delta, low, high, slope, intercept), cp, i)``
     whenever the shift's merge keeps every breakpoint, and within the
     tolerance of it otherwise.  A chain of stages, as in
-    ``optimize_compressions``, carries parts from stage to stage; the DP keeps
-    ``stage_objective``, as its cost-to-go functions are stored.
+    ``optimize_compressions``, carries parts from stage to stage; the DP
+    builds from ``stage_objective``'s lists, as its cost-to-go functions are
+    stored.
     """
+    return Pwl(*_part_hinged(part, cp, i, low, high))
+
+
+def windowed_part(part: tuple[Pwl, float, float, float], cp: ClassParams, i: int,
+                  low: float, high: float) -> Pwl:
+    """``part_objective(part, cp, i, low, high).window_min(pt_nom - pt_low)``,
+    windowing the lists before the merge, as ``windowed_objective`` does; the
+    enumeration oracle windows its suffixes this way, and
+    ``optimize_compressions`` windows the same lists."""
+    return window_min_of(*_part_hinged(part, cp, i, low, high), cp.pt_nom - cp.pt_low)
+
+
+def _part_hinged(part: tuple[Pwl, float, float, float], cp: ClassParams, i: int,
+                 low: float, high: float) -> tuple[list[float], list[float]]:
+    """``part_objective``'s breakpoint lists before the merge: the shift's
+    grid and values (``pwl.shift_table``), hinged."""
     xs, (ys,) = shift_table((part,), low, high)
     return _hinged(xs, ys, cp, i)
 
 
-def _hinged(xs: list[float], ys: list[float], cp: ClassParams, i: int) -> Pwl:
-    """The stage objective from the child cost-to-go's breakpoint lists (which
-    it extends): the knee dd is inserted where it lies strictly inside the
-    domain, valued by ``_values_at``'s interpolation formula; the hinge takes
-    the breakpoint values of its own ``Pwl`` on [low, high].  alpha and dd are
-    not checked here: ``validate_instance`` does."""
+def _hinged(xs: list[float], ys: list[float], cp: ClassParams,
+            i: int) -> tuple[list[float], list[float]]:
+    """The stage objective's breakpoint lists, before the merge, from the
+    child cost-to-go's (which it extends): the knee dd is inserted where it
+    lies strictly inside the domain, valued by ``_values_at``'s interpolation
+    formula; the hinge takes the breakpoint values of its own ``Pwl`` on
+    [low, high].  alpha and dd are not checked here: ``validate_instance``
+    does."""
     alpha, dd, beta = cp.alpha[i], cp.dd[i], cp.beta
     low, high = xs[0], xs[-1]
     if alpha == 0.0 or dd >= high:
@@ -254,7 +283,7 @@ def _hinged(xs: list[float], ys: list[float], cp: ClassParams, i: int) -> Pwl:
             ys.insert(i, y0 + (ys[i] - y0) * (dd - x0) / (x1 - x0))
         y1 = alpha * (high - dd)
         hinge = [0.0] * (i + 1) + [y1 * (x - dd) / (high - dd) for x in xs[i + 1:-1]] + [y1]
-    return Pwl(xs, [y + h - beta * x for x, y, h in zip(xs, ys, hinge)])
+    return xs, [y + h - beta * x for x, y, h in zip(xs, ys, hinge)]
 
 
 def stage_value(windowed: Pwl, cp: ClassParams, st: float, sc: float, low: float, high: float) -> Pwl:
@@ -320,13 +349,15 @@ def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPla
     """Exact minimizer of the total cost over all compression plans for seq.
 
     Backward pass: cost-to-go functions along the job chain, each carried to
-    the predecessor stage as the ``stage_part`` of its ``window_min``, from
-    which ``part_objective`` builds that stage's objective in one
-    construction, on the ``start_window`` of the counts served through its
-    job (the terminal zero on the window with every job done).  The first
-    job has no predecessor: the total is its ``stage_cost`` at t = 0 with no
-    setup, as ``bench.brute_force_solve`` reads it.  Forward pass: recover
-    one optimal completion per stage with ``serve``.
+    the predecessor stage as a ``stage_part``, from which ``part_objective``
+    builds that stage's objective in one construction, on the
+    ``start_window`` of the counts served through its job (the terminal zero
+    on the window with every job done).  The objective is kept for ``serve``;
+    its window minimum is built from the same lists before the merge, as
+    ``windowed_part`` builds it, so this chain and ``bench.brute_force_solve``
+    read identical windows.  The first job has no predecessor: the total is
+    its ``stage_cost`` at t = 0 with no setup, as the oracle reads it.
+    Forward pass: recover one optimal completion per stage with ``serve``.
     """
     jobs = seq.stages(inst)
     counts = list(inst.jobs_per_class)  # jobs done once the current job completes
@@ -334,11 +365,11 @@ def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPla
     objectives: list[Pwl] = [None] * len(jobs)  # type: ignore[list-item]
     for job in reversed(jobs):
         cp = inst.classes[job.cls]
-        obj = part_objective(part, cp, job.idx, *start_window(inst, counts))
-        objectives[job.stage] = obj
+        xs, ys = _part_hinged(part, cp, job.idx, *start_window(inst, counts))
+        objectives[job.stage] = Pwl(xs, ys)
         counts[job.cls] -= 1
         if job.stage:
-            part = stage_part(obj.window_min(cp.pt_nom - cp.pt_low), cp, job.st, job.sc)
+            part = stage_part(window_min_of(xs, ys, cp.pt_nom - cp.pt_low), cp, job.st, job.sc)
     total = stage_cost(objectives[0], inst.classes[jobs[0].cls], 0.0, 0.0, 0.0)  # t = 0, no setup
 
     u = [[0.0] * cp.n_jobs for cp in inst.classes]

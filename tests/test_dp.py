@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from famsched import pwl
 from famsched.bench import GenParams, brute_force_solve, generate
 from famsched.dp import (
     DiscreteState,
@@ -25,6 +26,7 @@ from famsched.schedule import (
     CompressionPlan,
     Sequence,
     build_timeline,
+    solve_sequence,
     stage_objective,
     stage_part,
     stage_value,
@@ -74,9 +76,9 @@ def test_two_singleton_classes_graph():
     }
 
 
-def test_count_formula_matches_graph_exhaustively():
-    # every composition of at most 12 jobs into 2..4 classes, plus a
-    # six-singleton spot check
+def count_shapes():
+    """Every composition of at most 12 jobs into 2..4 classes, plus a
+    six-singleton spot check."""
     shapes = [
         shape
         for k in (2, 3, 4)
@@ -84,6 +86,11 @@ def test_count_formula_matches_graph_exhaustively():
         if sum(shape) <= 12
     ]
     shapes.append((1,) * 6)
+    return shapes
+
+
+def test_count_formula_matches_graph_exhaustively():
+    shapes = count_shapes()
     assert len(shapes) == 782
     for jobs in shapes:
         # one initial state, plus one per nonzero count vector and class served last
@@ -94,6 +101,28 @@ def test_count_formula_matches_graph_exhaustively():
         assert count_states(inst) == direct, jobs
         if sum(jobs) <= 8:  # 155 shapes keep the graph comparison affordable
             assert sum(map(len, build_state_graph(inst).stages)) == direct, jobs
+
+
+def test_graph_edges_lead_to_their_children_exhaustively():
+    """Every edge ``(k, c)`` of a state leads to the child of serving class k,
+    at index c of the next stage, one edge per class with jobs left; the
+    edge count is the benchmark tracer's census formula."""
+    for jobs in count_shapes():
+        if sum(jobs) > 8:
+            continue
+        graph = build_state_graph(toy_instance(jobs))
+        assert len(graph.edges) == len(graph.stages) - 1, jobs
+        for j, (stage, out) in enumerate(zip(graph.stages, graph.edges)):
+            assert len(out) == len(stage), (jobs, j)
+            for state, edges in zip(stage, out):
+                assert [k for k, _ in edges] == [k for k, n in enumerate(jobs)
+                                                 if state.counts[k] < n], state
+                for k, c in edges:
+                    counts = state.counts[:k] + (state.counts[k] + 1,) + state.counts[k + 1:]
+                    assert graph.stages[j + 1][c] == DiscreteState(counts, k), (state, k)
+        census = sum(c < n for stage in graph.stages for s in stage
+                     for c, n in zip(s.counts, jobs))
+        assert sum(len(e) for out in graph.edges for e in out) == census, jobs
 
 
 def test_stage_partition_property():
@@ -281,22 +310,32 @@ def test_dp_equals_enumeration_with_compression_rates_off_one():
                 assert report.objective == pytest.approx(sched.cost, abs=1e-6), (jobs, seed, which)
 
 
-def solve_all(inst: Instance):
-    vt = backward_induction(inst)
-    return vt, extract_open_loop(inst, vt), brute_force_solve(inst)
-
-
 @pytest.mark.parametrize("jobs,seed", [(None, None), ((2, 2, 2), 0), ((3, 2), 1), ((1, 6), 2)],
                          ids=["ex1", "2,2,2/0", "3,2/1", "1,6/2"])
 def test_window_closed_form_matches_sweep_in_the_solvers(ex1, jobs, seed, monkeypatch):
     """``window_min``'s closed form for quasiconvex stage objectives changes
-    no solve: with every window taken by the event sweep instead, the table
-    has the same states and breakpoint counts and values within 1e-12
-    relative, and both solvers return the same schedules."""
+    no solve: with the closed form off, every window of the DP, the oracle
+    and the fixed-sequence chain is taken by the event sweep, the table has
+    the same states and breakpoint counts and values within 1e-12 relative,
+    and all three return the same schedules."""
     inst = ex1 if jobs is None else generate(GenParams(jobs=jobs, seed=seed))
-    vt, sched, oracle = solve_all(inst)
-    monkeypatch.setattr(Pwl, "window_min", Pwl._window_sweep)
-    swept_vt, swept_sched, swept_oracle = solve_all(inst)
+    vt = backward_induction(inst)
+    sched, oracle = extract_open_loop(inst, vt), brute_force_solve(inst)
+    chain = solve_sequence(inst, oracle.sequence)
+
+    swept = []
+    sweep = Pwl._window_sweep
+    monkeypatch.setattr(pwl, "_quasiconvex_window", lambda xs, ys, w: None)
+    monkeypatch.setattr(Pwl, "_window_sweep", lambda f, w: swept.append(w) or sweep(f, w))
+    swept_vt = backward_induction(inst)
+    in_dp = len(swept)
+    swept_sched = extract_open_loop(inst, swept_vt)
+    swept_oracle = brute_force_solve(inst)  # ends with the chain of its winner
+    in_oracle = len(swept) - in_dp
+    swept_chain = solve_sequence(inst, oracle.sequence)
+    in_chain = len(swept) - in_dp - in_oracle
+    assert in_dp > 0 and in_chain > 0 and in_oracle > in_chain, (in_dp, in_oracle, in_chain)
+
     assert vt.states() == swept_vt.states()
     for state in vt.states():
         f, g = vt[state], swept_vt[state]
@@ -305,6 +344,7 @@ def test_window_closed_form_matches_sweep_in_the_solvers(ex1, jobs, seed, monkey
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), state
     assert repr(sched) == repr(swept_sched)
     assert repr(oracle) == repr(swept_oracle)
+    assert repr(chain) == repr(swept_chain)
 
 
 @pytest.mark.parametrize("jobs,seed", [(None, None), ((4, 4, 3), 14)], ids=["ex1", "4,4,3/14"])

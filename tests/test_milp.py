@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from famsched.bench import GenParams, generate
+from famsched.cli import main
 from famsched.dp import backward_induction, extract_open_loop
-from famsched.instance import ClassParams, Instance
+from famsched.instance import ClassParams, Instance, save_instance
 from famsched.milp import (
     MilpModel,
     Variable,
@@ -34,7 +35,7 @@ from famsched.schedule import (
     build_timeline,
     solve_sequence,
 )
-from tests.conftest import EX1_COST, EX1_ORDER_1BASED
+from tests.conftest import DATA, EX1_COST, EX1_ORDER_1BASED
 from tests.milp_helpers import check_rows, solve_highs
 
 EX1_SEQ = Sequence.from_1based(EX1_ORDER_1BASED)
@@ -506,6 +507,29 @@ EX1_LP_SHA256 = {
 def test_ex1_lp_text_unchanged(ex1, which):
     digest = hashlib.sha256(emit_lp(build_model(ex1, which)).encode()).hexdigest()
     assert digest == EX1_LP_SHA256[which]
+
+
+# sha256 of the file that ``solve --method dp --dump-values`` writes (the DP's
+# cost-to-go breakpoints, in ValueTable order), locked beside the LP text; recorded
+# before the backward pass windowed stage objectives from their unmerged lists
+# and read its stage functions by edge index.
+DUMP_VALUES_SHA256 = {
+    "ex1": "06ae7f0d40c185dae1b91632391aafb244c029fdb44e4b72745a4e1ca1ce72ab",
+    "4,4,3/14": "4b296f2cb36f45a011c74765f5bd25f5e075dc309c5fbe9a9025a2d2d4a0658b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUMP_VALUES_SHA256))
+def test_dp_dump_values_unchanged(tmp_path, capsys, case):
+    if case == "ex1":
+        path = DATA / "ex1.json"
+    else:
+        path = tmp_path / "inst.json"
+        path.write_text(save_instance(generate(GenParams(jobs=(4, 4, 3), seed=14))))
+    dump = tmp_path / "values.csv"
+    assert main(["solve", "--method", "dp", str(path), "--dump-values", str(dump)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == DUMP_VALUES_SHA256[case]
 
 
 def test_binary_section_length(ex1):

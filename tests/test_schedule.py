@@ -1,5 +1,7 @@
 """Timelines and exact fixed-sequence compression optimization."""
 
+import itertools
+import math
 import random
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from famsched.bench import GenParams, generate
 from famsched.instance import ClassParams, Instance, start_window
-from famsched.pwl import TOL, Pwl, shift_table
+from famsched.pwl import TOL, Pwl, shift_table, window_min_of
 from famsched.schedule import (
     CompressionPlan,
     PlanBoundsError,
@@ -22,7 +24,10 @@ from famsched.schedule import (
     stage_cost,
     stage_objective,
     stage_value,
+    windowed_objective,
+    windowed_part,
 )
+from famsched.schedule import _hinged, _part_hinged
 from tests.conftest import (
     EX1_COST,
     EX1_LA,
@@ -33,7 +38,7 @@ from tests.conftest import (
     EX1_T,
     EX1_U,
 )
-from tests.pwl_helpers import dump_csv, hinge
+from tests.pwl_helpers import dump_csv, hinge, slopes
 from tests.test_pwl import random_convex_pwl, random_pwl
 
 EX1_SEQ = Sequence.from_1based(EX1_ORDER_1BASED)
@@ -334,3 +339,134 @@ def test_part_objective_matches_two_step():
                 assert abs(got.value_at(x) - y) <= TOL * max(1.0, abs(y)), (n, x)
             merged += 1
     assert kept > 300 and merged > 50, (kept, merged)
+
+
+def with_near_collinear_point(rng: random.Random, f: Pwl) -> Pwl:
+    """f with one more breakpoint inside a segment, off it by a few times the
+    ordinate tolerance: f keeps it, and a merge at larger ordinates drops it."""
+    k = rng.randrange(len(f.xs) - 1)
+    x = (f.xs[k] + f.xs[k + 1]) / 2
+    y = f.value_at(x)
+    y += rng.choice((-1.0, 1.0)) * rng.uniform(2.0, 20.0) * TOL * max(1.0, abs(y))
+    g = Pwl(f.xs[:k + 1] + (x,) + f.xs[k + 1:], f.ys[:k + 1] + (y,) + f.ys[k + 1:])
+    assert len(g) == len(f) + 1
+    return g
+
+
+def with_one_ulp_bump(rng: random.Random, high: float) -> Pwl:
+    """Down to a minimum and up again, but one ulp up on the way down: not
+    quasiconvex, by less than any tolerance."""
+    xs = [0.0, *sorted({rng.uniform(0.0, high) for _ in range(rng.randint(4, 12))}), high]
+    i = rng.randint(2, len(xs) - 2)  # the minimum
+    ys = sorted((rng.uniform(-5.0, 10.0) for _ in range(i)), reverse=True) + [-6.0]
+    ys += sorted(rng.uniform(-5.0, 10.0) for _ in range(len(xs) - i - 1))
+    j = rng.randrange(i - 1)
+    ys[j + 1] = math.nextafter(ys[j], math.inf)
+    f = Pwl(xs, ys)
+    assert list(f.ys) == ys
+    return f
+
+
+def test_windowed_transforms_match_two_step(monkeypatch):
+    """``windowed_objective`` and ``windowed_part`` window the stage
+    objective's lists before the merge.  They give the bits of building the
+    objective and then windowing it wherever the merge drops nothing,
+    including every list that takes the sweep.  Where the merge drops a
+    near-collinear point or a knee within the abscissa tolerance of a
+    breakpoint, they have the same breakpoint count, and breakpoints within
+    the objective's tolerances: TOL * max(1, b) apart, and values TOL *
+    max(1, |y|) apart for y the objective's largest ordinate, plus the
+    slope times the abscissa difference."""
+    swept = []
+    sweep = Pwl._window_sweep
+    monkeypatch.setattr(Pwl, "_window_sweep", lambda f, w: swept.append(w) or sweep(f, w))
+
+    def compare(fused, two_step, raw) -> str:
+        n = len(swept)
+        got = fused()
+        fused_sweeps = len(swept) - n
+        want = two_step()
+        if fused_sweeps:  # the fallback constructs the lists and windows them as they are
+            assert len(swept) - n == 2 * fused_sweeps == 2
+            assert_same_bits(got, want)
+            return "swept"
+        built = Pwl(*raw)
+        if list(built.xs) == raw[0] and list(built.ys) == raw[1]:
+            assert_same_bits(got, want)
+            return "kept"
+        # the merge moves a breakpoint by at most the objective's abscissa
+        # tolerance, and a value by at most its ordinate tolerance, which the
+        # window minimum carries over from the objective's largest ordinates;
+        # a breakpoint moved along a segment moves its value by the slope too
+        xtol = TOL * max(1.0, raw[0][-1])
+        ytol = TOL * max(1.0, max(map(abs, raw[1])))
+        steep = max(map(abs, slopes(want)), default=0.0)
+        assert len(got) == len(want)
+        for x, y, rx, ry in zip(got.xs, got.ys, want.xs, want.ys):
+            assert abs(x - rx) <= xtol, (x, rx)
+            assert abs(y - ry) <= ytol + steep * abs(x - rx), (x, y, ry)
+        return "merged"
+
+    rng = random.Random(25)
+    seen = {"swept": 0, "kept": 0, "merged": 0}
+    for n in range(800):
+        high = rng.choice((7.5, 30.0, 500.0))
+        case = n % 5
+        if case == 0:
+            f = random_convex_pwl(rng, high, rng.randint(2, 30))
+        elif case == 1:
+            f = with_near_collinear_point(rng, random_convex_pwl(rng, high, rng.randint(2, 30)))
+        elif case == 2:
+            f = random_stage_function(rng, n, high)
+        else:
+            f = with_one_ulp_bump(rng, high) if case == 3 else random_convex_pwl(rng, high, 8)
+        bumped = case == 3  # zero alpha, beta and shift keep the bump in the lists
+        alpha = 0.0 if bumped or n % 7 == 0 else rng.uniform(0.5, 2.5)
+        beta = 0.0 if bumped or n % 4 == 0 else rng.uniform(0.5, 2.5)
+        if case == 4:  # a knee within the abscissa tolerance of a breakpoint, the ends included
+            dd = rng.choice(f.xs) + rng.uniform(-1.0, 1.0) * TOL * max(1.0, high)
+        else:
+            dd = rng.uniform(0.0, 1.2 * high)
+        pt_low = rng.uniform(0.5, 3.0)
+        w = 0.0 if n % 50 == 0 else rng.uniform(0.02, 0.95) * high
+        cp = ClassParams(pt_nom=pt_low + w, pt_low=pt_low, beta=beta, gamma=1.0,
+                         alpha=(alpha,), dd=(dd,))
+        w = cp.pt_nom - cp.pt_low
+        raw = _hinged(list(f.xs), list(f.ys), cp, 0)
+        seen[compare(lambda: windowed_objective(f, cp, 0),
+                     lambda: stage_objective(f, cp, 0).window_min(w), raw)] += 1
+
+        # the oracle's suffix: the same draws, shifted into a stage's start window
+        if bumped:
+            part, low, top = (f, 0.0, 0.0, 0.0), 0.0, high
+        else:
+            low = rng.uniform(0.0, high / 4)
+            top = low + high
+            part = (f, rng.uniform(-0.5 * high, 0.5 * high), beta, rng.choice((0.0, 9.0, 4e3)))
+        if w > top - low:
+            continue
+        raw = _part_hinged(part, cp, 0, low, top)
+        seen[compare(lambda: windowed_part(part, cp, 0, low, top),
+                     lambda: part_objective(part, cp, 0, low, top).window_min(w), raw)] += 1
+    assert seen["swept"] > 300 and seen["kept"] > 300 and seen["merged"] > 100, seen
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_windowed_transforms_reject_non_finite_input(bad):
+    # with w = 1.5 the closed form on [0, 1, 2] reads only the minimum and
+    # the end it reaches, so a value it skips must still be rejected
+    for i, w in itertools.product(range(3), (0.5, 1.5)):
+        xs, ys = [0.0, 1.0, 2.0], [1.0, 0.0, 1.0]
+        xs[i] = bad
+        with pytest.raises(ValueError):
+            window_min_of(xs, [1.0, 0.0, 1.0], w)
+        ys[i] = bad
+        with pytest.raises(ValueError):
+            window_min_of([0.0, 1.0, 2.0], ys, w)
+    f = Pwl((0.0, 1.0, 2.0), (1.0, 0.0, 1.0))
+    cp = ClassParams(pt_nom=1.5, pt_low=1.0, beta=1.0, gamma=1.0, alpha=(bad,), dd=(0.5,))
+    with pytest.raises(ValueError):
+        windowed_objective(f, cp, 0)
+    cp = ClassParams(pt_nom=1.5, pt_low=1.0, beta=1.0, gamma=1.0, alpha=(1.0,), dd=(0.5,))
+    with pytest.raises(ValueError):
+        windowed_part((f, 0.0, 0.0, bad), cp, 0, 0.0, 2.0)
