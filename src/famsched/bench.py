@@ -10,14 +10,15 @@ their stage costs with ``stage_part``, ``pwl.window_min_of`` and
 share the hinge arithmetic of the solver's ``windowed_objective`` and the
 shifted values of its ``pwl.envelope``.  The independent reference is the LP oracle in
 ``tests/lp_reference.py``, which reads only instance data.
+
+numpy is imported inside ``generate``, its only user, so the oracle and the
+counts load it only when an instance is generated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, inf
-
-import numpy as np
 
 from .instance import ClassParams, Instance, start_window
 from .pwl import Pwl
@@ -79,6 +80,8 @@ def generate(params: GenParams) -> Instance:
 
     Setup matrices get exact zero diagonals.
     """
+    import numpy as np
+
     rng = np.random.default_rng(params.seed)
 
     def u(rg: tuple[float, float]) -> float:

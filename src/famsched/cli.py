@@ -5,6 +5,10 @@ behind --csv), or to stderr when a command writes its payload (LP text, a
 schedule, cost-to-go values) to stdout, so that stdout stays parseable.
 Exit codes: 0 success, 1 validation/violation findings, 2 usage or input
 errors, or a stdout that cannot be written (say, a pipe closed early).
+
+``generate`` imports numpy when it runs, and ``emit``, ``certify`` and
+``bench`` import the MILP layer and numpy; ``solve``, ``validate`` and
+``count`` load neither.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import sys
 import time
 from dataclasses import asdict
 
-from . import bench, dp, milp
+from . import bench, dp
 from .instance import (
     Instance,
     ParseError,
@@ -159,6 +163,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_emit(args) -> int:
+    from . import milp
+
     inst = _read_valid_instance(args.instance)
     model = milp.build_model(inst, args.model)
     _write(args.output, milp.emit_lp(model))
@@ -175,6 +181,8 @@ def cmd_emit(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import milp
+
     inst = _read_valid_instance(args.instance)
     try:
         with open(args.schedule, "r", encoding="utf-8") as fh:
@@ -220,6 +228,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import milp
+
     if args.count < 1:
         raise CliError("--count must be at least 1")
     jobs = _parse_jobs(args.jobs)

@@ -403,6 +403,57 @@ def test_closed_stdout_pipe(argv, buffered):
     assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
 
+LEAN_RUN = """
+import contextlib, io, json, sys
+import famsched
+from famsched import cli
+ex1, lp = sys.argv[1:]
+lean = (["solve", "--method", "dp", ex1], ["solve", "--method", "enum", ex1],
+        ["validate", ex1], ["count", ex1])
+loaded = lambda: [name in sys.modules for name in ("numpy", "famsched.milp")]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in lean]
+    before = loaded()
+    codes.append(cli.main(["emit", "--model", "1", ex1, "-o", lp]))
+print(json.dumps({"codes": codes, "before": before, "after": loaded()}))
+"""
+
+
+def test_solve_validate_and_count_load_no_numpy(tmp_path):
+    # the DP, the oracle, validation and counting are pure Python; only the
+    # MILP layer (and generate) import numpy, when a command needs them
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", LEAN_RUN, EX1, str(tmp_path / "m1.lp")],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(done.stdout) == {"codes": [0] * 5, "before": [False, False], "after": [True, True]}
+
+
+MILP_EXPORTS = ("CheckReport", "MilpModel", "SizeReport", "build_model", "build_model1",
+                "build_model2", "build_model3", "check_assignment", "emit_lp",
+                "encode_schedule", "parse_lp", "size_report")
+
+
+def test_package_surface(monkeypatch):
+    # every exported name is its defining submodule's object, the MILP ones
+    # too, which the package resolves on first access
+    import famsched
+
+    for name in MILP_EXPORTS:
+        monkeypatch.delattr(famsched, name, raising=False)
+    assert set(MILP_EXPORTS) <= set(famsched.__all__) <= set(dir(famsched))
+    for name in famsched.__all__:
+        obj = getattr(famsched, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+        assert vars(famsched)[name] is obj, name
+    assert {name for name in famsched.__all__ if getattr(famsched, name).__module__ == "famsched.milp"} \
+        == set(MILP_EXPORTS)
+    star: dict = {}
+    exec("from famsched import *", star)
+    assert all(star[name] is getattr(famsched, name) for name in famsched.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        famsched.no_such_name
+
+
 def test_schema_error_reported(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"classes": []}')
