@@ -25,7 +25,7 @@ sliding-window minimum.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
+from itertools import combinations
 from math import inf, isfinite
 from operator import ge, le
 from typing import Sequence
@@ -40,11 +40,11 @@ class DomainError(ValueError):
 def _clean(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
     """Collapse near-equal abscissae and merge within tolerance, in one pass.
 
-    ``xs`` and ``ys`` are parallel lists.  Every op hands over a sorted grid;
-    any other input is first stably sorted by x, so the first of equal
-    abscissae stays first.  Of abscissae within the tolerance
-    of the last one taken, the first is kept; the bounded-error merge then
-    runs over the points taken.
+    ``xs`` and ``ys`` are parallel lists, sorted by x except where rounding
+    puts an interval's right end above the next one's left end (in
+    ``_window_sweep``); such input is first stably sorted by x, so the first
+    of equal abscissae stays first.  Of abscissae within the tolerance of the
+    last one taken, the first is kept; the merge then runs over them.
     """
     if xs != sorted(xs):
         order = sorted(range(len(xs)), key=xs.__getitem__)
@@ -207,15 +207,15 @@ class Pwl:
         closed form built in one construction (``_quasiconvex_window``, which
         the solvers also call on a stage objective's lists before the merge,
         through ``window_min_of``).  Any other f, and a width within the
-        abscissa tolerance of 0 or of the domain's length, takes the event
-        sweep, ``_window_sweep``.
+        abscissa tolerance of 0 or of the domain's length, takes the
+        per-interval scan, ``_window_sweep``.
         """
         xs = self.xs
         low, high = xs[0], xs[-1]
         xtol = TOL * max(1.0, high)
-        if w < -xtol:
-            raise DomainError("window width must be non-negative")
-        if w > high - low + xtol:
+        if not w >= -xtol:
+            raise DomainError(f"window width {w} must be non-negative")
+        if not w <= high - low + xtol:
             raise DomainError(f"window width {w} exceeds domain [{low}, {high}]")
         g = _quasiconvex_window(xs, self.ys, w)
         return self._window_sweep(w) if g is None else g
@@ -223,20 +223,15 @@ class Pwl:
     def _window_sweep(self, w: float) -> "Pwl":
         """``window_min`` of any f, for a width it has checked.
 
-        Computed exactly from segments in one sweep over the events (the
-        breakpoints b and b - w inside the output domain): between
-        consecutive events e1 < e2 the window minimum is the lower envelope
-        of the two window-edge values f(x) and f(x + w) and of the best
-        breakpoint in [e2, e1 + w], all affine in x.  Edge values come from
-        one forward walk each over the events and the events shifted by w;
-        the best breakpoint from a monotone deque (Lemire's sliding-window
-        minimum), as both ends of [e2, e1 + w] only move right.  Each event
-        is emitted once: the first interval's left end, then every interval's
-        crossings and right end.
-
-        Lines are anchored at e1 (slope, value there): steep segments on tiny
-        intervals far from the origin would lose precision in slope-intercept
-        form.
+        Computed exactly from segments between consecutive events e1 < e2
+        (the breakpoints b and b - w inside the output domain), where g is the
+        lower envelope of three lines: the window edges f(x) and f(x + w), and
+        the best breakpoint in [e2, e1 + w], flat.  Each interval gives its
+        ends and the lines' crossings inside it, valued by the first lowest
+        line as in min(); the construction keeps the first of an interval's
+        right end and the next one's left end.  Lines are anchored at e1
+        (slope, value there): steep segments on tiny intervals far from the
+        origin would lose precision in slope-intercept form.
         """
         xs, ys = self.xs, self.ys
         low, high = xs[0], xs[-1]
@@ -254,69 +249,24 @@ class Pwl:
         grid = sorted(events)
         left = _values_at(xs, ys, grid)
         right = _values_at(xs, ys, [e + w for e in grid])
-        window: deque[int] = deque()  # breakpoint indices, ordinates increasing
-        n = len(xs)
-        r = 0
         px: list[float] = []
         py: list[float] = []
         for j in range(len(grid) - 1):
             e1, e2 = grid[j], grid[j + 1]
             width = e2 - e1
-            b1 = left[j]
-            a1 = (left[j + 1] - b1) / width
-            b2 = right[j]
-            a2 = (right[j + 1] - b2) / width
-            reach = e1 + w + xtol
-            while r < n and xs[r] <= reach:
-                while window and ys[window[-1]] > ys[r]:
-                    window.pop()
-                window.append(r)
-                r += 1
-            while window and xs[window[0]] < e2 - xtol:
-                window.popleft()
-            # the left end e1 is the previous interval's right end, emitted at
-            # e0 + (e1 - e0); where that rounds above e1, e1 replaces it, as the
-            # merge would keep the lower of the two
-            if not px:
-                offsets = [0.0, width]
-            elif px[-1] > e1:
-                px.pop()
-                py.pop()
-                offsets = [0.0, width]
-            else:
-                offsets = [width]
-            # crossings of the lines, in the order (left, right), (left, best),
-            # (right, best); the best breakpoint's line is flat
-            first = len(offsets)
-            inner = width - xtol
-            if a1 != a2:
-                dx = (b2 - b1) / (a1 - a2)
-                if xtol < dx < inner:
-                    offsets.append(dx)
-            if window:
-                b3 = ys[window[0]]
-                if a1 != 0.0:
-                    dx = (b3 - b1) / a1
-                    if xtol < dx < inner:
-                        offsets.append(dx)
-                if a2 != 0.0:
-                    dx = (b3 - b2) / a2
-                    if xtol < dx < inner:
-                        offsets.append(dx)
-                flat = 0.0 + b3  # the flat line's value, 0.0 * dx + b3
-            else:
-                flat = inf
-            if len(offsets) > first:
-                offsets = sorted(set(offsets))
-            for dx in offsets:
+            lines = [((y[j + 1] - y[j]) / width, y[j]) for y in (left, right)]
+            inner = ys[bisect_left(xs, e2 - xtol):bisect_right(xs, e1 + w + xtol)]
+            if inner:
+                lines.append((0.0, min(inner)))
+            offsets = {0.0, width}
+            for (a1, b1), (a2, b2) in combinations(lines, 2):
+                if a1 != a2:
+                    dx = (b2 - b1) / (a1 - a2)
+                    if xtol < dx < width - xtol:
+                        offsets.add(dx)
+            for dx in sorted(offsets):
                 px.append(e1 + dx)
-                v = a1 * dx + b1  # the first of equal minima wins, as in min()
-                u = a2 * dx + b2
-                if u < v:
-                    v = u
-                if flat < v:
-                    v = flat
-                py.append(v)
+                py.append(min(a * dx + b for a, b in lines))
         return Pwl(px, py)
 
     def min_over(self, lo: float, hi: float) -> float:
@@ -333,7 +283,7 @@ class Pwl:
         xs = self.xs
         low, high = xs[0], xs[-1]
         xtol = TOL * max(1.0, high)
-        if lo < low - xtol or hi > high + xtol or hi < lo - xtol:
+        if not (low - xtol <= lo and hi <= high + xtol and lo - xtol <= hi):
             raise DomainError(f"window [{lo}, {hi}] not inside [{low}, {high}]")
         lo = min(max(lo, low), high)
         hi = min(max(hi, lo), high)
@@ -361,7 +311,7 @@ def _values_at(xs: Sequence[float], ys: Sequence[float], ts: Sequence[float]) ->
     i = 0 if last == 0 or ts[0] < xs[1] else bisect_right(xs, ts[0]) - 1
     for t in ts:
         if not low <= t <= high:
-            if t < low - slack or t > high + slack:
+            if not low - slack <= t <= high + slack:
                 raise DomainError(f"argument {t} outside domain [{low}, {high}]")
             t = min(max(t, low), high)
         while i < last and xs[i + 1] <= t:
@@ -389,7 +339,7 @@ def _quasiconvex_window(xs: Sequence[float], ys: Sequence[float], w: float) -> P
     low, high = xs[0], xs[-1]
     xtol = TOL * max(1.0, high)
     out_high = high - w
-    if w <= xtol or out_high - low <= xtol:
+    if not (w > xtol and out_high - low > xtol):
         return None
     m = min(ys)
     i = ys.index(m)
@@ -418,12 +368,12 @@ def window_min_of(xs: list[float], ys: list[float], w: float) -> Pwl:
     applies to them.
 
     Lists that are not finite, or that fail ``_quasiconvex_window``, are
-    constructed and windowed as they are, so they raise and take the sweep
-    exactly as ``window_min`` does.  Where the merge would drop no breakpoint
-    the result is ``window_min``'s bit for bit.  Elsewhere the closed form
-    also reads the breakpoints the merge drops, so a breakpoint may move by
-    the abscissa tolerance and a value by the ordinate tolerance of the
-    lists' largest ordinates.
+    constructed and windowed as they are, so they raise and take
+    ``_window_sweep`` exactly as ``window_min`` does.  Where the merge would
+    drop no breakpoint the result is ``window_min``'s bit for bit.  Elsewhere
+    the closed form also reads the breakpoints the merge drops, so a
+    breakpoint may move by the abscissa tolerance and a value by the
+    ordinate tolerance of the lists' largest ordinates.
     """
     g = None
     if all(map(isfinite, xs)) and all(map(isfinite, ys)):

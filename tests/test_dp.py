@@ -1,6 +1,7 @@
 """State graph, backward induction, policy extraction."""
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -315,9 +316,9 @@ def test_dp_equals_enumeration_with_compression_rates_off_one():
 def test_window_closed_form_matches_sweep_in_the_solvers(ex1, jobs, seed, monkeypatch):
     """``window_min``'s closed form for quasiconvex stage objectives changes
     no solve: with the closed form off, every window of the DP, the oracle
-    and the fixed-sequence chain is taken by the event sweep, the table has
-    the same states and breakpoint counts and values within 1e-12 relative,
-    and all three return the same schedules."""
+    and the fixed-sequence chain is taken by the per-interval scan, the
+    table has the same states and breakpoint counts and values within 1e-12
+    relative, and all three return the same schedules."""
     inst = ex1 if jobs is None else generate(GenParams(jobs=jobs, seed=seed))
     vt = backward_induction(inst)
     sched, oracle = extract_open_loop(inst, vt), brute_force_solve(inst)
@@ -447,7 +448,7 @@ def test_query_policy_rejects_time_outside_start_window(ex1):
     assert start_window(ex1, state.counts) == (24.0, 49.0)
     for t in (24.0, 49.0):
         assert query_policy(ex1, vt, state, t).cls == 1
-    for t in (24.0 - 1e-6, 49.0 + 1e-6):
+    for t in (24.0 - 1e-6, 49.0 + 1e-6, math.nan):
         with pytest.raises(ValueError, match="outside domain"):
             query_policy(ex1, vt, state, t)
 
@@ -464,8 +465,11 @@ def test_cost_to_go_only_inside_start_window(ex1):
     vt = backward_induction(ex1)
     state = DiscreteState((4, 2), 0)
     assert vt.cost_to_go(state, 49.0) == 18.5
+    for t in (55.0, math.nan):
+        with pytest.raises(ValueError, match="outside domain"):
+            vt.cost_to_go(state, t)
     with pytest.raises(ValueError, match="outside domain"):
-        vt.cost_to_go(state, 55.0)
+        vt.cost_to_go(initial_state(ex1), math.nan)
 
 
 def test_query_policy_rejects_unknown_state(ex1):

@@ -512,10 +512,13 @@ def test_ex1_lp_text_unchanged(ex1, which):
 # sha256 of the file that ``solve --method dp --dump-values`` writes (the DP's
 # cost-to-go breakpoints, in ValueTable order), locked beside the LP text; recorded
 # before the backward pass windowed stage objectives from their unmerged lists
-# and read its stage functions by edge index.
+# and read its stage functions by edge index; 3,3,2/3, whose DP takes
+# window_min's general path (``_window_sweep``), before that path became the
+# per-interval scan.
 DUMP_VALUES_SHA256 = {
     "ex1": "06ae7f0d40c185dae1b91632391aafb244c029fdb44e4b72745a4e1ca1ce72ab",
     "4,4,3/14": "4b296f2cb36f45a011c74765f5bd25f5e075dc309c5fbe9a9025a2d2d4a0658b",
+    "3,3,2/3": "98a27a54915f1ac0522d10ab306ec11c06229f75fbd3b8ec4d2f2fcdd049fc5a",
 }
 
 
@@ -525,7 +528,9 @@ def test_dp_dump_values_unchanged(tmp_path, capsys, case):
         path = DATA / "ex1.json"
     else:
         path = tmp_path / "inst.json"
-        path.write_text(save_instance(generate(GenParams(jobs=(4, 4, 3), seed=14))))
+        jobs, seed = case.split("/")
+        params = GenParams(jobs=tuple(map(int, jobs.split(","))), seed=int(seed))
+        path.write_text(save_instance(generate(params)))
     dump = tmp_path / "values.csv"
     assert main(["solve", "--method", "dp", str(path), "--dump-values", str(dump)]) == 0
     capsys.readouterr()

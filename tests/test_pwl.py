@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from famsched.pwl import TOL, DomainError, Pwl, envelope
+from famsched.pwl import TOL, DomainError, Pwl, envelope, window_min_of
 from tests.pwl_helpers import dump_csv, hinge, is_convex
 
 
@@ -51,6 +51,20 @@ def test_eval_outside_domain_rejected():
             f.value_at(below)
         with pytest.raises(DomainError):
             f.value_at(10.5)
+
+
+def test_nan_arguments_rejected():
+    """NaN fails every domain and width check, which are written so that a
+    comparison with NaN, always false, rejects."""
+    nan = math.nan
+    f = Pwl((0.0, 1.0, 2.0), (1.0, 0.0, 1.0))
+    calls = [lambda: f.value_at(nan), lambda: f.min_over(nan, 1.0), lambda: f.min_over(0.0, nan),
+             lambda: f.argmin_over(nan, 1.0), lambda: f.shift(nan, 0.0, 2.0)]
+    for g in (f, Pwl((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 1.0, 0.0))):  # closed form, scan
+        calls += [lambda g=g: g.window_min(nan), lambda g=g: window_min_of(list(g.xs), list(g.ys), nan)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 
 # -- hinge ---------------------------------------------------------------
@@ -213,6 +227,30 @@ def test_window_min_grid_oracle():
                 g.value_at(low - 1e-6)
 
 
+def test_window_min_grid_oracle_at_traffic_scale(monkeypatch):
+    """Functions that are not quasiconvex, with 40 to 120 breakpoints as the
+    solvers' general windows have, take the per-interval scan and match the
+    brute-force window minimum; widths run from twice the abscissa tolerance
+    to all but twice of the domain."""
+    swept = []
+    sweep = Pwl._window_sweep
+    monkeypatch.setattr(Pwl, "_window_sweep", lambda f, w: swept.append(w) or sweep(f, w))
+    rng = random.Random(24)
+    for breakpoints, high in ((40, 30.0), (80, 500.0), (120, 30.0)):
+        for low in LOWS:
+            f = random_pwl(rng, high, breakpoints - 1, low)
+            assert len(f) == breakpoints
+            xtol = TOL * max(1.0, high)
+            widths = (2.0 * xtol, high - low - 2.0 * xtol, rng.uniform(0.0, high - low))
+            for w in widths:
+                g = f.window_min(w)
+                assert g.low == f.low and abs(g.high - (f.high - w)) <= xtol
+                for k in range(200):
+                    x = g.low + (g.high - g.low) * k / 199
+                    assert g.value_at(x) == pytest.approx(window_min_oracle(f, x, w), abs=1e-6)
+    assert len(swept) == 18
+
+
 def test_window_min_monotone_in_width():
     rng = random.Random(6)
     for _ in range(30):
@@ -329,7 +367,8 @@ def reference_cases(seed: int):
 
 
 def test_window_min_matches_reference_bit_for_bit():
-    """The event sweep is the reference bit for bit; ``window_min``, which
+    """``_window_sweep``, the same per-interval algorithm with its reads
+    batched, is the reference bit for bit; ``window_min``, which
     takes the closed form on quasiconvex functions, has the reference's
     breakpoint count, abscissae within the abscissa tolerance, and at equal
     abscissae ordinates within 1e-12 relative."""
@@ -374,7 +413,7 @@ def random_quasiconvex_pwl(rng: random.Random, low: float, high: float, shape: s
 
 
 def test_window_min_quasiconvex_closed_form_matches_oracle(monkeypatch):
-    """Quasiconvex functions take the closed form, never the sweep, and it
+    """Quasiconvex functions take the closed form, never the scan, and it
     matches the brute-force window minimum; widths run from twice the
     abscissa tolerance to all but twice of the domain."""
     swept = []

@@ -371,7 +371,7 @@ def test_windowed_transforms_match_two_step(monkeypatch):
     """``windowed_objective`` and ``windowed_part`` window the stage
     objective's lists before the merge.  They give the bits of building the
     objective and then windowing it wherever the merge drops nothing,
-    including every list that takes the sweep.  Where the merge drops a
+    including every list that takes the scan.  Where the merge drops a
     near-collinear point or a knee within the abscissa tolerance of a
     breakpoint, they have the same breakpoint count, and breakpoints within
     the objective's tolerances: TOL * max(1, b) apart, and values TOL *
