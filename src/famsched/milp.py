@@ -10,19 +10,20 @@ model object:
 
 Models are emitted as standard LP text and checked against assignments; no
 solver is embedded.  Every big-M is the horizon bound ``horizon_upper_bound``.
-Every variable is non-negative and a binary is at most 1, so a variable is
-its name and kind.  Size reports count structural constraint rows only:
+Every variable is non-negative and a binary is at most 1, so a model keeps
+its variables as columns: the name list ``MilpModel.variables`` and the mask
+``MilpModel.binary``.  Size reports count structural constraint rows only:
 variable-domain declarations become bounds, and the objective is counted as
 one auxiliary among the "other" (non-binary) variables.
 
 A model keeps its rows in one columnar store, ``MilpModel.rows``: row names,
 sense codes and right-hand sides, plus the compressed sparse row (CSR)
 arrays ``indptr``, ``cols`` (indices into ``MilpModel.variables``) and
-``coefs``, which is the form ``scipy.optimize.milp`` takes.  Every row
-family is one ``_Builder.add`` call of column tables, ``emit_lp`` and
-``check_assignment`` read the arrays, and ``MilpModel.constraints`` is a
-read-only view that yields each row as a ``Constraint`` tuple naming its
-variables.
+``coefs``, which is the form ``scipy.optimize.milp`` takes.  The objective's
+terms are ``(coefficient, column)`` pairs, so the rows, the objective and
+the kinds all refer to a variable by column.  Every row family is one
+``_Builder.add`` call of column tables, and ``emit_lp`` and
+``check_assignment`` read the arrays.
 
 Variable naming (1-based class/job ids, 0-based stage ids):
 ``x_h_j_k_i``, ``d_h_j_k_i``, ``u_k_i``, ``S_k_i``, ``pt_k_i``, ``T_k_i``,
@@ -34,11 +35,8 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,18 +50,6 @@ SIZE_CONVENTION = (
     "other = continuous variables + 1 (objective auxiliary); "
     "constraints = structural rows, variable-domain declarations excluded"
 )
-
-
-class Variable(NamedTuple):
-    name: str
-    kind: str  # "binary" (in [0, 1]) | "continuous" (>= 0)
-
-
-class Constraint(NamedTuple):
-    name: str
-    terms: tuple[tuple[float, str], ...]
-    sense: str  # "<=", "=", ">="
-    rhs: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,46 +78,37 @@ def _rows(names, senses, rhs, lengths, cols, coefs) -> Rows:
                 indptr, np.asarray(cols, dtype=np.int64), np.asarray(coefs, dtype=np.float64))
 
 
-class Constraints(Sequence):
-    """Read-only view of a model's rows, each a ``Constraint`` naming its variables."""
-
-    def __init__(self, model: MilpModel):
-        self._model = model
-
-    def __len__(self) -> int:
-        return len(self._model.rows.names)
-
-    def __getitem__(self, index: int) -> Constraint:
-        rows, variables = self._model.rows, self._model.variables
-        r = range(len(rows.names))[operator.index(index)]
-        a, z = rows.indptr[r:r + 2].tolist()
-        names = [variables[c].name for c in rows.cols[a:z].tolist()]
-        return Constraint(rows.names[r], tuple(zip(rows.coefs[a:z].tolist(), names)),
-                          SENSES[rows.senses[r]], float(rows.rhs[r]))
-
-
 @dataclass
 class MilpModel:
+    """Column c is variable ``variables[c]``, binary (in [0, 1]) when
+    ``binary[c]`` and otherwise continuous (>= 0); ``objective`` is
+    ``(coefficient, column)`` pairs plus ``objective_constant``."""
+
     name: str
-    variables: list[Variable] = field(default_factory=list)
+    variables: list[str] = field(default_factory=list)
+    binary: list[bool] = field(default_factory=list)
     rows: Rows = field(default_factory=lambda: _rows([], [], [], [], [], []))
-    objective: list[tuple[float, str]] = field(default_factory=list)
+    objective: list[tuple[float, int]] = field(default_factory=list)
     objective_constant: float = 0.0
 
+    def __post_init__(self) -> None:
+        self._check_columns()
+
     @property
-    def constraints(self) -> Constraints:
-        return Constraints(self)
-
-    def binaries(self) -> list[Variable]:
-        return [v for v in self.variables if v.kind == "binary"]
-
-    def continuous(self) -> list[Variable]:
-        return [v for v in self.variables if v.kind == "continuous"]
+    def constraints(self) -> list[str]:
+        """The row names, ``rows.names``.  It stays only because the
+        benchmark's tracer counts rows as ``len(model.constraints)`` (and
+        columns as ``len(model.variables)``)."""
+        return self.rows.names
 
     def _check_columns(self) -> None:
-        cols = self.rows.cols
-        if cols.size and not (cols.min() >= 0 and cols.max() < len(self.variables)):
+        n, cols = len(self.variables), self.rows.cols
+        if len(self.binary) != n:
+            raise ValueError("not one kind per variable")
+        if cols.size and not (cols.min() >= 0 and cols.max() < n):
             raise ValueError("row columns outside the variable list")
+        if not all(0 <= c < n for _, c in self.objective):
+            raise ValueError("objective columns outside the variable list")
 
 
 @dataclass(frozen=True)
@@ -143,11 +120,8 @@ class SizeReport:
 
 
 def size_report(model: MilpModel) -> SizeReport:
-    return SizeReport(
-        binary_count=len(model.binaries()),
-        other_count=len(model.continuous()) + 1,
-        constraint_count=len(model.rows.names),
-    )
+    binaries = sum(model.binary)
+    return SizeReport(binaries, len(model.variables) - binaries + 1, len(model.rows.names))
 
 
 class _Builder:
@@ -188,14 +162,12 @@ class _Builder:
         n = len(self.ids)
         return np.nonzero(~np.eye(n, dtype=bool))
 
-    def declare(self, prefix: str, suffixes: list[str], kind: str) -> np.ndarray:
+    def declare(self, prefix: str, suffixes: list[str], binary: bool) -> np.ndarray:
         """Declare ``{prefix}_{suffix}`` for each suffix; their columns, in suffix order."""
         start = len(self.model.variables)
-        self.model.variables += [Variable(f"{prefix}_{s}", kind) for s in suffixes]
+        self.model.variables += [f"{prefix}_{s}" for s in suffixes]
+        self.model.binary += [binary] * len(suffixes)
         return np.arange(start, len(self.model.variables))
-
-    def names(self, cols) -> list[str]:
-        return [self.model.variables[c].name for c in cols]
 
     def add(self, names: list[str], *families) -> None:
         """Append the rows of one or more families ``(cols, coefs, sense, rhs)``.
@@ -260,11 +232,11 @@ def _add_common_delta_rows(b: _Builder, d: np.ndarray, v) -> None:
     )
 
 
-def _tardiness_objective(b: _Builder, v) -> list[tuple[float, str]]:
+def _tardiness_objective(b: _Builder, v) -> list[tuple[float, int]]:
     return (
-        [(cp.alpha[i], name) for cp, i, name in zip(b.params, b.slot, b.names(v["T"]))]
-        + [(cp.beta * cp.gamma, name) for cp, name in zip(b.params, b.names(v["u"]))]
-        + [(1.0, name) for name in b.names(v["Om"])]
+        [(cp.alpha[i], col) for cp, i, col in zip(b.params, b.slot, v["T"].tolist())]
+        + [(cp.beta * cp.gamma, col) for cp, col in zip(b.params, v["u"].tolist())]
+        + [(1.0, col) for col in v["Om"].tolist()]
     )
 
 
@@ -278,9 +250,9 @@ def build_model1(inst: Instance) -> MilpModel:
     n = len(ids)
     pairs = b.pairs()
     flat = [s for row in pairs for s in row]
-    x = b.declare("x", flat, "binary").reshape(n, n)
-    d = b.declare("d", flat, "binary").reshape(n, n)
-    v = {prefix: b.declare(prefix, ids, "continuous") for prefix in ("u", "S", "pt", "T", "Om", "La")}
+    x = b.declare("x", flat, True).reshape(n, n)
+    d = b.declare("d", flat, True).reshape(n, n)
+    v = {prefix: b.declare(prefix, ids, False) for prefix in ("u", "S", "pt", "T", "Om", "La")}
     b.model.objective = _tardiness_objective(b, v)
     s, pt, la, t = v["S"], v["pt"], v["La"], v["T"]
 
@@ -317,8 +289,8 @@ def build_model2(inst: Instance) -> MilpModel:
     m, ids = b.m, b.ids
     n = len(ids)
     pairs = b.pairs()
-    d = b.declare("d", [s for row in pairs for s in row], "binary").reshape(n, n)
-    v = {prefix: b.declare(prefix, ids, "continuous") for prefix in ("u", "S", "pt", "T", "Om", "La", "C")}
+    d = b.declare("d", [s for row in pairs for s in row], True).reshape(n, n)
+    v = {prefix: b.declare(prefix, ids, False) for prefix in ("u", "S", "pt", "T", "Om", "La", "C")}
     b.model.objective = _tardiness_objective(b, v)
     s, pt, la, c, t = v["S"], v["pt"], v["La"], v["C"], v["T"]
 
@@ -344,15 +316,15 @@ def build_model3(inst: Instance) -> MilpModel:
     n, classes = len(ids), range(inst.n_classes)
     stages = range(n)
     stage_ids = [str(j) for j in stages]
-    xs = np.stack([b.declare(f"xs_{a}", stage_ids, "binary") for a in ids])  # xs[p, j]
-    v = {prefix: b.declare(prefix, ids, "continuous") for prefix in ("S", "C", "pt", "T")}
-    w = {prefix: b.declare(prefix, stage_ids, "continuous") for prefix in ("tau", "Omt", "Lat", "St", "Ct")}
+    xs = np.stack([b.declare(f"xs_{a}", stage_ids, True) for a in ids])  # xs[p, j]
+    v = {prefix: b.declare(prefix, ids, False) for prefix in ("S", "C", "pt", "T")}
+    w = {prefix: b.declare(prefix, stage_ids, False) for prefix in ("tau", "Omt", "Lat", "St", "Ct")}
     s, c, pt, t = v["S"], v["C"], v["pt"], v["T"]
     tau, omt, lat, st_, ct = w["tau"], w["Omt"], w["Lat"], w["St"], w["Ct"]
     b.model.objective = (
-        [(cp.alpha[i], name) for cp, i, name in zip(b.params, b.slot, b.names(t))]
-        + [(-cp.beta, name) for cp, name in zip(b.params, b.names(pt))]
-        + [(1.0, name) for name in b.names(omt)]
+        [(cp.alpha[i], col) for cp, i, col in zip(b.params, b.slot, t.tolist())]
+        + [(-cp.beta, col) for cp, col in zip(b.params, pt.tolist())]
+        + [(1.0, col) for col in omt.tolist()]
     )
     b.model.objective_constant = sum(cp.beta * cp.pt_nom for cp in b.params)
 
@@ -439,7 +411,7 @@ def encode_schedule(inst: Instance, sched: Schedule, model: MilpModel) -> dict[s
             value[f"x_{a}_{b}"] = 1.0 if p < q else 0.0
             value[f"xs_{a}_{q}"] = 1.0 if q == p else 0.0
     try:
-        return {name: value[name] for name, _ in model.variables}
+        return {name: value[name] for name in model.variables}
     except KeyError as exc:
         raise ValueError(f"variable {exc.args[0]} is no schedule quantity") from None
 
@@ -469,12 +441,12 @@ def check_assignment(model: MilpModel, assignment: dict[str, float]) -> CheckRep
     sums are one pass over the terms, each row summed left to right.
     """
     try:
-        values = [assignment[name] for name, _ in model.variables]
+        values = [assignment[name] for name in model.variables]
     except KeyError as exc:
         raise ValueError(f"assignment missing variable {exc.args[0]}") from None
     rows = model.rows
     x = np.array(values, dtype=np.float64)
-    binary = np.array([kind == "binary" for _, kind in model.variables], dtype=bool)
+    binary = np.array(model.binary, dtype=bool)
     with np.errstate(all="ignore"):
         # a superset of the variables the loop below reports on
         suspect = ~(x >= -CHECK_TOL) | binary & ~((x <= 1.0 + CHECK_TOL) & (np.abs(x - np.rint(x)) <= CHECK_TOL))
@@ -484,10 +456,10 @@ def check_assignment(model: MilpModel, assignment: dict[str, float]) -> CheckRep
         failed = np.flatnonzero(~(gap <= CHECK_TOL))
     out: list[CheckViolation] = []
     for c in np.flatnonzero(suspect).tolist():
-        (name, kind), val = model.variables[c], values[c]
+        name, val = model.variables[c], values[c]
         if not val >= -CHECK_TOL:
             out.append(CheckViolation("bound", name, -val, f"{name}={val} < lb 0.0"))
-        if kind == "binary":
+        if model.binary[c]:
             if val > 1.0 + CHECK_TOL:
                 out.append(CheckViolation("bound", name, val - 1.0, f"{name}={val} > ub 1.0"))
             if math.isfinite(val) and abs(val - round(val)) > CHECK_TOL:
@@ -495,7 +467,7 @@ def check_assignment(model: MilpModel, assignment: dict[str, float]) -> CheckRep
     for r in failed.tolist():
         name, sense, value, rhs = rows.names[r], SENSES[rows.senses[r]], float(lhs[r]), float(rows.rhs[r])
         out.append(CheckViolation("constraint", name, float(gap[r]), f"{name}: lhs={value} {sense} rhs={rhs}"))
-    objective = model.objective_constant + sum([coef * assignment[var] for coef, var in model.objective])
+    objective = model.objective_constant + sum([coef * values[c] for coef, c in model.objective])
     return CheckReport(tuple(out), objective)
 
 
@@ -508,9 +480,10 @@ def _fmt(v: float) -> str:
     return repr(v)
 
 
-def _terms_text(terms, prefix) -> str:
-    """``prefix`` maps a coefficient to its ``"<sign> <digits> "`` text."""
-    parts = [prefix(coef) + var for coef, var in terms]
+def _terms_text(terms, names, prefix) -> str:
+    """``terms`` are ``(coefficient, column)`` pairs, ``names`` the column
+    names, and ``prefix`` maps a coefficient to its ``"<sign> <digits> "`` text."""
+    parts = [prefix(coef) + names[c] for coef, c in terms]
     if not parts:
         return "0 " + "__zero__"
     text = " ".join(parts)
@@ -531,7 +504,7 @@ def _rows_text(model: MilpModel, prefix) -> list[str]:
     signed = [prefix(c) for c in coefs.tolist()]
     inner = np.array([" " + text for text in signed], dtype=object)
     first = np.array([text[2:] if text.startswith("+ ") else text for text in signed], dtype=object)
-    variables = np.array([v.name for v in model.variables], dtype=object)
+    variables = np.array(model.variables, dtype=object)
     seps = np.array([": ", ": 0 __zero__"], dtype=object)
     rhs = np.unique(rows.rhs)
     tails = np.array([[f" {sense} {_fmt(value)}\n" for value in rhs.tolist()] for sense in SENSES], dtype=object)
@@ -565,9 +538,9 @@ def emit_lp(model: MilpModel) -> str:
     head = [f"\\ Problem: {model.name}"]
     if model.objective_constant:
         head.append(f"\\ objective_constant: {model.objective_constant!r}")
-    head += ["Minimize", f" obj: {_terms_text(model.objective, prefix)}", "Subject To", ""]
-    tail = ["Bounds", *(f" {v.name} >= 0" for v in model.continuous()),
-            "Binaries", *(f" {v.name}" for v in model.binaries()), "End", ""]
+    head += ["Minimize", f" obj: {_terms_text(model.objective, model.variables, prefix)}", "Subject To", ""]
+    tail = ["Bounds", *(f" {v} >= 0" for v, b in zip(model.variables, model.binary, strict=True) if not b),
+            "Binaries", *(f" {v}" for v, b in zip(model.variables, model.binary, strict=True) if b), "End", ""]
     return "".join(["\n".join(head), *_rows_text(model, prefix), "\n".join(tail)])
 
 
@@ -618,8 +591,8 @@ def parse_lp(text: str) -> MilpModel:
     rhs: list[float] = []
     lengths: list[int] = []
     terms: list[tuple[float, str]] = []  # every row's terms, in row order
-    binaries: list[Variable] = []
-    continuous: list[Variable] = []
+    binaries: list[str] = []
+    continuous: list[str] = []
     section = -1  # index into _SECTIONS
     for number, line in enumerate(text.splitlines(), 1):
         tokens = line.split()
@@ -641,9 +614,9 @@ def parse_lp(text: str) -> MilpModel:
                 lengths.append(len(row_terms))
                 terms += row_terms
             elif section == 2 and len(tokens) == 3 and tokens[1:] == [">=", "0"]:
-                continuous.append(Variable(tokens[0], "continuous"))
+                continuous.append(tokens[0])
             elif section == 3 and len(tokens) == 1:
-                binaries.append(Variable(tokens[0], "binary"))
+                binaries.append(tokens[0])
             else:
                 raise ValueError
         except (IndexError, ValueError):
@@ -653,7 +626,7 @@ def parse_lp(text: str) -> MilpModel:
     if objective is None:
         raise ValueError("LP text has no objective line")
     variables = binaries + continuous
-    column = {v.name: c for c, v in enumerate(variables)}
+    column = {name: c for c, name in enumerate(variables)}
     if len(column) != len(variables):
         raise ValueError("duplicate variable names")
     if len(set(row_names)) != len(row_names):
@@ -665,7 +638,9 @@ def parse_lp(text: str) -> MilpModel:
         t = int(unknown[0])
         r = int(np.searchsorted(rows.indptr, t, side="right")) - 1
         raise ValueError(f"constraint {row_names[r]} references unknown variable {terms[t][1]}")
-    for _, var in objective:
-        if var not in column:
-            raise ValueError(f"objective references unknown variable {var}")
-    return MilpModel("parsed", variables, rows, objective, objective_constant)
+    try:
+        objective = [(coef, column[var]) for coef, var in objective]
+    except KeyError as exc:
+        raise ValueError(f"objective references unknown variable {exc.args[0]}") from None
+    binary = [True] * len(binaries) + [False] * len(continuous)
+    return MilpModel("parsed", variables, binary, rows, objective, objective_constant)

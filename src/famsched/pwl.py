@@ -390,10 +390,15 @@ def shift_table(parts: Sequence[tuple[Pwl, float, float, float]], low: float,
     column f(t + delta) + slope*t + intercept at the grid points t, with f
     clamped to its nearest endpoint value outside its own domain, in one
     walk.  Callers that add more terms to one part's shift build one ``Pwl``
-    instead of two.
+    instead of two.  A reversed domain or a non-finite shift raises
+    ``DomainError``.
     """
+    if not low <= high:
+        raise DomainError(f"domain [{low}, {high}] needs low <= high")
     cand = {low, high}
     for f, delta, _, _ in parts:
+        if not isfinite(delta):
+            raise DomainError(f"shift {delta} is not finite")
         for x in f.xs:  # the clamp onsets f_low - delta and f_high - delta among them
             t = x - delta
             if low < t < high:

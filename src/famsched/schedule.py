@@ -423,6 +423,9 @@ def schedule_from_dict(inst: Instance, doc: dict) -> Schedule:
         raise ValueError("'order' must be a list of integer class ids")
     if not isinstance(amounts, dict):
         raise ValueError("'u' must map class ids to lists of amounts")
+    for pos, k in enumerate(order):  # checked before conversion, so the message names the file's id
+        if not 1 <= k <= inst.n_classes:
+            raise ValueError(f"stage {pos}: class id {k} is not in 1..{inst.n_classes}")
     seq = Sequence.from_1based(order)
     seq.check(inst)
     u = []

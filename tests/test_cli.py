@@ -258,6 +258,22 @@ def test_certify_rejects_malformed_schedule(tmp_path, capsys, field, value):
     assert err.startswith(f"error: {sched_file}: ")
 
 
+@pytest.mark.parametrize("order,message", [
+    ([0, 2, 1, 1, 1, 2, 1], "stage 0: class id 0 is not in 1..2"),
+    ([2, 2, 1, 1, 1, 2, 3], "stage 6: class id 3 is not in 1..2"),
+], ids=["zero", "past-last"])
+def test_certify_names_a_bad_class_id_1_based(tmp_path, capsys, order, message):
+    # the message names the id as the file holds it, 1-based
+    sched_file = tmp_path / "sched.json"
+    run(capsys, "solve", "--method", "dp", EX1, "-o", str(sched_file))
+    doc = json.loads(sched_file.read_text())
+    doc["order"] = order
+    sched_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "certify", "--model", "1", "--schedule", str(sched_file), EX1)
+    assert (code, out) == (2, "")
+    assert err == f"error: {sched_file}: {message}\n"
+
+
 @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "malformed"])
 def test_certify_rejects_unreadable_schedule(tmp_path, capsys, text):
     sched_file = tmp_path / "sched.json"
@@ -543,5 +559,9 @@ def test_tracer_wraps_every_layer(tmp_path):
     # the oracle shares suffix work and solves only the winning sequence
     assert metrics["bench.sequences"] == 1
     assert metrics["bench.brute_force_solve.s"] > 0
-    assert metrics["milp.rows"] > 0
+    # each model is built twice (emit, certify); the tracer reads these through
+    # len(model.constraints) and len(model.variables): ex1's models 1-3 have
+    # 470, 116 and 253 rows and 140, 98 and 112 columns
+    assert metrics["milp.rows"] == 2 * (470 + 116 + 253)
+    assert metrics["milp.vars"] == 2 * (140 + 98 + 112)
     assert metrics["cli.main.calls"] == 8

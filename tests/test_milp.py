@@ -15,7 +15,6 @@ from famsched.dp import backward_induction, extract_open_loop
 from famsched.instance import ClassParams, Instance, save_instance
 from famsched.milp import (
     MilpModel,
-    Variable,
     build_model,
     build_model1,
     build_model2,
@@ -36,7 +35,7 @@ from famsched.schedule import (
     solve_sequence,
 )
 from tests.conftest import DATA, EX1_COST, EX1_ORDER_1BASED
-from tests.milp_helpers import check_rows, solve_highs
+from tests.milp_helpers import check_rows, rows_of, solve_highs
 
 EX1_SEQ = Sequence.from_1based(EX1_ORDER_1BASED)
 
@@ -112,7 +111,7 @@ def test_binary_count_laws_on_generated_instances():
 def test_model2_ex1_counts(ex1):
     model = build_model2(ex1)
     assert size_report(model).binary_count == 49
-    all_jobs = [c for c in model.constraints if c.name == "all_jobs"]
+    all_jobs = [c for c in rows_of(model) if c.name == "all_jobs"]
     assert len(all_jobs) == 1
     assert all_jobs[0].rhs == 6.0
 
@@ -120,7 +119,7 @@ def test_model2_ex1_counts(ex1):
 def test_model3_ex1_counts(ex1):
     model = build_model3(ex1)
     assert size_report(model).binary_count == 49
-    assert sum(1 for c in model.constraints if c.name.startswith("stage_one_")) == 7
+    assert sum(1 for name in model.rows.names if name.startswith("stage_one_")) == 7
 
 
 # emit_lp's text for one binary x, one continuous y, one row and objective y
@@ -162,9 +161,19 @@ def test_built_names_unique(classes):
             inst = generate(GenParams(jobs, seed=n))
             for which in (1, 2, 3):
                 model = build_model(inst, which)
-                names = [v.name for v in model.variables]
-                assert len(names) == len(set(names)), (jobs, which)
+                assert len(model.variables) == len(set(model.variables)), (jobs, which)
                 assert len(model.rows.names) == len(set(model.rows.names)), (jobs, which)
+
+
+@pytest.mark.parametrize(
+    "binary,objective,message",
+    [([True], [], "not one kind per variable"),
+     ([True, False], [(1.0, 2)], "objective columns outside the variable list")],
+    ids=["short-kind-list", "objective-column"],
+)
+def test_model_columns_checked(binary, objective, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MilpModel("m", ["x", "y"], binary, objective=objective)
 
 
 # -- encoding ------------------------------------------------------------
@@ -200,8 +209,8 @@ def test_encode_keys_are_the_model_variables(ex1, ex1_opt, which):
         model = build_model(inst, which)
         parsed = parse_lp(emit_lp(model))
         built, reparsed = encode_schedule(inst, sched, model), encode_schedule(inst, sched, parsed)
-        assert list(built) == [v.name for v in model.variables]
-        assert list(reparsed) == [v.name for v in parsed.variables]
+        assert list(built) == model.variables
+        assert list(reparsed) == parsed.variables
         assert reparsed == built
 
 
@@ -222,7 +231,7 @@ def test_encode_rejects_an_out_of_bounds_plan(ex1, ex1_opt):
 @pytest.mark.parametrize("name", ["y", "S_0_1", "S_1_1_1", "tau_-1", "tau_7", "xs_1_1",
                                   "d_1_1_2", "x_1_a_2_1"])
 def test_encode_rejects_a_foreign_variable(ex1, ex1_opt, name):
-    model = MilpModel("foreign", [Variable("S_1_1", "continuous"), Variable(name, "continuous")])
+    model = MilpModel("foreign", ["S_1_1", name], [False, False])
     with pytest.raises(ValueError, match=f"variable {name} "):
         encode_schedule(ex1, ex1_opt, model)
 
@@ -360,13 +369,13 @@ def test_uncompressed_schedule_certifies(ex1):
 @pytest.mark.parametrize("which", [1, 2, 3])
 def test_nan_values_reported(ex1, ex1_opt, which):
     model = build_model(ex1, which)
-    binary = model.binaries()[0].name
+    binary = model.variables[model.binary.index(True)]
     a = encode_schedule(ex1, ex1_opt, model)
     a[binary] = a["pt_1_1"] = float("nan")
     report = check_assignment(model, a)
     assert {v.name for v in report.violations if v.kind == "bound"} == {binary, "pt_1_1"}
     assert {v.name for v in report.violations if v.kind == "constraint"} == {
-        c.name for c in model.constraints if any(var in (binary, "pt_1_1") for _, var in c.terms)
+        c.name for c in rows_of(model) if any(var in (binary, "pt_1_1") for _, var in c.terms)
     }
     assert all(v.kind != "integrality" for v in report.violations)
 
@@ -410,16 +419,18 @@ def test_emit_smallest_model():
 
 @pytest.mark.parametrize("which", [1, 2, 3])
 def test_lp_round_trip_counts(ex1, which):
-    # parse_lp restores every row, the objective, its constant and the variables exactly
+    # parse_lp restores every row, the objective's terms by column, its constant,
+    # the variable names and the binary mask exactly
     cases = [ex1] + [generate(GenParams(jobs=jobs, seed=seed)) for jobs, seed, w in LP_SHA256 if w == which]
     for inst in cases:
         model = build_model(inst, which)
         parsed = parse_lp(emit_lp(model))
         assert size_report(parsed) == size_report(model)
-        assert list(parsed.constraints) == list(model.constraints)
+        assert rows_of(parsed) == rows_of(model)
         assert parsed.objective == model.objective
         assert parsed.objective_constant == model.objective_constant
         assert parsed.variables == model.variables
+        assert parsed.binary == model.binary
         for array in ("indptr", "cols", "coefs", "senses", "rhs"):
             assert np.array_equal(getattr(parsed.rows, array), getattr(model.rows, array)), array
 
@@ -441,7 +452,7 @@ def test_lp_round_trip_counts(ex1, which):
          "two-objectives", "no-objective"],
 )
 def test_parse_lp_rejects_foreign_syntax(old, new, message):
-    assert parse_lp(_SMALL_LP).constraints[0].terms == ((1.0, "x"), (-2.0, "y"))
+    assert rows_of(parse_lp(_SMALL_LP))[0].terms == ((1.0, "x"), (-2.0, "y"))
     assert old in _SMALL_LP
     with pytest.raises(ValueError, match=message):
         parse_lp(_SMALL_LP.replace(old, new))

@@ -119,6 +119,20 @@ def test_shift_translates_and_clamps():
     assert g.value_at(9.0) == pytest.approx(f.value_at(10.0))  # clamped tail
 
 
+@pytest.mark.parametrize(
+    "delta,low,high,message",
+    [(0.0, 2.0, 1.0, "needs low <= high"), (0.0, math.nan, 2.0, "needs low <= high"),
+     (math.inf, 0.0, 2.0, "not finite"), (-math.inf, 0.0, 2.0, "not finite")],
+    ids=["reversed", "nan-low", "inf-shift", "minus-inf-shift"],
+)
+def test_shift_rejects_a_reversed_domain_or_infinite_shift(delta, low, high, message):
+    f = Pwl((0.0, 1.0, 2.0), (1.0, 0.0, 1.0))
+    with pytest.raises(DomainError, match=message):
+        f.shift(delta, low, high)
+    with pytest.raises(DomainError, match=message):
+        envelope([(f, 0.0, 0.0, 0.0), (f, delta, 0.0, 0.0)], low, high)
+
+
 def test_add_domain_mismatch():
     with pytest.raises(DomainError):
         Pwl.zero(0.0, 10.0).add(Pwl.zero(0.0, 12.0))
