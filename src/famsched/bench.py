@@ -5,11 +5,12 @@ benchmark batches (compression rate fixed to 1, due-date ladders built by
 accumulating uniform steps from a fixed origin).  Enumeration over all class
 interleavings, with exact per-sequence compression optimization, is a second
 exact solver.  It is not independent of the state-space solver: both build
-their stage costs with ``stage_part``, ``pwl.window_min_of`` and
-``stage_cost``, and the oracle's ``windowed_part`` and ``part_objective``
-share the hinge arithmetic of the solver's ``windowed_objective`` and the
-shifted values of its ``pwl.envelope``.  The independent reference is the LP oracle in
-``tests/lp_reference.py``, which reads only instance data.
+every stage objective with ``schedule.objective_lists`` and window it with
+``pwl.window_min_of``, carry stages with ``stage_part`` and read a first
+stage with ``stage_cost``, and the oracle's ``pwl.shift_table`` computes the
+shifted values of the solver's ``pwl.envelope``.  The independent reference
+is the LP oracle in ``tests/lp_reference.py``, which reads only instance
+data.
 
 numpy is imported inside ``generate``, its only user, so the oracle and the
 counts load it only when an instance is generated.
@@ -21,16 +22,15 @@ from dataclasses import dataclass
 from math import factorial, inf
 
 from .instance import ClassParams, Instance, start_window
-from .pwl import Pwl
+from .pwl import Pwl, shift_table, window_min_of
 from .schedule import (
     TIE,
     Schedule,
     Sequence,
-    part_objective,
+    objective_lists,
     solve_sequence,
     stage_cost,
     stage_part,
-    windowed_part,
 )
 
 RNG_NAME = "numpy-default_rng"
@@ -136,14 +136,14 @@ def brute_force_solve(inst: Instance) -> Schedule:
     on an explicit stack, so the Python stack depth does not grow with the
     number of jobs.  A suffix's windowed stage objective does not depend on
     what precedes it, so each distinct suffix is built once and shared by
-    every sequence that ends in it: ``windowed_part`` of the successor's
-    ``stage_part``, on the ``start_window`` of the counts served through the
-    suffix's first job, in one construction from the same lists that
-    ``optimize_compressions`` windows.  The stack carries each suffix as the
-    ``stage_part`` of its window minimum after one predecessor class.  A
-    whole sequence's first job is read with ``part_objective`` and
-    ``stage_cost``, as the chain reads it.  Only the winner gets its
-    compressions and timeline, from ``solve_sequence``.
+    every sequence that ends in it.  Its ``objective_lists`` come from
+    ``shift_table`` of the successor's ``stage_part`` on the ``start_window``
+    of the counts served through the suffix's first job, once per pop, as
+    ``optimize_compressions`` builds them; ``window_min_of`` windows them, and
+    the stack carries the window minimum as its ``stage_part`` after one
+    predecessor class.  A whole sequence's first job is read from the lists'
+    ``Pwl`` with ``stage_cost``, as the chain reads it.  Only the winner gets
+    its compressions and timeline, from ``solve_sequence``.
     """
     total = count_sequences(inst)
     if total > ENUM_CAP:
@@ -161,19 +161,19 @@ def brute_force_solve(inst: Instance) -> Schedule:
         while len(suffix) > depth:  # back out of the suffixes already walked
             left[suffix.pop()] += 1
         cp = inst.classes[k]
-        low, high = start_window(inst, left)
+        xs, (ys,) = shift_table((part,), *start_window(inst, left))
         left[k] -= 1
         suffix.append(k)
+        xs, ys = objective_lists(xs, ys, cp, left[k])
         if depth + 1 == n:
-            obj = part_objective(part, cp, left[k], low, high)
-            cost = stage_cost(obj, cp, 0.0, 0.0, 0.0)  # first stage: t = 0, no setup
+            cost = stage_cost(Pwl(xs, ys), cp, 0.0, 0.0, 0.0)  # first stage: t = 0, no setup
             if cost < best:
                 best = cost
                 near = [c for c in near if c[0] <= best + TIE]
             if cost <= best + TIE:
                 near.append((cost, tuple(reversed(suffix))))
         else:
-            windowed = windowed_part(part, cp, left[k], low, high)
+            windowed = window_min_of(xs, ys, cp.pt_nom - cp.pt_low)
             for h in reversed(range(len(left))):
                 if left[h]:
                     stack.append((depth + 1, h, stage_part(windowed, cp, inst.st[h][k], inst.sc[h][k])))

@@ -49,7 +49,7 @@ def _read_instance(path: str) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
         return load_instance(text)
@@ -187,7 +187,7 @@ def cmd_certify(args) -> int:
     try:
         with open(args.schedule, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read schedule {args.schedule}: {exc}") from exc
     try:
         sched = schedule_from_dict(inst, doc)

@@ -21,18 +21,18 @@ from math import prod
 from typing import NamedTuple
 
 from .instance import Instance, start_window
-from .pwl import Pwl, envelope
+from .pwl import Pwl, envelope, window_min_of
 from .schedule import (
     TIE,
     CompressionPlan,
     Schedule,
     Sequence,
     build_timeline,
+    objective_lists,
     serve,
     stage_cost,
     stage_objective,
     stage_part,
-    windowed_objective,
 )
 
 
@@ -145,16 +145,6 @@ class ValueTable:
         return "\n".join(lines)
 
 
-def _child_objective(inst: Instance, vt: ValueTable, child: DiscreteState) -> Pwl:
-    """Stage objective F(s) of the job whose service leads into child.
-
-    That job is the last-served class's latest one, so F depends on the
-    child alone, not on the state it was served from.
-    """
-    k = child.last
-    return stage_objective(vt[child], inst.classes[k], child.counts[k] - 1)
-
-
 def backward_induction(inst: Instance) -> ValueTable:
     """Compute every state's cost-to-go; terminal states map to zero.
 
@@ -163,13 +153,13 @@ def backward_induction(inst: Instance) -> ValueTable:
     minimum of a stage objective depends only on the child state (its served
     job and that job's cost-to-go), while the setup depends on the edge, that
     is on the parent's last class.  So each state of the next stage is
-    windowed once, by ``windowed_objective`` in one construction, and every
-    edge into it only shifts and offsets the result; windowing per edge would
-    repeat the costliest op once per parent.  A state's function is the
-    minimum over its edges of ``stage_value``, built by one ``envelope`` of
-    the edges' ``stage_part``s.  A stage's functions are kept in lists by
-    position and read along ``StateGraph.edges``, with ``stage_part``'s
-    constants taken once per (last class, class) pair.
+    windowed once, by ``window_min_of`` of its ``objective_lists`` in one
+    construction, and every edge into it only shifts and offsets the result;
+    windowing per edge would repeat the costliest op once per parent.  A
+    state's function is the minimum over its edges of ``stage_value``, built
+    by one ``envelope`` of the edges' ``stage_part``s.  A stage's functions
+    are kept in lists by position and read along ``StateGraph.edges``, with
+    ``stage_part``'s constants taken once per (last class, class) pair.
 
     Each state's function is built on the ``start_window`` of its counts
     (computed once per counts vector): every decision window from a parent's
@@ -187,8 +177,11 @@ def backward_induction(inst: Instance) -> ValueTable:
     vals = [Pwl.zero(*start_window(inst, inst.jobs_per_class))] * len(stages[-1])
     values: dict[DiscreteState, Pwl] = dict(zip(stages[-1], vals))
     for j in range(len(stages) - 2, -1, -1):
-        windowed = [windowed_objective(f, inst.classes[child.last], child.counts[child.last] - 1)
-                    for child, f in zip(stages[j + 1], vals)]
+        windowed = []
+        for (counts, k), f in zip(stages[j + 1], vals):  # the served job is class k's latest
+            cp = inst.classes[k]
+            xs, ys = objective_lists(list(f.xs), list(f.ys), cp, counts[k] - 1)
+            windowed.append(window_min_of(xs, ys, cp.pt_nom - cp.pt_low))
         spans = {counts: start_window(inst, counts) for counts in {s.counts for s in stages[j]}}
         vals = []
         for state, out in zip(stages[j], graph.edges[j]):
@@ -223,7 +216,7 @@ def query_policy(inst: Instance, vt: ValueTable, state: DiscreteState, t: float)
     best = None  # (cost, class, stage objective, setup time)
     for k in admissible_classes(inst, state):
         st = inst.setup_time(state.last, k)
-        obj = _child_objective(inst, vt, _child(state, k))
+        obj = stage_objective(vt[_child(state, k)], inst.classes[k], state.counts[k])
         cost = stage_cost(obj, inst.classes[k], t, st, inst.setup_cost(state.last, k))
         if best is None or cost < best[0] - TIE:
             best = (cost, k, obj, st)

@@ -203,71 +203,32 @@ def stage_objective(child_value: Pwl, cp: ClassParams, i: int) -> Pwl:
     compression credit so that the window minimum below is a function of the
     decision window's position only.
 
-    Built in one construction on the child's breakpoints plus the knee dd
-    where it lies inside the domain (``_hinged``).  The result is
-    bit-identical to
+    Built in one construction from ``objective_lists`` of the child's
+    breakpoints.  The result is bit-identical to
     ``child_value.add(hinge(alpha, dd, low, high)).add_affine(-beta, 0.0)``
     (``hinge`` in ``tests/pwl_helpers.py``) whenever that hinge keeps its
     breakpoints (its knee is not within the tolerance of an end) and the
     merge keeps the same breakpoints in one pass as in two.
     """
-    return Pwl(*_hinged(list(child_value.xs), list(child_value.ys), cp, i))
+    return Pwl(*objective_lists(list(child_value.xs), list(child_value.ys), cp, i))
 
 
-def windowed_objective(child_value: Pwl, cp: ClassParams, i: int) -> Pwl:
-    """``stage_objective(child_value, cp, i).window_min(pt_nom - pt_low)``,
-    windowing the stage objective's lists before the merge
-    (``pwl.window_min_of``): one construction where the closed form applies,
-    bit-identical to the two steps wherever the merge drops nothing.  The DP
-    windows each child's stage objective this way."""
-    return window_min_of(*_hinged(list(child_value.xs), list(child_value.ys), cp, i),
-                         cp.pt_nom - cp.pt_low)
+def objective_lists(xs: list[float], ys: list[float], cp: ClassParams,
+                    i: int) -> tuple[list[float], list[float]]:
+    """``stage_objective``'s breakpoint lists before the merge, from the child
+    cost-to-go's lists, which it extends in place: the knee dd is inserted
+    where it lies strictly inside the domain, valued by ``_values_at``'s
+    interpolation formula; the hinge takes the breakpoint values of its own
+    ``Pwl`` on [low, high].  alpha and dd are not checked here:
+    ``validate_instance`` does.
 
-
-def part_objective(part: tuple[Pwl, float, float, float], cp: ClassParams, i: int,
-                   low: float, high: float) -> Pwl:
-    """``stage_objective`` of the child cost-to-go that ``part`` stands for:
-    the successor's ``stage_part`` ``(windowed, delta, slope, intercept)``,
-    whose function is ``windowed.shift(delta, low, high, slope, intercept)``.
-
-    One construction instead of two: the hinge is added to the shift's
-    breakpoints and values before they are merged (``_part_hinged``), so
-    the result is bit-identical to
-    ``stage_objective(windowed.shift(delta, low, high, slope, intercept), cp, i)``
-    whenever the shift's merge keeps every breakpoint, and within the
-    tolerance of it otherwise.  A chain of stages, as in
-    ``optimize_compressions``, carries parts from stage to stage; the DP
-    builds from ``stage_objective``'s lists, as its cost-to-go functions are
-    stored.
+    Every solver builds a stage the same way, as ``Pwl(xs, ys)`` or as
+    ``pwl.window_min_of(xs, ys, pt_nom - pt_low)``, which is bit-identical to
+    windowing the ``Pwl`` wherever the merge drops nothing.  The DP passes a
+    stored cost-to-go's lists; a fixed sequence's chain and the oracle pass
+    ``pwl.shift_table`` of the successor's ``stage_part`` on the stage's
+    ``start_window``: the successor's ``stage_value`` before the merge.
     """
-    return Pwl(*_part_hinged(part, cp, i, low, high))
-
-
-def windowed_part(part: tuple[Pwl, float, float, float], cp: ClassParams, i: int,
-                  low: float, high: float) -> Pwl:
-    """``part_objective(part, cp, i, low, high).window_min(pt_nom - pt_low)``,
-    windowing the lists before the merge, as ``windowed_objective`` does; the
-    enumeration oracle windows its suffixes this way, and
-    ``optimize_compressions`` windows the same lists."""
-    return window_min_of(*_part_hinged(part, cp, i, low, high), cp.pt_nom - cp.pt_low)
-
-
-def _part_hinged(part: tuple[Pwl, float, float, float], cp: ClassParams, i: int,
-                 low: float, high: float) -> tuple[list[float], list[float]]:
-    """``part_objective``'s breakpoint lists before the merge: the shift's
-    grid and values (``pwl.shift_table``), hinged."""
-    xs, (ys,) = shift_table((part,), low, high)
-    return _hinged(xs, ys, cp, i)
-
-
-def _hinged(xs: list[float], ys: list[float], cp: ClassParams,
-            i: int) -> tuple[list[float], list[float]]:
-    """The stage objective's breakpoint lists, before the merge, from the
-    child cost-to-go's (which it extends): the knee dd is inserted where it
-    lies strictly inside the domain, valued by ``_values_at``'s interpolation
-    formula; the hinge takes the breakpoint values of its own ``Pwl`` on
-    [low, high].  alpha and dd are not checked here: ``validate_instance``
-    does."""
     alpha, dd, beta = cp.alpha[i], cp.dd[i], cp.beta
     low, high = xs[0], xs[-1]
     if alpha == 0.0 or dd >= high:
@@ -296,7 +257,7 @@ def stage_value(windowed: Pwl, cp: ClassParams, st: float, sc: float, low: float
     window it once.  One ``shift`` moves the window minimum by st + pt_low
     and adds the affine term in the same construction.
 
-    The solvers build it inside ``pwl.envelope`` and ``part_objective``, from
+    The solvers build it inside ``pwl.envelope`` and ``pwl.shift_table``, from
     ``stage_part``; this stays because ``perfbench/tracer.py`` wraps it by
     name.
     """
@@ -308,7 +269,7 @@ def stage_part(windowed: Pwl, cp: ClassParams, st: float, sc: float) -> tuple[Pw
     """``stage_value`` as a part ``(f, delta, slope, intercept)`` of
     ``pwl.envelope``: the cost-to-go of a state is the envelope of its moves'
     parts on the state's start window, and a fixed sequence's predecessor
-    stage reads its successor's part with ``part_objective``."""
+    stage reads its successor's part with ``pwl.shift_table``."""
     return windowed, st + cp.pt_low, cp.beta, sc + cp.beta * (cp.pt_nom + st)
 
 
@@ -349,14 +310,13 @@ def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPla
     """Exact minimizer of the total cost over all compression plans for seq.
 
     Backward pass: cost-to-go functions along the job chain, each carried to
-    the predecessor stage as a ``stage_part``, from which ``part_objective``
-    builds that stage's objective in one construction, on the
-    ``start_window`` of the counts served through its job (the terminal zero
-    on the window with every job done).  The objective is kept for ``serve``;
-    its window minimum is built from the same lists before the merge, as
-    ``windowed_part`` builds it, so this chain and ``bench.brute_force_solve``
-    read identical windows.  The first job has no predecessor: the total is
-    its ``stage_cost`` at t = 0 with no setup, as the oracle reads it.
+    the predecessor stage as a ``stage_part``.  A stage's ``objective_lists``
+    are built from ``shift_table`` of that part on the ``start_window`` of the
+    counts served through its job (the terminal zero on the window with every
+    job done); their ``Pwl`` is kept for ``serve``, and ``window_min_of`` of
+    the same lists gives the next part, as ``bench.brute_force_solve`` builds
+    it.  The first job has no predecessor: the total is its ``stage_cost`` at
+    t = 0 with no setup, as the oracle reads it.
     Forward pass: recover one optimal completion per stage with ``serve``.
     """
     jobs = seq.stages(inst)
@@ -365,7 +325,8 @@ def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPla
     objectives: list[Pwl] = [None] * len(jobs)  # type: ignore[list-item]
     for job in reversed(jobs):
         cp = inst.classes[job.cls]
-        xs, ys = _part_hinged(part, cp, job.idx, *start_window(inst, counts))
+        xs, (ys,) = shift_table((part,), *start_window(inst, counts))
+        xs, ys = objective_lists(xs, ys, cp, job.idx)
         objectives[job.stage] = Pwl(xs, ys)
         counts[job.cls] -= 1
         if job.stage:
@@ -428,6 +389,10 @@ def schedule_from_dict(inst: Instance, doc: dict) -> Schedule:
             raise ValueError(f"stage {pos}: class id {k} is not in 1..{inst.n_classes}")
     seq = Sequence.from_1based(order)
     seq.check(inst)
+    ids = [str(k + 1) for k in range(inst.n_classes)]
+    for key in amounts:
+        if key not in ids:
+            raise ValueError(f"u key {key!r} is not a class id in 1..{inst.n_classes}")
     u = []
     for k, cp in enumerate(inst.classes):
         row = amounts.get(str(k + 1))

@@ -258,27 +258,43 @@ def test_certify_rejects_malformed_schedule(tmp_path, capsys, field, value):
     assert err.startswith(f"error: {sched_file}: ")
 
 
-@pytest.mark.parametrize("order,message", [
-    ([0, 2, 1, 1, 1, 2, 1], "stage 0: class id 0 is not in 1..2"),
-    ([2, 2, 1, 1, 1, 2, 3], "stage 6: class id 3 is not in 1..2"),
-], ids=["zero", "past-last"])
-def test_certify_names_a_bad_class_id_1_based(tmp_path, capsys, order, message):
+@pytest.mark.parametrize("field,value,message", [
+    ("order", [0, 2, 1, 1, 1, 2, 1], "stage 0: class id 0 is not in 1..2"),
+    ("order", [2, 2, 1, 1, 1, 2, 3], "stage 6: class id 3 is not in 1..2"),
+    ("u", {"1": [0, 0, 0, 0], "2": [0, 0, 0], "3": [5], "x": "junk"},
+     "u key '3' is not a class id in 1..2"),
+    ("u", {"0": [1], "1": [0, 0, 0, 0], "2": [0, 0, 0]}, "u key '0' is not a class id in 1..2"),
+], ids=["zero", "past-last", "u-past-last", "u-zero"])
+def test_certify_names_a_bad_class_id_1_based(tmp_path, capsys, field, value, message):
     # the message names the id as the file holds it, 1-based
     sched_file = tmp_path / "sched.json"
     run(capsys, "solve", "--method", "dp", EX1, "-o", str(sched_file))
     doc = json.loads(sched_file.read_text())
-    doc["order"] = order
+    doc[field] = value
     sched_file.write_text(json.dumps(doc))
     code, out, err = run(capsys, "certify", "--model", "1", "--schedule", str(sched_file), EX1)
     assert (code, out) == (2, "")
     assert err == f"error: {sched_file}: {message}\n"
 
 
-@pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "malformed"])
-def test_certify_rejects_unreadable_schedule(tmp_path, capsys, text):
+def test_non_utf8_instance_names_its_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"classes": \xff}')
     sched_file = tmp_path / "sched.json"
-    if text is not None:
-        sched_file.write_text(text)
+    run(capsys, "solve", "--method", "dp", EX1, "-o", str(sched_file))
+    for argv in (["validate", str(bad)], ["solve", str(bad)],
+                 ["certify", "--model", "1", "--schedule", str(sched_file), str(bad)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff"), err
+
+
+@pytest.mark.parametrize("data", [None, b"{not json", b'{"order": \xff}'],
+                         ids=["missing", "malformed", "non-utf8"])
+def test_certify_rejects_unreadable_schedule(tmp_path, capsys, data):
+    sched_file = tmp_path / "sched.json"
+    if data is not None:
+        sched_file.write_bytes(data)
     code, out, err = run(capsys, "certify", "--model", "1", "--schedule", str(sched_file), EX1)
     assert code == 2
     assert out == ""

@@ -520,6 +520,17 @@ def test_ex1_lp_text_unchanged(ex1, which):
     assert digest == EX1_LP_SHA256[which]
 
 
+def instance_file(tmp_path, case):
+    """ex1's path, or a generated ``jobs/seed`` instance written under tmp_path."""
+    if case == "ex1":
+        return DATA / "ex1.json"
+    jobs, seed = case.split("/")
+    params = GenParams(jobs=tuple(map(int, jobs.split(","))), seed=int(seed))
+    path = tmp_path / "inst.json"
+    path.write_text(save_instance(generate(params)))
+    return path
+
+
 # sha256 of the file that ``solve --method dp --dump-values`` writes (the DP's
 # cost-to-go breakpoints, in ValueTable order), locked beside the LP text; recorded
 # before the backward pass windowed stage objectives from their unmerged lists
@@ -535,17 +546,33 @@ DUMP_VALUES_SHA256 = {
 
 @pytest.mark.parametrize("case", sorted(DUMP_VALUES_SHA256))
 def test_dp_dump_values_unchanged(tmp_path, capsys, case):
-    if case == "ex1":
-        path = DATA / "ex1.json"
-    else:
-        path = tmp_path / "inst.json"
-        jobs, seed = case.split("/")
-        params = GenParams(jobs=tuple(map(int, jobs.split(","))), seed=int(seed))
-        path.write_text(save_instance(generate(params)))
     dump = tmp_path / "values.csv"
-    assert main(["solve", "--method", "dp", str(path), "--dump-values", str(dump)]) == 0
+    assert main(["solve", "--method", "dp", str(instance_file(tmp_path, case)),
+                 "--dump-values", str(dump)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == DUMP_VALUES_SHA256[case]
+
+
+# sha256 of the schedule file that ``solve -o`` writes (order, u and the
+# timeline), per method and instance: the DP's open-loop descent and the
+# oracle's winning sequence through the fixed-sequence chain.  Recorded before
+# the three solvers built their stage objectives from one list builder.
+SCHEDULE_SHA256 = {
+    ("dp", "ex1"): "2ee0f3b1a8586e8fc81aabd1ac9707583d75d30dfc26ade48de5f1b862174945",
+    ("dp", "4,4,3/14"): "725244c9ee601217002ec976452c6dfcf04125fd01580059852b8f36e896927a",
+    ("dp", "3,3,2/3"): "93f65fc8e0c3bf20dfb0ef05f950a353c54f45f50445ca6842432884b9317b49",
+    ("enum", "ex1"): "2ee0f3b1a8586e8fc81aabd1ac9707583d75d30dfc26ade48de5f1b862174945",
+    ("enum", "3,2,2/0"): "37a29894fdcaa0d4447dafbea0bb602a3922cd4433bc289793c4f6c13601d511",
+    ("enum", "1,39/1"): "ffe8c997f8236171ecb87acbb40d8a44e069d3fc67e524879c474f62232fd21b",
+}
+
+
+@pytest.mark.parametrize("method, case", sorted(SCHEDULE_SHA256))
+def test_solve_schedule_file_unchanged(tmp_path, capsys, method, case):
+    out = tmp_path / "sched.json"
+    assert main(["solve", "--method", method, str(instance_file(tmp_path, case)), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCHEDULE_SHA256[(method, case)]
 
 
 def test_binary_section_length(ex1):

@@ -16,18 +16,15 @@ from famsched.schedule import (
     Sequence,
     SequenceError,
     build_timeline,
+    objective_lists,
     optimize_compressions,
-    part_objective,
     schedule_from_dict,
     schedule_to_dict,
     solve_sequence,
     stage_cost,
     stage_objective,
     stage_value,
-    windowed_objective,
-    windowed_part,
 )
-from famsched.schedule import _hinged, _part_hinged
 from tests.conftest import (
     EX1_COST,
     EX1_LA,
@@ -302,10 +299,11 @@ def test_fused_stage_transforms_match_two_step():
 
 
 def test_part_objective_matches_two_step():
-    """The stage objective built from the successor's part in one construction
-    gives the bits of shifting first and adding the hinge second wherever the
-    shift's merge keeps every breakpoint, and agrees within the ordinate
-    tolerance elsewhere."""
+    """The stage objective of the successor's part, built in one construction
+    from ``objective_lists`` of the part's ``shift_table``, gives the bits of
+    shifting first and adding the hinge second wherever the shift's merge
+    keeps every breakpoint, and agrees within the ordinate tolerance
+    elsewhere."""
     rng = random.Random(18)
     kept = merged = 0
     for n in range(600):
@@ -319,7 +317,7 @@ def test_part_objective_matches_two_step():
             delta = rng.uniform(-0.5 * high, 0.5 * high)
         beta = 0.0 if n % 4 == 0 else rng.uniform(0.5, 2.5)
         part = (f, delta, beta, rng.choice((0.0, rng.uniform(0.5, 9.0))))
-        grid, _ = shift_table((part,), low, high)
+        grid, (vals,) = shift_table((part,), low, high)
         alpha = 0.0 if n % 6 == 0 else rng.uniform(0.5, 2.5)
         dd = {
             1: rng.choice((low, rng.uniform(0.0, low))),  # at or before the domain's start
@@ -328,7 +326,7 @@ def test_part_objective_matches_two_step():
         }.get(n % 6, rng.uniform(low, high))
         cp = ClassParams(pt_nom=3.0, pt_low=1.0, beta=beta, gamma=1.0, alpha=(alpha,), dd=(dd,))
         shifted = f.shift(delta, low, high, part[2], part[3])
-        got = part_objective(part, cp, 0, low, high)
+        got = Pwl(*objective_lists(list(grid), vals, cp, 0))
         want = stage_objective(shifted, cp, 0)
         if list(shifted.xs) == grid:
             assert_same_bits(got, want)
@@ -368,12 +366,13 @@ def with_one_ulp_bump(rng: random.Random, high: float) -> Pwl:
 
 
 def test_windowed_transforms_match_two_step(monkeypatch):
-    """``windowed_objective`` and ``windowed_part`` window the stage
-    objective's lists before the merge.  They give the bits of building the
-    objective and then windowing it wherever the merge drops nothing,
-    including every list that takes the scan.  Where the merge drops a
-    near-collinear point or a knee within the abscissa tolerance of a
-    breakpoint, they have the same breakpoint count, and breakpoints within
+    """``window_min_of`` windows a stage objective's ``objective_lists``
+    before the merge, from a stored cost-to-go as the DP does and from a
+    part's ``shift_table`` as the chain and the oracle do.  It gives the bits
+    of building the objective and then windowing it wherever the merge drops
+    nothing, including every list that takes the scan.  Where the merge drops
+    a near-collinear point or a knee within the abscissa tolerance of a
+    breakpoint, it has the same breakpoint count, and breakpoints within
     the objective's tolerances: TOL * max(1, b) apart, and values TOL *
     max(1, |y|) apart for y the objective's largest ordinate, plus the
     slope times the abscissa difference."""
@@ -381,16 +380,16 @@ def test_windowed_transforms_match_two_step(monkeypatch):
     sweep = Pwl._window_sweep
     monkeypatch.setattr(Pwl, "_window_sweep", lambda f, w: swept.append(w) or sweep(f, w))
 
-    def compare(fused, two_step, raw) -> str:
+    def compare(raw, w) -> str:
         n = len(swept)
-        got = fused()
+        got = window_min_of(*raw, w)
         fused_sweeps = len(swept) - n
-        want = two_step()
+        built = Pwl(*raw)
+        want = built.window_min(w)
         if fused_sweeps:  # the fallback constructs the lists and windows them as they are
             assert len(swept) - n == 2 * fused_sweeps == 2
             assert_same_bits(got, want)
             return "swept"
-        built = Pwl(*raw)
         if list(built.xs) == raw[0] and list(built.ys) == raw[1]:
             assert_same_bits(got, want)
             return "kept"
@@ -432,11 +431,11 @@ def test_windowed_transforms_match_two_step(monkeypatch):
         cp = ClassParams(pt_nom=pt_low + w, pt_low=pt_low, beta=beta, gamma=1.0,
                          alpha=(alpha,), dd=(dd,))
         w = cp.pt_nom - cp.pt_low
-        raw = _hinged(list(f.xs), list(f.ys), cp, 0)
-        seen[compare(lambda: windowed_objective(f, cp, 0),
-                     lambda: stage_objective(f, cp, 0).window_min(w), raw)] += 1
+        raw = objective_lists(list(f.xs), list(f.ys), cp, 0)
+        assert_same_bits(Pwl(*raw), stage_objective(f, cp, 0))
+        seen[compare(raw, w)] += 1
 
-        # the oracle's suffix: the same draws, shifted into a stage's start window
+        # a chain or oracle stage: the same draws, shifted into a stage's start window
         if bumped:
             part, low, top = (f, 0.0, 0.0, 0.0), 0.0, high
         else:
@@ -445,9 +444,8 @@ def test_windowed_transforms_match_two_step(monkeypatch):
             part = (f, rng.uniform(-0.5 * high, 0.5 * high), beta, rng.choice((0.0, 9.0, 4e3)))
         if w > top - low:
             continue
-        raw = _part_hinged(part, cp, 0, low, top)
-        seen[compare(lambda: windowed_part(part, cp, 0, low, top),
-                     lambda: part_objective(part, cp, 0, low, top).window_min(w), raw)] += 1
+        xs, (ys,) = shift_table((part,), low, top)
+        seen[compare(objective_lists(xs, ys, cp, 0), w)] += 1
     assert seen["swept"] > 300 and seen["kept"] > 300 and seen["merged"] > 100, seen
 
 
@@ -463,10 +461,13 @@ def test_windowed_transforms_reject_non_finite_input(bad):
         ys[i] = bad
         with pytest.raises(ValueError):
             window_min_of([0.0, 1.0, 2.0], ys, w)
-    f = Pwl((0.0, 1.0, 2.0), (1.0, 0.0, 1.0))
+    # a non-finite weight, or a successor part with a non-finite intercept,
+    # reaches window_min_of through objective_lists
     cp = ClassParams(pt_nom=1.5, pt_low=1.0, beta=1.0, gamma=1.0, alpha=(bad,), dd=(0.5,))
     with pytest.raises(ValueError):
-        windowed_objective(f, cp, 0)
+        window_min_of(*objective_lists([0.0, 1.0, 2.0], [1.0, 0.0, 1.0], cp, 0), 0.5)
     cp = ClassParams(pt_nom=1.5, pt_low=1.0, beta=1.0, gamma=1.0, alpha=(1.0,), dd=(0.5,))
+    f = Pwl((0.0, 1.0, 2.0), (1.0, 0.0, 1.0))
+    xs, (ys,) = shift_table(((f, 0.0, 0.0, bad),), 0.0, 2.0)
     with pytest.raises(ValueError):
-        windowed_part((f, 0.0, 0.0, bad), cp, 0, 0.0, 2.0)
+        window_min_of(*objective_lists(xs, ys, cp, 0), 0.5)
