@@ -4,7 +4,8 @@ slot-based (generalized) due dates.
 
 The MILP names (``build_model``, ``emit_lp`` and the rest of ``milp``'s
 exports) resolve on first access, so importing the package for the DP, the
-oracle, validation or counting loads neither ``famsched.milp`` nor numpy.
+oracle, the generator, validation or counting loads neither ``famsched.milp``
+nor numpy.
 """
 
 from .instance import (

@@ -12,12 +12,14 @@ shifted values of the solver's ``pwl.envelope``.  The independent reference
 is the LP oracle in ``tests/lp_reference.py``, which reads only instance
 data.
 
-numpy is imported inside ``generate``, its only user, so the oracle and the
-counts load it only when an instance is generated.
+The generator's stream is numpy's ``default_rng(seed).uniform`` (PCG64 seeded
+through ``SeedSequence``), reproduced bit for bit in pure Python and checked
+against numpy in the tests, so generating an instance does not load numpy.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import factorial, inf
 
@@ -33,6 +35,8 @@ from .schedule import (
     stage_part,
 )
 
+# Names the stream in every generated file's metadata.  The stream is numpy's
+# default_rng; _uniform reproduces it, and the tests check it against numpy.
 RNG_NAME = "numpy-default_rng"
 # Most sequences brute_force_solve enumerates.  It bounds sequences, not work:
 # each distinct suffix costs one Pwl build, and jobs (1, N-1) have N sequences
@@ -59,6 +63,9 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "jobs", tuple(
+            _whole(n, f"jobs[{k}]") for k, n in enumerate(self.jobs)))
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
         if len(self.jobs) < 2:
             raise ValueError("at least two classes are required")
         if any(n < 1 for n in self.jobs):
@@ -75,17 +82,86 @@ class GenParams:
         }
 
 
+def _whole(value, field: str) -> int:
+    """``value`` as a Python int; a bool, float or str is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+_M32 = 0xFFFFFFFF
+_M64 = 2**64 - 1
+_M128 = 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's ``SeedSequence(seed).generate_state(4, uint64)``."""
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    halves = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        halves.append(value ^ value >> 16)
+    return [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _uniform(seed: int):
+    """numpy's ``default_rng(seed).uniform``, as a function of ``(a, b)``.
+
+    PCG64 (XSL-RR output on a 128-bit LCG) seeded as numpy seeds it; a draw
+    maps the top 53 bits of the next output into ``[a, b)``.
+    """
+    words = _seed_words(seed)
+    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _M128
+    state = ((inc + (words[0] << 64 | words[1])) * _PCG_MULT + inc) & _M128
+
+    def uniform(a: float, b: float) -> float:
+        nonlocal state
+        state = (state * _PCG_MULT + inc) & _M128
+        rot = state >> 122
+        out = (state >> 64 ^ state) & _M64
+        out = (out >> rot | out << (64 - rot)) & _M64
+        return a + (b - a) * ((out >> 11) * 2.0**-53)
+
+    return uniform
+
+
 def generate(params: GenParams) -> Instance:
     """Deterministic instance for a seed; always passes validation.
 
     Setup matrices get exact zero diagonals.
     """
-    import numpy as np
-
-    rng = np.random.default_rng(params.seed)
+    uniform = _uniform(params.seed)
 
     def u(rg: tuple[float, float]) -> float:
-        return float(rng.uniform(rg[0], rg[1]))
+        return uniform(*rg)
 
     classes = []
     for n_k in params.jobs:

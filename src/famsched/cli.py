@@ -6,9 +6,8 @@ schedule, cost-to-go values) to stdout, so that stdout stays parseable.
 Exit codes: 0 success, 1 validation/violation findings, 2 usage or input
 errors, or a stdout that cannot be written (say, a pipe closed early).
 
-``generate`` imports numpy when it runs, and ``emit``, ``certify`` and
-``bench`` import the MILP layer and numpy; ``solve``, ``validate`` and
-``count`` load neither.
+``emit``, ``certify`` and ``bench`` import the MILP layer and numpy when they
+run; ``generate``, ``solve``, ``validate`` and ``count`` load neither.
 """
 
 from __future__ import annotations

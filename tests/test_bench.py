@@ -1,17 +1,22 @@
 """Instance generator conformance and the enumeration oracle."""
 
+import hashlib
 import inspect
+import json
 import math
 import random
 import sys
 from dataclasses import replace
 from itertools import permutations
 
+import numpy as np
 import pytest
 
+from famsched import bench
 from famsched.bench import ENUM_CAP, GenParams, brute_force_solve, count_sequences, generate
+from famsched.cli import main
 from famsched.dp import backward_induction
-from famsched.instance import ClassParams, Instance, validate_instance
+from famsched.instance import ClassParams, Instance, save_instance, validate_instance
 from famsched.schedule import Sequence, solve_sequence
 from tests.conftest import EX1_COST, EX1_ORDER_1BASED, EX1_U
 
@@ -54,6 +59,63 @@ def test_param_validation():
         GenParams(jobs=(3, 0))
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
         GenParams(jobs=(3, 3), seed=-1)
+    for jobs, seed, message in [
+        ((3, 3), True, "seed must be an integer, got True"),
+        ((3, 3), 3.0, "seed must be an integer, got 3.0"),
+        ((3, 3), "3", "seed must be an integer, got '3'"),
+        ((True, 2), 0, "jobs[0] must be an integer, got True"),
+        ((3, 2.0), 0, "jobs[1] must be an integer, got 2.0"),
+        (("3", 2), 0, "jobs[0] must be an integer, got '3'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            GenParams(jobs=jobs, seed=seed)
+        assert str(err.value) == message
+
+
+def test_param_integers_stored_as_python_ints():
+    # a numpy integer is read by its value, so the metadata serializes
+    params = GenParams(jobs=[np.int64(3), np.int32(2)], seed=np.int64(3))
+    assert params == GenParams(jobs=(3, 2), seed=3)
+    assert type(params.seed) is int and all(type(n) is int for n in params.jobs)
+    inst = generate(params)
+    assert inst == generate(GenParams(jobs=(3, 2), seed=3))
+    doc = json.loads(save_instance(inst, metadata=params.metadata()))
+    assert doc["metadata"] == {"generator": "numpy-default_rng", "seed": 3, "jobs": [3, 2]}
+
+
+DRAW_RANGES = (bench.PT_NOM_RANGE, bench.PT_LOW_RANGE, bench.DD_STEP_RANGE, bench.ST_RANGE,
+               bench.SC_RANGE, bench.ALPHA_RANGE, bench.BETA_RANGE)
+
+
+@pytest.mark.parametrize("seeds", [range(200), [2**32 - 1, 2**32, 2**40 + 5, 2**64 + 7, 10**30]],
+                         ids=["small", "large"])
+def test_stream_matches_numpy(seeds):
+    # generate's pure-Python stream is numpy's default_rng(seed).uniform,
+    # draw for draw, over every range generate draws from
+    for seed in seeds:
+        ours, theirs = bench._uniform(seed), np.random.default_rng(seed)
+        for i in range(70):
+            a, b = DRAW_RANGES[i % len(DRAW_RANGES)]
+            want = theirs.uniform(a, b)
+            assert ours(a, b) == want, (seed, i)
+
+
+# sha256 of ``famsched generate --jobs JOBS --seed SEED`` stdout, recorded
+# while generate still drew from numpy itself.
+GENERATE_SHA256 = {
+    ("5,5", 42): "304b6d43b22fa5a45e1dc85a6fc76e0ee18524e08ff0fd289b09ec7229a96e90",
+    ("1,39", 0): "7d2bbbacad0177288f48bfe3a4b21523321c00e93f119311cb22b1e22a310c71",
+    ("4,4,3", 14): "a5b0596c36edcc211df387afee7c701d23a77e383c571c9c4ce20cbf2c2f8d0d",
+    ("10,10,10", 1): "48444ca16eaceaebc19567a48a4bc0e7e9e0c12914f5460518481244b987139f",
+    ("2,2,2,2", 2**40): "e14acc2fb36764cf1b4ad82d2626b4b3f8954f2fbd5ee027309b66843c5e501f",
+}
+
+
+@pytest.mark.parametrize("jobs,seed", sorted(GENERATE_SHA256))
+def test_generate_output_unchanged(capsys, jobs, seed):
+    assert main(["generate", "--jobs", jobs, "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_SHA256[(jobs, seed)]
 
 
 @pytest.mark.parametrize("jobs,count", [((4, 3), 35), ((5, 5), 252), ((1, 1, 1), 6)])

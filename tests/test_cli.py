@@ -439,9 +439,9 @@ LEAN_RUN = """
 import contextlib, io, json, sys
 import famsched
 from famsched import cli
-ex1, lp = sys.argv[1:]
+ex1, lp, generated = sys.argv[1:]
 lean = (["solve", "--method", "dp", ex1], ["solve", "--method", "enum", ex1],
-        ["validate", ex1], ["count", ex1])
+        ["validate", ex1], ["count", ex1], ["generate", "--jobs", "2,2", "--seed", "1", "-o", generated])
 loaded = lambda: [name in sys.modules for name in ("numpy", "famsched.milp")]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in lean]
@@ -451,13 +451,14 @@ print(json.dumps({"codes": codes, "before": before, "after": loaded()}))
 """
 
 
-def test_solve_validate_and_count_load_no_numpy(tmp_path):
-    # the DP, the oracle, validation and counting are pure Python; only the
-    # MILP layer (and generate) import numpy, when a command needs them
+def test_solve_generate_validate_and_count_load_no_numpy(tmp_path):
+    # the DP, the oracle, the generator, validation and counting are pure
+    # Python; only the MILP layer imports numpy, when a command needs it
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    done = subprocess.run([sys.executable, "-c", LEAN_RUN, EX1, str(tmp_path / "m1.lp")],
+    done = subprocess.run([sys.executable, "-c", LEAN_RUN, EX1, str(tmp_path / "m1.lp"),
+                           str(tmp_path / "g.json")],
                           capture_output=True, text=True, env=env, check=True)
-    assert json.loads(done.stdout) == {"codes": [0] * 5, "before": [False, False], "after": [True, True]}
+    assert json.loads(done.stdout) == {"codes": [0] * 6, "before": [False, False], "after": [True, True]}
 
 
 MILP_EXPORTS = ("CheckReport", "MilpModel", "SizeReport", "build_model", "build_model1",
