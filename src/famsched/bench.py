@@ -4,13 +4,13 @@ The generator draws every parameter from the uniform ranges used for the
 benchmark batches (compression rate fixed to 1, due-date ladders built by
 accumulating uniform steps from a fixed origin).  Enumeration over all class
 interleavings, with exact per-sequence compression optimization, is a second
-exact solver.  It is not independent of the state-space solver: both build
-every stage objective with ``schedule.objective_lists`` and window it with
-``pwl.window_min_of``, carry stages with ``stage_part`` and read a first
-stage with ``stage_cost``, and the oracle's ``pwl.shift_table`` computes the
-shifted values of the solver's ``pwl.envelope``.  The independent reference
-is the LP oracle in ``tests/lp_reference.py``, which reads only instance
-data.
+exact solver.  Its search shares no code with the state-space solver: it
+imports nothing from ``pwl`` and none of ``schedule``'s stage transforms,
+and costs each class list by an exact convex pass over its prefixes
+(``_append``).  Only the winner goes through the fixed-sequence chain,
+``schedule.solve_sequence``, for its compressions and timeline.  The LP
+oracle in ``tests/lp_reference.py`` is a third reference, which reads only
+instance data.
 
 The generator's stream is numpy's ``default_rng(seed).uniform`` (PCG64 seeded
 through ``SeedSequence``), reproduced bit for bit in pure Python and checked
@@ -21,26 +21,17 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import factorial, inf
+from math import factorial, inf, isfinite
 
-from .instance import ClassParams, Instance, start_window
-from .pwl import Pwl, shift_table, window_min_of
-from .schedule import (
-    TIE,
-    Schedule,
-    Sequence,
-    objective_lists,
-    solve_sequence,
-    stage_cost,
-    stage_part,
-)
+from .instance import ClassParams, Instance
+from .schedule import TIE, Schedule, Sequence, solve_sequence
 
 # Names the stream in every generated file's metadata.  The stream is numpy's
 # default_rng; _uniform reproduces it, and the tests check it against numpy.
 RNG_NAME = "numpy-default_rng"
 # Most sequences brute_force_solve enumerates.  It bounds sequences, not work:
-# each distinct suffix costs one Pwl build, and jobs (1, N-1) have N sequences
-# but about N^2/2 suffixes: (1, 319) passes the cap and takes about 18 s.
+# each distinct prefix costs one _append, and jobs (1, N-1) have N sequences
+# but about N^2/2 prefixes: (1, 319) passes the cap and takes about 5 s.
 ENUM_CAP = 10**6
 
 # Uniform sampling ranges [a, b); pt_low never exceeds 6, the lowest pt_nom.
@@ -159,20 +150,16 @@ def generate(params: GenParams) -> Instance:
     Setup matrices get exact zero diagonals.
     """
     uniform = _uniform(params.seed)
-
-    def u(rg: tuple[float, float]) -> float:
-        return uniform(*rg)
-
     classes = []
     for n_k in params.jobs:
-        pt_nom = u(PT_NOM_RANGE)
-        pt_low = u(PT_LOW_RANGE)
-        beta = u(BETA_RANGE)
-        alpha = tuple(u(ALPHA_RANGE) for _ in range(n_k))
+        pt_nom = uniform(*PT_NOM_RANGE)
+        pt_low = uniform(*PT_LOW_RANGE)
+        beta = uniform(*BETA_RANGE)
+        alpha = tuple(uniform(*ALPHA_RANGE) for _ in range(n_k))
         dd = []
         prev = DD_START
         for _ in range(n_k):
-            prev = prev + u(DD_STEP_RANGE)
+            prev = prev + uniform(*DD_STEP_RANGE)
             dd.append(prev)
         classes.append(
             ClassParams(pt_nom=pt_nom, pt_low=pt_low, beta=beta,
@@ -185,8 +172,8 @@ def generate(params: GenParams) -> Instance:
         for k in range(k_count):
             if h == k:
                 continue
-            st[h][k] = u(ST_RANGE)
-            sc[h][k] = u(SC_RANGE)
+            st[h][k] = uniform(*ST_RANGE)
+            sc[h][k] = uniform(*SC_RANGE)
     return Instance(
         classes=tuple(classes),
         st=tuple(tuple(r) for r in st),
@@ -202,55 +189,66 @@ def count_sequences(inst: Instance) -> int:
     return total
 
 
+def _append(inst: Instance, prefix: tuple, k: int) -> tuple:
+    """``prefix`` followed by one more class-``k`` job, which takes the
+    class's next due-date slot.
+
+    A prefix is (class list, completion with no compression, cost at X = 0,
+    segments).  X is the processing time the prefix saves by compression; its
+    least cost at X is the cost at 0 plus the integral from 0 to X of the
+    (slope, length) segments, kept in slope order, so it is convex.  The
+    job's compression, ``beta`` a unit up to ``pt_nom - pt_low``, merges one
+    segment into them: an infimal convolution merges slope sequences.  Its
+    tardiness ``alpha * max(E - X, 0)``, with E its completion minus its due
+    date, adds ``alpha * max(E, 0)`` to the cost at 0 and lowers the slopes
+    on [0, E) by ``alpha``.  Only sums and comparisons: no tolerance.
+    """
+    order, completion, cost, segments = prefix
+    cp, i, prev = inst.classes[k], order.count(k), (order[-1] if order else None)
+    completion, cost = completion + inst.setup_time(prev, k) + cp.pt_nom, cost + inst.setup_cost(prev, k)
+    excess, alpha = completion - cp.dd[i], cp.alpha[i]
+    cost += alpha * max(excess, 0.0)
+    segments = sorted(segments + [(cp.beta, cp.pt_nom - cp.pt_low)])
+    for j, (slope, length) in enumerate(segments):
+        if excess <= 0.0:
+            break
+        segments[j] = (slope - alpha, min(length, excess))
+        if length > excess:  # split at E; the next pass stops on the right part
+            segments.insert(j + 1, (slope, length - excess))
+        excess -= length
+    return order + (k,), completion, cost, segments
+
+
 def brute_force_solve(inst: Instance) -> Schedule:
     """Global optimum by full enumeration of the class interleavings.
 
     Ties go to the lexicographically smallest class list among the
     sequences whose cost lies within ``TIE`` of the minimum.
 
-    The interleavings are walked from the last stage backwards, depth first,
-    on an explicit stack, so the Python stack depth does not grow with the
-    number of jobs.  A suffix's windowed stage objective does not depend on
-    what precedes it, so each distinct suffix is built once and shared by
-    every sequence that ends in it.  Its ``objective_lists`` come from
-    ``shift_table`` of the successor's ``stage_part`` on the ``start_window``
-    of the counts served through the suffix's first job, once per pop, as
-    ``optimize_compressions`` builds them; ``window_min_of`` windows them, and
-    the stack carries the window minimum as its ``stage_part`` after one
-    predecessor class.  A whole sequence's first job is read from the lists'
-    ``Pwl`` with ``stage_cost``, as the chain reads it.  Only the winner gets
-    its compressions and timeline, from ``solve_sequence``.
+    The class lists are walked as prefixes, depth first in lexicographic
+    order, on an explicit stack, so the Python stack depth does not grow
+    with the number of jobs.  Each prefix is built once, by ``_append`` on
+    its parent, and shared by every sequence that starts with it.  A whole
+    list costs its cost at X = 0 plus its negative-slope segments.  Only the
+    winner gets its compressions and timeline, from ``solve_sequence``.
     """
     total = count_sequences(inst)
     if total > ENUM_CAP:
         raise ValueError(f"sequence count {total} exceeds the enumeration cap {ENUM_CAP}")
-    n = inst.total_jobs
-    left = list(inst.jobs_per_class)  # jobs of each class ahead of the suffix
-    suffix: list[int] = []  # classes of the suffix, last stage first
-    best = inf
-    near: list[tuple[float, tuple[int, ...]]] = []  # (cost, order) within TIE of best
-    # (suffix length, class to prepend, stage_part of the suffix), smallest class on top
-    done = (Pwl.zero(*start_window(inst, left)), 0.0, 0.0, 0.0)  # no successor: cost-to-go 0
-    stack = [(0, k, done) for k in reversed(range(len(left)))]
+    jobs = inst.jobs_per_class
+    best, near = inf, []  # (cost, order) within TIE of best; the walk is lexicographic
+    stack = [((), 0.0, 0.0, [])]  # smallest class on top
     while stack:
-        depth, k, part = stack.pop()
-        while len(suffix) > depth:  # back out of the suffixes already walked
-            left[suffix.pop()] += 1
-        cp = inst.classes[k]
-        xs, (ys,) = shift_table((part,), *start_window(inst, left))
-        left[k] -= 1
-        suffix.append(k)
-        xs, ys = objective_lists(xs, ys, cp, left[k])
-        if depth + 1 == n:
-            cost = stage_cost(Pwl(xs, ys), cp, 0.0, 0.0, 0.0)  # first stage: t = 0, no setup
-            if cost < best:
-                best = cost
-                near = [c for c in near if c[0] <= best + TIE]
-            if cost <= best + TIE:
-                near.append((cost, tuple(reversed(suffix))))
-        else:
-            windowed = window_min_of(xs, ys, cp.pt_nom - cp.pt_low)
-            for h in reversed(range(len(left))):
-                if left[h]:
-                    stack.append((depth + 1, h, stage_part(windowed, cp, inst.st[h][k], inst.sc[h][k])))
-    return solve_sequence(inst, Sequence(min(order for _, order in near)))
+        order, _, cost, segments = prefix = stack.pop()
+        if len(order) < inst.total_jobs:
+            stack += [_append(inst, prefix, k) for k in reversed(range(len(jobs))) if order.count(k) < jobs[k]]
+            continue
+        cost += sum(slope * length for slope, length in segments if slope < 0.0)
+        if not isfinite(cost):
+            raise ValueError(f"class list {order} has cost {cost}, which is not finite")
+        if cost < best:
+            best = cost
+            near = [c for c in near if c[0] <= best + TIE]
+        if cost <= best + TIE:
+            near.append((cost, order))
+    return solve_sequence(inst, Sequence(near[0][1]))

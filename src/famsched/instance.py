@@ -89,6 +89,10 @@ class Instance:
         return 0.0 if prev is None else self.sc[prev][k]
 
 
+# The message of a violation whose number is NaN or infinite.
+NOT_FINITE = "must be a finite number"
+
+
 @dataclass(frozen=True)
 class Violation:
     """One broken invariant, with a path-like locator into the instance."""
@@ -104,32 +108,41 @@ def validate_instance(inst: Instance) -> list[Violation]:
     """Check every instance invariant; an empty list means the instance is ok.
 
     Violations are data, not failures: callers decide whether to proceed.
+    A number that is not finite gets one violation, ``NOT_FINITE``, and
+    skips the checks of its value; the horizon and cost bounds are checked
+    only when every number is finite.
     """
     out: list[Violation] = []
+
+    def finite(path: str, value: float) -> bool:
+        if not math.isfinite(value):
+            out.append(Violation(path, NOT_FINITE))
+        return math.isfinite(value)
+
     if inst.n_classes < 2:
         out.append(Violation("classes", "at least two job classes are required"))
     for k, cp in enumerate(inst.classes):
         loc = f"classes[{k}]"
-        if not cp.pt_low > 0:
-            out.append(Violation(f"{loc}.pt_low", "pt_low must be positive"))
-        if cp.pt_low > cp.pt_nom:
-            out.append(Violation(f"{loc}.pt_low", "pt_low must not exceed pt_nom"))
-        if not cp.gamma > 0:
-            out.append(Violation(f"{loc}.gamma", "gamma must be positive"))
-        elif not math.isfinite(cp.u_max):
-            out.append(Violation(f"{loc}.gamma", "u_max = (pt_nom - pt_low) / gamma is not finite"))
-        if cp.beta < 0:
-            out.append(Violation(f"{loc}.beta", "beta must be non-negative"))
+        # a list, not a generator, so that every non-finite scalar is reported
+        if all([finite(f"{loc}.{name}", getattr(cp, name)) for name in ("pt_nom", "pt_low", "beta", "gamma")]):
+            if not cp.pt_low > 0:
+                out.append(Violation(f"{loc}.pt_low", "pt_low must be positive"))
+            if cp.pt_low > cp.pt_nom:
+                out.append(Violation(f"{loc}.pt_low", "pt_low must not exceed pt_nom"))
+            if not cp.gamma > 0:
+                out.append(Violation(f"{loc}.gamma", "gamma must be positive"))
+            elif not math.isfinite(cp.u_max):
+                out.append(Violation(f"{loc}.gamma", "u_max = (pt_nom - pt_low) / gamma is not finite"))
+            if cp.beta < 0:
+                out.append(Violation(f"{loc}.beta", "beta must be non-negative"))
         if len(cp.alpha) != len(cp.dd):
             out.append(Violation(loc, "alpha and dd must have identical length"))
         if len(cp.dd) < 1:
             out.append(Violation(f"{loc}.dd", "each class needs at least one job"))
-        for i, a in enumerate(cp.alpha):
-            if a < 0:
-                out.append(Violation(f"{loc}.alpha[{i}]", "alpha must be non-negative"))
-        for i, d in enumerate(cp.dd):
-            if d < 0:
-                out.append(Violation(f"{loc}.dd[{i}]", "dd must be non-negative"))
+        for name, values in (("alpha", cp.alpha), ("dd", cp.dd)):
+            for i, v in enumerate(values):
+                if finite(f"{loc}.{name}[{i}]", v) and v < 0:
+                    out.append(Violation(f"{loc}.{name}[{i}]", f"{name} must be non-negative"))
         for i in range(1, len(cp.dd)):
             if cp.dd[i] < cp.dd[i - 1]:
                 out.append(Violation(f"{loc}.dd[{i}]", "dd non-decreasing order violated"))
@@ -139,10 +152,14 @@ def validate_instance(inst: Instance) -> list[Violation]:
             continue
         for h, row in enumerate(mat):
             for k, v in enumerate(row):
+                if not finite(f"{name}[{h}][{k}]", v):
+                    continue
                 if v < 0:
                     out.append(Violation(f"{name}[{h}][{k}]", "setup entries must be non-negative"))
                 if h == k and v != 0:
                     out.append(Violation(f"{name}[{h}][{k}]", "zero diagonal required (no setup within a class)"))
+    if any(v.message == NOT_FINITE for v in out):
+        return out
     horizon = horizon_upper_bound(inst)
     weights = sum(sum(cp.alpha) + cp.n_jobs * cp.beta for cp in inst.classes)
     max_sc = max((v for row in inst.sc for v in row), default=0.0)

@@ -192,7 +192,7 @@ def build_timeline(inst: Instance, seq: Sequence, plan: CompressionPlan) -> Time
     )
 
 
-# -- stage transforms and stage cost, shared by every solver ------------
+# -- stage transforms and stage cost, shared by the DP and the chain ---
 
 
 def stage_objective(child_value: Pwl, cp: ClassParams, i: int) -> Pwl:
@@ -222,10 +222,10 @@ def objective_lists(xs: list[float], ys: list[float], cp: ClassParams,
     ``Pwl`` on [low, high].  alpha and dd are not checked here:
     ``validate_instance`` does.
 
-    Every solver builds a stage the same way, as ``Pwl(xs, ys)`` or as
-    ``pwl.window_min_of(xs, ys, pt_nom - pt_low)``, which is bit-identical to
-    windowing the ``Pwl`` wherever the merge drops nothing.  The DP passes a
-    stored cost-to-go's lists; a fixed sequence's chain and the oracle pass
+    The DP and a fixed sequence's chain build a stage the same way, as
+    ``Pwl(xs, ys)`` or as ``pwl.window_min_of(xs, ys, pt_nom - pt_low)``,
+    which is bit-identical to windowing the ``Pwl`` wherever the merge drops
+    nothing.  The DP passes a stored cost-to-go's lists; the chain passes
     ``pwl.shift_table`` of the successor's ``stage_part`` on the stage's
     ``start_window``: the successor's ``stage_value`` before the merge.
     """
@@ -314,9 +314,10 @@ def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPla
     are built from ``shift_table`` of that part on the ``start_window`` of the
     counts served through its job (the terminal zero on the window with every
     job done); their ``Pwl`` is kept for ``serve``, and ``window_min_of`` of
-    the same lists gives the next part, as ``bench.brute_force_solve`` builds
-    it.  The first job has no predecessor: the total is its ``stage_cost`` at
-    t = 0 with no setup, as the oracle reads it.
+    the same lists gives the next part.  The first job has no predecessor:
+    the total is its ``stage_cost`` at t = 0 with no setup.  The enumeration
+    oracle costs a sequence by its own exact pass and calls this only for
+    its winner, through ``solve_sequence``.
     Forward pass: recover one optimal completion per stage with ``serve``.
     """
     jobs = seq.stages(inst)

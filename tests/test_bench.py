@@ -1,5 +1,6 @@
 """Instance generator conformance and the enumeration oracle."""
 
+import ast
 import hashlib
 import inspect
 import json
@@ -8,6 +9,7 @@ import random
 import sys
 from dataclasses import replace
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ from famsched import bench
 from famsched.bench import ENUM_CAP, GenParams, brute_force_solve, count_sequences, generate
 from famsched.cli import main
 from famsched.dp import backward_induction
-from famsched.instance import ClassParams, Instance, save_instance, validate_instance
-from famsched.schedule import Sequence, solve_sequence
+from famsched.instance import ClassParams, Instance, horizon_upper_bound, save_instance, validate_instance
+from famsched.schedule import Sequence, optimize_compressions, solve_sequence
 from tests.conftest import EX1_COST, EX1_ORDER_1BASED, EX1_U
 
 
@@ -173,6 +175,78 @@ def test_brute_force_matches_per_sequence_reference(case):
     assert repr(got.cost) == repr(want.cost)
     assert got.sequence == want.sequence
     assert got.plan.u == want.plan.u
+
+
+def _degenerate(case):
+    """A small generated instance with degenerate classes, setups and scales:
+    every case has gamma in {0.5, 1, 2, 3}, and one of an incompressible
+    class, beta = 0 with an alpha of 0, due dates of 0, due dates past the
+    horizon, zero setups, or none; a quarter of the cases each scale costs by
+    2^10, time by 2^-10, or costs by 2^-10 and time by 2^10."""
+    rng = random.Random(case)
+    inst = generate(GenParams(jobs=((2, 2), (3, 2), (2, 2, 1), (1, 4))[case % 4], seed=900 + case))
+    classes = [replace(cp, gamma=rng.choice((0.5, 1.0, 2.0, 3.0))) for cp in inst.classes]
+    st, sc = inst.st, inst.sc
+    k = rng.randrange(len(classes))
+    cp = classes[k]
+    kind = case % 6
+    if kind == 0:
+        classes[k] = replace(cp, pt_low=cp.pt_nom)
+    elif kind == 1:
+        classes[k] = replace(cp, beta=0.0, alpha=(0.0, *cp.alpha[1:]))
+    elif kind == 2:
+        classes[k] = replace(cp, dd=(0.0,) * cp.n_jobs)
+    elif kind == 3:
+        classes[k] = replace(cp, dd=tuple(d + horizon_upper_bound(inst) for d in cp.dd))
+    elif kind == 4:
+        st = sc = tuple((0.0,) * len(classes) for _ in classes)
+    cost, time = ((1.0, 1.0), (2.0**10, 1.0), (1.0, 2.0**-10), (2.0**-10, 2.0**10))[case // 24 % 4]
+    classes = [replace(cp, pt_nom=cp.pt_nom * time, pt_low=cp.pt_low * time, dd=tuple(d * time for d in cp.dd),
+                       alpha=tuple(a * cost for a in cp.alpha), beta=cp.beta * cost) for cp in classes]
+    return Instance(tuple(classes), tuple(tuple(v * time for v in row) for row in st),
+                    tuple(tuple(v * cost for v in row) for row in sc))
+
+
+def test_prefix_step_matches_the_chain_on_every_class_list():
+    # the oracle's exact pass, folded over a whole class list, gives the
+    # fixed-sequence Pwl chain's optimum
+    lists = 0
+    for case in range(96):
+        inst = _degenerate(case)
+        assert validate_instance(inst) == [], case
+        classes = [k for k, n_k in enumerate(inst.jobs_per_class) for _ in range(n_k)]
+        for order in sorted(set(permutations(classes))):
+            prefix = ((), 0.0, 0.0, [])
+            for k in order:
+                prefix = bench._append(inst, prefix, k)
+            assert prefix[0] == order
+            got = prefix[2] + sum(slope * length for slope, length in prefix[3] if slope < 0.0)
+            _, want = optimize_compressions(inst, Sequence(order))
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (case, order, got, want)
+            lists += 1
+    assert lists == 24 * (6 + 10 + 30 + 5)
+
+
+def test_oracle_imports_no_solver_stage_code():
+    # the oracle must not share the DP's Pwl layer or its stage transforms
+    tree = ast.parse(Path(bench.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module or "" for node in imports if isinstance(node, ast.ImportFrom)}
+    names = {alias.name for node in imports for alias in node.names}
+    assert not {m for m in modules if m.split(".")[-1] == "pwl"}, modules
+    assert "pwl" not in names
+    stage_code = {"objective_lists", "stage_part", "stage_cost", "stage_objective", "stage_value", "serve",
+                  "select_completion", "shift_table", "window_min_of", "envelope", "start_window"}
+    assert not names & stage_code, names & stage_code
+
+
+def test_brute_force_rejects_a_non_finite_cost(ex1):
+    # validation rejects a NaN setup time; the oracle, called without it,
+    # raises instead of ranking a NaN cost
+    st = ((ex1.st[0][0], math.nan), ex1.st[1])
+    with pytest.raises(ValueError):
+        brute_force_solve(replace(ex1, st=st))
 
 
 def test_brute_force_mirrored_tie_goes_to_class_1():

@@ -573,7 +573,7 @@ def test_tracer_wraps_every_layer(tmp_path):
     assert result["codes"] == [0] * 8
     metrics = result["metrics"]
     assert metrics["dp.states"] == 32
-    # the oracle shares suffix work and solves only the winning sequence
+    # the oracle costs sequences by its own pass and solves only the winner
     assert metrics["bench.sequences"] == 1
     assert metrics["bench.brute_force_solve.s"] > 0
     # each model is built twice (emit, certify); the tracer reads these through

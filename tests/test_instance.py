@@ -8,6 +8,7 @@ import pytest
 
 from famsched.bench import GenParams, generate
 from famsched.instance import (
+    NOT_FINITE,
     ClassParams,
     Instance,
     ParseError,
@@ -68,6 +69,11 @@ def _with_class0(inst, **fields):
     return replace(inst, classes=(replace(inst.classes[0], **fields), *inst.classes[1:]))
 
 
+def _with_entry(mat, h, k, value):
+    """``mat`` with entry [h][k] set to ``value``."""
+    return tuple(tuple(value if (r, c) == (h, k) else v for c, v in enumerate(row)) for r, row in enumerate(mat))
+
+
 @pytest.mark.parametrize("mutate,want", [
     (lambda i: _with_class0(i, pt_low=0.0), ("classes[0].pt_low", "pt_low must be positive")),
     (lambda i: _with_class0(i, pt_low=9.0), ("classes[0].pt_low", "pt_low must not exceed pt_nom")),
@@ -77,8 +83,20 @@ def _with_class0(inst, **fields):
      ("classes[0]", "alpha and dd must have identical length")),
     (lambda i: _with_class0(i, alpha=(), dd=()), ("classes[0].dd", "each class needs at least one job")),
     (lambda i: replace(i, st=i.st[:1]), ("st", "st must be a 2x2 matrix")),
+    (lambda i: _with_class0(i, dd=(math.nan, *i.classes[0].dd[1:])), ("classes[0].dd[0]", NOT_FINITE)),
+    (lambda i: _with_class0(i, dd=(*i.classes[0].dd[:-1], math.inf)), ("classes[0].dd[3]", NOT_FINITE)),
+    (lambda i: replace(i, st=_with_entry(i.st, 0, 1, math.nan)), ("st[0][1]", NOT_FINITE)),
+    (lambda i: replace(i, st=_with_entry(i.st, 1, 0, math.nan)), ("st[1][0]", NOT_FINITE)),
+    (lambda i: replace(i, sc=_with_entry(i.sc, 0, 1, math.nan)), ("sc[0][1]", NOT_FINITE)),
+    (lambda i: replace(i, sc=_with_entry(i.sc, 1, 1, math.inf)), ("sc[1][1]", NOT_FINITE)),
+    (lambda i: _with_class0(i, pt_nom=math.inf), ("classes[0].pt_nom", NOT_FINITE)),
+    (lambda i: _with_class0(i, pt_low=math.nan), ("classes[0].pt_low", NOT_FINITE)),
+    (lambda i: _with_class0(i, gamma=-math.inf), ("classes[0].gamma", NOT_FINITE)),
+    (lambda i: _with_class0(i, beta=math.nan), ("classes[0].beta", NOT_FINITE)),
+    (lambda i: _with_class0(i, alpha=(math.nan, *i.classes[0].alpha[1:])), ("classes[0].alpha[0]", NOT_FINITE)),
 ], ids=["pt_low-zero", "pt_low-above-pt_nom", "gamma-zero", "beta-negative", "alpha-dd-length",
-        "dd-empty", "st-shape"])
+        "dd-empty", "st-shape", "dd-first-nan", "dd-last-inf", "st-nan", "st-nan-below-diagonal", "sc-nan",
+        "sc-diagonal-inf", "pt_nom-inf", "pt_low-nan", "gamma-minus-inf", "beta-nan", "alpha-nan"])
 def test_each_validation_rule_reported(ex1, mutate, want):
     assert [(v.path, v.message) for v in validate_instance(mutate(ex1))] == [want]
 
