@@ -56,9 +56,13 @@ def _read_instance(path: str) -> Instance:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _read_valid_instance(path: str) -> Instance:
-    """Read an instance for a command that solves or compiles it."""
+def _read_valid_instance(path: str, *outputs: tuple[str, str | None]) -> Instance:
+    """Read an instance for a command that solves or compiles it; refuse an
+    output ``(flag, destination)`` that is the instance file by any path or link."""
     inst = _read_instance(path)
+    for flag, dest in outputs:
+        if not _on_stdout(dest) and os.path.exists(dest) and os.path.samefile(dest, path):
+            raise CliError(f"{flag} {dest} names the instance file {path}")
     violations = validate_instance(inst)
     if violations:
         raise InvalidInstance("\n".join(f"invalid instance: {v}" for v in violations))
@@ -135,7 +139,7 @@ def cmd_solve(args) -> int:
         raise CliError("--dump-values needs --method dp")
     if args.output and args.dump_values and _same_destination(args.output, args.dump_values):
         raise CliError(f"-o {args.output} and --dump-values {args.dump_values} name the same destination")
-    inst = _read_valid_instance(args.instance)
+    inst = _read_valid_instance(args.instance, ("-o", args.output), ("--dump-values", args.dump_values))
     t0 = time.perf_counter()
     sched, vt = _solve(inst, args.method)
     elapsed = time.perf_counter() - t0
@@ -164,7 +168,7 @@ def cmd_solve(args) -> int:
 def cmd_emit(args) -> int:
     from . import milp
 
-    inst = _read_valid_instance(args.instance)
+    inst = _read_valid_instance(args.instance, ("-o", args.output))
     model = milp.build_model(inst, args.model)
     _write(args.output, milp.emit_lp(model))
     _report(

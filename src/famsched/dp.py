@@ -30,7 +30,6 @@ from .schedule import (
     build_timeline,
     objective_lists,
     serve,
-    stage_cost,
     stage_objective,
     stage_part,
 )
@@ -157,8 +156,9 @@ def backward_induction(inst: Instance) -> ValueTable:
     construction, and every edge into it only shifts and offsets the result;
     windowing per edge would repeat the costliest op once per parent.  A
     state's function is the minimum over its edges of ``stage_value``, built
-    by one ``envelope`` of the edges' ``stage_part``s.  A stage's functions
-    are kept in lists by position and read along ``StateGraph.edges``, with
+    by one ``envelope`` of the edges' parts: the child's window minimum in
+    front of the edge's ``stage_part`` constants.  A stage's functions are
+    kept in lists by position and read along ``StateGraph.edges``, with
     ``stage_part``'s constants taken once per (last class, class) pair.
 
     Each state's function is built on the ``start_window`` of its counts
@@ -170,8 +170,7 @@ def backward_induction(inst: Instance) -> ValueTable:
     stages = graph.stages
     # stage_part's (delta, slope, intercept) after each last class h, per class k
     moves = {
-        h: [stage_part(None, cp, inst.setup_time(h, k), inst.setup_cost(h, k))[1:]
-            for k, cp in enumerate(inst.classes)]
+        h: [stage_part(cp, inst.setup_time(h, k), inst.setup_cost(h, k)) for k, cp in enumerate(inst.classes)]
         for h in (None, *range(inst.n_classes))
     }
     vals = [Pwl.zero(*start_window(inst, inst.jobs_per_class))] * len(stages[-1])
@@ -209,21 +208,24 @@ def query_policy(inst: Instance, vt: ValueTable, state: DiscreteState, t: float)
     """Optimal decision at (state, t); ties go to the smallest class index,
     then to ``serve``'s processing-time choice.
 
+    A move costs ``intercept + slope * t`` by its ``stage_part`` plus its
+    stage objective's minimum over the move's decision window.
+
     Raises ``KeyError`` for a state outside the graph and ``ValueError`` for
     a t that ``ValueTable.cost_to_go`` rejects.
     """
     value = vt.cost_to_go(state, t)
-    best = None  # (cost, class, stage objective, setup time)
+    best = None  # (cost, class, its ClassParams, stage objective, setup time)
     for k in admissible_classes(inst, state):
-        st = inst.setup_time(state.last, k)
-        obj = stage_objective(vt[_child(state, k)], inst.classes[k], state.counts[k])
-        cost = stage_cost(obj, inst.classes[k], t, st, inst.setup_cost(state.last, k))
+        cp, st = inst.classes[k], inst.setup_time(state.last, k)
+        obj = stage_objective(vt[_child(state, k)], cp, state.counts[k])
+        _, slope, intercept = stage_part(cp, st, inst.setup_cost(state.last, k))
+        cost = intercept + slope * t + obj.min_over(t + st + cp.pt_low, t + st + cp.pt_nom)
         if best is None or cost < best[0] - TIE:
-            best = (cost, k, obj, st)
+            best = (cost, k, cp, obj, st)
     if best is None:
         raise ValueError("terminal state has no decision")
-    _, k, obj, st = best
-    cp = inst.classes[k]
+    _, k, cp, obj, st = best
     _, u = serve(obj, cp, t, st)
     return PolicyDecision(cls=k, tau=cp.pt_nom - cp.gamma * u, u=u, cost_to_go=value)
 

@@ -192,7 +192,7 @@ def build_timeline(inst: Instance, seq: Sequence, plan: CompressionPlan) -> Time
     )
 
 
-# -- stage transforms and stage cost, shared by the DP and the chain ---
+# -- stage transforms, shared by the DP and the chain ----------------
 
 
 def stage_objective(child_value: Pwl, cp: ClassParams, i: int) -> Pwl:
@@ -226,8 +226,9 @@ def objective_lists(xs: list[float], ys: list[float], cp: ClassParams,
     ``Pwl(xs, ys)`` or as ``pwl.window_min_of(xs, ys, pt_nom - pt_low)``,
     which is bit-identical to windowing the ``Pwl`` wherever the merge drops
     nothing.  The DP passes a stored cost-to-go's lists; the chain passes
-    ``pwl.shift_table`` of the successor's ``stage_part`` on the stage's
-    ``start_window``: the successor's ``stage_value`` before the merge.
+    ``pwl.shift_table`` of the successor's part (its window minimum and
+    ``stage_part``'s constants) on the stage's ``start_window``: the
+    successor's ``stage_value`` before the merge.
     """
     alpha, dd, beta = cp.alpha[i], cp.dd[i], cp.beta
     low, high = xs[0], xs[-1]
@@ -249,36 +250,27 @@ def objective_lists(xs: list[float], ys: list[float], cp: ClassParams,
 
 def stage_value(windowed: Pwl, cp: ClassParams, st: float, sc: float, low: float, high: float) -> Pwl:
     """Cost-to-go before the stage, as a function of the stage's start time t
-    on the domain [low, high]: ``stage_cost`` at every t.
+    on the domain [low, high]: one ``shift`` of ``windowed`` by
+    ``stage_part``'s constants.
 
     ``windowed`` is the stage objective's window minimum,
     ``objective.window_min(pt_nom - pt_low)``; it does not depend on the setup,
     so callers that reach one job's objective after different predecessors
-    window it once.  One ``shift`` moves the window minimum by st + pt_low
-    and adds the affine term in the same construction.
-
-    The solvers build it inside ``pwl.envelope`` and ``pwl.shift_table``, from
-    ``stage_part``; this stays because ``perfbench/tracer.py`` wraps it by
-    name.
+    window it once.  The solvers build the same function inside
+    ``pwl.envelope`` and ``pwl.shift_table``; this stays because
+    ``perfbench/tracer.py`` wraps it by name.
     """
-    f, delta, slope, intercept = stage_part(windowed, cp, st, sc)
-    return f.shift(delta, low, high, slope, intercept)
+    delta, slope, intercept = stage_part(cp, st, sc)
+    return windowed.shift(delta, low, high, slope, intercept)
 
 
-def stage_part(windowed: Pwl, cp: ClassParams, st: float, sc: float) -> tuple[Pwl, float, float, float]:
-    """``stage_value`` as a part ``(f, delta, slope, intercept)`` of
-    ``pwl.envelope``: the cost-to-go of a state is the envelope of its moves'
-    parts on the state's start window, and a fixed sequence's predecessor
-    stage reads its successor's part with ``pwl.shift_table``."""
-    return windowed, st + cp.pt_low, cp.beta, sc + cp.beta * (cp.pt_nom + st)
-
-
-def stage_cost(objective: Pwl, cp: ClassParams, t: float, st: float, sc: float) -> float:
-    """``stage_value`` at the single start time t of a class-``cp`` job with
-    setup (st, sc): sc + beta*(pt_nom + st) + beta*t + min of the stage
-    objective over completions s in [t + st + pt_low, t + st + pt_nom]."""
-    return (sc + cp.beta * (cp.pt_nom + st) + cp.beta * t
-            + objective.min_over(t + st + cp.pt_low, t + st + cp.pt_nom))
+def stage_part(cp: ClassParams, st: float, sc: float) -> tuple[float, float, float]:
+    """The constants ``(delta, slope, intercept)`` of a class-``cp`` stage
+    with setup (st, sc): its cost-to-go at start time t is ``intercept +
+    slope * t`` plus the stage objective's window minimum at ``t + delta``.
+    That window minimum in front of them is a part of ``pwl.envelope`` and
+    ``pwl.shift_table``."""
+    return st + cp.pt_low, cp.beta, sc + cp.beta * (cp.pt_nom + st)
 
 
 def select_completion(objective: Pwl, lo: float, hi: float) -> float:
@@ -306,17 +298,17 @@ def serve(objective: Pwl, cp: ClassParams, t: float, st: float) -> tuple[float, 
     return s, min(max(u, 0.0), cp.u_max)
 
 
-def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPlan, float]:
-    """Exact minimizer of the total cost over all compression plans for seq.
+def optimize_compressions(inst: Instance, seq: Sequence) -> CompressionPlan:
+    """An exact minimizer of the total cost over all compression plans for
+    seq; its cost is the plan's ``build_timeline`` total.
 
     Backward pass: cost-to-go functions along the job chain, each carried to
-    the predecessor stage as a ``stage_part``.  A stage's ``objective_lists``
-    are built from ``shift_table`` of that part on the ``start_window`` of the
-    counts served through its job (the terminal zero on the window with every
-    job done); their ``Pwl`` is kept for ``serve``, and ``window_min_of`` of
-    the same lists gives the next part.  The first job has no predecessor:
-    the total is its ``stage_cost`` at t = 0 with no setup.  The enumeration
-    oracle costs a sequence by its own exact pass and calls this only for
+    the predecessor stage as its window minimum in front of its
+    ``stage_part``.  A stage's ``objective_lists`` are built from
+    ``shift_table`` of that part on the ``start_window`` of the counts served
+    through its job (the terminal zero on the window with every job done);
+    their ``Pwl`` is kept for ``serve``, and ``window_min_of`` of the same
+    lists gives the next part.  The enumeration oracle calls this only for
     its winner, through ``solve_sequence``.
     Forward pass: recover one optimal completion per stage with ``serve``.
     """
@@ -331,20 +323,18 @@ def optimize_compressions(inst: Instance, seq: Sequence) -> tuple[CompressionPla
         objectives[job.stage] = Pwl(xs, ys)
         counts[job.cls] -= 1
         if job.stage:
-            part = stage_part(window_min_of(xs, ys, cp.pt_nom - cp.pt_low), cp, job.st, job.sc)
-    total = stage_cost(objectives[0], inst.classes[jobs[0].cls], 0.0, 0.0, 0.0)  # t = 0, no setup
+            part = (window_min_of(xs, ys, cp.pt_nom - cp.pt_low), *stage_part(cp, job.st, job.sc))
 
     u = [[0.0] * cp.n_jobs for cp in inst.classes]
     t = 0.0
     for job in jobs:
         t, u[job.cls][job.idx] = serve(objectives[job.stage], inst.classes[job.cls], t, job.st)
-    plan = CompressionPlan(tuple(tuple(r) for r in u))
-    return plan, total
+    return CompressionPlan(tuple(tuple(r) for r in u))
 
 
 def solve_sequence(inst: Instance, seq: Sequence) -> Schedule:
     """Optimal schedule for a fixed sequence."""
-    plan, _ = optimize_compressions(inst, seq)
+    plan = optimize_compressions(inst, seq)
     return Schedule(sequence=seq, plan=plan, timeline=build_timeline(inst, seq, plan))
 
 
@@ -400,6 +390,9 @@ def schedule_from_dict(inst: Instance, doc: dict) -> Schedule:
         if (not isinstance(row, list) or len(row) != cp.n_jobs
                 or not all(_is_int(v) or isinstance(v, float) for v in row)):
             raise ValueError(f"u['{k + 1}'] must list {cp.n_jobs} numbers")
-        u.append(tuple(float(v) for v in row))
+        try:
+            u.append(tuple(float(v) for v in row))
+        except OverflowError:
+            raise ValueError(f"u['{k + 1}'] holds an integer too large for a float") from None
     plan = CompressionPlan(tuple(u))
     return Schedule(sequence=seq, plan=plan, timeline=build_timeline(inst, seq, plan))

@@ -141,6 +141,31 @@ def test_schedule_and_values_need_different_destinations(tmp_path, capsys, same)
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv,flag,link", [
+    (["solve", "{inst}", "-o", "{dest}"], "-o", None),
+    (["solve", "{inst}", "--dump-values", "{dest}"], "--dump-values", None),
+    (["emit", "--model", "1", "{inst}", "-o", "{dest}"], "-o", None),
+    (["solve", "{inst}", "-o", "{dest}"], "-o", "hard"),
+    (["solve", "{inst}", "-o", "{dest}"], "-o", "symbolic"),
+], ids=["solve-o", "solve-dump-values", "emit-o", "solve-o-hard-link", "solve-o-symbolic-link"])
+def test_output_naming_the_instance_is_refused(tmp_path, capsys, argv, flag, link):
+    # an output that is the instance file, by its own path or a link, would
+    # replace it; the command stops before writing anything
+    inst = tmp_path / "copy.json"
+    data = Path(EX1).read_bytes()
+    inst.write_bytes(data)
+    dest = inst if link is None else tmp_path / "link.json"
+    if link == "hard":
+        os.link(inst, dest)
+    elif link == "symbolic":
+        dest.symlink_to(inst)
+    code, out, err = run(capsys, *[a.format(inst=inst, dest=dest) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} {dest} names the instance file {inst}\n"
+    assert inst.read_bytes() == data
+    assert sorted(os.listdir(tmp_path)) == sorted({inst.name, dest.name})
+
+
 def test_max_breakpoints_reported(ex1, capsys):
     vt = backward_induction(ex1)
     want = max(len(vt[s]) for s in vt.states())
@@ -275,6 +300,17 @@ def test_certify_names_a_bad_class_id_1_based(tmp_path, capsys, field, value, me
     code, out, err = run(capsys, "certify", "--model", "1", "--schedule", str(sched_file), EX1)
     assert (code, out) == (2, "")
     assert err == f"error: {sched_file}: {message}\n"
+
+
+def test_certify_names_a_compression_too_large_for_a_float(tmp_path, capsys):
+    sched_file = tmp_path / "sched.json"
+    run(capsys, "solve", "--method", "dp", EX1, "-o", str(sched_file))
+    doc = json.loads(sched_file.read_text())
+    doc["u"]["2"][1] = 10**400
+    sched_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "certify", "--model", "1", "--schedule", str(sched_file), EX1)
+    assert (code, out) == (2, "")
+    assert err == f"error: {sched_file}: u['2'] holds an integer too large for a float\n"
 
 
 def test_non_utf8_instance_names_its_file(tmp_path, capsys):

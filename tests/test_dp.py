@@ -214,9 +214,8 @@ def per_edge_values(inst: Instance) -> dict[DiscreteState, Pwl]:
                     continue
                 child = DiscreteState(state.counts[:k] + (i + 1,) + state.counts[k + 1:], k)
                 obj = stage_objective(values[child], cp, i)
-                parts.append(stage_part(obj.window_min(cp.pt_nom - cp.pt_low), cp,
-                                        inst.setup_time(state.last, k),
-                                        inst.setup_cost(state.last, k)))
+                parts.append((obj.window_min(cp.pt_nom - cp.pt_low),
+                              *stage_part(cp, inst.setup_time(state.last, k), inst.setup_cost(state.last, k))))
             values[state] = envelope(parts, *start_window(inst, state.counts))
     return values
 

@@ -8,7 +8,7 @@ import pytest
 from famsched.bench import GenParams, brute_force_solve, generate
 from famsched.dp import DiscreteState, backward_induction, extract_open_loop, query_policy
 from famsched.instance import start_window, validate_instance
-from famsched.schedule import Sequence, optimize_compressions
+from famsched.schedule import Sequence, solve_sequence
 from tests.lp_reference import block_costs, interleavings, optimal_cost
 
 
@@ -30,6 +30,7 @@ def test_dp_matches_lp_reference_on_criterion_5_stream():
 
 
 def test_optimize_compressions_matches_lp_block():
+    # the chain's plan, costed by its timeline, reaches the LP block's optimum
     rng = random.Random(2024)
     for seed in range(30):
         jobs = tuple(rng.randint(1, 6) for _ in range(rng.choice((2, 3, 4))))
@@ -37,7 +38,7 @@ def test_optimize_compressions_matches_lp_block():
         classes = [k for k, n_k in enumerate(jobs) for _ in range(n_k)]
         orders = [tuple(rng.sample(classes, len(classes))) for _ in range(5)]
         for order, lp_cost in zip(orders, block_costs(inst, orders)):
-            _, total = optimize_compressions(inst, Sequence(order))
+            total = solve_sequence(inst, Sequence(order)).cost
             assert abs(total - lp_cost) <= 1e-6 * max(1.0, abs(lp_cost)), (jobs, seed, order)
 
 

@@ -21,8 +21,8 @@ from famsched.schedule import (
     schedule_from_dict,
     schedule_to_dict,
     solve_sequence,
-    stage_cost,
     stage_objective,
+    stage_part,
     stage_value,
 )
 from tests.conftest import (
@@ -36,6 +36,7 @@ from tests.conftest import (
     EX1_U,
 )
 from tests.pwl_helpers import dump_csv, hinge, slopes
+from tests.test_bench import exact_sequence_cost
 from tests.test_pwl import random_convex_pwl, random_pwl
 
 EX1_SEQ = Sequence.from_1based(EX1_ORDER_1BASED)
@@ -94,11 +95,9 @@ def test_sequence_multiplicity_checked(ex1):
 
 
 def test_optimize_ex1_reproduces_published_plan(ex1):
-    plan, cost = optimize_compressions(ex1, EX1_SEQ)
-    assert cost == pytest.approx(EX1_COST, abs=1e-9)
+    plan = optimize_compressions(ex1, EX1_SEQ)
     assert_table(plan.u, EX1_U)
-    tl = build_timeline(ex1, EX1_SEQ, plan)
-    assert tl.total_cost == pytest.approx(cost, abs=1e-9)
+    assert build_timeline(ex1, EX1_SEQ, plan).total_cost == pytest.approx(EX1_COST, abs=1e-9)
 
 
 def test_optimize_no_pressure_single_job():
@@ -110,8 +109,8 @@ def test_optimize_no_pressure_single_job():
         st=((0.0, 1.0), (1.0, 0.0)),
         sc=((0.0, 0.0), (0.0, 0.0)),
     )
-    plan, cost = optimize_compressions(inst, Sequence((0, 1)))
-    assert cost == pytest.approx(0.0, abs=1e-12)
+    plan = optimize_compressions(inst, Sequence((0, 1)))
+    assert build_timeline(inst, Sequence((0, 1)), plan).total_cost == pytest.approx(0.0, abs=1e-12)
     assert plan.u == ((0.0,), (0.0,))
 
 
@@ -143,7 +142,7 @@ def test_optimize_matches_lattice_oracle():
         sc=((0.0, 0.4), (0.3, 0.0)),
     )
     seq = Sequence((0, 1, 0, 1))
-    plan, cost = optimize_compressions(inst, seq)
+    cost = solve_sequence(inst, seq).cost
     grids = [np.linspace(0.0, 1.0, 21)] * 4
     best = lattice_cost(inst, seq, grids)
     assert cost == pytest.approx(best, abs=1e-6)
@@ -160,7 +159,7 @@ def test_optimize_matches_fine_lattice_two_jobs():
         sc=((0.0, 0.2), (0.2, 0.0)),
     )
     seq = Sequence((0, 1))
-    plan, cost = optimize_compressions(inst, seq)
+    cost = solve_sequence(inst, seq).cost
     grids = [np.linspace(0.0, 2.0, 201)] * 2
     assert cost == pytest.approx(lattice_cost(inst, seq, grids), abs=1e-6)
 
@@ -169,7 +168,7 @@ def test_optimum_is_lower_bound_over_sampled_plans():
     rng = random.Random(11)
     inst = generate(GenParams(jobs=(2, 2), seed=21))
     seq = Sequence((0, 1, 1, 0))
-    _, cost = optimize_compressions(inst, seq)
+    cost = solve_sequence(inst, seq).cost
     for _ in range(300):
         u = tuple(
             tuple(rng.uniform(0.0, cp.u_max) for _ in range(cp.n_jobs))
@@ -211,9 +210,9 @@ def test_round_trip_cost_identity():
     for seed in range(8):
         inst = generate(GenParams(jobs=(2, 3), seed=seed))
         seq = Sequence((1, 0, 1, 1, 0))
-        plan, cost = optimize_compressions(inst, seq)
-        tl = build_timeline(inst, seq, plan)
-        assert tl.total_cost == pytest.approx(cost, abs=1e-9)
+        want = exact_sequence_cost(inst, seq.order)
+        got = build_timeline(inst, seq, optimize_compressions(inst, seq)).total_cost
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (seed, got, want)
 
 
 def test_edd_forcing_within_class(ex1):
@@ -232,7 +231,7 @@ def test_no_headroom_means_no_compression():
         st=inst.st,
         sc=inst.sc,
     )
-    plan, _ = optimize_compressions(rigid, Sequence((0, 1, 0, 1)))
+    plan = optimize_compressions(rigid, Sequence((0, 1, 0, 1)))
     assert all(v == 0.0 for row in plan.u for v in row)
 
 
@@ -288,14 +287,17 @@ def test_fused_stage_transforms_match_two_step():
         want = shifted.add_affine(beta, sc + beta * (pt_nom + st))
         assert_same_bits(stage_value(windowed, cp, st, sc, 0.0, high), want)
 
-        # the point form: stage_cost at t is the stage value of obj's window minimum at t
+        # the point form, as query_policy costs a move: stage_part's constants
+        # plus obj's minimum over the decision window give the stage value at t
         top = high - st - pt_nom  # latest start whose decision window fits in [0, high]
         if top <= 0.0:
             continue
         value = stage_value(obj.window_min(pt_nom - pt_low), cp, st, sc, 0.0, top)
         for t in [0.0, top] + [rng.uniform(0.0, top) for _ in range(5)]:
             v = value.value_at(t)
-            assert abs(stage_cost(obj, cp, t, st, sc) - v) <= TOL * max(1.0, abs(v)), (n, t)
+            _, slope, intercept = stage_part(cp, st, sc)
+            got = intercept + slope * t + obj.min_over(t + st + pt_low, t + st + pt_nom)
+            assert abs(got - v) <= TOL * max(1.0, abs(v)), (n, t)
 
 
 def test_part_objective_matches_two_step():
