@@ -4,7 +4,9 @@ File I/O is explicit via flags; reports go to stdout as JSON (CSV for bench
 behind --csv), or to stderr when a command writes its payload (LP text, a
 schedule, cost-to-go values) to stdout, so that stdout stays parseable.
 Exit codes: 0 success, 1 validation/violation findings, 2 usage or input
-errors, or a stdout that cannot be written (say, a pipe closed early).
+errors, or a stdout that cannot be written (say, a pipe closed early).  Two
+outputs that are one file, or an output that is the instance file, are a
+usage error found before anything is written (``_same_file``).
 
 ``emit``, ``certify`` and ``bench`` import the MILP layer and numpy when they
 run; ``generate``, ``solve``, ``validate`` and ``count`` load neither.
@@ -22,6 +24,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from itertools import combinations
 
 from . import bench, dp
 from .instance import (
@@ -57,11 +60,16 @@ def _read_instance(path: str) -> Instance:
 
 
 def _read_valid_instance(path: str, *outputs: tuple[str, str | None]) -> Instance:
-    """Read an instance for a command that solves or compiles it; refuse an
-    output ``(flag, destination)`` that is the instance file by any path or link."""
+    """Read an instance for a command that solves or compiles it; refuse two
+    outputs ``(flag, destination)`` that are one file (``_same_file``) before
+    the read, and an output that is the instance file after it."""
+    outputs = tuple((flag, dest) for flag, dest in outputs if dest)
+    for (flag1, dest1), (flag2, dest2) in combinations(outputs, 2):
+        if _same_file(dest1, dest2):
+            raise CliError(f"{flag1} {dest1} and {flag2} {dest2} name the same destination")
     inst = _read_instance(path)
     for flag, dest in outputs:
-        if not _on_stdout(dest) and os.path.exists(dest) and os.path.samefile(dest, path):
+        if not _on_stdout(dest) and _same_file(dest, path):
             raise CliError(f"{flag} {dest} names the instance file {path}")
     violations = validate_instance(inst)
     if violations:
@@ -78,10 +86,16 @@ def _on_stdout(path: str | None) -> bool:
     return path is None or path == "-"
 
 
-def _same_destination(a: str, b: str) -> bool:
+def _same_file(a: str, b: str) -> bool:
+    """Whether two destinations are one file: ``-`` (stdout) only with ``-``, two
+    existing paths by ``stat`` (hard and symbolic links count), two missing
+    paths by ``realpath``, and an existing and a missing path never."""
     if "-" in (a, b):
         return a == b
-    return os.path.realpath(a) == os.path.realpath(b)
+    try:
+        return os.path.samestat(os.stat(a), os.stat(b))
+    except OSError:  # not both exist
+        return not (os.path.exists(a) or os.path.exists(b)) and os.path.realpath(a) == os.path.realpath(b)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -130,15 +144,13 @@ def cmd_validate(args) -> int:
         "ok": not violations,
         "violations": [{"path": v.path, "message": v.message} for v in violations],
     }
-    print(json.dumps(report, indent=2))
+    _report(report, False)
     return 1 if violations else 0
 
 
 def cmd_solve(args) -> int:
     if args.dump_values and args.method != "dp":
         raise CliError("--dump-values needs --method dp")
-    if args.output and args.dump_values and _same_destination(args.output, args.dump_values):
-        raise CliError(f"-o {args.output} and --dump-values {args.dump_values} name the same destination")
     inst = _read_valid_instance(args.instance, ("-o", args.output), ("--dump-values", args.dump_values))
     t0 = time.perf_counter()
     sched, vt = _solve(inst, args.method)
@@ -171,15 +183,12 @@ def cmd_emit(args) -> int:
     inst = _read_valid_instance(args.instance, ("-o", args.output))
     model = milp.build_model(inst, args.model)
     _write(args.output, milp.emit_lp(model))
-    _report(
-        {
-            "command": "emit",
-            "instance": _digest(inst),
-            "model": args.model,
-            **asdict(milp.size_report(model)),
-        },
-        _on_stdout(args.output),
-    )
+    _report({
+        "command": "emit",
+        "instance": _digest(inst),
+        "model": args.model,
+        **asdict(milp.size_report(model)),
+    }, _on_stdout(args.output))
     return 0
 
 
@@ -198,35 +207,25 @@ def cmd_certify(args) -> int:
         raise CliError(f"{args.schedule}: {exc}") from exc
     model = milp.build_model(inst, args.model)
     report = milp.check_assignment(model, milp.encode_schedule(inst, sched, model))
-    print(
-        json.dumps(
-            {
-                "command": "certify",
-                "instance": _digest(inst),
-                "model": args.model,
-                "objective": report.objective,
-                "ok": report.ok,
-                "violations": [asdict(v) for v in report.violations],
-            },
-            indent=2,
-        )
-    )
+    _report({
+        "command": "certify",
+        "instance": _digest(inst),
+        "model": args.model,
+        "objective": report.objective,
+        "ok": report.ok,
+        "violations": [asdict(v) for v in report.violations],
+    }, False)
     return 0 if report.ok else 1
 
 
 def cmd_count(args) -> int:
     inst = _read_valid_instance(args.instance)
-    print(
-        json.dumps(
-            {
-                "command": "count",
-                "instance": _digest(inst),
-                "state_nodes": dp.count_states(inst),
-                "sequences": bench.count_sequences(inst),
-            },
-            indent=2,
-        )
-    )
+    _report({
+        "command": "count",
+        "instance": _digest(inst),
+        "state_nodes": dp.count_states(inst),
+        "sequences": bench.count_sequences(inst),
+    }, False)
     return 0
 
 

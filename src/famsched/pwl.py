@@ -201,27 +201,12 @@ class Pwl:
     # -- window minimization -------------------------------------------
 
     def window_min(self, w: float) -> "Pwl":
-        """g(x) = min of f over [x, x + w], on the domain [a, b - w].
-
-        Two paths, picked from the input.  When f is quasiconvex, g has a
-        closed form built in one construction (``_quasiconvex_window``, which
-        the solvers also call on a stage objective's lists before the merge,
-        through ``window_min_of``).  Any other f, and a width within the
-        abscissa tolerance of 0 or of the domain's length, takes the
-        per-interval scan, ``_window_sweep``.
-        """
-        xs = self.xs
-        low, high = xs[0], xs[-1]
-        xtol = TOL * max(1.0, high)
-        if not w >= -xtol:
-            raise DomainError(f"window width {w} must be non-negative")
-        if not w <= high - low + xtol:
-            raise DomainError(f"window width {w} exceeds domain [{low}, {high}]")
-        g = _quasiconvex_window(xs, self.ys, w)
-        return self._window_sweep(w) if g is None else g
+        """g(x) = min of f over [x, x + w], on the domain [a, b - w]: the
+        ``window_min_of`` of f's breakpoint lists."""
+        return window_min_of(list(self.xs), list(self.ys), w)
 
     def _window_sweep(self, w: float) -> "Pwl":
-        """``window_min`` of any f, for a width it has checked.
+        """``window_min`` of any f, for a width ``window_min_of`` has checked.
 
         Computed exactly from segments between consecutive events e1 < e2
         (the breakpoints b and b - w inside the output domain), where g is the
@@ -363,22 +348,33 @@ def _quasiconvex_window(xs: Sequence[float], ys: Sequence[float], w: float) -> P
 
 
 def window_min_of(xs: list[float], ys: list[float], w: float) -> Pwl:
-    """``Pwl(xs, ys).window_min(w)`` for aligned breakpoint lists before the
-    merge, xs strictly increasing, in one construction where the closed form
-    applies to them.
+    """``Pwl(xs, ys).window_min(w)`` for aligned breakpoint lists, xs strictly
+    increasing, given before or after the merge: the one place that picks
+    between the closed form and the sweep.
 
-    Lists that are not finite, or that fail ``_quasiconvex_window``, are
-    constructed and windowed as they are, so they raise and take
-    ``_window_sweep`` exactly as ``window_min`` does.  Where the merge would
-    drop no breakpoint the result is ``window_min``'s bit for bit.  Elsewhere
+    Lists that pass ``_quasiconvex_window`` as given take the closed form in
+    one construction.  Others are constructed (which raises where they are
+    empty, misaligned or not finite), the width is checked against the
+    merged domain (``DomainError``), and the merged lists take the closed
+    form where it applies and ``_window_sweep`` where not.  Where the merge
+    would drop no breakpoint the two routes agree bit for bit.  Elsewhere
     the closed form also reads the breakpoints the merge drops, so a
     breakpoint may move by the abscissa tolerance and a value by the
     ordinate tolerance of the lists' largest ordinates.
     """
-    g = None
-    if all(map(isfinite, xs)) and all(map(isfinite, ys)):
+    if xs and len(xs) == len(ys) and all(map(isfinite, xs)) and all(map(isfinite, ys)):
         g = _quasiconvex_window(xs, ys, w)
-    return Pwl(xs, ys).window_min(w) if g is None else g
+        if g is not None:
+            return g
+    f = Pwl(xs, ys)
+    low, high = f.xs[0], f.xs[-1]
+    xtol = TOL * max(1.0, high)
+    if not w >= -xtol:
+        raise DomainError(f"window width {w} must be non-negative")
+    if not w <= high - low + xtol:
+        raise DomainError(f"window width {w} exceeds domain [{low}, {high}]")
+    g = _quasiconvex_window(f.xs, f.ys, w)
+    return f._window_sweep(w) if g is None else g
 
 
 def shift_table(parts: Sequence[tuple[Pwl, float, float, float]], low: float,

@@ -141,6 +141,56 @@ def test_schedule_and_values_need_different_destinations(tmp_path, capsys, same)
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("link", ["hard", "symbolic", "copy"])
+def test_schedule_and_values_in_one_existing_file_are_refused(tmp_path, capsys, link):
+    # -o and --dump-values that name one existing file by two paths, through a
+    # hard or a symbolic link: the CSV would replace the schedule, so nothing
+    # is written; a copy with the same bytes is another file and is accepted
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    first.write_bytes(b"kept\n")
+    if link == "hard":
+        os.link(first, second)
+    elif link == "symbolic":
+        second.symlink_to(first)
+    else:
+        second.write_bytes(b"kept\n")
+    code, out, err = run(capsys, "solve", "--method", "dp", EX1, "-o", str(first), "--dump-values", str(second))
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
+    if link == "copy":
+        assert code == 0
+        assert json.loads(first.read_text())["order"] == json.loads(out)["sequence"]
+        assert second.read_text().startswith("counts;last;")
+        return
+    assert (code, out) == (2, "")
+    assert err == f"error: -o {first} and --dump-values {second} name the same destination\n"
+    assert first.read_bytes() == b"kept\n"
+
+
+def test_reports_keep_their_text(tmp_path, capsys):
+    # validate, certify and count print their reports as indent-2 JSON on
+    # stdout, byte for byte as before they shared solve's and emit's printer
+    bad = tmp_path / "bad.json"
+    doc = json.loads(Path(EX1).read_text())
+    doc["classes"][0]["pt_low"] = 9
+    bad.write_text(json.dumps(doc))
+    sched = tmp_path / "sched.json"
+    assert run(capsys, "solve", EX1, "-o", str(sched))[0] == 0
+    want = {
+        ("validate", EX1): (0, '{\n  "instance": "9b98017e71fa145f",\n  "ok": true,\n  "violations": []\n}\n'),
+        ("validate", str(bad)): (1, '{\n  "instance": "b73f5ef695fb1c16",\n  "ok": false,\n  "violations": [\n'
+                                    '    {\n      "path": "classes[0].pt_low",\n'
+                                    '      "message": "pt_low must not exceed pt_nom"\n    }\n  ]\n}\n'),
+        ("count", EX1): (0, '{\n  "command": "count",\n  "instance": "9b98017e71fa145f",\n'
+                            '  "state_nodes": 32,\n  "sequences": 35\n}\n'),
+    }
+    for model in (1, 2, 3):
+        want["certify", "--model", str(model), "--schedule", str(sched), EX1] = (
+            0, '{\n  "command": "certify",\n  "instance": "9b98017e71fa145f",\n'
+               f'  "model": {model},\n  "objective": 11.75,\n  "ok": true,\n  "violations": []\n}}\n')
+    for argv, (code, text) in want.items():
+        assert run(capsys, *argv) == (code, text, ""), argv
+
+
 @pytest.mark.parametrize("argv,flag,link", [
     (["solve", "{inst}", "-o", "{dest}"], "-o", None),
     (["solve", "{inst}", "--dump-values", "{dest}"], "--dump-values", None),

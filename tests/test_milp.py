@@ -15,6 +15,7 @@ from famsched.dp import backward_induction, extract_open_loop
 from famsched.instance import ClassParams, Instance, save_instance
 from famsched.milp import (
     MilpModel,
+    Rows,
     build_model,
     build_model1,
     build_model2,
@@ -165,15 +166,28 @@ def test_built_names_unique(classes):
                 assert len(model.rows.names) == len(set(model.rows.names)), (jobs, which)
 
 
+def one_row(cols: list[int]) -> Rows:
+    """The row ``r: <sum of cols> <= 1``, with unit coefficients."""
+    return Rows(["r"], np.zeros(1, dtype=np.int8), np.ones(1), np.array([0, len(cols)]),
+                np.array(cols, dtype=np.int64), np.ones(len(cols)))
+
+
 @pytest.mark.parametrize(
-    "binary,objective,message",
-    [([True], [], "not one kind per variable"),
-     ([True, False], [(1.0, 2)], "objective columns outside the variable list")],
-    ids=["short-kind-list", "objective-column"],
+    "binary,cols,objective,message",
+    [([True], [], [], "not one kind per variable"),
+     ([True, False], [0, 2], [], "row columns outside the variable list"),
+     ([True, False], [-1], [], "row columns outside the variable list"),
+     ([True, False], [], [(1.0, 2)], "objective columns outside the variable list")],
+    ids=["short-kind-list", "row-column-past-the-end", "negative-row-column", "objective-column"],
 )
-def test_model_columns_checked(binary, objective, message):
+def test_model_columns_checked(binary, cols, objective, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        MilpModel("m", ["x", "y"], binary, objective=objective)
+        MilpModel("m", ["x", "y"], binary, one_row(cols), objective)
+
+
+def test_unknown_model_id_rejected(ex1):
+    with pytest.raises(ValueError, match="^unknown model id 4$"):
+        build_model(ex1, 4)
 
 
 # -- encoding ------------------------------------------------------------
@@ -447,15 +461,29 @@ def test_lp_round_trip_counts(ex1, which):
         ("End\n", "", "^LP text ends before its End line$"),
         (" obj: 1 y\n", " obj: 1 y\n obj: 1 x\n", "line 4 .*obj: 1 x"),
         (" obj: 1 y\n", "", "^LP text has no objective line$"),
+        (" r: 1 x - 2 y <= 1", " r: 1 x - 2 <= 1", "line 5 .*1 x - 2 <= 1"),
     ],
     ids=["maximize", "generals", "two-sided-bound", "signed-coefficient", "nan-rhs", "undeclared-variable", "no-end",
-         "two-objectives", "no-objective"],
+         "two-objectives", "no-objective", "term-without-variable"],
 )
 def test_parse_lp_rejects_foreign_syntax(old, new, message):
     assert rows_of(parse_lp(_SMALL_LP))[0].terms == ((1.0, "x"), (-2.0, "y"))
     assert old in _SMALL_LP
     with pytest.raises(ValueError, match=message):
         parse_lp(_SMALL_LP.replace(old, new))
+
+
+def test_lp_round_trip_of_empty_sums():
+    # an empty objective and an empty row are written as the sum "0 __zero__"
+    # and read back as no terms
+    model = MilpModel("m", ["x"], [False], one_row([]))
+    text = emit_lp(model)
+    assert " obj: 0 __zero__\n" in text and " r: 0 __zero__ <= 1\n" in text
+    parsed = parse_lp(text)
+    assert parsed.objective == []
+    assert parsed.rows.indptr.tolist() == [0, 0]
+    assert rows_of(parsed) == rows_of(model)
+    assert emit_lp(parsed) == text.replace("Problem: m", "Problem: parsed")
 
 
 def test_lp_round_trip_checks_assignment(ex1, ex1_opt):

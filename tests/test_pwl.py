@@ -53,6 +53,15 @@ def test_eval_outside_domain_rejected():
             f.value_at(10.5)
 
 
+@pytest.mark.parametrize("xs,ys", [([], []), ([0.0, 1.0], [0.0]), ([0.0, 1.0], [1.0, 0.0, 1.0])],
+                         ids=["empty", "short-values", "short-breakpoints"])
+def test_breakpoint_lists_must_be_non_empty_and_aligned(xs, ys):
+    # window_min_of windows lists before constructing them, and rejects them as the constructor does
+    for call in (lambda: Pwl(xs, ys), lambda: window_min_of(xs, ys, 0.5)):
+        with pytest.raises(ValueError, match="^breakpoints and values must be non-empty and aligned$"):
+            call()
+
+
 def test_nan_arguments_rejected():
     """NaN fails every domain and width check, which are written so that a
     comparison with NaN, always false, rejects."""

@@ -94,6 +94,24 @@ def test_sequence_multiplicity_checked(ex1):
         build_timeline(ex1, Sequence((0, 0, 0, 0, 1, 1, 1, 1)), CompressionPlan.zero(ex1))
 
 
+@pytest.mark.parametrize("order", [(0, 5), (0, -1)])
+def test_sequence_class_range_checked(ex1, order):
+    with pytest.raises(SequenceError, match="^stage 1: class index -?[0-9]+ out of range$"):
+        Sequence(order).check(ex1)
+
+
+@pytest.mark.parametrize("u", [((0.0,) * 4,), ((0.0,) * 4, (0.0,) * 2)], ids=["one-class", "short-row"])
+def test_plan_shape_checked(ex1, u):
+    with pytest.raises(PlanBoundsError, match="^plan shape does not match the instance$"):
+        CompressionPlan(u).check(ex1)
+
+
+@pytest.mark.parametrize("doc", [{}, {"order": [1]}, {"u": {}}, []])
+def test_schedule_document_needs_order_and_u(ex1, doc):
+    with pytest.raises(ValueError, match="^schedule document needs 'order' and 'u'$"):
+        schedule_from_dict(ex1, doc)
+
+
 def test_optimize_ex1_reproduces_published_plan(ex1):
     plan = optimize_compressions(ex1, EX1_SEQ)
     assert_table(plan.u, EX1_U)
