@@ -235,12 +235,12 @@ def brute_force_solve(inst: Instance) -> Schedule:
     total = count_sequences(inst)
     if total > ENUM_CAP:
         raise ValueError(f"sequence count {total} exceeds the enumeration cap {ENUM_CAP}")
-    jobs = inst.jobs_per_class
+    jobs, n = inst.jobs_per_class, inst.total_jobs
     best, near = inf, []  # (cost, order) within TIE of best; the walk is lexicographic
     stack = [((), 0.0, 0.0, [])]  # smallest class on top
     while stack:
         order, _, cost, segments = prefix = stack.pop()
-        if len(order) < inst.total_jobs:
+        if len(order) < n:
             stack += [_append(inst, prefix, k) for k in reversed(range(len(jobs))) if order.count(k) < jobs[k]]
             continue
         cost += sum(slope * length for slope, length in segments if slope < 0.0)

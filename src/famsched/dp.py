@@ -72,16 +72,23 @@ class StateGraph:
 
 def build_state_graph(inst: Instance) -> StateGraph:
     """All states reachable from the initial one, stage by stage, with their
-    edges recorded in the same walk."""
-    n = inst.total_jobs
+    edges recorded in the same walk: one loop per state over the classes
+    with jobs left, each child as ``_child`` builds it."""
+    jobs = tuple(enumerate(inst.jobs_per_class))
+    new = tuple.__new__  # DiscreteState(counts, k) without the NamedTuple's __new__
     stages: list[tuple[DiscreteState, ...]] = [(initial_state(inst),)]
     edges = []
-    for _ in range(n):
+    for _ in range(inst.total_jobs):
         nxt: dict[DiscreteState, int] = {}  # child -> its index in the next stage
         out = []
-        for state in stages[-1]:
-            out.append(tuple([(k, nxt.setdefault(_child(state, k), len(nxt)))
-                              for k in admissible_classes(inst, state)]))
+        for counts, _ in stages[-1]:
+            row = []
+            for k, n in jobs:
+                c = counts[k]
+                if c < n:
+                    child = new(DiscreteState, (counts[:k] + (c + 1,) + counts[k + 1:], k))
+                    row.append((k, nxt.setdefault(child, len(nxt))))
+            out.append(tuple(row))
         stages.append(tuple(nxt))
         edges.append(tuple(out))
     return StateGraph(tuple(stages), tuple(edges))
@@ -160,6 +167,9 @@ def backward_induction(inst: Instance) -> ValueTable:
     front of the edge's ``stage_part`` constants.  A stage's functions are
     kept in lists by position and read along ``StateGraph.edges``, with
     ``stage_part``'s constants taken once per (last class, class) pair.
+    The envelopes and the closed-form window minima come from ``pwl``'s own
+    constructor (``_pwl``), which skips ``Pwl.__init__``'s sort test; a
+    traced run counts them in no ``pwl.init`` span.
 
     Each state's function is built on the ``start_window`` of its counts
     (computed once per counts vector): every decision window from a parent's

@@ -8,13 +8,19 @@ geometry, not sampling.
 
 One relative tolerance, ``TOL``, decides what counts as equal: abscissae
 within ``TOL * max(1, b)`` of each other are the same point, and ordinates
-within ``TOL * max(1, |y|)`` are the same value.  Every constructor keeps
-the first of abscissae that are the same point, then merges: an interior
-breakpoint is dropped only while a single segment from the last kept
-breakpoint passes within the ordinate tolerance of every breakpoint dropped
-since.  At every remaining input point the stored function is therefore
-within ``TOL * max(1, |y|)`` of the input value, and float noise cannot pile
-up into spurious breakpoints from one operation to the next.
+within ``TOL * max(1, |y|)`` are the same value.  Every construction
+checks that the lists are non-empty, aligned and finite, stores floats,
+keeps the first of abscissae that are the same point, then merges: an
+interior breakpoint is dropped only while a single segment from the last
+kept breakpoint passes within the ordinate tolerance of every breakpoint
+dropped since.  At every remaining input point the stored function is
+therefore within ``TOL * max(1, |y|)`` of the input value, and float noise
+cannot pile up into spurious breakpoints from one operation to the next.
+
+``Pwl(xs, ys)`` first sorts lists that are not sorted by x.  The functions
+this module builds in order, ``envelope``'s and ``_quasiconvex_window``'s,
+go through ``_pwl``, the same construction without the sort's test; it
+does not call ``Pwl.__init__``.
 
 These functions are the currency of the compression optimizer and of the
 solver's cost-to-go tables: tardiness terms are hinges, compression terms
@@ -37,19 +43,23 @@ class DomainError(ValueError):
     """An argument or operand lies outside a function's domain."""
 
 
-def _clean(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
-    """Collapse near-equal abscissae and merge within tolerance, in one pass.
+def _floats(xs: Sequence[float], ys: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Every constructor's checks: non-empty, aligned and finite lists,
+    returned as lists of floats."""
+    if len(xs) != len(ys) or not xs:
+        raise ValueError("breakpoints and values must be non-empty and aligned")
+    if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
+        raise ValueError("breakpoints and values must be finite")
+    return list(map(float, xs)), list(map(float, ys))
 
-    ``xs`` and ``ys`` are parallel lists, sorted by x except where rounding
-    puts an interval's right end above the next one's left end (in
-    ``_window_sweep``); such input is first stably sorted by x, so the first
-    of equal abscissae stays first.  Of abscissae within the tolerance of the
-    last one taken, the first is kept; the merge then runs over them.
+
+def _merge(f: "Pwl", xs: list[float], ys: list[float]) -> "Pwl":
+    """Store in f the lists, sorted by x, with near-equal abscissae collapsed
+    and the rest merged within tolerance, in one pass; return f.
+
+    Of abscissae within the tolerance of the last one taken, the first is
+    kept; the merge then runs over them.
     """
-    if xs != sorted(xs):
-        order = sorted(range(len(xs)), key=xs.__getitem__)
-        xs = [xs[i] for i in order]
-        ys = [ys[i] for i in order]
     xtol = TOL * max(1.0, xs[-1])
     # (px, py): last point taken; (x0, y0): last point kept; [lo, hi]: slopes
     # of the segments from (x0, y0) that pass within tolerance of every point
@@ -81,7 +91,16 @@ def _clean(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
     if px > out_x[0]:
         out_x.append(px)
         out_y.append(py)
-    return out_x, out_y
+    object.__setattr__(f, "xs", tuple(out_x))
+    object.__setattr__(f, "ys", tuple(out_y))
+    return f
+
+
+def _pwl(xs: Sequence[float], ys: Sequence[float]) -> "Pwl":
+    """``Pwl(xs, ys)`` for lists sorted by x, with the same checks, coercion
+    and merge but no sort test: the constructor of the functions this module
+    builds in order (``envelope``'s and ``_quasiconvex_window``'s)."""
+    return _merge(object.__new__(Pwl), *_floats(xs, ys))
 
 
 class Pwl:
@@ -90,13 +109,14 @@ class Pwl:
     __slots__ = ("xs", "ys")
 
     def __init__(self, xs: Sequence[float], ys: Sequence[float]):
-        if len(xs) != len(ys) or not xs:
-            raise ValueError("breakpoints and values must be non-empty and aligned")
-        if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
-            raise ValueError("breakpoints and values must be finite")
-        cx, cy = _clean(list(map(float, xs)), list(map(float, ys)))
-        object.__setattr__(self, "xs", tuple(cx))
-        object.__setattr__(self, "ys", tuple(cy))
+        xs, ys = _floats(xs, ys)
+        # a stable sort by x, for lists that rounding left unsorted (in
+        # _window_sweep): the first of equal abscissae stays first
+        if xs != sorted(xs):
+            order = sorted(range(len(xs)), key=xs.__getitem__)
+            xs = [xs[i] for i in order]
+            ys = [ys[i] for i in order]
+        _merge(self, xs, ys)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Pwl is immutable")
@@ -344,7 +364,7 @@ def _quasiconvex_window(xs: Sequence[float], ys: Sequence[float], w: float) -> P
         py.append(y)
     px.append(out_high)
     py.append(m if s >= out_high else _values_at(xs, ys, (out_high,))[0])
-    return Pwl(px, py)
+    return _pwl(px, py)
 
 
 def window_min_of(xs: list[float], ys: list[float], w: float) -> Pwl:
@@ -385,9 +405,10 @@ def shift_table(parts: Sequence[tuple[Pwl, float, float, float]], low: float,
     (low, high), sorted; each part ``(f, delta, slope, intercept)`` gets the
     column f(t + delta) + slope*t + intercept at the grid points t, with f
     clamped to its nearest endpoint value outside its own domain, in one
-    walk.  Callers that add more terms to one part's shift build one ``Pwl``
-    instead of two.  A reversed domain or a non-finite shift raises
-    ``DomainError``.
+    walk along f's breakpoints that interpolates with ``_values_at``'s
+    expression, then adds the affine term.  Callers that add more terms to
+    one part's shift build one ``Pwl`` instead of two.  A reversed domain or
+    a non-finite shift raises ``DomainError``.
     """
     if not low <= high:
         raise DomainError(f"domain [{low}, {high}] needs low <= high")
@@ -402,17 +423,27 @@ def shift_table(parts: Sequence[tuple[Pwl, float, float, float]], low: float,
     grid = sorted(cand)
     cols = []
     for f, delta, slope, intercept in parts:
-        f_low, f_high = f.xs[0], f.xs[-1]
-        clamped = []
+        xs, ys = f.xs, f.ys
+        last = len(xs) - 1
+        f_low, f_high = xs[0], xs[last]
+        v = grid[0] + delta
+        i = 0 if last == 0 or v < xs[1] else bisect_right(xs, v) - 1
+        col = []
         for t in grid:
             v = t + delta
             if f_low > v:  # max(v, f_low): keeps v on a tie, so -0.0 survives
                 v = f_low
             if f_high < v:  # min(v, f_high)
                 v = f_high
-            clamped.append(v)
-        vals = _values_at(f.xs, f.ys, clamped)
-        cols.append([v + slope * t + intercept for t, v in zip(grid, vals)])
+            while i < last and xs[i + 1] <= v:
+                i += 1
+            if i == last:
+                y = ys[last]
+            else:
+                x0, y0 = xs[i], ys[i]
+                y = y0 + (ys[i + 1] - y0) * (v - x0) / (xs[i + 1] - x0)
+            col.append(y + slope * t + intercept)
+        cols.append(col)
     return grid, cols
 
 
@@ -431,7 +462,7 @@ def envelope(parts: Sequence[tuple[Pwl, float, float, float]], low: float, high:
     """
     grid, cols = shift_table(parts, low, high)
     if len(cols) == 1:
-        return Pwl(grid, cols[0])
+        return _pwl(grid, cols[0])
     xtol = TOL * max(1.0, high)
     rows = list(zip(*cols))
     p = rows[0]
@@ -465,4 +496,4 @@ def envelope(parts: Sequence[tuple[Pwl, float, float, float]], low: float, high:
         out_y.append(m)
         cur = q.index(m)
         x0, p = x1, q
-    return Pwl(out_x, out_y)
+    return _pwl(out_x, out_y)

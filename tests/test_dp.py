@@ -486,3 +486,28 @@ def test_value_table_csv_dump(ex1):
     lines = text.splitlines()
     assert lines[0] == "counts;last;breakpoint;value"
     assert len(lines) > len(vt)
+
+
+def int_twin(inst: Instance) -> Instance:
+    """The instance with every integral number an int, as the Python API
+    allows (``load_instance`` stores floats)."""
+    def num(v):
+        return int(v) if v == int(v) else v
+
+    def nums(row):
+        return tuple(map(num, row))
+
+    classes = tuple(replace(cp, pt_nom=num(cp.pt_nom), pt_low=num(cp.pt_low), beta=num(cp.beta),
+                            gamma=num(cp.gamma), alpha=nums(cp.alpha), dd=nums(cp.dd))
+                    for cp in inst.classes)
+    return Instance(classes, tuple(map(nums, inst.st)), tuple(map(nums, inst.sc)))
+
+
+@pytest.mark.parametrize("case", ["ex1", "toy"])
+def test_int_valued_instance_dumps_as_its_float_twin(ex1, case):
+    inst = ex1 if case == "ex1" else toy_instance((3, 2))
+    twin = int_twin(inst)
+    assert isinstance(twin.classes[0].pt_nom, int)
+    vt = backward_induction(twin)
+    assert vt.dump_csv() == backward_induction(inst).dump_csv()
+    assert all(type(v) is float for s in vt.states() for v in vt[s].xs + vt[s].ys)

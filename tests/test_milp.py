@@ -569,6 +569,13 @@ DUMP_VALUES_SHA256 = {
     "ex1": "06ae7f0d40c185dae1b91632391aafb244c029fdb44e4b72745a4e1ca1ce72ab",
     "4,4,3/14": "4b296f2cb36f45a011c74765f5bd25f5e075dc309c5fbe9a9025a2d2d4a0658b",
     "3,3,2/3": "98a27a54915f1ac0522d10ab306ec11c06229f75fbd3b8ec4d2f2fcdd049fc5a",
+    # (20,20), (10,10,10) and (5,5,5,5) at seed 1, ladder sizes that no
+    # benchmark workload solves, and dp_blowup's 8,8/18 (1,742 to 12,660 rows),
+    # recorded before the stage step walked its shifted parts inline
+    "20,20/1": "1ebec19da32f07508215415633ea5800d35397bfce4f611b035ee5a8fa90f472",
+    "10,10,10/1": "3c0b72c4d2711f1770eb22e83d462892bec133ffaa8390abaa924ea96925764e",
+    "5,5,5,5/1": "aa48bdf221a153d445e6737dedee8515c3671ca333812042db180b8491e84181",
+    "8,8/18": "fe6da59611432615a7c01c2e324a086670815e4af412df0a1e7d615aab4662ec",
 }
 
 
@@ -589,6 +596,11 @@ SCHEDULE_SHA256 = {
     ("dp", "ex1"): "2ee0f3b1a8586e8fc81aabd1ac9707583d75d30dfc26ade48de5f1b862174945",
     ("dp", "4,4,3/14"): "725244c9ee601217002ec976452c6dfcf04125fd01580059852b8f36e896927a",
     ("dp", "3,3,2/3"): "93f65fc8e0c3bf20dfb0ef05f950a353c54f45f50445ca6842432884b9317b49",
+    # recorded with DUMP_VALUES_SHA256's four new cases
+    ("dp", "20,20/1"): "ed3e4e2a569c6cac88e831b3615332081549b7b81ccedeef297a508814d89cac",
+    ("dp", "10,10,10/1"): "94a45af025956b83ac31950e20586c590b6d583447096477aad2c323de44cea4",
+    ("dp", "5,5,5,5/1"): "addf454914e3384c5991a20f591206702e2d16914010636a312e3e18f35e9586",
+    ("dp", "8,8/18"): "ad8ba5af350a9ce840026a299fab2558e68474e870bfd3cc1c70524a39df6d99",
     ("enum", "ex1"): "2ee0f3b1a8586e8fc81aabd1ac9707583d75d30dfc26ade48de5f1b862174945",
     ("enum", "3,2,2/0"): "37a29894fdcaa0d4447dafbea0bb602a3922cd4433bc289793c4f6c13601d511",
     ("enum", "1,39/1"): "ffe8c997f8236171ecb87acbb40d8a44e069d3fc67e524879c474f62232fd21b",

@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from famsched.pwl import TOL, DomainError, Pwl, envelope, window_min_of
-from tests.pwl_helpers import dump_csv, hinge, is_convex
+from famsched.pwl import TOL, DomainError, Pwl, _pwl, envelope, shift_table, window_min_of
+from tests.pwl_helpers import dump_csv, hinge, is_convex, shift_column
 
 
 def random_pwl(rng: random.Random, high: float, segments: int, low: float = 0.0) -> Pwl:
@@ -787,3 +787,89 @@ def test_dump_csv_lines():
     lines = dump_csv(f).splitlines()
     assert len(lines) == 3
     assert lines[0] == "0.0,1.0"
+
+
+# -- the shift walk and pwl's own constructor --------------------------------
+
+def reprs(values) -> list[str]:
+    """Values as repr strings: equal lists hold the same floats, of the same
+    type and the same sign of zero."""
+    return list(map(repr, values))
+
+
+def test_shift_table_columns_match_the_three_list_reference():
+    """Each column of ``shift_table``'s inline walk has the bits of the clamp
+    list, the ``_values_at`` walk and the affine list, on parts clamped at
+    either end, one-breakpoint functions and zeros of both signs."""
+    rng = random.Random(21)
+    for n in range(600):
+        high = rng.choice((1.0, 30.0, 500.0))
+        low = LOWS[n % 2] * high / 20.0
+        parts = [random_part(rng, low, high) for _ in range(rng.randint(1, 4))]
+        for i, (f, delta, slope, intercept) in enumerate(parts):
+            if n % 3 == 1 and rng.random() < 0.5:  # one breakpoint, inside or outside the shifted domain
+                x = rng.uniform(low, high) + delta + rng.choice((0.0, -2.0 * high, 2.0 * high))
+                f = Pwl((x,), (rng.choice((-0.0, 0.0, rng.uniform(-5.0, 5.0))),))
+            elif n % 3 == 2:  # zeros of both signs and no affine term
+                f, slope, intercept = Pwl(f.xs, [rng.choice((-0.0, 0.0, 1.0)) for _ in f.xs]), 0.0, -0.0
+            parts[i] = (f, delta, slope, intercept)
+        grid, cols = shift_table(parts, low, high)
+        assert len(cols) == len(parts)
+        for part, col in zip(parts, cols):
+            assert reprs(col) == reprs(shift_column(*part, grid)), (part, low, high)
+    # t + delta is -0.0 at f's left end 0.0: the clamp keeps it, and the sign reaches the column
+    part = (Pwl((0.0, 1.0), (-0.0, 1.0)), -0.0, 0.0, -0.0)
+    grid, (col,) = shift_table([part], -0.0, 1.0)
+    assert reprs(col) == reprs(shift_column(*part, grid)) == ["-0.0", "1.0"]
+
+
+def random_sorted_lists(rng: random.Random) -> tuple[list[float], list[float]]:
+    """Sorted breakpoint lists with abscissae within ``TOL`` of each other
+    and ordinates within the merge tolerance of a line, so the merge drops
+    points of both kinds."""
+    high = rng.choice((1.0, 30.0, 500.0))
+    xs = sorted({0.0, high, *(rng.uniform(0.0, high) for _ in range(rng.randint(0, 30)))})
+    xs += [x + rng.choice((0.0, 0.3, 0.9)) * TOL * high for x in rng.sample(xs, min(3, len(xs)))]
+    xs.sort()
+    slope = rng.uniform(-3.0, 3.0)
+    ys = [slope * x + rng.choice((0.0, 0.5 * TOL, rng.uniform(-5.0, 5.0))) for x in xs]
+    return xs, ys
+
+
+def test_own_constructor_matches_the_public_one_field_for_field():
+    rng = random.Random(22)
+    for _ in range(2000):
+        xs, ys = random_sorted_lists(rng)
+        got, want = _pwl(xs, ys), Pwl(xs, ys)
+        assert type(got) is Pwl
+        assert reprs(got.xs) == reprs(want.xs) and reprs(got.ys) == reprs(want.ys)
+        assert got == want and dump_csv(got) == dump_csv(want)
+    ints = _pwl([0, 1, 2, 3], [4, 2, 0, 5])  # stored as floats, as by the public constructor
+    assert reprs(ints.xs) == reprs(Pwl([0, 1, 2, 3], [4, 2, 0, 5]).xs) == ["0.0", "2.0", "3.0"]
+    assert reprs(ints.ys) == ["4.0", "0.0", "5.0"]
+
+
+@pytest.mark.parametrize("xs,ys", [
+    ([], []), ([0.0, 1.0], [0.0]), ([0.0], [0.0, 1.0]), ([0.0, math.nan], [0.0, 1.0]),
+    ([0.0, 1.0], [math.nan, 1.0]), ([0.0, math.inf], [0.0, 1.0]), ([0.0, 1.0], [0.0, -math.inf]),
+], ids=["empty", "short-values", "short-breakpoints", "nan-breakpoint", "nan-value",
+        "inf-breakpoint", "minus-inf-value"])
+def test_own_constructor_raises_the_public_errors(xs, ys):
+    with pytest.raises(ValueError) as public:
+        Pwl(xs, ys)
+    with pytest.raises(ValueError) as own:
+        _pwl(xs, ys)
+    assert type(own.value) is type(public.value) and str(own.value) == str(public.value)
+
+
+def test_int_arguments_give_float_values():
+    """Int breakpoints, values, shifts and widths give functions and columns
+    of floats only."""
+    f = Pwl([0.0, 2.0, 4.0, 6.0], [3.0, 1.0, 1.0, 4.0])  # quasiconvex: the closed form
+    g = Pwl([0.0, 1.0, 2.0, 3.0, 6.0], [1.0, 0.0, 1.0, 0.0, 2.0])  # not: the sweep
+    built = [window_min_of([0, 2, 4, 6], [3, 1, 1, 4], 1), window_min_of([0, 1, 2, 3, 6], [1, 0, 1, 0, 2], 1),
+             envelope([(f, 1, 2, 3)], 0, 5), envelope([(f, 1, 2, 3), (g, 0, -1, 7)], 0, 5)]
+    for h in built:
+        assert all(type(v) is float for v in h.xs + h.ys), h
+    _, cols = shift_table([(f, 1, 2, 3), (g, -1, 0, 1)], 0, 5)
+    assert all(type(v) is float for col in cols for v in col), cols
