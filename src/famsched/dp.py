@@ -167,9 +167,6 @@ def backward_induction(inst: Instance) -> ValueTable:
     front of the edge's ``stage_part`` constants.  A stage's functions are
     kept in lists by position and read along ``StateGraph.edges``, with
     ``stage_part``'s constants taken once per (last class, class) pair.
-    The envelopes and the closed-form window minima come from ``pwl``'s own
-    constructor (``_pwl``), which skips ``Pwl.__init__``'s sort test; a
-    traced run counts them in no ``pwl.init`` span.
 
     Each state's function is built on the ``start_window`` of its counts
     (computed once per counts vector): every decision window from a parent's

@@ -17,10 +17,9 @@ dropped since.  At every remaining input point the stored function is
 therefore within ``TOL * max(1, |y|)`` of the input value, and float noise
 cannot pile up into spurious breakpoints from one operation to the next.
 
-``Pwl(xs, ys)`` first sorts lists that are not sorted by x.  The functions
-this module builds in order, ``envelope``'s and ``_quasiconvex_window``'s,
-go through ``_pwl``, the same construction without the sort's test; it
-does not call ``Pwl.__init__``.
+``Pwl(xs, ys)`` is the one construction.  Lists sorted by x, as every op
+builds them, merge in one pass; lists that step back in x are stably sorted
+first.
 
 These functions are the currency of the compression optimizer and of the
 solver's cost-to-go tables: tardiness terms are hinges, compression terms
@@ -33,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import combinations
 from math import inf, isfinite
-from operator import ge, le
+from operator import ge, itemgetter, le
 from typing import Sequence
 
 TOL = 1e-9  # relative tolerance for abscissae and ordinates (module docstring)
@@ -43,80 +42,64 @@ class DomainError(ValueError):
     """An argument or operand lies outside a function's domain."""
 
 
-def _floats(xs: Sequence[float], ys: Sequence[float]) -> tuple[list[float], list[float]]:
-    """Every constructor's checks: non-empty, aligned and finite lists,
-    returned as lists of floats."""
-    if len(xs) != len(ys) or not xs:
-        raise ValueError("breakpoints and values must be non-empty and aligned")
-    if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
-        raise ValueError("breakpoints and values must be finite")
-    return list(map(float, xs)), list(map(float, ys))
-
-
-def _merge(f: "Pwl", xs: list[float], ys: list[float]) -> "Pwl":
-    """Store in f the lists, sorted by x, with near-equal abscissae collapsed
-    and the rest merged within tolerance, in one pass; return f.
-
-    Of abscissae within the tolerance of the last one taken, the first is
-    kept; the merge then runs over them.
-    """
-    xtol = TOL * max(1.0, xs[-1])
-    # (px, py): last point taken; (x0, y0): last point kept; [lo, hi]: slopes
-    # of the segments from (x0, y0) that pass within tolerance of every point
-    # taken and dropped since
-    x0 = px = xs[0]
-    y0 = py = ys[0]
-    out_x = [x0]
-    out_y = [y0]
-    lo, hi = -inf, inf
-    for x, y in zip(xs, ys):
-        if x - px <= xtol:
-            continue
-        dx = x - x0
-        if not lo <= (y - y0) / dx <= hi:
-            x0, y0 = px, py
-            out_x.append(x0)
-            out_y.append(y0)
-            lo, hi = -inf, inf
-            dx = x - x0
-        # TOL * max(1, |y|), spelled out because this loop is hot
-        e = TOL * y if y > 1.0 else -TOL * y if y < -1.0 else TOL
-        v = (y - e - y0) / dx
-        if v > lo:
-            lo = v
-        v = (y + e - y0) / dx
-        if v < hi:
-            hi = v
-        px, py = x, y
-    if px > out_x[0]:
-        out_x.append(px)
-        out_y.append(py)
-    object.__setattr__(f, "xs", tuple(out_x))
-    object.__setattr__(f, "ys", tuple(out_y))
-    return f
-
-
-def _pwl(xs: Sequence[float], ys: Sequence[float]) -> "Pwl":
-    """``Pwl(xs, ys)`` for lists sorted by x, with the same checks, coercion
-    and merge but no sort test: the constructor of the functions this module
-    builds in order (``envelope``'s and ``_quasiconvex_window``'s)."""
-    return _merge(object.__new__(Pwl), *_floats(xs, ys))
-
-
 class Pwl:
     """Immutable continuous piecewise-linear function on [xs[0], xs[-1]]."""
 
     __slots__ = ("xs", "ys")
 
     def __init__(self, xs: Sequence[float], ys: Sequence[float]):
-        xs, ys = _floats(xs, ys)
-        # a stable sort by x, for lists that rounding left unsorted (in
-        # _window_sweep): the first of equal abscissae stays first
-        if xs != sorted(xs):
-            order = sorted(range(len(xs)), key=xs.__getitem__)
-            xs = [xs[i] for i in order]
-            ys = [ys[i] for i in order]
-        _merge(self, xs, ys)
+        """Check the lists, store them as floats and merge them in one pass
+        (module docstring).  Lists that step back in x (a user's, or
+        ``_window_sweep``'s where rounding left them unsorted) are stably
+        sorted by x first, so the first of equal abscissae stays first."""
+        if len(xs) != len(ys) or not xs:
+            raise ValueError("breakpoints and values must be non-empty and aligned")
+        if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
+            raise ValueError("breakpoints and values must be finite")
+        xs = list(map(float, xs))
+        ys = list(map(float, ys))
+        while True:
+            xtol = TOL * max(1.0, xs[-1])
+            # (px, py): last point taken; qx: last point dropped; (x0, y0): last
+            # point kept; [lo, hi]: slopes of the segments from (x0, y0) that
+            # pass within tolerance of every point taken and dropped since
+            x0 = px = qx = xs[0]
+            y0 = py = ys[0]
+            out_x = [x0]
+            out_y = [y0]
+            lo, hi = -inf, inf
+            for x, y in zip(xs, ys):
+                if x - px <= xtol:
+                    # a point taken lies above both px and qx, so a step back
+                    # in x shows up here, and only here
+                    if x < px or x < qx:
+                        break
+                    qx = x
+                    continue
+                dx = x - x0
+                if not lo <= (y - y0) / dx <= hi:
+                    x0, y0 = px, py
+                    out_x.append(x0)
+                    out_y.append(y0)
+                    lo, hi = -inf, inf
+                    dx = x - x0
+                # TOL * max(1, |y|), spelled out because this loop is hot
+                e = TOL * y if y > 1.0 else -TOL * y if y < -1.0 else TOL
+                v = (y - e - y0) / dx
+                if v > lo:
+                    lo = v
+                v = (y + e - y0) / dx
+                if v < hi:
+                    hi = v
+                px, py = x, y
+            else:
+                break
+            xs, ys = zip(*sorted(zip(xs, ys), key=itemgetter(0)))
+        if px > out_x[0]:
+            out_x.append(px)
+            out_y.append(py)
+        object.__setattr__(self, "xs", tuple(out_x))
+        object.__setattr__(self, "ys", tuple(out_y))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Pwl is immutable")
@@ -147,8 +130,10 @@ class Pwl:
 
     @classmethod
     def zero(cls, low: float, high: float) -> "Pwl":
-        """The zero function on [low, high], low <= high; one breakpoint
-        where the two ends are the same point."""
+        """The zero function on [low, high]; one breakpoint where the two ends
+        are the same point.  A reversed domain raises ``DomainError``."""
+        if low > high:  # false for NaN ends, which the constructor rejects as not finite
+            raise DomainError(f"domain [{low}, {high}] needs low <= high")
         return cls((low, high), (0.0, 0.0))
 
     # -- evaluation ----------------------------------------------------
@@ -221,12 +206,21 @@ class Pwl:
     # -- window minimization -------------------------------------------
 
     def window_min(self, w: float) -> "Pwl":
-        """g(x) = min of f over [x, x + w], on the domain [a, b - w]: the
-        ``window_min_of`` of f's breakpoint lists."""
-        return window_min_of(list(self.xs), list(self.ys), w)
+        """g(x) = min of f over [x, x + w], on the domain [a, b - w]: the one
+        place that checks the width (``DomainError``) and picks between the
+        closed form (``_quasiconvex_window``) and ``_window_sweep``, on f's
+        own lists."""
+        low, high = self.xs[0], self.xs[-1]
+        xtol = TOL * max(1.0, high)
+        if not w >= -xtol:
+            raise DomainError(f"window width {w} must be non-negative")
+        if not w <= high - low + xtol:
+            raise DomainError(f"window width {w} exceeds domain [{low}, {high}]")
+        g = _quasiconvex_window(self.xs, self.ys, w)
+        return self._window_sweep(w) if g is None else g
 
     def _window_sweep(self, w: float) -> "Pwl":
-        """``window_min`` of any f, for a width ``window_min_of`` has checked.
+        """``window_min`` of any f, for a width ``window_min`` has checked.
 
         Computed exactly from segments between consecutive events e1 < e2
         (the breakpoints b and b - w inside the output domain), where g is the
@@ -364,37 +358,26 @@ def _quasiconvex_window(xs: Sequence[float], ys: Sequence[float], w: float) -> P
         py.append(y)
     px.append(out_high)
     py.append(m if s >= out_high else _values_at(xs, ys, (out_high,))[0])
-    return _pwl(px, py)
+    return Pwl(px, py)
 
 
 def window_min_of(xs: list[float], ys: list[float], w: float) -> Pwl:
     """``Pwl(xs, ys).window_min(w)`` for aligned breakpoint lists, xs strictly
-    increasing, given before or after the merge: the one place that picks
-    between the closed form and the sweep.
+    increasing, given before or after the merge.
 
     Lists that pass ``_quasiconvex_window`` as given take the closed form in
-    one construction.  Others are constructed (which raises where they are
-    empty, misaligned or not finite), the width is checked against the
-    merged domain (``DomainError``), and the merged lists take the closed
-    form where it applies and ``_window_sweep`` where not.  Where the merge
-    would drop no breakpoint the two routes agree bit for bit.  Elsewhere
-    the closed form also reads the breakpoints the merge drops, so a
-    breakpoint may move by the abscissa tolerance and a value by the
-    ordinate tolerance of the lists' largest ordinates.
+    one construction; others are constructed (which raises where they are
+    empty, misaligned or not finite) and windowed by ``Pwl.window_min``.
+    Where the merge would drop no breakpoint the two routes agree bit for
+    bit.  Elsewhere the closed form also reads the breakpoints the merge
+    drops, so a breakpoint may move by the abscissa tolerance and a value by
+    the ordinate tolerance of the lists' largest ordinates.
     """
     if xs and len(xs) == len(ys) and all(map(isfinite, xs)) and all(map(isfinite, ys)):
         g = _quasiconvex_window(xs, ys, w)
         if g is not None:
             return g
-    f = Pwl(xs, ys)
-    low, high = f.xs[0], f.xs[-1]
-    xtol = TOL * max(1.0, high)
-    if not w >= -xtol:
-        raise DomainError(f"window width {w} must be non-negative")
-    if not w <= high - low + xtol:
-        raise DomainError(f"window width {w} exceeds domain [{low}, {high}]")
-    g = _quasiconvex_window(f.xs, f.ys, w)
-    return f._window_sweep(w) if g is None else g
+    return Pwl(xs, ys).window_min(w)
 
 
 def shift_table(parts: Sequence[tuple[Pwl, float, float, float]], low: float,
@@ -462,7 +445,7 @@ def envelope(parts: Sequence[tuple[Pwl, float, float, float]], low: float, high:
     """
     grid, cols = shift_table(parts, low, high)
     if len(cols) == 1:
-        return _pwl(grid, cols[0])
+        return Pwl(grid, cols[0])
     xtol = TOL * max(1.0, high)
     rows = list(zip(*cols))
     p = rows[0]
@@ -496,4 +479,4 @@ def envelope(parts: Sequence[tuple[Pwl, float, float, float]], low: float, high:
         out_y.append(m)
         cur = q.index(m)
         x0, p = x1, q
-    return _pwl(out_x, out_y)
+    return Pwl(out_x, out_y)

@@ -1,5 +1,7 @@
 """Helpers for `Pwl` that only the tests need: the tardiness hinge, a
-reference shift column, and inspection."""
+reference construction, a reference shift column, and inspection."""
+
+from math import inf, isfinite
 
 from famsched.pwl import TOL, Pwl, _values_at
 
@@ -15,6 +17,55 @@ def hinge(alpha: float, dd: float, low: float, high: float) -> Pwl:
     if dd <= low:
         return Pwl((low, high), (alpha * (low - dd), alpha * (high - dd)))
     return Pwl((low, dd, high), (0.0, 0.0, alpha * (high - dd)))
+
+
+def reference_pwl(xs, ys) -> Pwl:
+    """``Pwl(xs, ys)`` in three steps: the checks and float coercion, a
+    stable sort by x of lists that are not sorted, then the merge, which
+    keeps the first of near-equal abscissae (module docstring of ``pwl``)."""
+    if len(xs) != len(ys) or not xs:
+        raise ValueError("breakpoints and values must be non-empty and aligned")
+    if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
+        raise ValueError("breakpoints and values must be finite")
+    xs, ys = list(map(float, xs)), list(map(float, ys))
+    if xs != sorted(xs):
+        order = sorted(range(len(xs)), key=xs.__getitem__)
+        xs = [xs[i] for i in order]
+        ys = [ys[i] for i in order]
+    xtol = TOL * max(1.0, xs[-1])
+    # (px, py): last point taken; (x0, y0): last point kept; [lo, hi]: slopes
+    # of the segments from (x0, y0) that pass within tolerance of every point
+    # taken and dropped since
+    x0 = px = xs[0]
+    y0 = py = ys[0]
+    out_x = [x0]
+    out_y = [y0]
+    lo, hi = -inf, inf
+    for x, y in zip(xs, ys):
+        if x - px <= xtol:
+            continue
+        dx = x - x0
+        if not lo <= (y - y0) / dx <= hi:
+            x0, y0 = px, py
+            out_x.append(x0)
+            out_y.append(y0)
+            lo, hi = -inf, inf
+            dx = x - x0
+        e = TOL * y if y > 1.0 else -TOL * y if y < -1.0 else TOL  # TOL * max(1, |y|)
+        v = (y - e - y0) / dx
+        if v > lo:
+            lo = v
+        v = (y + e - y0) / dx
+        if v < hi:
+            hi = v
+        px, py = x, y
+    if px > out_x[0]:
+        out_x.append(px)
+        out_y.append(py)
+    f = object.__new__(Pwl)
+    object.__setattr__(f, "xs", tuple(out_x))
+    object.__setattr__(f, "ys", tuple(out_y))
+    return f
 
 
 def shift_column(f: Pwl, delta: float, slope: float, intercept: float,

@@ -659,6 +659,10 @@ def test_tracer_wraps_every_layer(tmp_path):
     assert result["codes"] == [0] * 8
     metrics = result["metrics"]
     assert metrics["dp.states"] == 32
+    # every Pwl is built by Pwl.__init__ (at least one per DP state), and
+    # window_min_of hands the lists the closed form cannot take to Pwl.window_min
+    assert metrics["pwl.init.calls"] >= metrics["dp.states"]
+    assert metrics["pwl.window_min.calls"] == 2
     # the oracle costs sequences by its own pass and solves only the winner
     assert metrics["bench.sequences"] == 1
     assert metrics["bench.brute_force_solve.s"] > 0

@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from famsched.pwl import TOL, DomainError, Pwl, _pwl, envelope, shift_table, window_min_of
-from tests.pwl_helpers import dump_csv, hinge, is_convex, shift_column
+from famsched.pwl import (TOL, DomainError, Pwl, _quasiconvex_window, envelope, shift_table,
+                          window_min_of)
+from tests.pwl_helpers import dump_csv, hinge, is_convex, reference_pwl, shift_column
 
 
 def random_pwl(rng: random.Random, high: float, segments: int, low: float = 0.0) -> Pwl:
@@ -38,6 +39,15 @@ def test_eval_zero_function():
     z = Pwl.zero(0.0, 10.0)
     for t in (0.0, 3.3, 10.0):
         assert z.value_at(t) == 0.0
+
+
+def test_zero_rejects_a_reversed_domain():
+    with pytest.raises(DomainError, match=r"^domain \[5\.0, 2\.0\] needs low <= high$"):
+        Pwl.zero(5.0, 2.0)
+    assert Pwl.zero(2.0, 2.0).xs == (2.0,)
+    for low, high in ((math.nan, 2.0), (2.0, math.nan)):  # NaN ends reach the constructor's check
+        with pytest.raises(ValueError, match="^breakpoints and values must be finite$"):
+            Pwl.zero(low, high)
 
 
 def test_eval_flat_segment():
@@ -476,6 +486,38 @@ def test_window_min_not_quasiconvex_takes_the_sweep(ys, monkeypatch):
     assert swept == [0.5, 1.0, 1.5, 2.5]
 
 
+def near_collinear_pwl(rng: random.Random) -> Pwl:
+    """2 to 40 breakpoints on [0, 100] with ordinates 0.3x plus a term drawn
+    from {0, 1e-9, -1e-9, 5e-10, U(-1, 1)}, the term scaled by 1e7 at about
+    a fifth of the breakpoints: functions whose merge rebuilt from their own
+    lists can drop more breakpoints."""
+    xs = sorted({0.0, 100.0, *(rng.uniform(0.0, 100.0) for _ in range(rng.randint(0, 38)))})
+    ys = []
+    for x in xs:
+        term = rng.choice((0.0, 1e-9, -1e-9, 5e-10, rng.uniform(-1.0, 1.0)))
+        ys.append(0.3 * x + (term * 1e7 if rng.random() < 0.2 else term))
+    return Pwl(xs, ys)
+
+
+def test_window_min_windows_the_function_as_built():
+    """``window_min`` windows f's own lists and never a rebuilt f: on
+    functions that a rebuild would change, the sweep of f where f is not
+    quasiconvex, and the closed form of f's lists where it is."""
+    rebuilt = 0
+    for seed in range(700):
+        f = near_collinear_pwl(random.Random(seed))
+        if Pwl(f.xs, f.ys) == f:
+            continue
+        rebuilt += 1
+        for w in (1.0, 10.0, 33.0):
+            g = f.window_min(w)
+            want = _quasiconvex_window(f.xs, f.ys, w)
+            if want is None:
+                want = f._window_sweep(w)
+            assert reprs(g.xs) == reprs(want.xs) and reprs(g.ys) == reprs(want.ys), (seed, w)
+    assert rebuilt >= 10
+
+
 def reference_pointwise_min(f: Pwl, g: Pwl) -> Pwl:
     grid = sorted(set(f.xs) | set(g.xs))
     xtol = TOL * max(1.0, f.high)
@@ -789,7 +831,7 @@ def test_dump_csv_lines():
     assert lines[0] == "0.0,1.0"
 
 
-# -- the shift walk and pwl's own constructor --------------------------------
+# -- the shift walk and the constructor ------------------------------------
 
 def reprs(values) -> list[str]:
     """Values as repr strings: equal lists hold the same floats, of the same
@@ -836,17 +878,59 @@ def random_sorted_lists(rng: random.Random) -> tuple[list[float], list[float]]:
     return xs, ys
 
 
-def test_own_constructor_matches_the_public_one_field_for_field():
+def stepped_back_lists(rng: random.Random) -> tuple[list[float], list[float]]:
+    """``random_sorted_lists`` left unsorted: fully shuffled, one adjacent
+    swap, equal abscissae with their own ordinates, or a step back by one
+    ulp just after a point the merge takes, or just after one it drops."""
+    xs, ys = random_sorted_lists(rng)
+    kind = rng.randrange(5)
+    if kind == 0:
+        pairs = list(zip(xs, ys))
+        rng.shuffle(pairs)
+        xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
+    elif kind == 1:
+        i = rng.randrange(len(xs) - 1)
+        xs[i], xs[i + 1], ys[i], ys[i + 1] = xs[i + 1], xs[i], ys[i + 1], ys[i]
+    elif kind == 2:
+        for i in sorted(rng.sample(range(len(xs)), min(3, len(xs))), reverse=True):
+            xs.insert(i + 1, xs[i])
+            ys.insert(i + 1, rng.uniform(-5.0, 5.0))
+    else:
+        i = rng.randrange(len(xs))
+        x = xs[i] + (0.5 * TOL * max(1.0, xs[-1]) if kind == 4 else 0.0)  # a point dropped
+        if kind == 4:
+            xs.insert(i + 1, x)
+            ys.insert(i + 1, ys[i])
+            i += 1
+        xs.insert(i + 1, math.nextafter(x, -math.inf))
+        ys.insert(i + 1, rng.uniform(-5.0, 5.0))
+    return xs, ys
+
+
+def test_constructor_matches_the_reference_field_for_field():
+    """One pass over lists sorted by x, and a stable sort then the merge for
+    lists that step back, give the reference's check-sort-merge bit for bit."""
     rng = random.Random(22)
-    for _ in range(2000):
-        xs, ys = random_sorted_lists(rng)
-        got, want = _pwl(xs, ys), Pwl(xs, ys)
-        assert type(got) is Pwl
+    for n in range(4000):
+        xs, ys = random_sorted_lists(rng) if n % 2 else stepped_back_lists(rng)
+        got, want = Pwl(xs, ys), reference_pwl(xs, ys)
         assert reprs(got.xs) == reprs(want.xs) and reprs(got.ys) == reprs(want.ys)
-        assert got == want and dump_csv(got) == dump_csv(want)
-    ints = _pwl([0, 1, 2, 3], [4, 2, 0, 5])  # stored as floats, as by the public constructor
-    assert reprs(ints.xs) == reprs(Pwl([0, 1, 2, 3], [4, 2, 0, 5]).xs) == ["0.0", "2.0", "3.0"]
-    assert reprs(ints.ys) == ["4.0", "0.0", "5.0"]
+        assert repr(got) == repr(want) and dump_csv(got) == dump_csv(want)
+
+
+def test_a_step_back_after_a_dropped_point_is_sorted():
+    """The last abscissa sets the abscissa tolerance, so a step back by one
+    ulp after a point the merge drops is sorted too: unsorted, the tolerance
+    shrinks by one ulp and the point at exactly the sorted tolerance would be
+    kept."""
+    high = 100.0
+    xtol = TOL * high
+    assert TOL * math.nextafter(high, 0.0) < xtol
+    xs = [0.0, xtol, high - 0.5 * xtol, high, math.nextafter(high, 0.0)]
+    ys = [0.0, 1.0, 0.0, 0.0, 0.0]
+    f = Pwl(xs, ys)
+    assert f == reference_pwl(xs, ys)
+    assert f.xs == (0.0, high - 0.5 * xtol) and f.ys == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("xs,ys", [
@@ -855,11 +939,15 @@ def test_own_constructor_matches_the_public_one_field_for_field():
 ], ids=["empty", "short-values", "short-breakpoints", "nan-breakpoint", "nan-value",
         "inf-breakpoint", "minus-inf-value"])
 def test_own_constructor_raises_the_public_errors(xs, ys):
+    """The constructor raises the reference's errors, and ``window_min_of``
+    raises them through it."""
     with pytest.raises(ValueError) as public:
         Pwl(xs, ys)
-    with pytest.raises(ValueError) as own:
-        _pwl(xs, ys)
-    assert type(own.value) is type(public.value) and str(own.value) == str(public.value)
+    assert type(public.value) is ValueError
+    for call in (lambda: reference_pwl(xs, ys), lambda: window_min_of(xs, ys, 0.5)):
+        with pytest.raises(ValueError) as other:
+            call()
+        assert type(other.value) is ValueError and str(other.value) == str(public.value)
 
 
 def test_int_arguments_give_float_values():
@@ -873,3 +961,5 @@ def test_int_arguments_give_float_values():
         assert all(type(v) is float for v in h.xs + h.ys), h
     _, cols = shift_table([(f, 1, 2, 3), (g, -1, 0, 1)], 0, 5)
     assert all(type(v) is float for col in cols for v in col), cols
+    ints = Pwl([0, 1, 2, 3], [4, 2, 0, 5])
+    assert reprs(ints.xs) == ["0.0", "2.0", "3.0"] and reprs(ints.ys) == ["4.0", "0.0", "5.0"]
