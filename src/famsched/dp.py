@@ -52,11 +52,6 @@ def _child(state: DiscreteState, k: int) -> DiscreteState:
     return DiscreteState(counts[:k] + (counts[k] + 1,) + counts[k + 1:], k)
 
 
-def admissible_classes(inst: Instance, state: DiscreteState) -> list[int]:
-    """Classes that still have jobs to serve from this state."""
-    return [k for k in range(inst.n_classes) if state.counts[k] < inst.classes[k].n_jobs]
-
-
 @dataclass(frozen=True)
 class StateGraph:
     """States grouped by stage, and the edges between consecutive stages.
@@ -108,18 +103,20 @@ def count_states(inst: Instance) -> int:
 
 
 class ValueTable:
-    """Cost-to-go per discrete state, as a function of the next start time,
-    each defined on the ``instance.start_window`` of its state's counts."""
+    """Cost-to-go per discrete state, as a function of the next start time on
+    the ``start_window`` of its counts, and each child state's window minimum."""
 
-    def __init__(self, inst: Instance, graph: StateGraph, values: dict[DiscreteState, Pwl]):
+    def __init__(self, inst: Instance, graph: StateGraph, values: dict[DiscreteState, Pwl],
+                 windowed: dict[DiscreteState, Pwl]):
         self._inst = inst
         self.graph = graph
         self._values = values
+        self._windowed = windowed
 
     def __getitem__(self, state: DiscreteState) -> Pwl:
         try:
             return self._values[state]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable state, as with list counts
             raise KeyError(f"state {state} not in the graph") from None
 
     def __len__(self) -> int:
@@ -164,9 +161,9 @@ def backward_induction(inst: Instance) -> ValueTable:
     windowing per edge would repeat the costliest op once per parent.  A
     state's function is the minimum over its edges of ``stage_value``, built
     by one ``envelope`` of the edges' parts: the child's window minimum in
-    front of the edge's ``stage_part`` constants.  A stage's functions are
-    kept in lists by position and read along ``StateGraph.edges``, with
-    ``stage_part``'s constants taken once per (last class, class) pair.
+    front of the edge's ``stage_part`` constants, taken once per (last class,
+    class) pair; the table keeps that minimum for ``query_policy``.  A stage's
+    functions are kept in lists by position and read along ``StateGraph.edges``.
 
     Each state's function is built on the ``start_window`` of its counts
     (computed once per counts vector): every decision window from a parent's
@@ -182,19 +179,21 @@ def backward_induction(inst: Instance) -> ValueTable:
     }
     vals = [Pwl.zero(*start_window(inst, inst.jobs_per_class))] * len(stages[-1])
     values: dict[DiscreteState, Pwl] = dict(zip(stages[-1], vals))
+    windows: dict[DiscreteState, Pwl] = {}
     for j in range(len(stages) - 2, -1, -1):
         windowed = []
         for (counts, k), f in zip(stages[j + 1], vals):  # the served job is class k's latest
             cp = inst.classes[k]
             xs, ys = objective_lists(list(f.xs), list(f.ys), cp, counts[k] - 1)
             windowed.append(window_min_of(xs, ys, cp.pt_nom - cp.pt_low))
+        windows.update(zip(stages[j + 1], windowed))
         spans = {counts: start_window(inst, counts) for counts in {s.counts for s in stages[j]}}
         vals = []
         for state, out in zip(stages[j], graph.edges[j]):
             row = moves[state.last]
             vals.append(envelope([(windowed[c], *row[k]) for k, c in out], *spans[state.counts]))
         values.update(zip(stages[j], vals))
-    return ValueTable(inst, graph, values)
+    return ValueTable(inst, graph, values, windows)
 
 
 @dataclass(frozen=True)
@@ -216,24 +215,24 @@ def query_policy(inst: Instance, vt: ValueTable, state: DiscreteState, t: float)
     then to ``serve``'s processing-time choice.
 
     A move costs ``intercept + slope * t`` by its ``stage_part`` plus its
-    stage objective's minimum over the move's decision window.
+    child's window minimum at ``t + delta``: the part ``envelope`` folded.
 
     Raises ``KeyError`` for a state outside the graph and ``ValueError`` for
     a t that ``ValueTable.cost_to_go`` rejects.
     """
     value = vt.cost_to_go(state, t)
-    best = None  # (cost, class, its ClassParams, stage objective, setup time)
-    for k in admissible_classes(inst, state):
-        cp, st = inst.classes[k], inst.setup_time(state.last, k)
-        obj = stage_objective(vt[_child(state, k)], cp, state.counts[k])
-        _, slope, intercept = stage_part(cp, st, inst.setup_cost(state.last, k))
-        cost = intercept + slope * t + obj.min_over(t + st + cp.pt_low, t + st + cp.pt_nom)
-        if best is None or cost < best[0] - TIE:
-            best = (cost, k, cp, obj, st)
+    best = None  # (cost, class, its ClassParams, setup time)
+    for k, cp in enumerate(inst.classes):
+        if state.counts[k] < cp.n_jobs:
+            st = inst.setup_time(state.last, k)
+            delta, slope, intercept = stage_part(cp, st, inst.setup_cost(state.last, k))
+            cost = intercept + slope * t + vt._windowed[_child(state, k)].value_at(t + delta)
+            if best is None or cost < best[0] - TIE:
+                best = (cost, k, cp, st)
     if best is None:
         raise ValueError("terminal state has no decision")
-    _, k, cp, obj, st = best
-    _, u = serve(obj, cp, t, st)
+    _, k, cp, st = best
+    _, u = serve(stage_objective(vt[_child(state, k)], cp, state.counts[k]), cp, t, st)
     return PolicyDecision(cls=k, tau=cp.pt_nom - cp.gamma * u, u=u, cost_to_go=value)
 
 

@@ -443,6 +443,8 @@ def envelope(parts: Sequence[tuple[Pwl, float, float, float]], low: float, high:
     right end, and inserts the crossings more than the abscissa tolerance
     inside the interval, valued on the line left behind.
     """
+    if not parts:
+        raise ValueError("envelope needs at least one part")
     grid, cols = shift_table(parts, low, high)
     if len(cols) == 1:
         return Pwl(grid, cols[0])

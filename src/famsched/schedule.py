@@ -200,15 +200,14 @@ def stage_objective(child_value: Pwl, cp: ClassParams, i: int) -> Pwl:
     slot i of class ``cp``: the hinge has slope alpha[i] and knee dd[i].
 
     s is the served job's completion time; the -beta*s term carries the
-    compression credit so that the window minimum below is a function of the
-    decision window's position only.
+    compression credit so that F's window minimum is a function of the
+    decision window's position only.  ``dp.query_policy`` builds F for the
+    move it chooses, for ``serve``; the solvers window ``objective_lists``.
 
     Built in one construction from ``objective_lists`` of the child's
-    breakpoints.  The result is bit-identical to
-    ``child_value.add(hinge(alpha, dd, low, high)).add_affine(-beta, 0.0)``
-    (``hinge`` in ``tests/pwl_helpers.py``) whenever that hinge keeps its
-    breakpoints (its knee is not within the tolerance of an end) and the
-    merge keeps the same breakpoints in one pass as in two.
+    breakpoints: bit-identical to ``child_value.add(hinge(alpha, dd, low,
+    high)).add_affine(-beta, 0.0)`` (``tests/pwl_helpers.py``) wherever the
+    hinge's knee is off the ends and one merge keeps what two would keep.
     """
     return Pwl(*objective_lists(list(child_value.xs), list(child_value.ys), cp, i))
 

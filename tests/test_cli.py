@@ -663,6 +663,11 @@ def test_tracer_wraps_every_layer(tmp_path):
     # window_min_of hands the lists the closed form cannot take to Pwl.window_min
     assert metrics["pwl.init.calls"] >= metrics["dp.states"]
     assert metrics["pwl.window_min.calls"] == 2
+    # the one DP solve builds a stage objective for each of ex1's 7 chosen
+    # moves only, and costs every candidate from the backward pass's window
+    # minima, with no per-candidate scan
+    assert metrics["schedule.stage_objective.calls"] == 7
+    assert metrics["pwl.min_over.calls"] == 0
     # the oracle costs sequences by its own pass and solves only the winner
     assert metrics["bench.sequences"] == 1
     assert metrics["bench.brute_force_solve.s"] > 0

@@ -13,6 +13,7 @@ from famsched.bench import GenParams, brute_force_solve, generate
 from famsched.dp import (
     DiscreteState,
     ValueTable,
+    _child,
     backward_induction,
     build_state_graph,
     count_states,
@@ -24,9 +25,11 @@ from famsched.instance import ClassParams, Instance, horizon_upper_bound, start_
 from famsched.milp import build_model, check_assignment, encode_schedule
 from famsched.pwl import TOL, Pwl, envelope
 from famsched.schedule import (
+    TIE,
     CompressionPlan,
     Sequence,
     build_timeline,
+    serve,
     solve_sequence,
     stage_objective,
     stage_part,
@@ -147,6 +150,17 @@ def test_states_outside_the_graph_rejected(ex1):
             query_policy(ex1, vt, state, 0.0)
 
 
+def test_unhashable_state_is_not_in_the_graph(ex1):
+    vt = backward_induction(ex1)
+    state = DiscreteState([1, 0], 0)  # list counts: built without checks, never hashable
+    with pytest.raises(KeyError, match="not in the graph"):
+        vt[state]
+    with pytest.raises(KeyError, match="not in the graph"):
+        vt.cost_to_go(state, 0.0)
+    with pytest.raises(KeyError, match="not in the graph"):
+        query_policy(ex1, vt, state, 0.0)
+
+
 # -- backward induction ---------------------------------------------------
 
 def test_ex1_optimal_cost(ex1):
@@ -236,8 +250,8 @@ def full_domain_table(inst: Instance, high: float) -> ValueTable:
     and kept over the whole domain [0, high], as the solver once did."""
     graph = build_state_graph(inst)
     values = {s: Pwl.zero(0.0, high) for s in graph.stages[-1]}
+    windowed = {}
     for j in range(len(graph.stages) - 2, -1, -1):
-        windowed = {}
         for child in graph.stages[j + 1]:
             cp = inst.classes[child.last]
             obj = stage_objective(values[child], cp, child.counts[child.last] - 1)
@@ -253,7 +267,7 @@ def full_domain_table(inst: Instance, high: float) -> ValueTable:
                                 inst.setup_cost(state.last, k), 0.0, high)
                 best = w if best is None else best.pointwise_min(w)
             values[state] = best
-    return ValueTable(inst, graph, values)
+    return ValueTable(inst, graph, values, windowed)
 
 
 WINDOW_CASES = [((5, 5), 1), ((8, 8), 1), ((10, 10), 1), ((3, 3, 2), 1), ((2, 2, 2, 2), 1),
@@ -426,6 +440,56 @@ def test_query_policy_initial_state(ex1):
     dec = query_policy(ex1, vt, initial_state(ex1), 0.0)
     assert dec.cls == 1
     assert dec.cost_to_go == pytest.approx(EX1_COST, abs=1e-9)
+
+
+def reference_policy(inst: Instance, vt: ValueTable, state: DiscreteState,
+                     t: float) -> tuple[int, float, float, float]:
+    """(class, tau, u, cost) at (state, t) as the policy once chose a move:
+    each candidate's stage objective built and minimized over its decision
+    window by ``min_over``, in front of its ``stage_part`` constants, with
+    ``query_policy``'s tie rule, then ``serve`` on the chosen objective."""
+    best = None
+    for k, cp in enumerate(inst.classes):
+        if state.counts[k] == cp.n_jobs:
+            continue
+        st = inst.setup_time(state.last, k)
+        obj = stage_objective(vt[_child(state, k)], cp, state.counts[k])
+        _, slope, intercept = stage_part(cp, st, inst.setup_cost(state.last, k))
+        cost = intercept + slope * t + obj.min_over(t + st + cp.pt_low, t + st + cp.pt_nom)
+        if best is None or cost < best[0] - TIE:
+            best = (cost, k, cp, obj, st)
+    cost, k, cp, obj, st = best
+    _, u = serve(obj, cp, t, st)
+    return k, cp.pt_nom - cp.gamma * u, u, cost
+
+
+POLICY_CASES = [(None, None)] + [(jobs, seed) for jobs in ((2, 2), (5, 5), (8, 8), (3, 3, 2),
+                                                           (2, 2, 2, 2), (4, 4, 3), (1, 9))
+                                 for seed in range(4)]
+
+
+@pytest.mark.parametrize("jobs,seed", POLICY_CASES, ids=["ex1"] + [
+    ",".join(map(str, jobs)) + f"/{seed}" for jobs, seed in POLICY_CASES[1:]])
+def test_query_policy_matches_per_candidate_reference(ex1, jobs, seed):
+    # the policy costs a move from the window minimum the backward pass
+    # folded; the reference rebuilds and scans each candidate's objective
+    inst = ex1 if jobs is None else generate(GenParams(jobs=jobs, seed=seed))
+    vt = backward_induction(inst)
+    for stage in vt.graph.stages[:-1]:
+        for state in stage:
+            lo, hi = start_window(inst, state.counts)
+            for t in (lo, lo + (hi - lo) / 3, (lo + hi) / 2, hi):
+                dec = query_policy(inst, vt, state, t)
+                k, tau, u, cost = reference_policy(inst, vt, state, t)
+                assert dec.cls == k, (state, t)
+                assert (repr(dec.u), repr(dec.tau)) == (repr(u), repr(tau)), (state, t)
+                value = vt.cost_to_go(state, t)
+                # the chosen move's cost, by the part the backward pass folded
+                delta, slope, intercept = stage_part(inst.classes[k], inst.setup_time(state.last, k),
+                                                     inst.setup_cost(state.last, k))
+                folded = intercept + slope * t + vt._windowed[_child(state, k)].value_at(t + delta)
+                for c in (folded, cost):
+                    assert abs(c - value) <= TOL * max(1.0, abs(value)), (state, t, c, value)
 
 
 def test_query_policy_forced_move(ex1):

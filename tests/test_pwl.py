@@ -152,6 +152,11 @@ def test_shift_rejects_a_reversed_domain_or_infinite_shift(delta, low, high, mes
         envelope([(f, 0.0, 0.0, 0.0), (f, delta, 0.0, 0.0)], low, high)
 
 
+def test_envelope_of_no_parts_rejected():
+    with pytest.raises(ValueError, match="at least one part"):
+        envelope([], 0.0, 1.0)
+
+
 def test_add_domain_mismatch():
     with pytest.raises(DomainError):
         Pwl.zero(0.0, 10.0).add(Pwl.zero(0.0, 12.0))

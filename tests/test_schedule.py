@@ -305,8 +305,8 @@ def test_fused_stage_transforms_match_two_step():
         want = shifted.add_affine(beta, sc + beta * (pt_nom + st))
         assert_same_bits(stage_value(windowed, cp, st, sc, 0.0, high), want)
 
-        # the point form, as query_policy costs a move: stage_part's constants
-        # plus obj's minimum over the decision window give the stage value at t
+        # the point form: stage_part's constants plus obj's minimum over the
+        # decision window give the stage value at t
         top = high - st - pt_nom  # latest start whose decision window fits in [0, high]
         if top <= 0.0:
             continue
