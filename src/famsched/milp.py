@@ -23,7 +23,11 @@ arrays ``indptr``, ``cols`` (indices into ``MilpModel.variables``) and
 terms are ``(coefficient, column)`` pairs, so the rows, the objective and
 the kinds all refer to a variable by column.  Every row family is one
 ``_Builder.add`` call of column tables, and ``emit_lp`` and
-``check_assignment`` read the arrays.
+``check_assignment`` read the arrays.  A built model's row names are a
+``RowNames``: its length is known at build time, and the names are formatted
+on first read, which only ``emit_lp`` and a reported violation do.  So
+building, sizing and certifying a feasible schedule format no row name, and
+``encode_schedule`` formats only the binary families the model declares.
 
 Variable naming (1-based class/job ids, 0-based stage ids):
 ``x_h_j_k_i``, ``d_h_j_k_i``, ``u_k_i``, ``S_k_i``, ``pt_k_i``, ``T_k_i``,
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -52,6 +57,42 @@ SIZE_CONVENTION = (
 )
 
 
+class RowNames(Sequence):
+    """The row names of a built model, formatted on first read.
+
+    Each family of rows gives its count and a zero-argument factory of its
+    names.  The length is the sum of the counts.  The first index,
+    iteration or slice calls every factory, in family order, and caches the
+    names; a factory that returns more or fewer names than its count raises
+    ``ValueError`` there.
+    """
+
+    def __init__(self, families: list[tuple[int, Callable[[], list[str]]]]):
+        self._families = families
+        self._len = sum(count for count, _ in families)
+        self._names: list[str] | None = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _list(self) -> list[str]:
+        if self._names is None:
+            names: list[str] = []
+            for count, factory in self._families:
+                family = factory()
+                if len(family) != count:
+                    raise ValueError(f"a row family of {count} rows got {len(family)} names")
+                names += family
+            self._names = names
+        return self._names
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __iter__(self):
+        return iter(self._list())
+
+
 @dataclass(frozen=True, eq=False)
 class Rows:
     """Constraint rows in compressed sparse row form.
@@ -59,9 +100,10 @@ class Rows:
     Row r is ``names[r]``, with sense ``SENSES[senses[r]]`` and right-hand
     side ``rhs[r]``; its terms are ``coefs[t]`` times variable ``cols[t]``
     for t in ``range(indptr[r], indptr[r + 1])``, in the order they print.
+    ``names`` is a list or, in a built model, a ``RowNames``.
     """
 
-    names: list[str]
+    names: Sequence[str]
     senses: np.ndarray  # int8
     rhs: np.ndarray  # float64
     indptr: np.ndarray  # int64, one entry more than rows
@@ -74,7 +116,7 @@ def _rows(names, senses, rhs, lengths, cols, coefs) -> Rows:
     counts, and the terms' columns and coefficients in row order."""
     indptr = np.zeros(len(names) + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    return Rows(list(names), np.asarray(senses, dtype=np.int8), np.asarray(rhs, dtype=np.float64),
+    return Rows(names, np.asarray(senses, dtype=np.int8), np.asarray(rhs, dtype=np.float64),
                 indptr, np.asarray(cols, dtype=np.int64), np.asarray(coefs, dtype=np.float64))
 
 
@@ -95,14 +137,18 @@ class MilpModel:
         self._check_columns()
 
     @property
-    def constraints(self) -> list[str]:
+    def constraints(self) -> Sequence[str]:
         """The row names, ``rows.names``.  It stays only because the
         benchmark's tracer counts rows as ``len(model.constraints)`` (and
-        columns as ``len(model.variables)``)."""
+        columns as ``len(model.variables)``), which formats no name."""
         return self.rows.names
 
     def _check_columns(self) -> None:
-        n, cols = len(self.variables), self.rows.cols
+        n, rows, cols = len(self.variables), self.rows, self.rows.cols
+        if not len(rows.names) == len(rows.senses) == len(rows.rhs) == len(rows.indptr) - 1:
+            raise ValueError("row names, senses, right-hand sides and indptr disagree on the row count")
+        if not (rows.indptr[0] == 0 and rows.indptr[-1] == len(cols) == len(rows.coefs)):
+            raise ValueError("indptr, term columns and coefficients disagree on the term count")
         if len(self.binary) != n:
             raise ValueError("not one kind per variable")
         if cols.size and not (cols.min() >= 0 and cols.max() < n):
@@ -146,7 +192,7 @@ class _Builder:
         self.ids = [f"{k + 1}_{i + 1}" for k, i in zip(self.cls, self.slot)]
         starts = list(accumulate(inst.jobs_per_class, initial=0))
         self.blocks = [range(a, z) for a, z in zip(starts, starts[1:])]
-        self.row_names: list[str] = []
+        self.row_names: list[tuple[int, Callable[[], list[str]]]] = []  # (row count, name factory) per add()
         self.parts: list[tuple] = []  # (sense codes, rhs, term counts, cols, coefs) per add()
 
     def per_job(self, param: str) -> np.ndarray:
@@ -169,16 +215,19 @@ class _Builder:
         self.model.binary += [binary] * len(suffixes)
         return np.arange(start, len(self.model.variables))
 
-    def add(self, names: list[str], *families) -> None:
+    def add(self, names: Callable[[], list[str]], *families) -> None:
         """Append the rows of one or more families ``(cols, coefs, sense, rhs)``.
 
         Row i of a family has terms ``coefs[i, t]`` times column ``cols[i, t]``,
         where ``cols`` is a table with one row per row and ``coefs`` and
         ``rhs`` broadcast against it.  The families' rows alternate: row i of
-        each family in turn, named by ``names`` in that order.  Zero
-        coefficients are dropped, so a narrower family is padded with them.
+        each family in turn, named in that order by the list that ``names()``
+        returns.  ``names`` runs only when a name is read (``RowNames``), so
+        it must bind its values when it is made: a loop variable or a
+        reassigned local goes in as a default argument.  Zero coefficients
+        are dropped, so a narrower family is padded with them.
         """
-        shape = (len(names) // len(families), len(families))
+        shape = (np.shape(families[0][0])[0], len(families))
         width = max(np.shape(family[0])[1] for family in families)
         cols = np.zeros((*shape, width), dtype=np.int64)
         coefs = np.zeros((*shape, width))
@@ -192,11 +241,11 @@ class _Builder:
             rhs[:, f] = family_rhs
         cols, coefs = cols.reshape(-1, width), coefs.reshape(-1, width)
         keep = coefs != 0.0
-        self.row_names += names
+        self.row_names.append((shape[0] * shape[1], names))
         self.parts.append((senses.ravel(), rhs.ravel(), keep.sum(axis=1), cols[keep], coefs[keep]))
 
     def done(self) -> MilpModel:
-        self.model.rows = _rows(self.row_names, *(np.concatenate(column) for column in zip(*self.parts)))
+        self.model.rows = _rows(RowNames(self.row_names), *(np.concatenate(column) for column in zip(*self.parts)))
         self.model._check_columns()
         return self.model
 
@@ -214,19 +263,20 @@ def _add_common_delta_rows(b: _Builder, d: np.ndarray, v) -> None:
     sc, st = (np.array(table)[np.ix_(cls, cls)].T for table in (inst.sc, inst.st))
     ones = np.ones((n, 1))
     b.add(
-        [f"{kind}_{a}" for a in ids for kind in ("scost", "stime")],
+        lambda: [f"{kind}_{a}" for a in ids for kind in ("scost", "stime")],
         (np.column_stack([om, d.T]), np.hstack([ones, -sc]), "=", 0.0),
         (np.column_stack([la, d.T]), np.hstack([ones, -st]), "=", 0.0),
     )
-    b.add(["all_jobs"], (d.reshape(1, -1), 1.0, "=", n - 1))
-    b.add([f"pred_{a}" for a in ids], (d.T, 1.0, "<=", 1.0))
-    b.add([f"succ_{a}" for a in ids], (d, 1.0, "<=", 1.0))
+    b.add(lambda: ["all_jobs"], (d.reshape(1, -1), 1.0, "=", n - 1))
+    b.add(lambda: [f"pred_{a}" for a in ids], (d.T, 1.0, "<=", 1.0))
+    b.add(lambda: [f"succ_{a}" for a in ids], (d, 1.0, "<=", 1.0))
     for blk in b.blocks:  # within class k: d[p][r] = 0 for r <= p and for r >= p + 2
         own, size = d[blk.start:blk.stop, blk.start:blk.stop], len(blk)
-        b.add([f"gdd_lo_{ids[p]}" for p in blk], (own, np.tri(size), "=", 0.0))
-        b.add([f"gdd_hi_{ids[p]}" for p in blk[:-2]], (own[:-2], np.triu(np.ones((size, size)), 2)[:-2], "=", 0.0))
+        b.add(lambda blk=blk: [f"gdd_lo_{ids[p]}" for p in blk], (own, np.tri(size), "=", 0.0))
+        b.add(lambda blk=blk: [f"gdd_hi_{ids[p]}" for p in blk[:-2]],
+              (own[:-2], np.triu(np.ones((size, size)), 2)[:-2], "=", 0.0))
     b.add(
-        [f"{kind}_{a}" for a in ids for kind in ("ubound", "ptdef")],
+        lambda: [f"{kind}_{a}" for a in ids for kind in ("ubound", "ptdef")],
         (u[:, None], 1.0, "<=", b.per_job("u_max")),
         (np.column_stack([pt, u]), np.column_stack([np.ones(n), b.per_job("gamma")]), "=", b.per_job("pt_nom")),
     )
@@ -243,7 +293,8 @@ def _tardiness_objective(b: _Builder, v) -> list[tuple[float, int]]:
 def build_model1(inst: Instance) -> MilpModel:
     """Formulation with relative-position and successor binaries.
 
-    Variable and row names come from name tables formatted once per build.
+    Variable names come from name tables formatted once per build, and row
+    names from them when the rows are first read.
     """
     b = _Builder("model1", inst)
     m, ids, slot = b.m, b.ids, b.slot
@@ -256,30 +307,30 @@ def build_model1(inst: Instance) -> MilpModel:
     b.model.objective = _tardiness_objective(b, v)
     s, pt, la, t = v["S"], v["pt"], v["La"], v["T"]
 
-    b.add([f"tard_{a}" for a in ids], (np.column_stack([t, s, la, pt]), [1.0, -1.0, -1.0, -1.0], ">=", -b.dd))
+    b.add(lambda: [f"tard_{a}" for a in ids], (np.column_stack([t, s, la, pt]), [1.0, -1.0, -1.0, -1.0], ">=", -b.dd))
     _add_common_delta_rows(b, d, v)
     p, q = b.off_diagonal()
     off = [pairs[a][c] for a, c in zip(p.tolist(), q.tolist())]
     b.add(
-        [f"{kind}_{pq}" for pq in off for kind in ("after", "before")],
+        lambda: [f"{kind}_{pq}" for pq in off for kind in ("after", "before")],
         (np.column_stack([s[q], s[p], la[p], pt[p], x[p, q]]), [1.0, -1.0, -1.0, -1.0, -m], ">=", -m),
         (np.column_stack([s[p], s[q], la[q], pt[q], x[p, q]]), [1.0, -1.0, -1.0, -1.0, m], ">=", 0.0),
     )
     for blk in b.blocks:  # per job p of the class, one row per r: x[r][p] = 1 for r < p, else 0
         jobs = np.arange(blk.start, blk.stop)
         pp, rr = np.repeat(jobs, len(jobs)), np.tile(jobs, len(jobs))
-        names = [f"gx_{'one' if r < p else 'zero'}_{ids[p]}_{slot[r] + 1}" for p in blk for r in blk]
-        b.add(names, (x[rr, pp][:, None], 1.0, "=", (rr < pp).astype(np.float64)))
-    b.add([f"cyc2_{pq}" for pq in off], (np.column_stack([x[p, q], x[q, p]]), 1.0, "=", 1.0))
+        b.add(lambda blk=blk: [f"gx_{'one' if r < p else 'zero'}_{ids[p]}_{slot[r] + 1}" for p in blk for r in blk],
+              (x[rr, pp][:, None], 1.0, "=", (rr < pp).astype(np.float64)))
+    b.add(lambda: [f"cyc2_{pq}" for pq in off], (np.column_stack([x[p, q], x[q, p]]), 1.0, "=", 1.0))
     p3, q3, r3 = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij"))
     distinct = (p3 != q3) & (r3 != p3) & (r3 != q3)
     p3, q3, r3 = p3[distinct], q3[distinct], r3[distinct]
-    heads = [f"cyc3_{pq}_" for pq in off]
     b.add(
-        [head + ids[r] for head, a, c in zip(heads, p.tolist(), q.tolist()) for r in range(n) if r != a and r != c],
+        lambda: [f"cyc3_{pq}_{ids[r]}" for pq, a, c in zip(off, p.tolist(), q.tolist())
+                 for r in range(n) if r != a and r != c],
         (np.column_stack([x[p3, q3], x[q3, r3], x[r3, p3]]), 1.0, "<=", 2.0),
     )
-    b.add(["link_" + pq for pq in flat], (np.column_stack([x.ravel(), d.ravel()]), [1.0, -m], ">=", 1.0 - m))
+    b.add(lambda: ["link_" + pq for pq in flat], (np.column_stack([x.ravel(), d.ravel()]), [1.0, -m], ">=", 1.0 - m))
     return b.done()
 
 
@@ -295,17 +346,18 @@ def build_model2(inst: Instance) -> MilpModel:
     s, pt, la, c, t = v["S"], v["pt"], v["La"], v["C"], v["T"]
 
     b.add(
-        [f"{kind}_{a}" for a in ids for kind in ("comp", "tard")],
+        lambda: [f"{kind}_{a}" for a in ids for kind in ("comp", "tard")],
         (np.column_stack([c, s, la, pt]), [1.0, -1.0, -1.0, -1.0], "=", 0.0),
         (np.column_stack([t, c]), [1.0, -1.0], ">=", -b.dd),
     )
     _add_common_delta_rows(b, d, v)
     p, q = b.off_diagonal()
     b.add(
-        [f"after_{pairs[a][z]}" for a, z in zip(p.tolist(), q.tolist())],
+        lambda: [f"after_{pairs[a][z]}" for a, z in zip(p.tolist(), q.tolist())],
         (np.column_stack([s[q], c[p], d[p, q]]), [1.0, -1.0, -m], ">=", -m),
     )
-    b.add([f"first_{a}" for a in ids], (np.column_stack([c, pt, d.T]), np.r_[1.0, -1.0, np.full(n, m)], ">=", 0.0))
+    b.add(lambda: [f"first_{a}" for a in ids],
+          (np.column_stack([c, pt, d.T]), np.r_[1.0, -1.0, np.full(n, m)], ">=", 0.0))
     return b.done()
 
 
@@ -329,7 +381,7 @@ def build_model3(inst: Instance) -> MilpModel:
     b.model.objective_constant = sum(cp.beta * cp.pt_nom for cp in b.params)
 
     b.add(
-        [f"{kind}_{a}" for a in ids for kind in ("tard", "pt_lo", "pt_hi")],
+        lambda: [f"{kind}_{a}" for a in ids for kind in ("tard", "pt_lo", "pt_hi")],
         (np.column_stack([t, c]), [1.0, -1.0], ">=", -b.dd),
         (pt[:, None], 1.0, ">=", b.per_job("pt_low")),
         (pt[:, None], 1.0, "<=", b.per_job("pt_nom")),
@@ -341,31 +393,33 @@ def build_model3(inst: Instance) -> MilpModel:
     pair = np.column_stack([member[hh], member[kk]])  # which of them are of class h and k
     sc, st, ones = np.array(inst.sc)[hh, kk], np.array(inst.st)[hh, kk], np.ones(len(jj))
     b.add(
-        [f"{kind}_{j}_{h + 1}_{k + 1}" for j, h, k in zip(jj.tolist(), hh.tolist(), kk.tolist())
-         for kind in ("scost", "stime")],
+        lambda jj=jj: [f"{kind}_{j}_{h + 1}_{k + 1}" for j, h, k in zip(jj.tolist(), hh.tolist(), kk.tolist())
+                       for kind in ("scost", "stime")],  # jj is reassigned below
         (np.column_stack([omt[jj], served]), np.column_stack([ones, -sc[:, None] * pair]), ">=", -sc),
         (np.column_stack([lat[jj], served]), np.column_stack([ones, -st[:, None] * pair]), ">=", -st),
     )
-    b.add(["scost_0", "stime_0"], ([[omt[0]]], 1.0, "=", 0.0), ([[lat[0]]], 1.0, "=", 0.0))
-    b.add([f"chain_{j}" for j in stages[1:]], (np.column_stack([st_[1:], ct[:-1]]), [1.0, -1.0], "=", 0.0))
-    b.add(["chain_0"], ([[st_[0]]], 1.0, "=", 0.0))
-    b.add([f"scomp_{j}" for j in stages], (np.column_stack([ct, st_, lat, tau]), [1.0, -1.0, -1.0, -1.0], "=", 0.0))
+    b.add(lambda: ["scost_0", "stime_0"], ([[omt[0]]], 1.0, "=", 0.0), ([[lat[0]]], 1.0, "=", 0.0))
+    b.add(lambda: [f"chain_{j}" for j in stages[1:]], (np.column_stack([st_[1:], ct[:-1]]), [1.0, -1.0], "=", 0.0))
+    b.add(lambda: ["chain_0"], ([[st_[0]]], 1.0, "=", 0.0))
+    b.add(lambda: [f"scomp_{j}" for j in stages],
+          (np.column_stack([ct, st_, lat, tau]), [1.0, -1.0, -1.0, -1.0], "=", 0.0))
     jj, pp = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)  # stage-major
     serves = xs[pp, jj]  # job p is served at stage j
     b.add(
-        [f"{kind}_{j}_{a}" for j in stages for a in ids for kind in ("ptlink", "slink", "clink")],
+        lambda: [f"{kind}_{j}_{a}" for j in stages for a in ids for kind in ("ptlink", "slink", "clink")],
         (np.column_stack([tau[jj], pt[pp], serves]), [1.0, -1.0, -m], ">=", -m),
         (np.column_stack([s[pp], st_[jj], serves]), [1.0, -1.0, -m], ">=", -m),
         (np.column_stack([c[pp], ct[jj], serves]), [1.0, -1.0, -m], ">=", -m),
     )
     later = np.array([p for blk in b.blocks for p in blk[1:]], dtype=np.int64)  # jobs after the first of a class
-    b.add([f"gdd_{ids[p]}" for p in later], (np.column_stack([s[later], c[later - 1]]), [1.0, -1.0], ">=", 0.0))
-    b.add([f"stage_one_{j}" for j in stages], (xs.T, 1.0, "=", 1.0))
+    b.add(lambda: [f"gdd_{ids[p]}" for p in later],
+          (np.column_stack([s[later], c[later - 1]]), [1.0, -1.0], ">=", 0.0))
+    b.add(lambda: [f"stage_one_{j}" for j in stages], (xs.T, 1.0, "=", 1.0))
     b.add(
-        [f"class_total_{k + 1}" for k in classes],
+        lambda: [f"class_total_{k + 1}" for k in classes],
         (np.broadcast_to(xs.ravel(), (len(classes), n * n)), np.repeat(member, n, axis=1), "=", member.sum(axis=1)),
     )
-    b.add([f"once_{a}" for a in ids], (xs, 1.0, "=", 1.0))
+    b.add(lambda: [f"once_{a}" for a in ids], (xs, 1.0, "=", 1.0))
     return b.done()
 
 
@@ -392,7 +446,8 @@ def encode_schedule(inst: Instance, sched: Schedule, model: MilpModel) -> dict[s
     timeline, ``<family>_j`` that of the job served at stage j, and the
     binary ``d_h_j_k_i``, ``x_h_j_k_i`` or ``xs_k_i_j`` is 1 when job (k, i)
     directly follows job (h, j), comes after it, or is served at stage j.
-    Any other name raises ``ValueError``.
+    The table formats a binary family's N^2 names only when the model
+    declares the family.  Any other name raises ``ValueError``.
     """
     stages = sched.sequence.stages(inst)  # raises on multiplicity mismatch
     sched.plan.check(inst)
@@ -406,10 +461,13 @@ def encode_schedule(inst: Instance, sched: Schedule, model: MilpModel) -> dict[s
     for p, (job, a) in enumerate(zip(stages, ids)):
         value.update((f"{family}_{a}", table[job.cls][job.idx]) for family, table in per_job.items())
         value.update((f"{family}_{p}", table[job.cls][job.idx]) for family, table in per_stage.items())
-        for q, b in enumerate(ids):
-            value[f"d_{a}_{b}"] = 1.0 if q == p + 1 else 0.0
-            value[f"x_{a}_{b}"] = 1.0 if p < q else 0.0
-            value[f"xs_{a}_{q}"] = 1.0 if q == p else 0.0
+    declared = {name.partition("_")[0] for name in model.variables}
+    if "d" in declared:
+        value.update((f"d_{a}_{b}", 1.0 if q == p + 1 else 0.0) for p, a in enumerate(ids) for q, b in enumerate(ids))
+    if "x" in declared:
+        value.update((f"x_{a}_{b}", 1.0 if p < q else 0.0) for p, a in enumerate(ids) for q, b in enumerate(ids))
+    if "xs" in declared:
+        value.update((f"xs_{a}_{q}", 1.0 if q == p else 0.0) for p, a in enumerate(ids) for q in range(len(ids)))
     try:
         return {name: value[name] for name in model.variables}
     except KeyError as exc:
@@ -494,20 +552,27 @@ def _rows_text(model: MilpModel, prefix) -> list[str]:
     """The `` <name>: <terms> <sense> <rhs>`` lines, each ending in a newline,
     as the texts of consecutive batches of rows.
 
-    Each batch is one join over a table of shared strings, placed by index
-    arithmetic: row r is ``" "``, its name, ``": "``, a coefficient and a
-    variable piece per term (term t at ``4r + 2t + 3``), and its
-    sense-and-rhs piece.  Batching bounds the table's memory.
+    Every piece of text is an entry of one shared string table: the
+    separators, each coefficient's inner and leading text, each sense and
+    right-hand side's tail, the variables and the row names.  Row r of a
+    batch is ``" "``, its name, ``": "``, a coefficient and a variable piece
+    per term (term t at ``4r + 2t + 3``), and its tail.  Each batch places
+    table indices by index arithmetic, gathers its pieces in one take and
+    joins them.  Batching bounds the pieces' memory.
     """
     rows = model.rows
     coefs = np.unique(rows.coefs)
     signed = [prefix(c) for c in coefs.tolist()]
-    inner = np.array([" " + text for text in signed], dtype=object)
-    first = np.array([text[2:] if text.startswith("+ ") else text for text in signed], dtype=object)
-    variables = np.array(model.variables, dtype=object)
-    seps = np.array([": ", ": 0 __zero__"], dtype=object)
     rhs = np.unique(rows.rhs)
-    tails = np.array([[f" {sense} {_fmt(value)}\n" for value in rhs.tolist()] for sense in SENSES], dtype=object)
+    texts = [" ", ": ", ": 0 __zero__", *(" " + text for text in signed),
+             *(text[2:] if text.startswith("+ ") else text for text in signed),
+             *(f" {sense} {_fmt(value)}\n" for sense in SENSES for value in rhs.tolist())]
+    inner = 3  # table index of the first coefficient's inner text
+    first = inner + len(coefs)  # of its leading text
+    tails = first + len(coefs)  # of sense 0's first tail; sense s's tails follow at s * len(rhs)
+    variables = len(texts)
+    names = variables + len(model.variables)
+    table = np.array([*texts, *model.variables, *rows.names], dtype=object)
     out = []
     for a in range(0, len(rows.names), _BATCH):
         z = min(a + _BATCH, len(rows.names))
@@ -515,18 +580,18 @@ def _rows_text(model: MilpModel, prefix) -> list[str]:
         counts = np.diff(ptr)
         r = np.arange(z - a)
         start = 4 * r + 2 * (ptr[:-1] - ptr[0])
-        pieces = np.empty(4 * (z - a) + 2 * (ptr[-1] - ptr[0]), dtype=object)
-        pieces[start] = " "
-        pieces[start + 1] = rows.names[a:z]
-        pieces[start + 2] = seps[(counts == 0).view(np.int8)]
+        index = np.zeros(4 * (z - a) + 2 * (ptr[-1] - ptr[0]), dtype=np.int64)  # 0 is " "
+        index[start + 1] = names + a + r
+        index[start + 2] = 1 + (counts == 0)
         code = np.searchsorted(coefs, rows.coefs[ptr[0]:ptr[-1]])
         at = 2 * np.arange(len(code)) + 4 * np.repeat(r, counts) + 3
-        pieces[at] = inner[code]
+        index[at] = inner + code
         leads = (ptr[:-1] - ptr[0])[counts > 0]
-        pieces[at[leads]] = first[code[leads]]
-        pieces[at + 1] = variables[rows.cols[ptr[0]:ptr[-1]]]
-        pieces[start + 2 * counts + 3] = tails[rows.senses[a:z], np.searchsorted(rhs, rows.rhs[a:z])]
-        out.append("".join(pieces.tolist()))
+        index[at[leads]] = first + code[leads]
+        index[at + 1] = variables + rows.cols[ptr[0]:ptr[-1]]
+        sense = rows.senses[a:z].astype(np.int64)
+        index[start + 2 * counts + 3] = tails + len(rhs) * sense + np.searchsorted(rhs, rows.rhs[a:z])
+        out.append("".join(table[index].tolist()))
     return out
 
 

@@ -223,3 +223,56 @@ def test_generated_instances_always_valid():
     for seed in range(25):
         inst = generate(GenParams(jobs=(2, 2, 3), seed=seed))
         assert validate_instance(inst) == []
+
+
+# One bad number at one place in each list and matrix, and the SchemaError each
+# gives: the error texts are part of the CLI's output and must not drift.
+BAD_NUMBERS = {"bool": True, "str": "1", "nan": math.nan, "inf": math.inf, "big": 10**400}
+BAD_NUMBER_PLACES = {
+    "alpha": (("classes", 1, "alpha", 2), "classes[1].alpha[2]"),
+    "dd": (("classes", 0, "dd", 3), "classes[0].dd[3]"),
+    "st": (("st", 1, 0), "st[1][0]"),
+    "sc": (("sc", 0, 1), "sc[0][1]"),
+}
+BAD_NUMBER_MESSAGES = {
+    "bool": "expected a number, got bool",
+    "str": "expected a number, got str",
+    "nan": "expected a finite number, got nan",
+    "inf": "expected a finite number, got inf",
+    "big": "integer too large for a float",
+}
+
+
+@pytest.mark.parametrize("place", sorted(BAD_NUMBER_PLACES))
+@pytest.mark.parametrize("bad", sorted(BAD_NUMBERS))
+def test_bad_number_schema_error_text(ex1_dict, place, bad):
+    path, where = BAD_NUMBER_PLACES[place]
+    with pytest.raises(SchemaError) as exc:
+        instance_from_dict(_set(path, BAD_NUMBERS[bad])(json.loads(json.dumps(ex1_dict))))
+    assert str(exc.value) == f"{where}: {BAD_NUMBER_MESSAGES[bad]}"
+
+
+def test_violation_paths_messages_and_order(ex1):
+    c0, c1 = ex1.classes
+    inst = replace(
+        ex1,
+        classes=(replace(c0, alpha=(-1.0, math.nan, 2.0, -0.5), dd=(math.inf, 3.0, -1.0, 2.0)), c1),
+        st=((0.0, math.nan), (-1.0, -2.0)),
+        sc=((1.0, math.inf), (-2.0, 0.0)),
+    )
+    assert [(v.path, v.message) for v in validate_instance(inst)] == [
+        ("classes[0].alpha[0]", "alpha must be non-negative"),
+        ("classes[0].alpha[1]", NOT_FINITE),
+        ("classes[0].alpha[3]", "alpha must be non-negative"),
+        ("classes[0].dd[0]", NOT_FINITE),
+        ("classes[0].dd[2]", "dd must be non-negative"),
+        ("classes[0].dd[1]", "dd non-decreasing order violated"),
+        ("classes[0].dd[2]", "dd non-decreasing order violated"),
+        ("st[0][1]", NOT_FINITE),
+        ("st[1][0]", "setup entries must be non-negative"),
+        ("st[1][1]", "setup entries must be non-negative"),
+        ("st[1][1]", "zero diagonal required (no setup within a class)"),
+        ("sc[0][0]", "zero diagonal required (no setup within a class)"),
+        ("sc[0][1]", NOT_FINITE),
+        ("sc[1][0]", "setup entries must be non-negative"),
+    ]

@@ -9,13 +9,16 @@ import warnings
 import numpy as np
 import pytest
 
+from famsched import milp
 from famsched.bench import GenParams, generate
 from famsched.cli import main
 from famsched.dp import backward_induction, extract_open_loop
 from famsched.instance import ClassParams, Instance, save_instance
 from famsched.milp import (
     MilpModel,
+    RowNames,
     Rows,
+    _rows,
     build_model,
     build_model1,
     build_model2,
@@ -183,6 +186,47 @@ def one_row(cols: list[int]) -> Rows:
 def test_model_columns_checked(binary, cols, objective, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         MilpModel("m", ["x", "y"], binary, one_row(cols), objective)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [_rows(["a", "b"], [0], [1.0], [1, 1], [0, 0], [1.0, 1.0]),
+     _rows(["a", "b"], [0, 0], [1.0], [1, 1], [0, 0], [1.0, 1.0]),
+     Rows(["a"], np.zeros(1, dtype=np.int8), np.ones(1), np.array([0, 1, 2]), np.zeros(2, dtype=np.int64),
+          np.ones(2)),
+     _rows(RowNames([(2, lambda: ["a", "b"])]), [0, 0, 0], [1.0, 1.0, 1.0], [1, 1], [0, 0], [1.0, 1.0])],
+    ids=["one-sense-two-names", "one-rhs-two-names", "two-indptr-rows-one-name", "lazy-names-three-senses"],
+)
+def test_row_count_checked(rows):
+    """A store whose names, senses, right-hand sides and indptr disagree on
+    the row count is refused; it once broadcast row a's sense onto row b."""
+    message = "row names, senses, right-hand sides and indptr disagree on the row count"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MilpModel("m", ["x"], [False], rows)
+
+
+@pytest.mark.parametrize(
+    "indptr,cols,coefs",
+    [([0, 3], [0], [1.0]), ([1, 2], [0, 0], [1.0, 1.0]), ([0, 2], [0, 0], [1.0])],
+    ids=["indptr-past-the-terms", "indptr-not-from-zero", "fewer-coefficients"],
+)
+def test_term_count_checked(indptr, cols, coefs):
+    """A store whose indptr, columns and coefficients disagree on the term
+    count is refused; it once printed ``r: 1 x     <= 1`` for indptr [0, 3]
+    and one term, and failed inside numpy on a certificate."""
+    rows = Rows(["r"], np.zeros(1, dtype=np.int8), np.ones(1), np.array(indptr), np.array(cols), np.array(coefs))
+    with pytest.raises(ValueError, match="^indptr, term columns and coefficients disagree on the term count$"):
+        MilpModel("m", ["x"], [False], rows)
+
+
+@pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]], ids=["fewer", "more"])
+def test_row_name_factory_count_checked(names):
+    """A factory that gives more or fewer names than its family has rows
+    raises on the first read, and the count stays as declared."""
+    lazy = RowNames([(1, lambda: ["z"]), (2, lambda: names)])
+    assert len(lazy) == 3
+    with pytest.raises(ValueError, match=f"^a row family of 2 rows got {len(names)} names$"):
+        list(lazy)
 
 
 def test_unknown_model_id_rejected(ex1):
@@ -546,6 +590,60 @@ EX1_LP_SHA256 = {
 def test_ex1_lp_text_unchanged(ex1, which):
     digest = hashlib.sha256(emit_lp(build_model(ex1, which)).encode()).hexdigest()
     assert digest == EX1_LP_SHA256[which]
+
+
+@pytest.fixture
+def name_factory_calls(monkeypatch):
+    """Each call of a row-name factory of the models built in the test, as
+    the model's name."""
+    calls = []
+    add = milp._Builder.add
+
+    def counted(builder, names, *families):
+        def factory():
+            calls.append(builder.model.name)
+            return names()
+        add(builder, factory, *families)
+
+    monkeypatch.setattr(milp._Builder, "add", counted)
+    return calls
+
+
+@pytest.mark.parametrize("jobs,seed", [((3, 3, 2), 1), ((15, 15), 0)])
+def test_certify_formats_no_row_name(name_factory_calls, jobs, seed):
+    inst = generate(GenParams(jobs=jobs, seed=seed))
+    sched = extract_open_loop(inst, backward_induction(inst))
+    for which in (1, 2, 3):
+        model = build_model(inst, which)
+        report = check_assignment(model, encode_schedule(inst, sched, model))
+        assert report.ok, report.violations[:3]
+        assert size_report(model).constraint_count == len(model.constraints) == len(model.rows.senses)
+    assert name_factory_calls == []
+    assert len(list(model.rows.names)) == len(model.rows.senses)  # the last model, model 3
+    assert name_factory_calls and set(name_factory_calls) == {"model3"}
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_row_names_match_the_emitted_lp(which):
+    for jobs, seed, w in LP_SHA256:
+        if w == which:
+            model = build_model(generate(GenParams(jobs=jobs, seed=seed)), which)
+            assert list(model.rows.names) == parse_lp(emit_lp(model)).rows.names, (jobs, seed)
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_tampered_three_class_violations_name_emitted_rows(which):
+    inst = generate(GenParams(jobs=(3, 3, 2), seed=1))
+    sched = extract_open_loop(inst, backward_induction(inst))
+    model = build_model(inst, which)
+    a = encode_schedule(inst, sched, model)
+    a["S_1_2"] -= 7.5
+    a["pt_2_1"] = 0.5
+    report = check_assignment(model, a)
+    named = {v.name for v in report.violations if v.kind == "constraint"}
+    assert len(named) >= 2
+    assert named <= set(parse_lp(emit_lp(model)).rows.names)
+    assert named == {v.name for v in check_rows(model, a).violations if v.kind == "constraint"}
 
 
 def instance_file(tmp_path, case):
