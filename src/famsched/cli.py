@@ -246,8 +246,9 @@ def cmd_bench(args) -> int:
             "state_nodes": dp.count_states(inst),
             "sequences": bench.count_sequences(inst),
         }
-        for which in (1, 2, 3):
-            rep = milp.size_report(milp.build_model(inst, which))
+        if idx == 0:  # a model's sizes depend on the jobs per class alone
+            reports = [milp.size_report(milp.build_model(inst, which)) for which in (1, 2, 3)]
+        for which, rep in enumerate(reports, 1):
             row[f"m{which}_binaries"] = rep.binary_count
             row[f"m{which}_other"] = rep.other_count
             row[f"m{which}_constraints"] = rep.constraint_count

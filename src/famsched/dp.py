@@ -165,10 +165,10 @@ def backward_induction(inst: Instance) -> ValueTable:
     class) pair; the table keeps that minimum for ``query_policy``.  A stage's
     functions are kept in lists by position and read along ``StateGraph.edges``.
 
-    Each state's function is built on the ``start_window`` of its counts
-    (computed once per counts vector): every decision window from a parent's
-    window lies inside the child's, so each value read is exact, and no
-    breakpoint is built where no start time reaches.
+    Each state's function is built on the ``start_window`` of its counts:
+    every decision window from a parent's window lies inside the child's, so
+    each value read is exact, and no breakpoint is built where no start time
+    reaches.
     """
     graph = build_state_graph(inst)
     stages = graph.stages
@@ -187,11 +187,10 @@ def backward_induction(inst: Instance) -> ValueTable:
             xs, ys = objective_lists(list(f.xs), list(f.ys), cp, counts[k] - 1)
             windowed.append(window_min_of(xs, ys, cp.pt_nom - cp.pt_low))
         windows.update(zip(stages[j + 1], windowed))
-        spans = {counts: start_window(inst, counts) for counts in {s.counts for s in stages[j]}}
         vals = []
         for state, out in zip(stages[j], graph.edges[j]):
             row = moves[state.last]
-            vals.append(envelope([(windowed[c], *row[k]) for k, c in out], *spans[state.counts]))
+            vals.append(envelope([(windowed[c], *row[k]) for k, c in out], *start_window(inst, state.counts)))
         values.update(zip(stages[j], vals))
     return ValueTable(inst, graph, values, windows)
 

@@ -37,7 +37,6 @@ Variable naming (1-based class/job ids, 0-based stage ids):
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -538,31 +537,35 @@ def _fmt(v: float) -> str:
     return repr(v)
 
 
-def _terms_text(terms, names, prefix) -> str:
-    """``terms`` are ``(coefficient, column)`` pairs, ``names`` the column
-    names, and ``prefix`` maps a coefficient to its ``"<sign> <digits> "`` text."""
-    parts = [prefix(coef) + names[c] for coef, c in terms]
+def _signed(c: float) -> str:
+    """A coefficient's ``"<sign> <digits> "`` text; 0.0 and -0.0 both give ``"+ 0 "``."""
+    return f"{'-' if c < 0 else '+'} {_fmt(abs(c))} "
+
+
+def _terms_text(terms, names) -> str:
+    """``terms`` are ``(coefficient, column)`` pairs, ``names`` the column names."""
+    parts = [_signed(coef) + names[c] for coef, c in terms]
     if not parts:
         return "0 " + "__zero__"
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else text
 
 
-def _rows_text(model: MilpModel, prefix) -> list[str]:
+def _rows_text(model: MilpModel) -> list[str]:
     """The `` <name>: <terms> <sense> <rhs>`` lines, each ending in a newline,
     as the texts of consecutive batches of rows.
 
     Every piece of text is an entry of one shared string table: the
-    separators, each coefficient's inner and leading text, each sense and
-    right-hand side's tail, the variables and the row names.  Row r of a
-    batch is ``" "``, its name, ``": "``, a coefficient and a variable piece
-    per term (term t at ``4r + 2t + 3``), and its tail.  Each batch places
-    table indices by index arithmetic, gathers its pieces in one take and
-    joins them.  Batching bounds the pieces' memory.
+    separators, each distinct coefficient's inner and leading text, each
+    sense and distinct right-hand side's tail, the variables and the row
+    names.  Row r of a batch is ``" "``, its name, ``": "``, a coefficient
+    and a variable piece per term (term t at ``4r + 2t + 3``), and its tail.
+    Each batch places table indices by index arithmetic, gathers its pieces
+    in one take and joins them.  Batching bounds the pieces' memory.
     """
     rows = model.rows
     coefs = np.unique(rows.coefs)
-    signed = [prefix(c) for c in coefs.tolist()]
+    signed = [_signed(c) for c in coefs.tolist()]
     rhs = np.unique(rows.rhs)
     texts = [" ", ": ", ": 0 __zero__", *(" " + text for text in signed),
              *(text[2:] if text.startswith("+ ") else text for text in signed),
@@ -597,16 +600,13 @@ def _rows_text(model: MilpModel, prefix) -> list[str]:
 
 def emit_lp(model: MilpModel) -> str:
     """Standard LP text: objective, rows, bounds, binary section."""
-    # A model has few distinct coefficients and right-hand sides, so each is
-    # formatted once per call (0.0 and -0.0 compare equal and both print "0").
-    prefix = functools.cache(lambda c: f"{'-' if c < 0 else '+'} {_fmt(abs(c))} ")
     head = [f"\\ Problem: {model.name}"]
     if model.objective_constant:
         head.append(f"\\ objective_constant: {model.objective_constant!r}")
-    head += ["Minimize", f" obj: {_terms_text(model.objective, model.variables, prefix)}", "Subject To", ""]
+    head += ["Minimize", f" obj: {_terms_text(model.objective, model.variables)}", "Subject To", ""]
     tail = ["Bounds", *(f" {v} >= 0" for v, b in zip(model.variables, model.binary, strict=True) if not b),
             "Binaries", *(f" {v}" for v, b in zip(model.variables, model.binary, strict=True) if b), "End", ""]
-    return "".join(["\n".join(head), *_rows_text(model, prefix), "\n".join(tail)])
+    return "".join(["\n".join(head), *_rows_text(model), "\n".join(tail)])
 
 
 _BATCH = 4096  # rows per join in _rows_text

@@ -388,10 +388,10 @@ def shift_table(parts: Sequence[tuple[Pwl, float, float, float]], low: float,
     (low, high), sorted; each part ``(f, delta, slope, intercept)`` gets the
     column f(t + delta) + slope*t + intercept at the grid points t, with f
     clamped to its nearest endpoint value outside its own domain, in one
-    walk along f's breakpoints that interpolates with ``_values_at``'s
-    expression, then adds the affine term.  Callers that add more terms to
-    one part's shift build one ``Pwl`` instead of two.  A reversed domain or
-    a non-finite shift raises ``DomainError``.
+    walk along f's breakpoints from the first that interpolates with
+    ``_values_at``'s expression, then adds the affine term.  Callers that
+    add more terms to one part's shift build one ``Pwl`` instead of two.  A
+    reversed domain or a non-finite shift raises ``DomainError``.
     """
     if not low <= high:
         raise DomainError(f"domain [{low}, {high}] needs low <= high")
@@ -409,8 +409,7 @@ def shift_table(parts: Sequence[tuple[Pwl, float, float, float]], low: float,
         xs, ys = f.xs, f.ys
         last = len(xs) - 1
         f_low, f_high = xs[0], xs[last]
-        v = grid[0] + delta
-        i = 0 if last == 0 or v < xs[1] else bisect_right(xs, v) - 1
+        i = 0
         col = []
         for t in grid:
             v = t + delta
@@ -446,8 +445,6 @@ def envelope(parts: Sequence[tuple[Pwl, float, float, float]], low: float, high:
     if not parts:
         raise ValueError("envelope needs at least one part")
     grid, cols = shift_table(parts, low, high)
-    if len(cols) == 1:
-        return Pwl(grid, cols[0])
     xtol = TOL * max(1.0, high)
     rows = list(zip(*cols))
     p = rows[0]

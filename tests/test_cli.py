@@ -1,6 +1,8 @@
 """CLI surface: subcommands, files, exit codes."""
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -11,6 +13,7 @@ from unittest.mock import ANY
 
 import pytest
 
+from famsched import milp
 from famsched.bench import GenParams, generate
 from famsched.cli import build_parser, main
 from famsched.dp import DiscreteState, backward_induction
@@ -464,6 +467,34 @@ def test_bench_csv(tmp_path, capsys):
     assert "dp_cost" in header and "enum_cost" in header and "m1_binaries" in header
 
 
+# famsched bench --jobs 2,3 --count 3 --seed 5 --method both, times aside,
+# recorded when each seed built its own three models
+BENCH_SIZES = {"m1_binaries": 50, "m1_other": 31, "m1_constraints": 200, "m2_binaries": 25, "m2_other": 36,
+               "m2_constraints": 72, "m3_binaries": 25, "m3_other": 46, "m3_constraints": 149}
+BENCH_SOLVES = {5: (8.684380305163675, 5), 6: (2.7435989959946854, 5), 7: (37.79738762906111, 4)}
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_bench_builds_each_model_once(monkeypatch, capsys, fmt):
+    # a model's sizes depend on the jobs per class alone, so one build per
+    # model serves every seed of the batch
+    built = []
+    build_model = milp.build_model
+    monkeypatch.setattr(milp, "build_model", lambda inst, which: built.append(which) or build_model(inst, which))
+    code, out, _ = run(capsys, "bench", "--jobs", "2,3", "--count", "3", "--seed", "5", "--method", "both", *fmt)
+    assert code == 0
+    assert built == [1, 2, 3]
+    rows = list(csv.DictReader(io.StringIO(out))) if fmt else json.loads(out)
+    want = []
+    for seed, (cost, breakpoints) in BENCH_SOLVES.items():
+        row = {"seed": seed, "classes": 2, "jobs": "2/3", "state_nodes": 18, "sequences": 10, **BENCH_SIZES,
+               "dp_cost": cost, "dp_time_s": ANY, "dp_max_breakpoints": breakpoints,
+               "enum_cost": cost, "enum_time_s": ANY}
+        want.append({k: v if v is ANY else str(v) for k, v in row.items()} if fmt else row)
+    assert [list(r) for r in rows] == [list(r) for r in want]
+    assert rows == want
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 @pytest.mark.parametrize("fmt", [[], ["--csv"]])
 def test_bench_rejects_empty_batch(capsys, count, fmt):
@@ -667,7 +698,10 @@ def test_tracer_wraps_every_layer(tmp_path):
     # moves only, and costs every candidate from the backward pass's window
     # minima, with no per-candidate scan
     assert metrics["schedule.stage_objective.calls"] == 7
-    assert metrics["pwl.min_over.calls"] == 0
+    # no solver calls these, which only the tracer and the tests name
+    for name in ("pwl.min_over", "pwl.add", "pwl.add_affine", "pwl.shift", "pwl.pointwise_min",
+                 "schedule.stage_value"):
+        assert metrics[f"{name}.calls"] == 0, name
     # the oracle costs sequences by its own pass and solves only the winner
     assert metrics["bench.sequences"] == 1
     assert metrics["bench.brute_force_solve.s"] > 0

@@ -674,6 +674,9 @@ DUMP_VALUES_SHA256 = {
     "10,10,10/1": "3c0b72c4d2711f1770eb22e83d462892bec133ffaa8390abaa924ea96925764e",
     "5,5,5,5/1": "aa48bdf221a153d445e6737dedee8515c3671ca333812042db180b8491e84181",
     "8,8/18": "fe6da59611432615a7c01c2e324a086670815e4af412df0a1e7d615aab4662ec",
+    # the long-function regime no workload reaches: 7,321 states, up to 139
+    # breakpoints; recorded before the shift walk lost its initial bisection
+    "60,60/1": "ca73f816017e9a378152de6e912316cade5efab53dc800ec16dce370100e4c2a",
 }
 
 
@@ -699,6 +702,7 @@ SCHEDULE_SHA256 = {
     ("dp", "10,10,10/1"): "94a45af025956b83ac31950e20586c590b6d583447096477aad2c323de44cea4",
     ("dp", "5,5,5,5/1"): "addf454914e3384c5991a20f591206702e2d16914010636a312e3e18f35e9586",
     ("dp", "8,8/18"): "ad8ba5af350a9ce840026a299fab2558e68474e870bfd3cc1c70524a39df6d99",
+    ("dp", "60,60/1"): "a174aa201065aeabac9fb8c50dad4290a842c4710351f2ce012b8dbe163be85b",
     ("enum", "ex1"): "2ee0f3b1a8586e8fc81aabd1ac9707583d75d30dfc26ade48de5f1b862174945",
     ("enum", "3,2,2/0"): "37a29894fdcaa0d4447dafbea0bb602a3922cd4433bc289793c4f6c13601d511",
     ("enum", "1,39/1"): "ffe8c997f8236171ecb87acbb40d8a44e069d3fc67e524879c474f62232fd21b",

@@ -523,6 +523,22 @@ def test_window_min_windows_the_function_as_built():
     assert rebuilt >= 10
 
 
+def test_rebuild_stays_within_the_ordinate_tolerance():
+    """A rebuild ``Pwl(f.xs, f.ys)`` may drop more of f's breakpoints, as the
+    merge is not idempotent, but it stays within ``TOL * max(1, |y|)`` of
+    every breakpoint (x, y) of f, up to one rounding of y: the merge's slope
+    cone and the rebuilt line round apart (by 0.49 and 0.75 ulp of y at
+    seeds 4213 and 15633, the only excesses in 20,000 draws)."""
+    rebuilt = 0
+    for seed in range(5000):
+        f = near_collinear_pwl(random.Random(seed))
+        g = Pwl(f.xs, f.ys)
+        rebuilt += g != f
+        for x, y in zip(f.xs, f.ys):
+            assert abs(g.value_at(x) - y) <= TOL * max(1.0, abs(y)) + math.ulp(y), (seed, x)
+    assert rebuilt >= 10
+
+
 def reference_pointwise_min(f: Pwl, g: Pwl) -> Pwl:
     grid = sorted(set(f.xs) | set(g.xs))
     xtol = TOL * max(1.0, f.high)
