@@ -14,8 +14,9 @@ keeps the first of abscissae that are the same point, then merges: an
 interior breakpoint is dropped only while a single segment from the last
 kept breakpoint passes within the ordinate tolerance of every breakpoint
 dropped since.  At every remaining input point the stored function is
-therefore within ``TOL * max(1, |y|)`` of the input value, and float noise
-cannot pile up into spurious breakpoints from one operation to the next.
+therefore within ``TOL * max(1, |y|)`` of the input value, up to one rounding
+of y, and float noise cannot pile up into spurious breakpoints from one
+operation to the next.
 
 ``Pwl(xs, ys)`` is the one construction.  Lists sorted by x, as every op
 builds them, merge in one pass; lists that step back in x are stably sorted

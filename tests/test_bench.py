@@ -89,11 +89,13 @@ DRAW_RANGES = (bench.PT_NOM_RANGE, bench.PT_LOW_RANGE, bench.DD_STEP_RANGE, benc
                bench.SC_RANGE, bench.ALPHA_RANGE, bench.BETA_RANGE)
 
 
-@pytest.mark.parametrize("seeds", [range(200), [2**32 - 1, 2**32, 2**40 + 5, 2**64 + 7, 10**30]],
+@pytest.mark.parametrize("seeds", [range(200), [2**32 - 1, 2**32, 2**40 + 5, 2**64 + 7, 10**30,
+                                                 2**128 - 1, 2**128, 2**130 + 3, 10**60]],
                          ids=["small", "large"])
 def test_stream_matches_numpy(seeds):
     # generate's pure-Python stream is numpy's default_rng(seed).uniform,
-    # draw for draw, over every range generate draws from
+    # draw for draw, over every range generate draws from; seeds of 2**128
+    # and above have more than four 32-bit entropy words to mix in
     for seed in seeds:
         ours, theirs = bench._uniform(seed), np.random.default_rng(seed)
         for i in range(70):

@@ -578,30 +578,44 @@ def test_solve_generate_validate_and_count_load_no_numpy(tmp_path):
     assert json.loads(done.stdout) == {"codes": [0] * 6, "before": [False, False], "after": [True, True]}
 
 
-MILP_EXPORTS = ("CheckReport", "MilpModel", "SizeReport", "build_model", "build_model1",
-                "build_model2", "build_model3", "check_assignment", "emit_lp",
-                "encode_schedule", "parse_lp", "size_report")
-
-
-def test_package_surface(monkeypatch):
-    # every exported name is its defining submodule's object, the MILP ones
-    # too, which the package resolves on first access
+def test_package_surface():
+    # every exported name is its defining submodule's object; the MILP layer
+    # has one import path, famsched.milp, and none of its names is exported
     import famsched
 
-    for name in MILP_EXPORTS:
-        monkeypatch.delattr(famsched, name, raising=False)
-    assert set(MILP_EXPORTS) <= set(famsched.__all__) <= set(dir(famsched))
     for name in famsched.__all__:
         obj = getattr(famsched, name)
         assert getattr(sys.modules[obj.__module__], name) is obj, name
         assert vars(famsched)[name] is obj, name
-    assert {name for name in famsched.__all__ if getattr(famsched, name).__module__ == "famsched.milp"} \
-        == set(MILP_EXPORTS)
+        assert obj.__module__ != "famsched.milp", name
     star: dict = {}
     exec("from famsched import *", star)
     assert all(star[name] is getattr(famsched, name) for name in famsched.__all__)
-    with pytest.raises(AttributeError, match="no_such_name"):
-        famsched.no_such_name
+    with pytest.raises(AttributeError, match="build_model"):
+        famsched.build_model
+    assert famsched.milp is milp  # this file's ``from famsched import milp``
+
+
+PACKAGE_RUN = """
+import json, pydoc, sys
+loaded = lambda: [name in sys.modules for name in ("numpy", "famsched.milp")]
+import famsched
+steps = [loaded()]
+exec("from famsched import *", {})
+steps.append(loaded())
+pydoc.render_doc(famsched)
+steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def test_package_import_star_and_help_load_no_numpy():
+    # import famsched, a star import and help(famsched) in a fresh
+    # interpreter load neither the MILP layer nor numpy
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", PACKAGE_RUN],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(done.stdout) == [[False, False]] * 3
 
 
 def test_schema_error_reported(tmp_path, capsys):
